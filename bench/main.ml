@@ -984,12 +984,11 @@ let streaming_search ~smoke () =
 (* ---------- FTA: BDD minimal cut sets vs MOCUS expansion ---------- *)
 
 (* The cut-set kernel acceptance: at every published size the hash-consed
-   BDD/ZBDD route must produce the [Cut_sets.minimal]-identical list at
-   least as fast as the MOCUS expansion (whose minimisation is quadratic
-   in the set count), and past the MOCUS 100k intermediate-set cap —
-   where MOCUS raises and [`Auto] falls back — the BDD must still solve
-   the tree exactly: cut-set count and the closed-form 2-out-of-n
-   probability both checked. *)
+   BDD/ZBDD route must produce the list the MOCUS oracle does, at least
+   as fast (the oracle's minimisation is quadratic in the set count),
+   and past the oracle's 100k intermediate-set cap — where MOCUS raises
+   — the default engine must still solve the tree exactly: cut-set count
+   and the closed-form 2-out-of-n probability both checked. *)
 let fta ~smoke () =
   section "FTA — BDD minimal cut sets vs MOCUS expansion";
   let basic prefix i =
@@ -1018,7 +1017,7 @@ let fta ~smoke () =
     !best
   in
   let published name tree sets =
-    let mocus () = Fta.Cut_sets.minimal ~engine:`Mocus tree in
+    let mocus () = Oracle.Mocus.minimal tree in
     let bdd () = Fta.Cut_sets.minimal ~engine:`Bdd tree in
     let t_mocus = time_per_run (if smoke then 2 else 4) mocus in
     let t_bdd = time_per_run (if smoke then 5 else 20) bdd in
@@ -1051,7 +1050,7 @@ let fta ~smoke () =
   let tree = vote n in
   let expected = n * (n - 1) / 2 in
   let mocus_raises =
-    match Fta.Cut_sets.minimal ~engine:`Mocus tree with
+    match Oracle.Mocus.minimal tree with
     | _ -> false
     | exception Invalid_argument _ -> true
   in

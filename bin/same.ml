@@ -1043,11 +1043,11 @@ let fta_cmd =
   let engine_arg =
     Arg.(
       value
-      & opt (enum [ ("auto", `Auto); ("bdd", `Bdd); ("mocus", `Mocus) ]) `Auto
+      & opt (enum [ ("auto", `Auto); ("bdd", `Bdd) ]) `Auto
       & info [ "engine" ] ~docv:"ENGINE"
           ~doc:
-            "Minimal-cut-set engine: $(b,auto) (MOCUS, falling back to the \
-             BDD past the expansion cap), $(b,bdd) or $(b,mocus).")
+            "Minimal-cut-set engine: $(b,auto) and $(b,bdd) are synonyms, \
+             both read the cut sets off the compiled BDD.")
   in
   let card_arg =
     Arg.(
@@ -1091,11 +1091,7 @@ let fta_cmd =
           ?reliability_path
           ~params:
             [
-              ( "engine",
-                match engine with
-                | `Auto -> ""
-                | `Bdd -> "bdd"
-                | `Mocus -> "mocus" );
+              ("engine", match engine with `Auto -> "" | `Bdd -> "bdd");
               ( "max_cardinality",
                 match max_card with
                 | None -> ""
@@ -1106,92 +1102,43 @@ let fta_cmd =
         with_diagram_and_models path reliability_path
           (fun diagram reliability ->
             let name = diagram.Blockdiag.Diagram.diagram_name in
-            let lowered =
-              match Fta.From_ssam.of_diagram ~reliability diagram with
-              | tree -> Ok (tree, `Structural)
-              | exception Fta.From_ssam.No_paths c -> Error c
-              | exception Fta.From_ssam.Cyclic _ -> (
-                  (* cycles have no well-founded structural lowering *)
-                  let root = Decisive.Api.functional_root ~reliability diagram in
-                  match Fta.From_ssam.generate root with
-                  | tree -> Ok (tree, `Paths)
-                  | exception Fta.From_ssam.No_paths c -> Error c)
-            in
-            match lowered with
-            | Error c ->
-                Printf.eprintf "error: no input-output paths through %s\n" c;
+            match Fta.From_ssam.lower_diagram ~reliability diagram with
+            | Error m ->
+                Printf.eprintf "error: %s\n" m;
                 1
-            | Ok (tree, route) -> (
-                match Fta.Cut_sets.minimal ~engine tree with
-                | exception Invalid_argument m ->
-                    Printf.eprintf "error: %s (retry with --engine bdd)\n" m;
-                    1
-                | all_sets ->
-                    let buf = Buffer.create 1024 in
-                    let bpf fmt = Printf.bprintf buf fmt in
-                    bpf "%s\n" (Format.asprintf "%a" Fta.Fault_tree.pp_ascii tree);
-                    (match route with
-                    | `Structural -> ()
-                    | `Paths ->
-                        bpf
-                          "note: cyclic connection structure — lowered by \
-                           path enumeration\n");
-                    let sets =
-                      match max_card with
-                      | None -> all_sets
-                      | Some k ->
-                          List.filter (fun s -> List.length s <= k) all_sets
-                    in
-                    bpf "minimal cut sets (%d%s):\n" (List.length sets)
-                      (match max_card with
-                      | None -> ""
-                      | Some k ->
-                          Printf.sprintf " of %d, cardinality <= %d"
-                            (List.length all_sets) k);
-                    List.iter
-                      (fun s -> bpf "  {%s}\n" (String.concat ", " s))
-                      sets;
-                    let probs = Fta.Quant.event_probabilities tree in
-                    bpf "top event (BDD-exact, 10,000 h): %.3e\n"
-                      (Fta.Quant.top_probability_exact tree probs);
-                    bpf "top event (rare-event bound):    %.3e\n"
-                      (Fta.Quant.rare_event_bound all_sets probs);
-                    let top5 xs = List.filteri (fun i _ -> i < 5) xs in
-                    List.iter
-                      (fun (e, v) -> bpf "  birnbaum       %-28s %.3e\n" e v)
-                      (top5 (Fta.Quant.birnbaum tree probs));
-                    List.iter
-                      (fun (e, v) -> bpf "  fussell-vesely %-28s %.3e\n" e v)
-                      (top5 (Fta.Quant.fussell_vesely tree probs));
-                    print_string (Buffer.contents buf);
-                    (match out with
-                    | Some path when Filename.check_suffix path ".dot" ->
-                        Fta.Export.save_dot ~path ~name tree;
-                        Format.printf "dot written to %s@." path
-                    | Some path when Filename.check_suffix path ".xml" ->
-                        Fta.Export.save_open_psa ~path ~model_name:name tree;
-                        Format.printf "Open-PSA written to %s@." path
-                    | Some path ->
-                        let oc = open_out path in
-                        output_string oc (Buffer.contents buf);
-                        close_out oc;
-                        Format.printf "report written to %s@." path
-                    | None -> ());
-                    (match dot with
-                    | Some path ->
-                        Fta.Export.save_dot ~path ~name tree;
-                        Format.printf "dot written to %s@." path
-                    | None -> ());
-                    (match psa with
-                    | Some path ->
-                        Fta.Export.save_open_psa ~path ~model_name:name tree;
-                        Format.printf "Open-PSA written to %s@." path
-                    | None -> ());
-                    0))
+            | Ok (tree, route) ->
+                let report =
+                  Fta.Report.text ?max_cardinality:max_card ~route tree
+                in
+                print_string report;
+                (match out with
+                | Some path when Filename.check_suffix path ".dot" ->
+                    Fta.Export.save_dot ~path ~name tree;
+                    Format.printf "dot written to %s@." path
+                | Some path when Filename.check_suffix path ".xml" ->
+                    Fta.Export.save_open_psa ~path ~model_name:name tree;
+                    Format.printf "Open-PSA written to %s@." path
+                | Some path ->
+                    let oc = open_out path in
+                    output_string oc report;
+                    close_out oc;
+                    Format.printf "report written to %s@." path
+                | None -> ());
+                (match dot with
+                | Some path ->
+                    Fta.Export.save_dot ~path ~name tree;
+                    Format.printf "dot written to %s@." path
+                | None -> ());
+                (match psa with
+                | Some path ->
+                    Fta.Export.save_open_psa ~path ~model_name:name tree;
+                    Format.printf "Open-PSA written to %s@." path
+                | None -> ());
+                0)
   in
   let doc =
     "Generate and analyse the fault tree of a design (structural lowering, \
-     BDD or MOCUS cut sets, exact quantification)."
+     BDD cut sets, exact quantification)."
   in
   Cmd.v (Cmd.info "fta" ~doc)
     Term.(
@@ -1297,22 +1244,15 @@ let assess_cmd =
         match load_reliability reliability_path with
         | Error m -> Error m
         | Ok reliability -> (
-            let by_paths () =
+            if not via_ssam then
+              Result.map fst (Fta.From_ssam.lower_diagram ~reliability diagram)
+            else
               let root = Decisive.Api.functional_root ~reliability diagram in
               match Fta.From_ssam.generate root with
               | tree -> Ok tree
               | exception Fta.From_ssam.No_paths c ->
                   Error
-                    (Printf.sprintf "no input-output paths through %s" c)
-            in
-            if via_ssam then by_paths ()
-            else
-              match Fta.From_ssam.of_diagram ~reliability diagram with
-              | tree -> Ok tree
-              | exception Fta.From_ssam.No_paths c ->
-                  Error
-                    (Printf.sprintf "no input-output paths through %s" c)
-              | exception Fta.From_ssam.Cyclic _ -> by_paths ()))
+                    (Printf.sprintf "no input-output paths through %s" c)))
   in
   let load_tree path from reliability_path =
     let kind =

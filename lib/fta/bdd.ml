@@ -365,11 +365,14 @@ let minimal_critical_sets ?max_cardinality t =
 
 (* ---------- quantification ---------- *)
 
-let node_probability t p n =
+(* Memoised Shannon expansion with terminal values [zero] and [one]:
+   (0, 1) gives P(n) and (1, 0) gives P(¬n), a complement that is never
+   computed as a difference. *)
+let shannon t p ~zero ~one =
   let memo = Hashtbl.create 64 in
   let rec go = function
-    | Zero -> 0.0
-    | One -> 1.0
+    | Zero -> zero
+    | One -> one
     | Node { id; var; low; high } -> (
         match Hashtbl.find_opt memo id with
         | Some x -> x
@@ -379,30 +382,9 @@ let node_probability t p n =
             Hashtbl.add memo id x;
             x)
   in
-  go n
+  go
 
-let probability t p = node_probability t p t.root
-
-(* Restriction f|_{x=v}: in an ordered BDD the variable appears at most
-   once per path, so taking the branch removes it outright. *)
-let restrict t x value =
-  let memo = Hashtbl.create 64 in
-  let rec go n =
-    match n with
-    | Zero | One -> n
-    | Node { id; var; low; high } ->
-        if var > x then n
-        else if var = x then if value then high else low
-        else begin
-          match Hashtbl.find_opt memo id with
-          | Some r -> r
-          | None ->
-              let r = mk t var (go low) (go high) in
-              Hashtbl.add memo id r;
-              r
-        end
-  in
-  go t.root
+let probability t p = shannon t p ~zero:0.0 ~one:1.0 t.root
 
 let by_importance results =
   List.sort
@@ -410,23 +392,91 @@ let by_importance results =
       match Float.compare b a with 0 -> String.compare na nb | c -> c)
     results
 
-let birnbaum t p =
-  Array.to_list
-    (Array.mapi
-       (fun i name ->
-         let hi = node_probability t p (restrict t i true) in
-         let lo = node_probability t p (restrict t i false) in
-         (name, hi -. lo))
-       t.names)
-  |> by_importance
+(* Birnbaum importance of every variable in one pass, without
+   cancellation.  B_e is the sum over the decision nodes n on e of
+   reach(n) · (P(high n) - P(low n)), where reach(n) is the probability
+   of the assignments that lead from the root to n.  The diagram is
+   monotone, so low n implies high n and the bracket is
+   P(high n ∧ ¬low n), which [minus] expands like a probability: every
+   term is a product of non-negative factors.  The difference
+   P(f|e=1) - P(f|e=0) is rounding noise once B_e falls below P(top)
+   times the float epsilon, as on rare-event trees. *)
+let birnbaum_values t p =
+  let prob = shannon t p ~zero:0.0 ~one:1.0
+  and prob_not = shannon t p ~zero:1.0 ~one:0.0 in
+  let memo = Hashtbl.create 64 in
+  (* P(a ∧ ¬b), for b implies a *)
+  let rec minus a b =
+    if a == b || a == Zero then 0.0
+    else if b == Zero then prob a
+    else if a == One then prob_not b
+    else begin
+      let key = (node_id a, node_id b) in
+      match Hashtbl.find_opt memo key with
+      | Some x -> x
+      | None ->
+          let v = min (node_var a) (node_var b) in
+          let cof = function
+            | Node { var; low; high; _ } when var = v -> (low, high)
+            | n -> (n, n)
+          in
+          let a0, a1 = cof a and b0, b1 = cof b in
+          let pv = p t.names.(v) in
+          let x = (pv *. minus a1 b1) +. ((1.0 -. pv) *. minus a0 b0) in
+          Hashtbl.add memo key x;
+          x
+    end
+  in
+  let seen = Hashtbl.create 64 in
+  let rec collect acc = function
+    | Zero | One -> acc
+    | Node { id; low; high; _ } as n ->
+        if Hashtbl.mem seen id then acc
+        else begin
+          Hashtbl.add seen id ();
+          collect (collect (n :: acc) low) high
+        end
+  in
+  (* parents before children: a child's variable is always larger *)
+  let nodes =
+    List.sort
+      (fun a b ->
+        match Int.compare (node_var a) (node_var b) with
+        | 0 -> Int.compare (node_id a) (node_id b)
+        | c -> c)
+      (collect [] t.root)
+  in
+  let reach = Hashtbl.create 64 in
+  let add n r =
+    match n with
+    | Zero | One -> ()
+    | Node { id; _ } ->
+        Hashtbl.replace reach id
+          (r +. Option.value ~default:0.0 (Hashtbl.find_opt reach id))
+  in
+  add t.root 1.0;
+  let b = Array.make (Array.length t.names) 0.0 in
+  List.iter
+    (function
+      | Node { id; var; low; high } ->
+          let r = Hashtbl.find reach id and pv = p t.names.(var) in
+          b.(var) <- b.(var) +. (r *. minus high low);
+          add high (r *. pv);
+          add low (r *. (1.0 -. pv))
+      | Zero | One -> ())
+    nodes;
+  b
 
-let fussell_vesely t p =
+(* Fussell–Vesely from the same pass: P - P(f|e=0) = p_e · B_e. *)
+let importances t p =
+  let b = birnbaum_values t p in
+  let birnbaum = Array.to_list (Array.mapi (fun i name -> (name, b.(i))) t.names) in
   let total = probability t p in
-  if total <= 0.0 then []
-  else
-    Array.to_list
-      (Array.mapi
-         (fun i name ->
-           (name, (total -. node_probability t p (restrict t i false)) /. total))
-         t.names)
-    |> by_importance
+  let fussell_vesely =
+    if total <= 0.0 then []
+    else List.map (fun (name, bi) -> (name, p name *. bi /. total)) birnbaum
+  in
+  (by_importance birnbaum, by_importance fussell_vesely)
+
+let birnbaum t p = fst (importances t p)
+let fussell_vesely t p = snd (importances t p)

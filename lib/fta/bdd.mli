@@ -49,8 +49,7 @@ val minimal_cut_sets : t -> string list list
 
 val minimal_cut_set_count : t -> float
 (** Number of minimal cut sets, counted on the ZBDD without
-    materialising them ([float]: the count can exceed [max_int] on trees
-    far past the MOCUS cap). *)
+    materialising them ([float]: the count can exceed [max_int]). *)
 
 val minimal_critical_sets : ?max_cardinality:int -> t -> string list list
 (** The S#-style query: minimal cut sets of cardinality ≤
@@ -64,11 +63,19 @@ val probability : t -> (string -> float) -> float
 
 val birnbaum : t -> (string -> float) -> (string * float) list
 (** Birnbaum importance per variable: [P(top | e occurs) - P(top | e
-    absent)], descending.  Variables reduced away (irrelevant events)
-    report 0. *)
+    absent)], descending (ties by name).  On the monotone diagram this
+    equals [P(top|e=1 ∧ ¬top|e=0)], which is computed for every
+    variable in one pass without subtraction, so it stays exact even
+    where the importance is many orders of magnitude below P(top).
+    Variables reduced away (irrelevant events) report 0. *)
 
 val fussell_vesely : t -> (string -> float) -> (string * float) list
 (** Fussell–Vesely (fractional) importance per variable: the share of
     top-event probability that vanishes when the event is perfectly
-    reliable, [1 - P(top | e absent)/P(top)], descending.  [[]] when the
-    top probability is 0. *)
+    reliable, [1 - P(top | e absent)/P(top)], computed as
+    [p_e · birnbaum_e / P(top)]; descending.  [[]] when the top
+    probability is 0. *)
+
+val importances :
+  t -> (string -> float) -> (string * float) list * (string * float) list
+(** [(birnbaum t p, fussell_vesely t p)] from one per-variable pass. *)

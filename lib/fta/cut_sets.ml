@@ -6,7 +6,7 @@ let normalize set = List.sort_uniq String.compare set
    single merge pass instead of the [List.mem]-per-element quadratic
    scan, bailing out as soon as the remaining suffix of [a] cannot fit
    in what is left of [b].  Every set reaching {!minimize} has been
-   normalized, so the ordering precondition holds throughout MOCUS. *)
+   normalized, so the ordering precondition holds. *)
 let rec subset_sorted la a lb b =
   if la > lb then false
   else
@@ -21,9 +21,7 @@ let rec subset_sorted la a lb b =
 
 (* Keep only sets with no proper (or equal, earlier) subset present.
    Lengths are computed once per set, so each pairwise check is a merge
-   bounded by the shorter set instead of O(|k| * |s|) membership scans —
-   on the benches' series-parallel trees this takes minimisation from
-   the dominant cost to noise. *)
+   bounded by the shorter set instead of O(|k| * |s|) membership scans. *)
 let minimize sets =
   let sorted =
     List.sort (fun a b -> Int.compare (List.length a) (List.length b)) sets
@@ -38,95 +36,11 @@ let minimize sets =
   in
   List.rev_map snd kept
 
-(* All k-subsets of a list. *)
-let rec choose k items =
-  if k = 0 then [ [] ]
-  else
-    match items with
-    | [] -> []
-    | x :: rest ->
-        List.map (fun c -> x :: c) (choose (k - 1) rest) @ choose k rest
+type engine = [ `Auto | `Bdd ]
 
-type engine = [ `Auto | `Bdd | `Mocus ]
-
-(* Internal cap signal: [`Mocus] surfaces it as the historical
-   [Invalid_argument]; [`Auto] turns it into a logged BDD fallback. *)
-exception Overflow of int
-
-let mocus ~max_sets tree =
-  let check n = if n > max_sets then raise (Overflow n) in
-  (* Bottom-up: each node yields its list of cut sets (a DNF). *)
-  let rec go node : cut_set list =
-    match node with
-    | Fault_tree.Basic e -> [ [ e.Fault_tree.event_id ] ]
-    | Fault_tree.Or (_, cs) ->
-        let union = List.concat_map go cs in
-        check (List.length union);
-        minimize (List.map normalize union)
-    | Fault_tree.And (_, cs) ->
-        let parts = List.map go cs in
-        (* Minimise after every factor: repeated events across factors
-           collapse early, which keeps the product from exploding on
-           deep series-parallel structures. *)
-        let product =
-          List.fold_left
-            (fun acc part ->
-              let combined =
-                List.concat_map
-                  (fun a -> List.map (fun b -> normalize (a @ b)) part)
-                  acc
-              in
-              check (List.length combined);
-              minimize combined)
-            [ [] ] parts
-        in
-        minimize product
-    | Fault_tree.Koon (id, k, cs) ->
-        let subsets = choose k cs in
-        go
-          (Fault_tree.Or
-             ( id ^ ":expanded",
-               List.mapi
-                 (fun i subset ->
-                   Fault_tree.And (Printf.sprintf "%s:%d" id i, subset))
-                 subsets ))
-  in
-  let sets = go tree in
-  List.sort
-    (fun a b ->
-      match Int.compare (List.length a) (List.length b) with
-      | 0 -> List.compare String.compare a b
-      | n -> n)
-    sets
-
-(* The cap fallback is reported once per process: every further tree
-   routed to the BDD engine would repeat the same advice. *)
-let fallback_logged = ref false
-
-let log_fallback n max_sets =
-  if not !fallback_logged then begin
-    fallback_logged := true;
-    Logs.warn (fun m ->
-        m
-          "Cut_sets.minimal: MOCUS intermediate size %d exceeds %d; falling \
-           back to the BDD engine (logged once)"
-          n max_sets)
-  end
-
-let minimal ?(max_sets = 100_000) ?(engine = `Auto) tree =
-  match engine with
-  | `Bdd -> Bdd.minimal_cut_sets (Bdd.build tree)
-  | `Mocus -> (
-      try mocus ~max_sets tree
-      with Overflow n ->
-        invalid_arg
-          (Printf.sprintf "Cut_sets.minimal: intermediate size %d exceeds %d" n
-             max_sets))
-  | `Auto -> (
-      try mocus ~max_sets tree
-      with Overflow n ->
-        log_fallback n max_sets;
-        Bdd.minimal_cut_sets (Bdd.build tree))
+let minimal ?(engine = `Auto) tree =
+  match (engine : engine) with
+  | `Auto | `Bdd -> Bdd.minimal_cut_sets (Bdd.build tree)
 
 let singletons sets =
   List.filter_map (function [ e ] -> Some e | _ -> None) sets

@@ -1,4 +1,4 @@
-(** Minimal cut sets by MOCUS-style expansion.
+(** Minimal cut sets, read off the compiled decision diagram.
 
     A cut set is a set of basic-event ids whose joint occurrence raises
     the top event; it is minimal when no proper subset is a cut set.
@@ -14,25 +14,18 @@ val normalize : string list -> cut_set
 val minimize : cut_set list -> cut_set list
 (** Drop every set with a proper (or equal, earlier) subset present.
     Inputs must be {!normalize}d.  Each pairwise check is a sorted-list
-    merge with an early length cutoff — O(shorter set) instead of the
-    historical O(|a| * |b|) membership scans, which dominated MOCUS on
-    wide trees. *)
+    merge with an early length cutoff — O(shorter set) instead of
+    O(|a| * |b|) membership scans. *)
 
-type engine = [ `Auto | `Bdd | `Mocus ]
-(** [`Mocus]: the historical bottom-up DNF expansion, kept as the
-    differential oracle — raises [Invalid_argument] past [max_sets].
-    [`Bdd]: compile to a {!Bdd.t} and read the cut sets off the ZBDD —
-    capless.  [`Auto] (the default): MOCUS while it fits, logged BDD
-    fallback when the cap is hit — never raises. *)
+type engine = [ `Auto | `Bdd ]
+(** Synonyms: both compile the tree to a {!Bdd.t} and read the cut sets
+    off its ZBDD, with no cap on their number.  [`Auto] is the default
+    and is kept so that existing callers need not change. *)
 
-val minimal : ?max_sets:int -> ?engine:engine -> Fault_tree.t -> cut_set list
-(** Sorted by size then lexicographically; both engines produce the
-    identical list (QCheck-tested).  K-out-of-N gates are expanded into
-    the OR of all [k]-subsets under MOCUS and composed as a threshold
-    recursion under BDD.  With [`Auto] (default), exceeding [max_sets]
-    (default 100_000) intermediate sets no longer raises: the tree is
-    re-solved exactly on the BDD engine and a warning is logged once per
-    process via {!Logs}. *)
+val minimal : ?engine:engine -> Fault_tree.t -> cut_set list
+(** Sorted by size then lexicographically — the convention of
+    {!Bdd.minimal_cut_sets}, which this is.  K-out-of-N gates are
+    composed as a threshold recursion, never expanded into subsets. *)
 
 val singletons : cut_set list -> string list
 (** Events forming size-1 minimal cut sets. *)

@@ -11,8 +11,7 @@
 val analyse : Ssam.Architecture.component -> Fmea.Table.t
 (** Generates the fault tree with {!From_ssam.generate}, computes minimal
     cut sets and classifies.  Raises {!From_ssam.No_paths} on components
-    with no input→output paths, [Invalid_argument] when the cut-set
-    expansion explodes. *)
+    with no input→output paths. *)
 
 val single_points_via_bdd : Ssam.Architecture.component -> string list
 (** Single-point components read straight off the decision diagram:

@@ -184,3 +184,14 @@ let generate (c : Architecture.component) =
       Fault_tree.and_
         (Printf.sprintf "%s-output-unreachable" (Architecture.component_id c))
         gates
+
+let lower_diagram ~reliability diagram =
+  let no_paths c = Error (Printf.sprintf "no input-output paths through %s" c) in
+  match of_diagram ~reliability diagram with
+  | tree -> Ok (tree, `Structural)
+  | exception No_paths c -> no_paths c
+  | exception Cyclic _ -> (
+      (* cycles have no well-founded structural lowering *)
+      match generate (Blockdiag.Transform.functional_root ~reliability diagram) with
+      | tree -> Ok (tree, `Paths)
+      | exception No_paths c -> no_paths c)

@@ -60,6 +60,15 @@ val of_diagram :
     loads/controllers sink, grounds drop out.  Same exceptions as
     {!of_structure}. *)
 
+val lower_diagram :
+  reliability:Reliability.Reliability_model.t ->
+  Blockdiag.Diagram.t ->
+  (Fault_tree.t * [ `Structural | `Paths ], string) result
+(** The lowering [same fta] and [same assess] run: {!of_diagram}, or,
+    on a cyclic diagram, {!generate} over the same functional root
+    ([`Paths]).  [Error] names the composite without input→output
+    paths. *)
+
 val loss_rate_fit : Ssam.Architecture.component -> float
 (** Σ FIT × distribution over the component's loss-of-function modes (the
     whole FIT when it has no failure modes — pessimistic default). *)

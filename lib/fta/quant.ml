@@ -11,61 +11,46 @@ let event_probabilities ?(mission_hours = 10_000.0) tree =
       (e.Fault_tree.event_id, p))
     (Fault_tree.basic_events tree)
 
-let prob probabilities id =
-  Option.value ~default:0.0 (List.assoc_opt id probabilities)
-
-let rec top_probability_independent tree probabilities =
-  match tree with
-  | Fault_tree.Basic e -> prob probabilities e.Fault_tree.event_id
-  | Fault_tree.And (_, cs) ->
-      List.fold_left
-        (fun acc c -> acc *. top_probability_independent c probabilities)
-        1.0 cs
-  | Fault_tree.Or (_, cs) ->
-      1.0
-      -. List.fold_left
-           (fun acc c -> acc *. (1.0 -. top_probability_independent c probabilities))
-           1.0 cs
-  | Fault_tree.Koon (_, k, cs) ->
-      (* Probability that at least k of the children fail: enumerate child
-         outcome combinations (children counts are small in practice). *)
-      let ps = List.map (fun c -> top_probability_independent c probabilities) cs in
-      let rec go ps failed_needed =
-        match ps with
-        | [] -> if failed_needed <= 0 then 1.0 else 0.0
-        | p :: rest ->
-            (p *. go rest (failed_needed - 1))
-            +. ((1.0 -. p) *. go rest failed_needed)
-      in
-      go ps k
+(* Hashed once per call: the bounds look up every member of every cut
+   set, tens of thousands of lookups on wide trees.  The first binding of
+   an id wins, as with [List.assoc]. *)
+let lookup probabilities =
+  let tbl = Hashtbl.create 64 in
+  List.iter
+    (fun (id, p) -> if not (Hashtbl.mem tbl id) then Hashtbl.add tbl id p)
+    probabilities;
+  fun id -> Option.value ~default:0.0 (Hashtbl.find_opt tbl id)
 
 (* BDD-exact quantification: one Shannon-expansion pass.  Shared events
-   collapse on the canonical BDD, so repetition is handled exactly —
-   the legacy recursion above would multiply a repeated event's
-   probability once per occurrence. *)
+   collapse on the canonical BDD, so repetition is handled exactly. *)
 let top_probability_exact tree probabilities =
-  Bdd.probability (Bdd.build tree) (prob probabilities)
+  Bdd.probability (Bdd.build tree) (lookup probabilities)
 
 let birnbaum tree probabilities =
-  Bdd.birnbaum (Bdd.build tree) (prob probabilities)
+  Bdd.birnbaum (Bdd.build tree) (lookup probabilities)
 
 let fussell_vesely tree probabilities =
-  Bdd.fussell_vesely (Bdd.build tree) (prob probabilities)
+  Bdd.fussell_vesely (Bdd.build tree) (lookup probabilities)
 
-let cut_set_probability probabilities set =
-  List.fold_left (fun acc id -> acc *. prob probabilities id) 1.0 set
+let cut_set_probability prob set =
+  List.fold_left (fun acc id -> acc *. prob id) 1.0 set
+
+let rare_event_sum prob sets =
+  List.fold_left (fun acc s -> acc +. cut_set_probability prob s) 0.0 sets
 
 let rare_event_bound sets probabilities =
-  List.fold_left (fun acc s -> acc +. cut_set_probability probabilities s) 0.0 sets
+  rare_event_sum (lookup probabilities) sets
 
 let esary_proschan sets probabilities =
+  let prob = lookup probabilities in
   1.0
   -. List.fold_left
-       (fun acc s -> acc *. (1.0 -. cut_set_probability probabilities s))
+       (fun acc s -> acc *. (1.0 -. cut_set_probability prob s))
        1.0 sets
 
 let importance sets probabilities =
-  let total = rare_event_bound sets probabilities in
+  let prob = lookup probabilities in
+  let total = rare_event_sum prob sets in
   if total <= 0.0 then []
   else
     let events =
@@ -76,7 +61,7 @@ let importance sets probabilities =
         let contribution =
           List.fold_left
             (fun acc s ->
-              if List.mem id s then acc +. cut_set_probability probabilities s
+              if List.mem id s then acc +. cut_set_probability prob s
               else acc)
             0.0 sets
         in

@@ -17,22 +17,16 @@ val top_probability_exact :
   Fault_tree.t -> probabilities -> float
 (** Exact top-event probability by Shannon expansion over the
     {!Bdd} of the tree: one memoised pass on the canonical diagram, so
-    basic events repeated under several gates are handled {e exactly}
-    (the historical repeated-event caveat is gone). *)
+    basic events repeated under several gates are handled {e exactly}. *)
 
-val top_probability_independent :
-  Fault_tree.t -> probabilities -> float
-(** @deprecated The pre-BDD evaluation by recursive gate composition
-    (AND = product, OR = 1-Π(1-p), k-oo-n by enumeration over children).
-    Events appearing under several gates are treated as {e independent
-    copies}, which over- or under-estimates whenever events repeat.  It
-    agrees with {!top_probability_exact} exactly on repetition-free
-    trees (QCheck-tested) and is kept only as that differential
-    oracle. *)
+val lookup : probabilities -> string -> float
+(** The probability of an event id, 0 when absent; the first binding of
+    an id wins, as with [List.assoc].  Build it once and apply it many
+    times: it hashes the list. *)
 
 val birnbaum : Fault_tree.t -> probabilities -> (string * float) list
 (** BDD-based Birnbaum importance per basic event:
-    [P(top | e) - P(top | ¬e)], descending. *)
+    [P(top | e) - P(top | ¬e)], descending — see {!Bdd.birnbaum}. *)
 
 val fussell_vesely :
   Fault_tree.t -> probabilities -> (string * float) list

@@ -144,65 +144,17 @@ let run_fta a =
   let* diagram = parse_diagram a.Protocol.a_diagram in
   let* reliability = parse_reliability a.Protocol.a_reliability in
   let params = a.Protocol.a_params in
-  let engine_choice =
+  let* () =
     match param params "engine" with
-    | Some "bdd" -> `Bdd
-    | Some "mocus" -> `Mocus
-    | _ -> `Auto
+    | None | Some ("" | "auto" | "bdd") -> Ok ()
+    | Some other ->
+        Error (Printf.sprintf "unknown engine %S (expected auto or bdd)" other)
   in
-  let max_card =
+  let max_cardinality =
     Option.bind (param params "max_cardinality") int_of_string_opt
   in
-  let lowered =
-    match Fta.From_ssam.of_diagram ~reliability diagram with
-    | tree -> Ok (tree, `Structural)
-    | exception Fta.From_ssam.No_paths c -> Error c
-    | exception Fta.From_ssam.Cyclic _ -> (
-        let root = Decisive.Api.functional_root ~reliability diagram in
-        match Fta.From_ssam.generate root with
-        | tree -> Ok (tree, `Paths)
-        | exception Fta.From_ssam.No_paths c -> Error c)
-  in
-  match lowered with
-  | Error c -> err "no input-output paths through %s" c
-  | Ok (tree, route) -> (
-      match Fta.Cut_sets.minimal ~engine:engine_choice tree with
-      | exception Invalid_argument m -> err "%s (retry with engine=bdd)" m
-      | all_sets ->
-          let buf = Buffer.create 1024 in
-          let bpf fmt = Printf.bprintf buf fmt in
-          bpf "%s\n" (Format.asprintf "%a" Fta.Fault_tree.pp_ascii tree);
-          (match route with
-          | `Structural -> ()
-          | `Paths ->
-              bpf
-                "note: cyclic connection structure — lowered by path \
-                 enumeration\n");
-          let sets =
-            match max_card with
-            | None -> all_sets
-            | Some k -> List.filter (fun s -> List.length s <= k) all_sets
-          in
-          bpf "minimal cut sets (%d%s):\n" (List.length sets)
-            (match max_card with
-            | None -> ""
-            | Some k ->
-                Printf.sprintf " of %d, cardinality <= %d"
-                  (List.length all_sets) k);
-          List.iter (fun s -> bpf "  {%s}\n" (String.concat ", " s)) sets;
-          let probs = Fta.Quant.event_probabilities tree in
-          bpf "top event (BDD-exact, 10,000 h): %.3e\n"
-            (Fta.Quant.top_probability_exact tree probs);
-          bpf "top event (rare-event bound):    %.3e\n"
-            (Fta.Quant.rare_event_bound all_sets probs);
-          let top5 xs = List.filteri (fun i _ -> i < 5) xs in
-          List.iter
-            (fun (e, v) -> bpf "  birnbaum       %-28s %.3e\n" e v)
-            (top5 (Fta.Quant.birnbaum tree probs));
-          List.iter
-            (fun (e, v) -> bpf "  fussell-vesely %-28s %.3e\n" e v)
-            (top5 (Fta.Quant.fussell_vesely tree probs));
-          (Buffer.contents buf, 0))
+  let* tree, route = Fta.From_ssam.lower_diagram ~reliability diagram in
+  (Fta.Report.text ?max_cardinality ~route tree, 0)
 
 (* ---------- assess ---------- *)
 
@@ -214,19 +166,7 @@ let run_assess a =
   let* diagram = parse_diagram a.Protocol.a_diagram in
   let* reliability = parse_reliability a.Protocol.a_reliability in
   let params = a.Protocol.a_params in
-  let tree =
-    match Fta.From_ssam.of_diagram ~reliability diagram with
-    | tree -> Ok tree
-    | exception Fta.From_ssam.No_paths c ->
-        Error (Printf.sprintf "no input-output paths through %s" c)
-    | exception Fta.From_ssam.Cyclic _ -> (
-        let root = Decisive.Api.functional_root ~reliability diagram in
-        match Fta.From_ssam.generate root with
-        | tree -> Ok tree
-        | exception Fta.From_ssam.No_paths c ->
-            Error (Printf.sprintf "no input-output paths through %s" c))
-  in
-  let* tree = tree in
+  let* tree, _ = Fta.From_ssam.lower_diagram ~reliability diagram in
   let config =
     {
       Assess.Mc.default with

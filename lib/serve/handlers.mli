@@ -10,6 +10,10 @@
     fingerprint. *)
 
 val analyse : engine:Engine.Pipeline.t -> Protocol.analyse -> string * int
+(** For [Fta], the [engine] parameter may be absent, empty, ["auto"] or
+    ["bdd"] (synonyms); any other value is the reply
+    [error: unknown engine "<value>" (expected auto or bdd)] with exit
+    1. *)
 
 val table_report : Fmea.Table.t -> string
 (** The CLI's FMEA report: the table plus the metrics breakdown. *)

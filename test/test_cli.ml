@@ -167,6 +167,64 @@ let test_lint_queries () =
       Alcotest.(check int) "arity error rejected" 1
         (run (Printf.sprintf "%s lint -q %s" bin (Filename.quote bad))))
 
+(* A source feeding [n] rails of diode, inductor, capacitor, current
+   sensor and load: the source alone, or one of the four series losses
+   on every rail — 4^n + 1 minimal cut sets. *)
+let rails_bd n =
+  let b = Buffer.create 2048 in
+  let pf fmt = Printf.bprintf b fmt in
+  pf "diagram rails%d {\n  block DC1 : vsource { volts = 5; }\n" n;
+  pf "  block GND1 : ground ports (conserving a);\n";
+  for i = 1 to n do
+    pf "  block D%d : diode;\n  block L%d : inductor { henries = 0.001; }\n" i i;
+    pf "  block C%d : capacitor { farads = 1e-05; }\n" i;
+    pf "  block CS%d : current_sensor;\n" i;
+    pf "  block LD%d : load { ohms = %d; }\n" i (60 + (10 * i))
+  done;
+  pf "  connect DC1.b -> GND1.a;\n";
+  for i = 1 to n do
+    pf "  connect DC1.a -> D%d.a;\n  connect D%d.b -> L%d.a;\n" i i i;
+    pf "  connect L%d.b -> C%d.a;\n  connect L%d.b -> CS%d.a;\n" i i i i;
+    pf "  connect CS%d.b -> LD%d.a;\n  connect LD%d.b -> GND1.a;\n" i i i;
+    pf "  connect C%d.b -> GND1.a;\n" i
+  done;
+  pf "}\n";
+  Buffer.contents b
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+(* `auto` (the default) and `bdd` are synonyms: the same report, byte
+   for byte. *)
+let test_fta_engines_agree () =
+  with_fixture (fun ~bin ~dir ~bd:_ ->
+      let rails = Filename.concat dir "rails4.bd" in
+      write_file rails (rails_bd 4);
+      List.iter
+        (fun design ->
+          let capture args tag =
+            let out = Filename.concat dir (tag ^ ".txt") in
+            Alcotest.(check int) (tag ^ " exits 0") 0
+              (Sys.command
+                 (Printf.sprintf "%s fta %s%s > %s 2>/dev/null" bin
+                    (Filename.quote design) args (Filename.quote out)));
+            read_file out
+          in
+          let default = capture "" "default" in
+          Alcotest.(check bool)
+            (design ^ ": report not empty") true
+            (String.length default > 0);
+          if design = rails then
+            Alcotest.(check bool) "4^4 + 1 cut sets" true
+              (List.mem "minimal cut sets (257):"
+                 (String.split_on_char '\n' default));
+          Alcotest.(check string)
+            (design ^ ": default = --engine bdd")
+            default
+            (capture " --engine bdd" "bdd"))
+        [ "../examples/models/psu.bd"; rails ];
+      Alcotest.(check bool) "--engine mocus is rejected" true
+        (run (Printf.sprintf "%s fta %s --engine mocus" bin rails) <> 0))
+
 let test_error_handling () =
   with_fixture (fun ~bin ~dir ~bd:_ ->
       (* Malformed diagram: non-zero exit, no crash. *)
@@ -185,4 +243,5 @@ let suite =
     Alcotest.test_case "lint" `Slow test_lint;
     Alcotest.test_case "lint queries" `Slow test_lint_queries;
     Alcotest.test_case "error handling" `Slow test_error_handling;
+    Alcotest.test_case "fta engines agree" `Slow test_fta_engines_agree;
   ]

@@ -404,27 +404,39 @@ let test_koon_beyond_mocus_cap_exact () =
   let got = Bdd.probability m (fun _ -> p) in
   Alcotest.(check (float 1e-12)) "P(>=2 of 30)" closed got
 
-let test_cap_fallback () =
-  (* C(20,2) = 190 intermediate sets: past a 100-set cap MOCUS raises,
-     `Auto falls back to the BDD and returns the exact answer. *)
+let test_default_engine_no_cap () =
+  (* C(20,2) = 190 pair cut sets: the default engine reads them off the
+     BDD, exactly and with no cap on their number. *)
   let t =
     Fault_tree.koon "v" ~k:2 (List.init 20 (fun i -> b (Printf.sprintf "x%02d" i)))
   in
-  Alcotest.check_raises "explicit MOCUS still raises"
-    (Invalid_argument "Cut_sets.minimal: intermediate size 190 exceeds 100")
-    (fun () -> ignore (Cut_sets.minimal ~max_sets:100 ~engine:`Mocus t));
-  let auto = Cut_sets.minimal ~max_sets:100 t in
-  Alcotest.(check int) "auto fallback solves exactly" 190 (List.length auto);
+  let sets = Cut_sets.minimal t in
+  Alcotest.(check int) "all 190 pairs" 190 (List.length sets);
+  Alcotest.(check bool) "every set is a pair" true
+    (List.for_all (fun s -> List.length s = 2) sets);
   Alcotest.(check (list (list string)))
-    "fallback = BDD engine" (Cut_sets.minimal ~engine:`Bdd t) auto
+    "auto = bdd" (Cut_sets.minimal ~engine:`Bdd t) sets;
+  Alcotest.(check (list (list string)))
+    "default engine = oracle" (Oracle.Mocus.minimal t) sets
+
+let test_oracle_cap () =
+  (* The oracle keeps its expansion cap: the bench relies on it to show
+     a tree the BDD solves that enumeration cannot. *)
+  let t =
+    Fault_tree.koon "v" ~k:2 (List.init 20 (fun i -> b (Printf.sprintf "x%02d" i)))
+  in
+  Alcotest.check_raises "MOCUS raises past its cap"
+    (Invalid_argument "Mocus.minimal: intermediate size 190 exceeds 100")
+    (fun () -> ignore (Oracle.Mocus.minimal ~max_sets:100 t));
+  Alcotest.(check int) "and fits under the default cap" 190
+    (List.length (Oracle.Mocus.minimal t))
 
 let prop_bdd_equals_mocus =
   QCheck.Test.make
     ~name:"BDD cut sets = MOCUS cut sets (SAME_JOBS 1/4)" ~count:120
     (QCheck.make QCheck.Gen.(pair (rich_tree_gen 3 6) (oneofl [ 1; 4 ])))
     (fun (t, jobs) ->
-      with_jobs jobs (fun () ->
-          Cut_sets.minimal ~engine:`Bdd t = Cut_sets.minimal ~engine:`Mocus t))
+      with_jobs jobs (fun () -> Cut_sets.minimal t = Oracle.Mocus.minimal t))
 
 (* Brute force over all event subsets (≤ 12 events): the minimal models
    of the structure function, filtered per cardinality. *)
@@ -471,7 +483,7 @@ let test_quant_repeated_exact () =
   Alcotest.(check (float 1e-12)) "exact = P(a)" 0.3
     (Quant.top_probability_exact t ps);
   Alcotest.(check bool) "legacy overestimates repeated events" true
-    (Quant.top_probability_independent t ps > 0.3 +. 1e-6)
+    (Oracle.Independent.top_probability t ps > 0.3 +. 1e-6)
 
 let prop_quant_old_new_agree_without_repetition =
   (* On repetition-free trees the deprecated recursion is correct: the
@@ -503,7 +515,7 @@ let prop_quant_old_new_agree_without_repetition =
       in
       Float.abs
         (Quant.top_probability_exact t ps
-        -. Quant.top_probability_independent t ps)
+        -. Oracle.Independent.top_probability t ps)
       <= 1e-9)
 
 let test_importance_measures () =
@@ -528,6 +540,95 @@ let test_importance_measures () =
     (List.assoc "a" (Quant.fussell_vesely t2 ps2));
   Alcotest.(check (float 1e-12)) "Birnbaum(bb) = 0" 0.0
     (List.assoc "bb" (Quant.birnbaum t2 ps2))
+
+(* A source event OR-ed with N redundant rails, each lost when either of
+   its two events occurs: P(top) = p_s + (1 - p_s) Π q_i with
+   q_i = a_i + b_i - a_i b_i.  With rail events near 1e-4 and six rails
+   the rail importances sit 14 orders of magnitude below P(top), where
+   a difference of conditional probabilities is rounding noise. *)
+let test_importance_rails_closed_form () =
+  List.iter
+    (fun n ->
+      let ps_src = 4.7e-4 in
+      let a i = 1.0e-4 *. (1.0 +. (0.1 *. float_of_int i))
+      and bb i = 2.0e-4 *. (1.0 +. (0.05 *. float_of_int i)) in
+      let rail i =
+        Fault_tree.or_ (Printf.sprintf "rail%d" i)
+          [ b (Printf.sprintf "a%d" i); b (Printf.sprintf "b%d" i) ]
+      in
+      let t =
+        Fault_tree.or_ "top"
+          [ b "src"; Fault_tree.and_ "rails" (List.init n rail) ]
+      in
+      let probs =
+        ("src", ps_src)
+        :: List.concat
+             (List.init n (fun i ->
+                  [ (Printf.sprintf "a%d" i, a i); (Printf.sprintf "b%d" i, bb i) ]))
+      in
+      let q i = a i +. bb i -. (a i *. bb i) in
+      let prod_except k =
+        List.fold_left ( *. ) 1.0
+          (List.filteri (fun i _ -> i <> k) (List.init n q))
+      in
+      let all_rails = prod_except (-1) in
+      let top = ps_src +. ((1.0 -. ps_src) *. all_rails) in
+      let expected =
+        ("src", 1.0 -. all_rails)
+        :: List.concat
+             (List.init n (fun i ->
+                  let rest = (1.0 -. ps_src) *. prod_except i in
+                  [
+                    (Printf.sprintf "a%d" i, rest *. (1.0 -. bb i));
+                    (Printf.sprintf "b%d" i, rest *. (1.0 -. a i));
+                  ]))
+      in
+      let birnbaum = Quant.birnbaum t probs
+      and fv = Quant.fussell_vesely t probs in
+      let close what want got =
+        if Float.abs (got -. want) > 1e-9 *. Float.abs want then
+          Alcotest.failf "%d rails, %s: %.17g, closed form %.17g" n what got
+            want
+      in
+      close "P(top)" top (Quant.top_probability_exact t probs);
+      List.iter
+        (fun (id, bi) ->
+          close ("birnbaum " ^ id) bi (List.assoc id birnbaum);
+          let fvi = List.assoc id fv in
+          close ("fussell-vesely " ^ id) (List.assoc id probs *. bi /. top) fvi;
+          if fvi <= 0.0 then Alcotest.failf "%d rails: FV(%s) = %g" n id fvi)
+        expected)
+    [ 1; 3; 6 ]
+
+(* With moderate probabilities the textbook difference of conditional
+   probabilities is accurate, so it can check the one-pass measures on
+   arbitrary structure: repeated events, votes, absorbed events. *)
+let prop_importances_match_conditioning =
+  QCheck.Test.make ~name:"birnbaum/FV = conditioning on moderate probabilities"
+    ~count:100
+    (QCheck.make (rich_tree_gen 3 6))
+    (fun t ->
+      let ps =
+        List.mapi
+          (fun i (e : Fault_tree.event) ->
+            (e.Fault_tree.event_id, 0.05 +. (0.09 *. float_of_int (i mod 10))))
+          (Fault_tree.basic_events t)
+      in
+      let top = Quant.top_probability_exact t ps in
+      let given id v =
+        Quant.top_probability_exact t
+          (List.map (fun (e, p) -> (e, if e = id then v else p)) ps)
+      in
+      let birnbaum = Quant.birnbaum t ps and fv = Quant.fussell_vesely t ps in
+      List.for_all
+        (fun (id, _) ->
+          let b = List.assoc id birnbaum in
+          Float.abs (b -. (given id 1.0 -. given id 0.0)) <= 1e-12
+          && (top <= 0.0
+             || Float.abs (List.assoc id fv -. ((top -. given id 0.0) /. top))
+                <= 1e-9)
+          && b >= 0.0)
+        ps)
 
 (* ---------- structural lowering (of_structure) ---------- *)
 
@@ -648,7 +749,9 @@ let suite =
     Alcotest.test_case "bdd: known trees" `Quick test_bdd_engine_known_trees;
     Alcotest.test_case "bdd: koon exact past expansion" `Quick
       test_koon_beyond_mocus_cap_exact;
-    Alcotest.test_case "cap fallback to BDD" `Quick test_cap_fallback;
+    Alcotest.test_case "default engine: no cut-set cap" `Quick
+      test_default_engine_no_cap;
+    Alcotest.test_case "oracle: MOCUS cap" `Quick test_oracle_cap;
     QCheck_alcotest.to_alcotest prop_bdd_equals_mocus;
     QCheck_alcotest.to_alcotest prop_critical_sets_brute_force;
     Alcotest.test_case "quant: repeated events exact" `Quick
@@ -656,6 +759,9 @@ let suite =
     QCheck_alcotest.to_alcotest prop_quant_old_new_agree_without_repetition;
     Alcotest.test_case "quant: importance measures" `Quick
       test_importance_measures;
+    Alcotest.test_case "quant: rail importances, closed form" `Quick
+      test_importance_rails_closed_form;
+    QCheck_alcotest.to_alcotest prop_importances_match_conditioning;
     Alcotest.test_case "of_structure: case study" `Quick
       test_of_structure_case_study;
     QCheck_alcotest.to_alcotest prop_of_structure_equals_generate;

@@ -255,6 +255,47 @@ let test_server_coalesces_concurrent () =
   Alcotest.(check int) "followers coalesced or cached" (n - 1)
     (stats.Serve.Server.analyses_coalesced + stats.Serve.Server.analyses_cached)
 
+(* `auto` and `bdd` are synonyms for the fta engine; any other value —
+   a typo, or the retired "mocus" — is an error reply, not a silent
+   default. *)
+let test_server_fta_engine_param () =
+  let diagram =
+    In_channel.with_open_bin "../examples/models/psu.bd" In_channel.input_all
+  in
+  let fta engine =
+    Serve.Protocol.Analyse
+      {
+        Serve.Protocol.a_analysis = Serve.Protocol.Fta;
+        a_diagram = diagram;
+        a_reliability = None;
+        a_sm = None;
+        a_params =
+          (match engine with None -> [] | Some e -> [ ("engine", e) ]);
+      }
+  in
+  with_server @@ fun _server socket ->
+  match Serve.Client.connect socket with
+  | Error m -> Alcotest.fail m
+  | Ok client ->
+      Fun.protect ~finally:(fun () -> Serve.Client.close client) @@ fun () ->
+      let default = rpc client (fta None) in
+      Alcotest.(check int) "default exit 0" 0 (member_num "exit" default);
+      List.iter
+        (fun e ->
+          let reply = rpc client (fta (Some e)) in
+          Alcotest.(check int) (e ^ " exit 0") 0 (member_num "exit" reply);
+          Alcotest.(check string) (e ^ " = default")
+            (member_str "output" default) (member_str "output" reply))
+        [ ""; "auto"; "bdd" ];
+      List.iter
+        (fun e ->
+          let reply = rpc client (fta (Some e)) in
+          Alcotest.(check int) (e ^ " exit 1") 1 (member_num "exit" reply);
+          Alcotest.(check string) (e ^ " rejected")
+            (Printf.sprintf "error: unknown engine %S (expected auto or bdd)\n" e)
+            (member_str "output" reply))
+        [ "mocus"; "bdd " ]
+
 let test_server_incremental_session () =
   let diagram, reliability_csv, reliability, render = system_b_texts () in
   with_server @@ fun _server socket ->
@@ -363,4 +404,6 @@ let suite =
       test_server_coalesces_concurrent;
     Alcotest.test_case "server: incremental session reuses rows" `Quick
       test_server_incremental_session;
+    Alcotest.test_case "server: fta engine parameter" `Quick
+      test_server_fta_engine_param;
   ]
