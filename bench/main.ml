@@ -945,6 +945,28 @@ let streaming_search ~smoke () =
   let table = { Fmea.Table.system_name = "streaming"; rows } in
   let catalogue = Reliability.Sm_model.of_mechanisms mechanisms in
   let combinations = 2 * (1 lsl (2 * n)) in
+  (* Before timing: the counter-incremental scan must score its first
+     window exactly as the reference [Search.evaluate] does, candidate
+     for candidate, so a scoring drift fails the bench itself. *)
+  let first_window = 8_192 in
+  let exception Window_full of Optimize.Search.candidate list in
+  let first =
+    match
+      Optimize.Search.exhaustive_fold ~max_combinations:3_000_000 table
+        catalogue ~init:(0, [])
+        ~f:(fun (k, acc) c ->
+          if k + 1 = first_window then raise (Window_full (c :: acc))
+          else (k + 1, c :: acc))
+    with
+    | _, acc | (exception Window_full acc) -> List.rev acc
+  in
+  assert (List.length first = min first_window combinations);
+  List.iter
+    (fun (c : Optimize.Search.candidate) ->
+      assert (
+        Optimize.Search.equal_candidate c
+          (Optimize.Search.evaluate table c.Optimize.Search.deployments)))
+    first;
   let (count, cheapest), t =
     timed (fun () ->
         Optimize.Search.exhaustive_fold ~max_combinations:3_000_000 table
@@ -961,11 +983,13 @@ let streaming_search ~smoke () =
             in
             (count + 1, best)))
   in
+  let ns_per_candidate = 1e9 *. t /. float_of_int count in
   Printf.printf
-    "%d combinations streamed in %.2f s (%.0f candidates/s); cheapest \
-     ASIL-B deployment costs %s\n"
+    "%d combinations streamed in %.2f s (%.0f candidates/s, %.0f ns per \
+     candidate); cheapest ASIL-B deployment costs %s\n"
     count t
     (float_of_int count /. t)
+    ns_per_candidate
     (match cheapest with
     | Some c -> Printf.sprintf "%.1f h" c.Optimize.Search.cost
     | None -> "—  (none meets 90%)");
@@ -978,6 +1002,7 @@ let streaming_search ~smoke () =
         ("seconds", Modelio.Json.Number t);
         ( "candidates_per_s",
           Modelio.Json.Number (float_of_int count /. t) );
+        ("ns_per_candidate", Modelio.Json.Number ns_per_candidate);
       ]
     :: !json_path_fmea
 

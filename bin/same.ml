@@ -841,21 +841,7 @@ let fmeda_cmd =
                     table sm_model
                 in
                 let code = report_table output refinement.Decisive.Api.refined_table in
-                Format.printf "%a@."
-                  (fun ppf () ->
-                    Fmea.Asil.pp_verdict ppf ~target
-                      ~spfm:refinement.Decisive.Api.achieved_spfm)
-                  ();
-                (match refinement.Decisive.Api.chosen with
-                | Some c ->
-                    List.iter
-                      (fun (d : Fmea.Fmeda.deployment) ->
-                        Format.printf "deploy %s on %s/%s@."
-                          d.Fmea.Fmeda.mechanism.Reliability.Sm_model.sm_name
-                          d.Fmea.Fmeda.target_component
-                          d.Fmea.Fmeda.target_failure_mode)
-                      c.Optimize.Search.deployments
-                | None -> Format.printf "no deployment meets the target@.");
+                print_string (Decisive.Api.refinement_text ~target refinement);
                 report_stats explain engine;
                 code))
   in

@@ -98,6 +98,23 @@ let refine ?engine ~target ?(component_types = []) table sm_model =
     meets_target = Fmea.Asil.meets ~target ~spfm:achieved_spfm;
   }
 
+let refinement_text ~target r =
+  let buf = Buffer.create 256 in
+  Buffer.add_string buf
+    (Format.asprintf "%a@."
+       (fun ppf () -> Fmea.Asil.pp_verdict ppf ~target ~spfm:r.achieved_spfm)
+       ());
+  (match r.chosen with
+  | Some c ->
+      List.iter
+        (fun (d : Fmea.Fmeda.deployment) ->
+          Printf.bprintf buf "deploy %s on %s/%s\n"
+            d.Fmea.Fmeda.mechanism.Reliability.Sm_model.sm_name
+            d.Fmea.Fmeda.target_component d.Fmea.Fmeda.target_failure_mode)
+        c.Optimize.Search.deployments
+  | None -> Buffer.add_string buf "no deployment meets the target\n");
+  Buffer.contents buf
+
 let run_decisive ?engine ~name ~target ?(exclude = []) ?monitored_sensors
     ?(max_iterations = 5) diagram reliability sm_model =
   let conversion = Blockdiag.To_netlist.convert diagram in

@@ -61,6 +61,13 @@ val refine :
     fingerprint and the per-row λ-share evaluator is reused across
     searches over the same table. *)
 
+val refinement_text :
+  target:Ssam.Requirement.integrity_level -> refinement -> string
+(** The end of the [same fmeda] report, printed by the CLI and returned
+    by the daemon after the FMEDA table: the verdict line, then one
+    [deploy <sm> on <component>/<failure mode>] line per chosen
+    deployment, or [no deployment meets the target]. *)
+
 val run_decisive :
   ?engine:Engine.Pipeline.t ->
   name:string ->

@@ -2,8 +2,8 @@
 
     OCaml 5 gives the engine real parallelism: a fixed-size pool of
     {!Stdlib.Domain}s executes batches of independent tasks (one DC solve
-    per injected fault, one FMEDA evaluation per deployment candidate,
-    one verdict per store unit).  The design constraints, in order:
+    per injected fault, one window of deployment candidates, one verdict
+    per store unit).  The design constraints, in order:
 
     + {b Determinism.}  Results are collected {e in input order} into a
       pre-sized array, so a parallel run is bit-identical to the

@@ -171,9 +171,18 @@ let evaluate_with ev deployments =
    for candidate, the order the old list-based expansion
    ([without @ with_each]) produced — so every downstream tie-break
    (Pareto sweep stability, cheapest-meeting "first wins") is
-   bit-identical — without ever materialising the combination list:
-   candidates are decoded window by window, scored in parallel on the
-   {!Exec} pool, and folded in counter order at flat memory. *)
+   bit-identical — without ever materialising the combination list.
+
+   Stepping the counter from k to k+1 changes only its trailing digits,
+   so a window of consecutive candidates is scored along the counter.
+   The scan keeps a running cost fold per slot, and per component its
+   single-point fold and the running total over components.  A step
+   whose lowest changed digit is slot [p] re-folds only the components
+   whose rows slots [p..] match, then the cost and component prefixes
+   after them.  Every fold replays [Metrics.compute]'s order (row order
+   within a component, first-appearance order across components) and
+   [Fmeda.total_cost]'s slot order, so each candidate is bit-identical
+   to {!evaluate}. *)
 
 let default_window = 8_192
 
@@ -186,6 +195,213 @@ let combination_count slots =
       if acc > max_int / r then max_int else acc * r)
     1 slots
 
+(* One row of a safety-related component as the scan folds it: its
+   single-point FIT when no matching slot deploys, the slots whose
+   deployment matches it (ascending, i.e. in deployment-list order), and
+   per matching slot and option the FIT it leaves single-point. *)
+type scan_row = {
+  sr_base : float;
+  sr_slots : int array;
+  sr_spf : float array array;
+}
+
+(* Everything a window scan reads, resolved once per fold.  Immutable
+   after construction, so the pool's domains share it. *)
+type scan = {
+  sc_options : Fmea.Fmeda.deployment array array;  (* slot -> option *)
+  sc_cost : float array array;
+  sc_coverage : float array array;
+  sc_radix : int array;
+  sc_weight : int array;  (* mixed-radix place value of each slot *)
+  sc_rows : scan_row array array;  (* SR component -> its rows *)
+  sc_affected : int array array;
+      (* p -> the components whose rows slots [p..] match, ascending *)
+  sc_sr_fit : float;
+}
+
+let make_scan ev slots =
+  let slots = Array.of_list slots in
+  let n = Array.length slots in
+  let per_option g =
+    Array.map (fun s -> Array.of_list (List.map (g s) s.slot_options)) slots
+  in
+  let sc_options =
+    per_option (fun s ->
+        Fmea.Fmeda.deploy ~component:s.slot_component
+          ~failure_mode:s.slot_failure_mode)
+  in
+  let sc_coverage =
+    per_option (fun _ m -> m.Reliability.Sm_model.coverage_pct)
+  in
+  let sc_radix = Array.map (fun o -> Array.length o + 1) sc_options in
+  let sc_weight = Array.make n 1 in
+  for i = n - 2 downto 0 do
+    sc_weight.(i) <- sc_weight.(i + 1) * sc_radix.(i + 1)
+  done;
+  (* [Fmeda.matches] compares lowercased names: lowercase each slot once
+     (the evaluator's rows already are). *)
+  let slot_keys =
+    Array.map
+      (fun s ->
+        ( String.lowercase_ascii s.slot_component,
+          String.lowercase_ascii s.slot_failure_mode ))
+      slots
+  in
+  let scan_row er =
+    let sr_slots =
+      List.init n Fun.id
+      |> List.filter (fun i ->
+             let c, fm = slot_keys.(i) in
+             String.equal c er.er_component && String.equal fm er.er_failure_mode)
+      |> Array.of_list
+    in
+    {
+      sr_base = er.er_base_spf;
+      sr_slots;
+      sr_spf =
+        Array.map
+          (fun i ->
+            Array.map
+              (fun coverage_pct ->
+                if er.er_safety_related then
+                  Reliability.Fit.residual er.er_share ~coverage_pct
+                else 0.0)
+              sc_coverage.(i))
+          sr_slots;
+    }
+  in
+  let sc_rows =
+    Array.map (fun ec -> Array.map scan_row ec.ec_rows) ev.ev_components
+  in
+  let m = Array.length sc_rows in
+  let touched = Array.make m false in
+  let sc_affected = Array.make n [||] in
+  for p = n - 1 downto 0 do
+    Array.iteri
+      (fun c rows ->
+        if Array.exists (fun r -> Array.mem p r.sr_slots) rows then
+          touched.(c) <- true)
+      sc_rows;
+    sc_affected.(p) <-
+      Array.of_list (List.filter (Array.get touched) (List.init m Fun.id))
+  done;
+  {
+    sc_options;
+    sc_cost = per_option (fun _ m -> m.Reliability.Sm_model.cost);
+    sc_coverage;
+    sc_radix;
+    sc_weight;
+    sc_rows;
+    sc_affected;
+    sc_sr_fit =
+      Array.fold_left (fun acc ec -> acc +. ec.ec_fit) 0.0 ev.ev_components;
+  }
+
+(* The digit vector of counter value [k]. *)
+let decode sc k =
+  Array.init (Array.length sc.sc_radix) (fun i ->
+      k / sc.sc_weight.(i) mod sc.sc_radix.(i))
+
+(* Advance a digit vector by one and return the lowest changed digit.
+   Never called past the last combination, so the carry stops inside
+   the vector. *)
+let increment sc digit =
+  let p = ref (Array.length digit - 1) in
+  while digit.(!p) + 1 = sc.sc_radix.(!p) do
+    digit.(!p) <- 0;
+    decr p
+  done;
+  digit.(!p) <- digit.(!p) + 1;
+  !p
+
+(* Score the [len] candidates from counter [base] on, in counter order,
+   into unboxed SPFM and cost arrays: a window's scores hold no pointers,
+   so nothing it computes is promoted out of the minor heap.  The state
+   is seeded by a full fold at [base]; each later step pays only for the
+   digits it changes. *)
+let scan_window sc (base, len) =
+  let n = Array.length sc.sc_radix in
+  let m = Array.length sc.sc_rows in
+  let digit = decode sc base in
+  let cost_prefix = Array.make n 0.0 in
+  let component_spf = Array.make m 0.0 in
+  let spf_prefix = Array.make m 0.0 in
+  (* Per row, the deploying matching slot is [Fmeda.apply]'s: highest
+     coverage wins, the earlier slot wins a coverage tie. *)
+  let refold_component c =
+    let rows = sc.sc_rows.(c) in
+    let acc = ref 0.0 in
+    for r = 0 to Array.length rows - 1 do
+      let row = rows.(r) in
+      let spf = ref row.sr_base and best_cov = ref Float.nan in
+      for k = 0 to Array.length row.sr_slots - 1 do
+        let s = row.sr_slots.(k) in
+        let d = digit.(s) in
+        if d > 0 then begin
+          let cov = sc.sc_coverage.(s).(d - 1) in
+          if Float.is_nan !best_cov || not (!best_cov >= cov) then begin
+            best_cov := cov;
+            spf := row.sr_spf.(k).(d - 1)
+          end
+        end
+      done;
+      acc := !acc +. !spf
+    done;
+    component_spf.(c) <- !acc
+  in
+  let refold_costs ~from =
+    for i = from to n - 1 do
+      let prev = if i = 0 then 0.0 else cost_prefix.(i - 1) in
+      let d = digit.(i) in
+      cost_prefix.(i) <- (if d = 0 then prev else prev +. sc.sc_cost.(i).(d - 1))
+    done
+  in
+  let refold_spf ~from =
+    for j = from to m - 1 do
+      let prev = if j = 0 then 0.0 else spf_prefix.(j - 1) in
+      spf_prefix.(j) <- prev +. component_spf.(j)
+    done
+  in
+  let spfm = Array.make len 0.0 and cost = Array.make len 0.0 in
+  let record k =
+    let single_point_fit = if m = 0 then 0.0 else spf_prefix.(m - 1) in
+    spfm.(k) <-
+      (if sc.sc_sr_fit <= 0.0 then 100.0
+       else 100.0 *. (1.0 -. (single_point_fit /. sc.sc_sr_fit)));
+    cost.(k) <- (if n = 0 then 0.0 else cost_prefix.(n - 1))
+  in
+  refold_costs ~from:0;
+  for c = 0 to m - 1 do
+    refold_component c
+  done;
+  refold_spf ~from:0;
+  record 0;
+  for k = 1 to len - 1 do
+    let p = increment sc digit in
+    refold_costs ~from:p;
+    let affected = sc.sc_affected.(p) in
+    Array.iter refold_component affected;
+    if Array.length affected > 0 then refold_spf ~from:affected.(0);
+    record k
+  done;
+  (spfm, cost)
+
+(* Fold [f] over a scored window: walk the same counter range, building
+   each candidate's deployment list (slot order) next to its scores. *)
+let fold_window sc f acc ((base, len), (spfm, cost)) =
+  let digit = decode sc base in
+  let acc = ref acc in
+  for k = 0 to len - 1 do
+    if k > 0 then ignore (increment sc digit);
+    let deployments = ref [] in
+    for i = Array.length digit - 1 downto 0 do
+      let d = digit.(i) in
+      if d > 0 then deployments := sc.sc_options.(i).(d - 1) :: !deployments
+    done;
+    acc := f !acc { deployments = !deployments; spfm_pct = spfm.(k); cost = cost.(k) }
+  done;
+  !acc
+
 let exhaustive_fold ?(component_types = []) ?(max_combinations = 2_000_000)
     ?(window = default_window) ?evaluator table sm_model ~init ~f =
   let slots = slots ~component_types table sm_model in
@@ -195,50 +411,33 @@ let exhaustive_fold ?(component_types = []) ?(max_combinations = 2_000_000)
       (Printf.sprintf
          "Search.exhaustive: %d combinations exceed the limit of %d"
          combinations max_combinations);
-  (* Per-slot deployment table and mixed-radix weights (most significant
-     digit first, as in the historical expansion order). *)
-  let slot_arr = Array.of_list slots in
-  let n = Array.length slot_arr in
-  let deployments =
-    Array.map
-      (fun s ->
-        Array.of_list
-          (List.map
-             (Fmea.Fmeda.deploy ~component:s.slot_component
-                ~failure_mode:s.slot_failure_mode)
-             s.slot_options))
-      slot_arr
-  in
-  let radix = Array.map (fun d -> Array.length d + 1) deployments in
-  let weight = Array.make n 1 in
-  for i = n - 2 downto 0 do
-    weight.(i) <- weight.(i + 1) * radix.(i + 1)
-  done;
-  let decode counter =
-    let rec go i acc =
-      if i < 0 then acc
-      else
-        let digit = counter / weight.(i) mod radix.(i) in
-        go (i - 1)
-          (if digit = 0 then acc else deployments.(i).(digit - 1) :: acc)
-    in
-    go (n - 1) []
-  in
   let ev =
     match evaluator with Some ev -> ev | None -> make_evaluator table
   in
-  let acc = ref init in
-  let base = ref 0 in
-  while !base < combinations do
-    let len = min window (combinations - !base) in
-    let window_candidates =
-      Exec.scheduled_map ~key:"optimize.search" (evaluate_with ev)
-        (List.init len (fun k -> decode (!base + k)))
-    in
-    List.iter (fun c -> acc := f !acc c) window_candidates;
-    base := !base + len
-  done;
-  !acc
+  let sc = make_scan ev slots in
+  let window = max 1 window in
+  (* One pool task per window.  A round holds one window per worker, so
+     at most [jobs * window] scores are alive at once; rounds, and the
+     windows within a round, are folded in counter order. *)
+  let per_round = Exec.default_jobs () in
+  let rec round base k =
+    if k = 0 || base >= combinations then []
+    else
+      let len = min window (combinations - base) in
+      (base, len) :: round (base + len) (k - 1)
+  in
+  let rec go acc base =
+    if base >= combinations then acc
+    else
+      let windows = round base per_round in
+      let scores =
+        Exec.scheduled_map ~key:"optimize.search" (scan_window sc) windows
+      in
+      go
+        (List.fold_left (fold_window sc f) acc (List.combine windows scores))
+        (List.fold_left (fun b (_, len) -> b + len) base windows)
+  in
+  go init 0
 
 let exhaustive ?(component_types = []) ?(max_combinations = 200_000) ?evaluator
     table sm_model =

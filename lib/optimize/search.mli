@@ -35,8 +35,8 @@ val slots :
 
 val evaluate : Fmea.Table.t -> Fmea.Fmeda.deployment list -> candidate
 (** The reference scorer: [Fmeda.apply] over the full table, then
-    {!Fmea.Metrics.spfm}.  O(rows) per call — fine for one-off scoring;
-    the search loops use {!evaluate_with} instead. *)
+    {!Fmea.Metrics.spfm}.  O(rows x deployments) per call — the oracle
+    the faster scorers are tested against. *)
 
 type evaluator
 (** Precomputed scoring state for one FMEA table: per-row failure-rate
@@ -46,11 +46,12 @@ type evaluator
 val make_evaluator : Fmea.Table.t -> evaluator
 
 val evaluate_with : evaluator -> Fmea.Fmeda.deployment list -> candidate
-(** Incremental scoring: only the components the deployment set touches
-    are re-summed; untouched components reuse their precomputed
-    single-point total.  Floating-point folds replay
-    {!Fmea.Metrics.compute}'s exact order, so the candidate is
-    bit-identical to {!evaluate} on the same table and deployments. *)
+(** Scores one deployment set: only the components it touches are
+    re-summed; untouched components reuse their precomputed single-point
+    total.  Floating-point folds replay {!Fmea.Metrics.compute}'s exact
+    order, so the candidate is bit-identical to {!evaluate} on the same
+    table and deployments.  Serves {!greedy} and one-off scoring;
+    {!exhaustive_fold} scores along its counter instead. *)
 
 val exhaustive_fold :
   ?component_types:(string * string) list ->
@@ -68,12 +69,23 @@ val exhaustive_fold :
     mixed-radix counter (first slot most significant, digit 0 = no
     deployment), which reproduces the historical list order candidate
     for candidate — all downstream tie-breaks are bit-identical.
-    Candidates are decoded and scored [window] at a time (default 8_192)
-    in parallel chunks on the {!Exec} pool, then folded sequentially in
-    counter order, so peak memory is O(window + slots) regardless of the
-    combination count.  Raises [Invalid_argument] if the count exceeds
-    [max_combinations] (default 2_000_000 — 10x the list-based cap,
-    affordable because nothing is retained). *)
+
+    Cost model.  Row-to-slot matching is resolved once per fold.  Each
+    window of [window] consecutive candidates (default 8_192; values
+    below 1 count as 1) is one pool task: it seeds its state with one
+    full fold at its first counter value, then steps the counter.  A
+    step whose lowest changed digit is slot [p] re-folds only the
+    components whose rows slots [p..] match, then the cost and
+    single-point prefixes after them.  A counter step changes fewer
+    than two digits on average, so the re-fold is amortised O(1) per
+    candidate in the slot count; building the candidate's deployment
+    list is O(slots).  Every [spfm_pct] and [cost] is bit-identical to
+    {!evaluate}.  A round holds one window per pool worker and rounds
+    are folded sequentially in counter order, so results are identical
+    at every job count and peak memory is O(jobs x window + slots)
+    whatever the combination count.  Raises [Invalid_argument] if the
+    count exceeds [max_combinations] (default 2_000_000 — 10x the
+    list-based cap, affordable because nothing is retained). *)
 
 val exhaustive :
   ?component_types:(string * string) list ->

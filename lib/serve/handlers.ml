@@ -116,27 +116,9 @@ let run_fmeda ~engine a =
           ~component_types:conversion.Blockdiag.To_netlist.block_types table
           sm_model
       in
-      let buf = Buffer.create 1024 in
-      Buffer.add_string buf
-        (table_report refinement.Decisive.Api.refined_table);
-      Buffer.add_string buf
-        (Format.asprintf "%a@."
-           (fun ppf () ->
-             Fmea.Asil.pp_verdict ppf ~target
-               ~spfm:refinement.Decisive.Api.achieved_spfm)
-           ());
-      (match refinement.Decisive.Api.chosen with
-      | Some c ->
-          List.iter
-            (fun (d : Fmea.Fmeda.deployment) ->
-              Buffer.add_string buf
-                (Format.asprintf "deploy %s on %s/%s@."
-                   d.Fmea.Fmeda.mechanism.Reliability.Sm_model.sm_name
-                   d.Fmea.Fmeda.target_component
-                   d.Fmea.Fmeda.target_failure_mode))
-            c.Optimize.Search.deployments
-      | None -> Buffer.add_string buf "no deployment meets the target\n");
-      (Buffer.contents buf, 0)
+      ( table_report refinement.Decisive.Api.refined_table
+        ^ Decisive.Api.refinement_text ~target refinement,
+        0 )
 
 (* ---------- fta ---------- *)
 

@@ -225,6 +225,24 @@ let test_fta_engines_agree () =
       Alcotest.(check bool) "--engine mocus is rejected" true
         (run (Printf.sprintf "%s fta %s --engine mocus" bin rails) <> 0))
 
+(* Step 4b on the Fig. 11 PSU, pinned byte for byte: the FMEDA with its
+   verdict and deployment, and the ten-point Pareto front. *)
+let test_search_golden () =
+  with_fixture (fun ~bin ~dir ~bd:_ ->
+      List.iter
+        (fun command ->
+          let out = Filename.concat dir (command ^ ".txt") in
+          Alcotest.(check int) (command ^ " exits 0") 0
+            (Sys.command
+               (Printf.sprintf
+                  "%s %s ../examples/models/psu.bd -e DC1 -t ASIL-B > %s" bin
+                  command (Filename.quote out)));
+          let golden = Printf.sprintf "golden/psu_%s.txt" command in
+          Alcotest.(check string)
+            (command ^ " output = " ^ golden)
+            (read_file golden) (read_file out))
+        [ "fmeda"; "optimize" ])
+
 let test_error_handling () =
   with_fixture (fun ~bin ~dir ~bd:_ ->
       (* Malformed diagram: non-zero exit, no crash. *)
@@ -244,4 +262,5 @@ let suite =
     Alcotest.test_case "lint queries" `Slow test_lint_queries;
     Alcotest.test_case "error handling" `Slow test_error_handling;
     Alcotest.test_case "fta engines agree" `Slow test_fta_engines_agree;
+    Alcotest.test_case "search output golden" `Slow test_search_golden;
   ]

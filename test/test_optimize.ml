@@ -260,6 +260,151 @@ let test_streaming_beyond_list_cap () =
   Alcotest.(check bool) "exhaustive front, not greedy" true
     (List.length front > 1)
 
+(* ---------- the counter-incremental scan against the reference ---------- *)
+
+(* The historical list expansion, first slot most significant: every
+   combination with the slot empty, then each option in turn. *)
+let rec expand = function
+  | [] -> [ [] ]
+  | (s : Optimize.Search.slot) :: rest ->
+      let tails = expand rest in
+      tails
+      @ List.concat_map
+          (fun m ->
+            let d =
+              Fmea.Fmeda.deploy ~component:s.Optimize.Search.slot_component
+                ~failure_mode:s.Optimize.Search.slot_failure_mode m
+            in
+            List.map (fun t -> d :: t) tails)
+          s.Optimize.Search.slot_options
+
+let streamed ?window t cat =
+  List.rev
+    (Optimize.Search.exhaustive_fold ?window t cat ~init:[] ~f:(fun acc c ->
+         c :: acc))
+
+(* [exhaustive_fold] must yield [evaluate] of each decoded combination,
+   in counter order, for every window size and job count; [optimise]
+   must be the cheapest-meeting / Pareto pass over that list. *)
+let scan_matches_reference t cat =
+  let expected =
+    List.map (Optimize.Search.evaluate t) (expand (Optimize.Search.slots t cat))
+  in
+  let same_list = List.equal Optimize.Search.equal_candidate expected in
+  let same_optimise target =
+    let chosen, front = Optimize.Search.optimise ~target t cat in
+    Option.equal Optimize.Search.equal_candidate
+      (Optimize.Search.cheapest_meeting ~target expected)
+      chosen
+    && List.equal Optimize.Search.equal_candidate
+         (Optimize.Search.pareto_front expected)
+         front
+  in
+  let at_jobs jobs f =
+    let saved = Exec.default_jobs () in
+    Fun.protect
+      ~finally:(fun () -> Exec.set_default_jobs saved)
+      (fun () ->
+        Exec.set_default_jobs jobs;
+        f ())
+  in
+  List.for_all
+    (fun jobs ->
+      at_jobs jobs (fun () ->
+          List.for_all
+            (fun window -> same_list (streamed ?window t cat))
+            [ Some 1; Some 3; None ]
+          && List.for_all same_optimise
+               Ssam.Requirement.[ QM; ASIL_B; ASIL_D ]))
+    [ 1; 4 ]
+
+let row ?(sr = true) ?cov ?spf ?(fit = 100.0) ?(dist = 100.0) component fmode =
+  let r =
+    Fmea.Table.make_row ?sm_coverage_pct:cov ~component ~component_fit:fit
+      ~failure_mode:fmode ~distribution_pct:dist ~safety_related:sr ()
+  in
+  match spf with None -> r | Some f -> { r with Fmea.Table.single_point_fit = f }
+
+let scan_cases =
+  [
+    ( "case variants",
+      [ row "MC1" "RAM"; row ~fit:40.0 "mc1" "ram"; row "MC1" "Ram" ],
+      [ mech ~cost:2.0 "ecc" "MC1" "ram" 99.0; mech ~cost:1.0 "p" "mc1" "RAM" 60.0 ]
+    );
+    ( "duplicate rows",
+      [ row ~dist:50.0 "X" "f"; row ~dist:50.0 "X" "f"; row ~fit:30.0 "Y" "g" ],
+      [ mech "a" "X" "f" 60.0; mech ~cost:3.0 "b" "X" "f" 90.0; mech "c" "Y" "g" 80.0 ]
+    );
+    ( "non-safety-related row matched",
+      [ row ~dist:60.0 "X" "f"; row ~sr:false ~spf:7.0 ~dist:40.0 "X" "F";
+        row ~sr:false ~spf:3.0 "x" "f" ],
+      [ mech "a" "X" "f" 90.0 ] );
+    ( "equal-coverage ties",
+      [ row "X" "f"; row "x" "F"; row ~fit:20.0 "Y" "g" ],
+      [ mech ~cost:1.0 "a" "X" "f" 90.0; mech ~cost:2.0 "b" "X" "f" 90.0;
+        mech ~cost:1.0 "c" "Y" "g" 90.0 ] );
+    ( "zero and equal costs",
+      [ row "X" "f"; row ~fit:50.0 "Y" "g"; row ~fit:50.0 "Z" "h" ],
+      [ mech ~cost:0.0 "a" "X" "f" 60.0; mech ~cost:0.0 "b" "Y" "g" 60.0;
+        mech ~cost:2.0 "c" "Z" "h" 90.0; mech ~cost:2.0 "d" "X" "f" 99.0 ] );
+    ( "zero safety-related FIT",
+      [ row ~fit:0.0 "X" "f"; row ~fit:0.0 "Y" "g" ],
+      [ mech "a" "X" "f" 90.0; mech "b" "Y" "g" 60.0 ] );
+    ( "already covered rows",
+      [ row ~cov:60.0 "X" "f"; row ~fit:30.0 "Y" "g" ],
+      [ mech "a" "X" "f" 90.0; mech "b" "Y" "g" 99.0 ] );
+  ]
+
+let test_scan_cases () =
+  List.iter
+    (fun (name, rows, mechanisms) ->
+      Alcotest.(check bool) name true
+        (scan_matches_reference (table rows)
+           (Reliability.Sm_model.of_mechanisms mechanisms)))
+    scan_cases
+
+(* Random small tables over a name pool with case variants, so slots,
+   duplicate rows and non-safety-related matches collide freely. *)
+let prop_scan_matches_reference =
+  let open QCheck.Gen in
+  let pick l = oneofl l in
+  let gen_row =
+    map
+      (fun ((c, f, sr, fit), (dist, cov, spf)) ->
+        row ~sr ?cov ?spf ~fit ~dist c f)
+      (pair
+         (quad (pick [ "A"; "a"; "B" ]) (pick [ "f"; "F"; "g" ]) bool
+            (pick [ 0.0; 10.0; 25.5; 100.0 ]))
+         (triple (pick [ 0.0; 30.0; 70.0; 100.0 ])
+            (opt (pick [ 50.0; 90.0 ]))
+            (opt (pick [ 2.0 ]))))
+  in
+  let gen_mech =
+    map
+      (fun ((i, c, f), (cov, cost)) ->
+        mech ~cost (Printf.sprintf "m%d" i) c f cov)
+      (pair
+         (triple (int_bound 3) (pick [ "A"; "b" ]) (pick [ "f"; "G" ]))
+         (pair (pick [ 0.0; 60.0; 90.0; 100.0 ]) (pick [ 0.0; 1.0; 2.5 ])))
+  in
+  let print (rows, mechanisms) =
+    Format.asprintf "%a@.%a"
+      (Format.pp_print_list Fmea.Table.pp_row)
+      rows
+      (Format.pp_print_list Reliability.Sm_model.pp_mechanism)
+      mechanisms
+  in
+  QCheck.Test.make ~name:"incremental scan = evaluate per combination"
+    ~count:150
+    (QCheck.make ~print
+       (pair (list_size (int_range 1 7) gen_row)
+          (list_size (int_range 0 5) gen_mech)))
+    (fun (rows, mechanisms) ->
+      let t = table rows in
+      let cat = Reliability.Sm_model.of_mechanisms mechanisms in
+      QCheck.assume (List.length (Optimize.Search.slots t cat) <= 6);
+      scan_matches_reference t cat)
+
 let suite =
   [
     Alcotest.test_case "slots" `Quick test_slots;
@@ -279,4 +424,6 @@ let suite =
       test_streaming_optimise_matches_list;
     Alcotest.test_case "streaming beyond list cap" `Slow
       test_streaming_beyond_list_cap;
+    Alcotest.test_case "scan = evaluate on edge cases" `Quick test_scan_cases;
+    QCheck_alcotest.to_alcotest prop_scan_matches_reference;
   ]

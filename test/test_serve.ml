@@ -296,6 +296,40 @@ let test_server_fta_engine_param () =
             (member_str "output" reply))
         [ "mocus"; "bdd " ]
 
+(* The daemon's fmeda reply is byte for byte what `same fmeda` prints
+   for the same model and parameters. *)
+let test_server_fmeda_equals_cli () =
+  match Test_cli.binary with
+  | None -> Alcotest.skip ()
+  | Some bin ->
+      let psu = "../examples/models/psu.bd" in
+      let out = Filename.temp_file "serve-fmeda" ".txt" in
+      Fun.protect ~finally:(fun () -> Sys.remove out) @@ fun () ->
+      Alcotest.(check int) "same fmeda exits 0" 0
+        (Sys.command
+           (Printf.sprintf "%s fmeda %s -e DC1 -t ASIL-B > %s" bin psu
+              (Filename.quote out)));
+      let request =
+        Serve.Protocol.Analyse
+          {
+            Serve.Protocol.a_analysis = Serve.Protocol.Fmeda;
+            a_diagram = Test_cli.read_file psu;
+            a_reliability = None;
+            a_sm = None;
+            a_params = [ ("exclude", "DC1"); ("target", "ASIL-B") ];
+          }
+      in
+      with_server @@ fun _server socket ->
+      match Serve.Client.connect socket with
+      | Error m -> Alcotest.fail m
+      | Ok client ->
+          Fun.protect ~finally:(fun () -> Serve.Client.close client)
+          @@ fun () ->
+          let reply = rpc client request in
+          Alcotest.(check int) "exit 0" 0 (member_num "exit" reply);
+          Alcotest.(check string) "reply = CLI stdout" (Test_cli.read_file out)
+            (member_str "output" reply)
+
 let test_server_incremental_session () =
   let diagram, reliability_csv, reliability, render = system_b_texts () in
   with_server @@ fun _server socket ->
@@ -406,4 +440,6 @@ let suite =
       test_server_incremental_session;
     Alcotest.test_case "server: fta engine parameter" `Quick
       test_server_fta_engine_param;
+    Alcotest.test_case "server: fmeda reply = CLI stdout" `Quick
+      test_server_fmeda_equals_cli;
   ]
