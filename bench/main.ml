@@ -7,7 +7,12 @@
                          (Set4 = 5.7M elements; several minutes).  The
                          default scales Set4/Set5 (and the memory budget)
                          by 1/100, which preserves the overflow behaviour
-                         and the growth shape. *)
+                         and the growth shape.
+
+   Exit status 1 when a gate the harness enforces itself fails (see
+   [gate]: the assess section's throughput floor and CI coverage); the
+   other sections' gates are checked by the CI scripts on
+   BENCH_results.json. *)
 
 let section title =
   Printf.printf "\n%s\n%s\n" title (String.make (String.length title) '=')
@@ -34,6 +39,15 @@ let json_assess : Modelio.Json.t list ref = ref []
 let json_serve : Modelio.Json.t list ref = ref []
 
 let record_timing name seconds = json_tables := (name, seconds) :: !json_tables
+
+(* Gates the harness enforces itself: each failure is reported on stderr
+   after BENCH_results.json is written, and the run exits 1. *)
+let gate_failures : string list ref = ref []
+
+let gate ok fmt =
+  Printf.ksprintf
+    (fun m -> if not ok then gate_failures := m :: !gate_failures)
+    fmt
 
 let json_of_decision (r : Exec.Cost.record) =
   let open Modelio.Json in
@@ -1141,6 +1155,14 @@ let assess ~smoke () =
       name r.Assess.Mc.trials
       (r.Assess.Mc.trials_per_sec /. 1e6)
       r.Assess.Mc.top_probability r.Assess.Mc.halfwidth exact delta within_ci;
+    (* The bit-parallel kernel must hold the published throughput floor,
+       and the estimate must land inside its own 99% CI of exact. *)
+    gate
+      (r.Assess.Mc.trials_per_sec >= 1e6)
+      "assess/%s: %.0f trials/s below the 1e6 floor" name
+      r.Assess.Mc.trials_per_sec;
+    gate within_ci "assess/%s: estimate %.6e outside the 99%% CI of exact %.6e"
+      name r.Assess.Mc.top_probability exact;
     record_timing (Printf.sprintf "assess/%s" name) r.Assess.Mc.elapsed_s;
     json_assess :=
       Modelio.Json.Object
@@ -1778,4 +1800,8 @@ let () =
   kernel_benchmarks ~smoke ();
   if not smoke then micro_benchmarks ();
   write_results ();
-  Printf.printf "\nDone.\n"
+  match List.rev !gate_failures with
+  | [] -> Printf.printf "\nDone.\n"
+  | failures ->
+      List.iter (Printf.eprintf "gate failed: %s\n") failures;
+      exit 1

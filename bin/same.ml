@@ -1171,8 +1171,8 @@ let assess_cmd =
       & opt (some int) None
       & info [ "trials" ] ~docv:"N"
           ~doc:
-            "Trial budget (rounded up to whole replicates). Mutually \
-             exclusive with $(b,--rel-precision).")
+            "Trial budget, positive (rounded up to whole replicates). \
+             Mutually exclusive with $(b,--rel-precision).")
   in
   let precision_arg =
     Arg.(
@@ -1180,8 +1180,11 @@ let assess_cmd =
       & opt (some float) None
       & info [ "rel-precision" ] ~docv:"P"
           ~doc:
-            "Adaptive budget: sample until the 99% confidence half-width \
-             falls below $(docv) times the estimate.")
+            (Printf.sprintf
+               "Adaptive budget: sample until the 99%% confidence \
+                half-width falls below $(docv) times the estimate, or \
+                until %d trials. $(docv) must be positive."
+               Assess.Mc.default.Assess.Mc.max_trials))
   in
   let method_arg =
     Arg.(

@@ -87,79 +87,90 @@ type kernel = {
   deltas : float array;  (** per-event log-weight increment when it fires *)
 }
 
-let sample_direct states thresholds (vars : int array) =
-  for e = 0 to Array.length vars - 1 do
+(* Bit-plane Bernoulli sampling: one event's fire word.  Lane l fires iff
+   its 53-bit uniform u_l is below t.  Rather than draw 63 uniforms, the
+   kernel compares all lanes' uniforms with t at once, most significant
+   bit first, one random word per bit plane (bit l of the word is lane
+   l's bit of u_l at that plane).  Where t's bit is 1, the lanes still
+   tied with t whose bit is 0 fall below t and fire; where it is 0, the
+   tied lanes whose bit is 1 rise above t and never fire; the others stay
+   tied.  Each plane settles about half the tied lanes, so a word takes
+   ~8 draws instead of 63; the loop also stops once t has no set bit left
+   at or below the plane, since a lane still tied then has u_l >= t.
+   Every lane fires with probability exactly t / 2^53.  The stream state
+   lives in a local for the whole loop, so nothing is allocated. *)
+let fire_word states e t =
+  if t <= 0 then 0
+  else if t >= 1 lsl 53 then Program.all_lanes
+  else begin
     let st = ref (Array.unsafe_get states e) in
-    let t = Array.unsafe_get thresholds e in
-    let w = ref 0 in
-    for lane = 0 to Program.word_bits - 1 do
+    let tied = ref Program.all_lanes in
+    let fire = ref 0 in
+    let plane = ref 52 in
+    while !tied <> 0 && t land ((1 lsl (!plane + 1)) - 1) <> 0 do
       let s = !st + gamma in
       st := s;
       let z = (s lxor (s lsr 30)) * mul1 in
       let z = (z lxor (z lsr 27)) * mul2 in
       let z = z lxor (z lsr 31) in
-      if z lsr 10 < t then w := !w lor (1 lsl lane)
+      (* all ones where t's bit is 1: picks the plane's rule without a branch *)
+      let tb = -((t lsr !plane) land 1) in
+      fire := !fire lor (!tied land lnot z land tb);
+      tied := !tied land lnot (z lxor tb);
+      decr plane
     done;
     Array.unsafe_set states e !st;
-    Array.unsafe_set vars e !w
+    !fire
+  end
+
+let sample_lanes ~state ~threshold =
+  let states = [| state |] in
+  let fire = fire_word states 0 threshold in
+  (fire, states.(0))
+
+let sample states thresholds (vars : int array) =
+  for e = 0 to Array.length thresholds - 1 do
+    Array.unsafe_set vars e (fire_word states e (Array.unsafe_get thresholds e))
   done
 
-let sample_weighted states thresholds deltas (vars : int array)
-    (logw : float array) base =
-  Array.fill logw 0 (Array.length logw) base;
+(* Per-replicate accumulation, only on words where the top event fired.
+   The weight sums live in a two-slot float array ([sums.(0)] = sum w,
+   [sums.(1)] = sum w^2), whose stores are unboxed, rather than in
+   [Stat.t]'s mutable float fields, which box on every write. *)
+let accumulate_direct sums (ev : float array) (vars : int array) top =
+  let hits = float_of_int (Program.popcount top) in
+  Array.unsafe_set sums 0 (Array.unsafe_get sums 0 +. hits);
+  Array.unsafe_set sums 1 (Array.unsafe_get sums 1 +. hits);
   for e = 0 to Array.length vars - 1 do
-    let st = ref (Array.unsafe_get states e) in
-    let t = Array.unsafe_get thresholds e in
-    let d = Array.unsafe_get deltas e in
-    let w = ref 0 in
-    for lane = 0 to Program.word_bits - 1 do
-      let s = !st + gamma in
-      st := s;
-      let z = (s lxor (s lsr 30)) * mul1 in
-      let z = (z lxor (z lsr 27)) * mul2 in
-      let z = z lxor (z lsr 31) in
-      if z lsr 10 < t then begin
-        w := !w lor (1 lsl lane);
-        if d <> 0.0 then
-          Array.unsafe_set logw lane (Array.unsafe_get logw lane +. d)
-      end
-    done;
-    Array.unsafe_set states e !st;
-    Array.unsafe_set vars e !w
+    let c = top land Array.unsafe_get vars e in
+    if c <> 0 then
+      Array.unsafe_set ev e
+        (Array.unsafe_get ev e +. float_of_int (Program.popcount c))
   done
 
-let accumulate_direct (stat : Stat.t) (vars : int array) top =
-  stat.Stat.n <- stat.Stat.n + Program.word_bits;
-  if top <> 0 then begin
-    let hits = float_of_int (Program.popcount top) in
-    stat.Stat.wsum <- stat.Stat.wsum +. hits;
-    stat.Stat.wsumsq <- stat.Stat.wsumsq +. hits;
-    let ev = stat.Stat.ev in
+(* A trial's weight matters only where the top event fired, so the
+   log-weight (base plus the delta of every event fired in the lane, in
+   event order) is built for those lanes alone, lowest lane first. *)
+let accumulate_weighted sums (ev : float array) (vars : int array) top base
+    (deltas : float array) =
+  let rest = ref top in
+  while !rest <> 0 do
+    let lane = !rest land (- !rest) in
+    rest := !rest lxor lane;
+    let logw = ref base in
     for e = 0 to Array.length vars - 1 do
-      let c = top land Array.unsafe_get vars e in
-      if c <> 0 then
-        Array.unsafe_set ev e
-          (Array.unsafe_get ev e +. float_of_int (Program.popcount c))
+      let d = Array.unsafe_get deltas e in
+      if d <> 0.0 && Array.unsafe_get vars e land lane <> 0 then
+        logw := !logw +. d
+    done;
+    let w = exp !logw in
+    Array.unsafe_set sums 0 (Array.unsafe_get sums 0 +. w);
+    Array.unsafe_set sums 1 (Array.unsafe_get sums 1 +. (w *. w));
+    for e = 0 to Array.length vars - 1 do
+      if Array.unsafe_get vars e land lane <> 0 then
+        Array.unsafe_set ev e (Array.unsafe_get ev e +. w)
     done
-  end
-
-let accumulate_weighted (stat : Stat.t) (vars : int array) top
-    (logw : float array) =
-  stat.Stat.n <- stat.Stat.n + Program.word_bits;
-  if top <> 0 then begin
-    let ev = stat.Stat.ev in
-    for lane = 0 to Program.word_bits - 1 do
-      if (top lsr lane) land 1 = 1 then begin
-        let w = exp (Array.unsafe_get logw lane) in
-        stat.Stat.wsum <- stat.Stat.wsum +. w;
-        stat.Stat.wsumsq <- stat.Stat.wsumsq +. (w *. w);
-        for e = 0 to Array.length vars - 1 do
-          if (Array.unsafe_get vars e lsr lane) land 1 = 1 then
-            Array.unsafe_set ev e (Array.unsafe_get ev e +. w)
-        done
-      end
-    done
-  end
+  done
 
 let run_replicate kernel master r =
   (* Stream derivation fixes the replicate's randomness by its global
@@ -175,23 +186,22 @@ let run_replicate kernel master r =
   let parity = r land (Array.length kernel.thresholds - 1) in
   let thresholds = kernel.thresholds.(parity) in
   let stat = Stat.create ~n_events in
+  let ev = stat.Stat.ev in
+  let sums = [| 0.0; 0.0 |] in
   let scratch = Program.scratch kernel.prog in
   let vars = Array.make (max n_events 1) 0 in
-  if kernel.weighted then begin
-    let logw = Array.make Program.word_bits 0.0 in
-    let base = kernel.base.(parity) in
-    for _ = 1 to blocks_per_replicate do
-      sample_weighted states thresholds kernel.deltas vars logw base;
-      let top = Program.eval kernel.prog scratch ~vars in
-      accumulate_weighted stat vars top logw
-    done
-  end
-  else
-    for _ = 1 to blocks_per_replicate do
-      sample_direct states thresholds vars;
-      let top = Program.eval kernel.prog scratch ~vars in
-      accumulate_direct stat vars top
-    done;
+  let base = kernel.base.(parity) in
+  for _ = 1 to blocks_per_replicate do
+    sample states thresholds vars;
+    let top = Program.eval kernel.prog scratch ~vars in
+    if top <> 0 then
+      if kernel.weighted then
+        accumulate_weighted sums ev vars top base kernel.deltas
+      else accumulate_direct sums ev vars top
+  done;
+  stat.Stat.n <- trials_per_replicate;
+  stat.Stat.wsum <- sums.(0);
+  stat.Stat.wsumsq <- sums.(1);
   stat
 
 (* ---------- kernel construction ---------- *)
@@ -278,12 +288,36 @@ let make_kernel (config : config) prog probs =
 
 (* ---------- driver ---------- *)
 
+(* Stratified runs per-parity strata: replicate counts stay a multiple
+   of the stratum count so both are equally represented (the weights
+   assume balance). *)
 let replicates_for kernel trials =
+  let step = Array.length kernel.thresholds in
   let n = (trials + trials_per_replicate - 1) / trials_per_replicate in
-  let n = max n 1 in
-  (* Stratified runs per-parity strata: keep the count even so both are
-     equally represented (the weights assume balance). *)
-  if Array.length kernel.thresholds > 1 && n land 1 = 1 then n + 1 else n
+  max step ((n + step - 1) / step * step)
+
+(* The largest balanced replicate count that stays within [trials]. *)
+let replicates_within kernel trials =
+  let step = Array.length kernel.thresholds in
+  trials / trials_per_replicate / step * step
+
+let validate kernel (config : config) =
+  let fail fmt = Printf.ksprintf invalid_arg fmt in
+  let first_round = replicates_for kernel 1 * trials_per_replicate in
+  match (config.trials, config.rel_precision) with
+  | Some n, Some p ->
+      fail
+        "assess: a fixed trial budget (%d) and a relative precision (%g) \
+         are mutually exclusive"
+        n p
+  | Some n, None when n <= 0 ->
+      fail "assess: trials must be positive (got %d)" n
+  | None, Some p when not (p > 0.0) ->
+      fail "assess: relative precision must be positive (got %g)" p
+  | None, Some _ when config.max_trials < first_round ->
+      fail "assess: max_trials %d is below one round of %d trials"
+        config.max_trials first_round
+  | _ -> ()
 
 let halfwidth kernel stat =
   if kernel.weighted then Stat.clt_halfwidth stat else Stat.wilson_halfwidth stat
@@ -314,13 +348,21 @@ let run_sampler ?jobs kernel (config : config) =
         est > 0.0 && halfwidth kernel total <= precision *. est
       in
       run_round (replicates_for kernel 1);
-      while
-        (not (converged ())) && Stat.n total < config.max_trials
-      do
-        let want = Stat.n total (* double *) in
-        let cap = config.max_trials - Stat.n total in
-        run_round (replicates_for kernel (min want cap))
-      done
+      (* Double, but never past [max_trials]: the last round rounds
+         down to whole (balanced) replicates, and stops when none fit. *)
+      let rec grow () =
+        if not (converged ()) then begin
+          let room =
+            replicates_within kernel (config.max_trials - Stat.n total)
+          in
+          let count = min (Stat.n total / trials_per_replicate) room in
+          if count > 0 then begin
+            run_round count;
+            grow ()
+          end
+        end
+      in
+      grow ()
   | None, None -> run_round (replicates_for kernel 1_000_000));
   total
 
@@ -331,6 +373,7 @@ let run ?jobs (config : config) tree =
   let events = Program.events prog in
   let probs = Array.map (event_probability config.mission_hours) events in
   let kernel = make_kernel config prog probs in
+  validate kernel config;
   let t0 = Unix.gettimeofday () in
   let stat = run_sampler ?jobs kernel config in
   let elapsed_s = Unix.gettimeofday () -. t0 in

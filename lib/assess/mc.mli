@@ -2,8 +2,9 @@
 
     Samples mission-time failure indicators for every basic event from
     its FIT-rate exponential (inverse-CDF, reduced to a threshold test
-    on a 53-bit uniform), packs {!Program.word_bits} trials per machine
-    word and decides the top event with one {!Program.eval} tape pass
+    on a 53-bit uniform, made for all {!Program.word_bits} lanes of a
+    word at once one bit plane at a time), packs the trials into machine
+    words and decides the top event with one {!Program.eval} tape pass
     per block — millions of trials per second on trees whose exact BDD
     quantification is the cross-check, and far beyond it on trees where
     the BDD is intractable.
@@ -19,7 +20,15 @@ val cost_key : string
 
 val trials_per_replicate : int
 (** Trials per scheduling unit (128 blocks of {!Program.word_bits}).
-    Budgets round up to whole replicates. *)
+    A fixed budget rounds up to whole replicates; an adaptive one stops
+    at whole replicates within [max_trials]. *)
+
+val sample_lanes : state:int -> threshold:int -> int * int
+(** [sample_lanes ~state ~threshold] is the kernel's sampling step for
+    one event and one word: the mask of the {!Program.word_bits} lanes
+    that fire, each independently with probability
+    [threshold / 2^53], and the event's stream state after the draws.
+    A [threshold] of 0 or at least [2^53] makes no draw. *)
 
 type sampling =
   | Direct  (** plain Monte-Carlo; Wilson confidence interval *)
@@ -40,12 +49,18 @@ type exact_check =
 type config = {
   mission_hours : float;
   sampling : sampling;
-  trials : int option;  (** fixed budget, rounded up to replicates *)
+  trials : int option;
+      (** fixed budget, positive, rounded up to replicates (an even
+          count under [Stratified]); excludes [rel_precision] *)
   rel_precision : float option;
-      (** stop when the 99% half-width falls below this fraction of the
-          estimate (doubling rounds, capped by [max_trials]); only
-          consulted when [trials] is [None] *)
+      (** adaptive budget, positive: stop when the 99% half-width falls
+          below this fraction of the estimate (doubling rounds); excludes
+          [trials].  With neither set, ~1M trials are run. *)
   max_trials : int;
+      (** hard cap on the adaptive budget: the last doubling round
+          rounds down to whole replicates (an even count under
+          [Stratified]) so [trials <= max_trials]; must admit the first
+          round (one replicate, two under [Stratified]) *)
   seed : int;
   exact : exact_check;
 }
@@ -78,4 +93,6 @@ type report = {
 val run : ?jobs:int -> config -> Fta.Fault_tree.t -> report
 (** Compile, sample, merge, cross-check.  Deterministic for a fixed
     [config.seed] — including across [?jobs] / [SAME_JOBS] settings.
-    @raise Invalid_argument on a negative mission time. *)
+    @raise Invalid_argument on a negative mission time, on a
+    non-positive [trials] or [rel_precision], on both budgets at once,
+    or on a [max_trials] below the first adaptive round. *)

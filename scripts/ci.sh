@@ -154,6 +154,8 @@ wait "$SERVE_PID" || {
 [ ! -S "$SOCK" ] || { echo "FAIL: daemon left its socket behind" >&2; exit 1; }
 
 echo "== bench --smoke: fta + assess + regression acceptance =="
+# bench exits non-zero itself when the assess gate fails (>= 1e6
+# trials/s, estimate inside the 99% CI of exact); the rest is below.
 SAME_JOBS=4 dune exec bench/main.exe -- --smoke > /dev/null
 python3 - <<'EOF'
 import json, sys
@@ -179,19 +181,6 @@ if not b["exact"]:
 print("fta OK: " + ", ".join(
     f"{e['name']} {e['speedup']:.0f}x" for e in published) +
     f"; {b['cut_sets']:.0f} cut sets solved past the cap")
-
-assess = r.get("assess")
-if not assess:
-    sys.exit("assess section is empty")
-for e in assess:
-    if e["trials_per_sec"] < 1e6:
-        sys.exit(f"{e['name']}: {e['trials_per_sec']:.0f} trials/s "
-                 f"below the 1e6 floor")
-    if not e["within_ci"]:
-        sys.exit(f"{e['name']}: estimate {e['estimate']:.6e} outside the "
-                 f"99% CI of exact {e['exact']:.6e}")
-print("assess OK: " + ", ".join(
-    f"{e['name']} {e['trials_per_sec'] / 1e6:.0f}M/s" for e in assess))
 
 inc = r.get("incremental")
 if not inc:

@@ -233,6 +233,191 @@ let test_determinism_across_jobs () =
         (List.map (fun e -> (e.Mc.event_id, e.Mc.importance)) r4.Mc.events))
     [ Mc.Direct; Mc.Importance; Mc.Stratified ]
 
+(* ---------- mc: the bit-plane sampler ---------- *)
+
+let two53 = 1 lsl 53
+
+(* Fire counts of [words] consecutive words of one event stream, per
+   lane, and the stream state after them. *)
+let lane_counts ~state ~threshold ~words =
+  let counts = Array.make Program.word_bits 0 in
+  let st = ref state in
+  for _ = 1 to words do
+    let fire, st' = Mc.sample_lanes ~state:!st ~threshold in
+    st := st';
+    for l = 0 to Program.word_bits - 1 do
+      if (fire lsr l) land 1 = 1 then counts.(l) <- counts.(l) + 1
+    done
+  done;
+  (counts, !st)
+
+(* |observed - expected| within [k] binomial standard deviations. *)
+let within_binomial ?(k = 5.0) ~n ~p hits =
+  let mean = float_of_int n *. p in
+  Float.abs (float_of_int hits -. mean)
+  <= k *. sqrt (float_of_int n *. p *. (1.0 -. p))
+
+let test_sampler_marginals () =
+  let words = 20_000 in
+  List.iter
+    (fun (label, threshold) ->
+      let p = float_of_int threshold /. float_of_int two53 in
+      let counts, _ = lane_counts ~state:12345 ~threshold ~words in
+      let total = Array.fold_left ( + ) 0 counts in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %d fires in %d trials vs p = %g" label total
+           (words * Program.word_bits) p)
+        true
+        (within_binomial ~n:(words * Program.word_bits) ~p total);
+      (* every lane on its own, so no lane's random bit is biased *)
+      Array.iteri
+        (fun l c ->
+          if not (within_binomial ~n:words ~p c) then
+            Alcotest.failf "%s: lane %d fired %d of %d (p = %g)" label l c
+              words p)
+        counts)
+    [
+      ("p = 0.5", 1 lsl 52);
+      ("p = 0.3", int_of_float (0.3 *. float_of_int two53));
+      ("p = 1e-3", int_of_float (1e-3 *. float_of_int two53));
+      ("p = 0.9", int_of_float (0.9 *. float_of_int two53));
+    ]
+
+let test_sampler_edges () =
+  let state = 987654321 in
+  let no_draw threshold expected =
+    let fire, st = Mc.sample_lanes ~state ~threshold in
+    Alcotest.(check int) (Printf.sprintf "t = %d: fire mask" threshold)
+      expected fire;
+    Alcotest.(check int) (Printf.sprintf "t = %d: no draw" threshold) state st
+  in
+  no_draw 0 0;
+  no_draw two53 Program.all_lanes;
+  no_draw (two53 + 7) Program.all_lanes;
+  (* t = 2^52: one plane decides every lane, so exactly one draw, the
+     same step from any state; t = 2^51 needs exactly two. *)
+  let step st = snd (Mc.sample_lanes ~state:st ~threshold:(1 lsl 52)) - st in
+  let d = step state in
+  Alcotest.(check bool) "t = 2^52 draws" true (d <> 0);
+  List.iter
+    (fun st ->
+      Alcotest.(check int) "t = 2^52: one draw from any state" d (step st))
+    [ 0; 1; 42; max_int; min_int; 0x5555_5555 ];
+  Alcotest.(check int) "t = 2^51: two draws" (2 * d)
+    (snd (Mc.sample_lanes ~state ~threshold:(1 lsl 51)) - state);
+  (* The extreme thresholds run the full 53-plane comparison without
+     error: a lane fires (or stays silent) with probability 2^-53. *)
+  let counts, _ = lane_counts ~state ~threshold:1 ~words:10_000 in
+  Alcotest.(check int) "t = 1 never fires" 0 (Array.fold_left ( + ) 0 counts);
+  let counts, _ = lane_counts ~state ~threshold:(two53 - 1) ~words:10_000 in
+  Alcotest.(check int) "t = 2^53 - 1 always fires"
+    (10_000 * Program.word_bits)
+    (Array.fold_left ( + ) 0 counts)
+
+(* One-event trees through the whole engine (an unrated event, p = 0,
+   is "unrated tree degenerates"): a certain event always fires, and
+   p = 0.5 lands within binomial bounds. *)
+let test_one_event_marginals () =
+  let one ?rate mission_hours =
+    Mc.run
+      {
+        Mc.default with
+        Mc.mission_hours;
+        trials = Some (8 * Mc.trials_per_replicate);
+        exact = Mc.Skip;
+      }
+      (Fta.Fault_tree.or_ "top" [ b ?rate "x" ])
+  in
+  Alcotest.(check (float 0.0)) "p = 1 always fires" 1.0
+    (one ~rate:1.0e9 1.0e6).Mc.top_probability;
+  (* 1,000 FIT for ln 2 / 1e-6 hours: p = 1 - exp(-ln 2) = 0.5 *)
+  let r = one ~rate:1000.0 (Float.log 2.0 *. 1.0e6) in
+  let hits = int_of_float (r.Mc.top_probability *. float_of_int r.Mc.trials) in
+  Alcotest.(check bool)
+    (Printf.sprintf "p = 0.5: %d of %d" hits r.Mc.trials)
+    true
+    (within_binomial ~n:r.Mc.trials ~p:0.5 hits)
+
+(* Over 200 fixed seeds per tree and scheme, the reported 99% interval
+   must cover the BDD-exact value about 99% of the time, and the
+   standardised errors must look standard normal: a biased sampler
+   shifts their mean, a miscalibrated interval their spread.  The seeds
+   are fixed, so the check is deterministic; the bounds sit at ~4
+   standard errors of each statistic for a correct sampler (at most 8
+   misses of 200: the binomial tail beyond is ~2e-4).  The spread's
+   lower bound leaves room for the stratified interval, which pools the
+   two strata's variance and so runs wide (spread ~0.89 on the 2oo3
+   tree over 3,000 seeds). *)
+let test_interval_coverage () =
+  let seeds = 200 in
+  let trees =
+    [
+      ( "2oo3 + common cause",
+        1.0e7,
+        Fta.Fault_tree.or_ "top"
+          [
+            Fta.Fault_tree.koon "vote" ~k:2
+              [ b ~rate:40.0 "ch1"; b ~rate:55.0 "ch2"; b ~rate:70.0 "ch3" ];
+            b ~rate:5.0 "cc";
+          ] );
+      (* probabilities 0.005..0.08: importance sampling tilts them all *)
+      ( "two pairs + single",
+        1.0e6,
+        Fta.Fault_tree.or_ "top"
+          [
+            Fta.Fault_tree.and_ "p1" [ b ~rate:30.0 "a"; b ~rate:60.0 "b" ];
+            Fta.Fault_tree.and_ "p2" [ b ~rate:45.0 "c"; b ~rate:80.0 "d" ];
+            b ~rate:5.0 "e";
+          ] );
+    ]
+  in
+  List.iter
+    (fun sampling ->
+      List.iter
+        (fun (name, mission_hours, tree) ->
+          let exact =
+            Fta.Quant.top_probability_exact tree
+              (Fta.Quant.event_probabilities ~mission_hours tree)
+          in
+          let zs =
+            List.init seeds (fun i ->
+                let r =
+                  Mc.run ~jobs:1
+                    {
+                      Mc.default with
+                      Mc.mission_hours;
+                      sampling;
+                      seed = i + 1;
+                      trials = Some (4 * Mc.trials_per_replicate);
+                      exact = Mc.Skip;
+                    }
+                    tree
+                in
+                (r.Mc.top_probability -. exact)
+                /. (r.Mc.halfwidth /. Stat.z99))
+          in
+          let n = float_of_int seeds in
+          let misses =
+            List.length (List.filter (fun z -> Float.abs z > Stat.z99) zs)
+          in
+          let mean = List.fold_left ( +. ) 0.0 zs /. n in
+          let sd =
+            sqrt
+              (List.fold_left
+                 (fun a z -> a +. ((z -. mean) *. (z -. mean)))
+                 0.0 zs
+              /. (n -. 1.0))
+          in
+          let label =
+            Printf.sprintf "%s, %s: %d/%d covered, z mean %.3f sd %.3f"
+              (Mc.sampling_to_string sampling)
+              name (seeds - misses) seeds mean sd
+          in
+          Alcotest.(check bool) label true
+            (misses <= 8 && Float.abs mean <= 0.3 && sd >= 0.7 && sd <= 1.2))
+        trees)
+    [ Mc.Direct; Mc.Importance; Mc.Stratified ]
+
 (* ---------- mc: rare events ---------- *)
 
 let rare_tree =
@@ -320,6 +505,64 @@ let test_rel_precision_stopping () =
   Alcotest.(check bool) "did not blow the trial cap" true
     (r.Mc.trials <= Mc.default.Mc.max_trials)
 
+(* [max_trials] is a hard cap even when it is not a multiple of the
+   replicate size: the last doubling round rounds down, to an even
+   count under stratified sampling. *)
+let test_max_trials_hard_cap () =
+  let t = Fta.Fault_tree.or_ "top" [ b ~rate:50.0 "a"; b ~rate:80.0 "b" ] in
+  let max_trials = (11 * Mc.trials_per_replicate) + 5_000 in
+  List.iter
+    (fun (sampling, replicates) ->
+      let r =
+        Mc.run
+          {
+            Mc.default with
+            Mc.mission_hours;
+            sampling;
+            rel_precision = Some 1e-9;
+            max_trials;
+            exact = Mc.Skip;
+          }
+          t
+      in
+      let label = Mc.sampling_to_string sampling in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %d trials <= max_trials %d" label r.Mc.trials
+           max_trials)
+        true
+        (r.Mc.trials <= max_trials);
+      Alcotest.(check int) (label ^ ": stopped at the cap")
+        (replicates * Mc.trials_per_replicate)
+        r.Mc.trials)
+    [ (Mc.Direct, 11); (Mc.Importance, 11); (Mc.Stratified, 10) ]
+
+let test_budget_validation () =
+  let t = Fta.Fault_tree.or_ "top" [ b ~rate:50.0 "a"; b ~rate:80.0 "b" ] in
+  let rejects label config =
+    match Mc.run { config with Mc.exact = Mc.Skip } t with
+    | exception Invalid_argument _ -> ()
+    | r ->
+        Alcotest.failf "%s: ran %d trials instead of failing" label r.Mc.trials
+  in
+  rejects "trials 0" { Mc.default with Mc.trials = Some 0 };
+  rejects "negative trials" { Mc.default with Mc.trials = Some (-8064) };
+  rejects "rel-precision 0" { Mc.default with Mc.rel_precision = Some 0.0 };
+  rejects "negative rel-precision"
+    { Mc.default with Mc.rel_precision = Some (-0.1) };
+  rejects "nan rel-precision" { Mc.default with Mc.rel_precision = Some nan };
+  rejects "both budgets"
+    { Mc.default with Mc.trials = Some 100_000; rel_precision = Some 0.1 };
+  rejects "max_trials below the first round"
+    { Mc.default with Mc.rel_precision = Some 0.1; max_trials = 1_000 };
+  rejects "stratified: max_trials below the first two replicates"
+    {
+      Mc.default with
+      Mc.mission_hours;
+      sampling = Mc.Stratified;
+      rel_precision = Some 0.1;
+      max_trials = Mc.trials_per_replicate;
+    }
+
 let test_report_contents () =
   let t =
     Fta.Fault_tree.or_ "top" [ b ~rate:100.0 "hot"; b ~rate:1.0 "cold" ]
@@ -371,12 +614,23 @@ let suite =
       test_fixed_seed_ci_covers_exact;
     Alcotest.test_case "determinism across jobs" `Quick
       test_determinism_across_jobs;
+    Alcotest.test_case "sampler: per-lane marginals" `Quick
+      test_sampler_marginals;
+    Alcotest.test_case "sampler: thresholds at the edges" `Quick
+      test_sampler_edges;
+    Alcotest.test_case "sampler: one-event trees" `Quick
+      test_one_event_marginals;
+    Alcotest.test_case "99% interval coverage over 200 seeds" `Slow
+      test_interval_coverage;
     Alcotest.test_case "importance sampling on a rare event" `Quick
       test_importance_rare_event;
     Alcotest.test_case "stratified matches exact" `Quick
       test_stratified_matches_exact;
     Alcotest.test_case "rel-precision stopping rule" `Quick
       test_rel_precision_stopping;
+    Alcotest.test_case "max_trials is a hard cap" `Quick
+      test_max_trials_hard_cap;
+    Alcotest.test_case "budget validation" `Quick test_budget_validation;
     Alcotest.test_case "report contents" `Quick test_report_contents;
     Alcotest.test_case "unrated tree degenerates" `Quick
       test_unrated_tree_degenerates;

@@ -244,14 +244,38 @@ let test_search_golden () =
         [ "fmeda"; "optimize" ])
 
 let test_error_handling () =
-  with_fixture (fun ~bin ~dir ~bd:_ ->
+  with_fixture (fun ~bin ~dir ~bd ->
       (* Malformed diagram: non-zero exit, no crash. *)
       let bad = Filename.concat dir "bad.bd" in
       let oc = open_out bad in
       output_string oc "diagram oops {";
       close_out oc;
       Alcotest.(check bool) "parse error reported" true
-        (run (Printf.sprintf "%s fmea %s" bin (Filename.quote bad)) <> 0))
+        (run (Printf.sprintf "%s fmea %s" bin (Filename.quote bad)) <> 0);
+      (* Assessment budgets that would silently run something else (a
+         default 8,064 trials, the 200M cap, one budget ignored) are
+         errors. *)
+      let err = Filename.concat dir "assess.err" in
+      List.iter
+        (fun (args, message) ->
+          let code =
+            Sys.command
+              (Printf.sprintf "%s assess %s %s >/dev/null 2>%s" bin bd args
+                 (Filename.quote err))
+          in
+          Alcotest.(check int) (args ^ ": exit 1") 1 code;
+          Alcotest.(check string) (args ^ ": message")
+            ("error: assess: " ^ message ^ "\n")
+            (In_channel.with_open_bin err In_channel.input_all))
+        [
+          ("--trials 0", "trials must be positive (got 0)");
+          ("--rel-precision 0", "relative precision must be positive (got 0)");
+          ( "--rel-precision=-0.5",
+            "relative precision must be positive (got -0.5)" );
+          ( "--trials 100000 --rel-precision 0.01",
+            "a fixed trial budget (100000) and a relative precision (0.01) \
+             are mutually exclusive" );
+        ])
 
 let suite =
   [

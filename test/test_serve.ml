@@ -296,6 +296,50 @@ let test_server_fta_engine_param () =
             (member_str "output" reply))
         [ "mocus"; "bdd " ]
 
+(* Assessment budgets are validated where the CLI's are, in
+   [Assess.Mc.run]: a bad budget is an error reply, while an empty
+   parameter (how the CLI sends an absent flag) still means absent. *)
+let test_server_assess_budgets () =
+  let diagram =
+    In_channel.with_open_bin "../examples/models/psu.bd" In_channel.input_all
+  in
+  let assess params =
+    Serve.Protocol.Analyse
+      {
+        Serve.Protocol.a_analysis = Serve.Protocol.Assess;
+        a_diagram = diagram;
+        a_reliability = None;
+        a_sm = None;
+        a_params = params;
+      }
+  in
+  with_server @@ fun _server socket ->
+  match Serve.Client.connect socket with
+  | Error m -> Alcotest.fail m
+  | Ok client ->
+      Fun.protect ~finally:(fun () -> Serve.Client.close client) @@ fun () ->
+      let ok =
+        rpc client (assess [ ("trials", "8064"); ("rel_precision", "") ])
+      in
+      Alcotest.(check int) "empty rel_precision is absent" 0
+        (member_num "exit" ok);
+      List.iter
+        (fun (params, message) ->
+          let reply = rpc client (assess params) in
+          Alcotest.(check int) (message ^ ": exit 1") 1
+            (member_num "exit" reply);
+          Alcotest.(check string) message
+            ("error: assess: " ^ message ^ "\n")
+            (member_str "output" reply))
+        [
+          ([ ("trials", "0") ], "trials must be positive (got 0)");
+          ( [ ("trials", ""); ("rel_precision", "0") ],
+            "relative precision must be positive (got 0)" );
+          ( [ ("trials", "8064"); ("rel_precision", "0.1") ],
+            "a fixed trial budget (8064) and a relative precision (0.1) are \
+             mutually exclusive" );
+        ]
+
 (* The daemon's fmeda reply is byte for byte what `same fmeda` prints
    for the same model and parameters. *)
 let test_server_fmeda_equals_cli () =
@@ -440,6 +484,8 @@ let suite =
       test_server_incremental_session;
     Alcotest.test_case "server: fta engine parameter" `Quick
       test_server_fta_engine_param;
+    Alcotest.test_case "server: assess budgets validated" `Quick
+      test_server_assess_budgets;
     Alcotest.test_case "server: fmeda reply = CLI stdout" `Quick
       test_server_fmeda_equals_cli;
   ]
