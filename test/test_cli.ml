@@ -225,23 +225,27 @@ let test_fta_engines_agree () =
       Alcotest.(check bool) "--engine mocus is rejected" true
         (run (Printf.sprintf "%s fta %s --engine mocus" bin rails) <> 0))
 
-(* Step 4b on the Fig. 11 PSU, pinned byte for byte: the FMEDA with its
-   verdict and deployment, and the ten-point Pareto front. *)
+(* The Fig. 11 PSU, pinned byte for byte: the injection FMEA table, and
+   step 4b's FMEDA with its verdict and deployment and the ten-point
+   Pareto front. *)
 let test_search_golden () =
   with_fixture (fun ~bin ~dir ~bd:_ ->
       List.iter
-        (fun command ->
+        (fun (command, args) ->
           let out = Filename.concat dir (command ^ ".txt") in
           Alcotest.(check int) (command ^ " exits 0") 0
             (Sys.command
-               (Printf.sprintf
-                  "%s %s ../examples/models/psu.bd -e DC1 -t ASIL-B > %s" bin
-                  command (Filename.quote out)));
+               (Printf.sprintf "%s %s ../examples/models/psu.bd %s > %s" bin
+                  command args (Filename.quote out)));
           let golden = Printf.sprintf "golden/psu_%s.txt" command in
           Alcotest.(check string)
             (command ^ " output = " ^ golden)
             (read_file golden) (read_file out))
-        [ "fmeda"; "optimize" ])
+        [
+          ("fmea", "-e DC1");
+          ("fmeda", "-e DC1 -t ASIL-B");
+          ("optimize", "-e DC1 -t ASIL-B");
+        ])
 
 let test_error_handling () =
   with_fixture (fun ~bin ~dir ~bd ->

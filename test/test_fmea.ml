@@ -455,6 +455,31 @@ let test_solver_sparse_backend_table () =
   in
   Alcotest.(check bool) "tables equal" true (Fmea.Table.equal dense sparse)
 
+(* ---------- Pinned injection-FMEA tables ----------
+
+   Byte-for-byte CSV goldens of two injection FMEAs whose numbers come
+   straight from the DC solver: System B (12 MNA unknowns), and a
+   generated 80-section ladder (92 unknowns). *)
+
+let check_csv_golden file table =
+  Alcotest.(check string) ("table = golden/" ^ file)
+    (In_channel.with_open_bin ("golden/" ^ file) In_channel.input_all)
+    (Modelio.Csv.to_string (Fmea.Table.to_csv table))
+
+let test_system_b_golden () =
+  check_csv_golden "system_b_fmea.csv"
+    (Decisive.Systems.automated_fmea Decisive.Systems.system_b)
+
+let test_ladder_golden () =
+  let nl = Circuit.Generator.ladder ~sections:80 in
+  Alcotest.(check int) "unknowns" 92 (Circuit.Dc.size (Circuit.Dc.prepare nl));
+  let options =
+    { Fmea.Injection_fmea.default_options with exclude = [ "VIN" ] }
+  in
+  check_csv_golden "ladder80_fmea.csv"
+    (Fmea.Injection_fmea.analyse ~options nl
+       Reliability.Reliability_model.synthetic_catalogue)
+
 (* ---------- FMEDA / Metrics / Asil ---------- *)
 
 let test_fmeda_best_coverage_wins () =
@@ -609,6 +634,8 @@ let suite =
       test_solver_reuse_matches_refactor;
     Alcotest.test_case "solver sparse backend table" `Quick
       test_solver_sparse_backend_table;
+    Alcotest.test_case "System B table golden" `Quick test_system_b_golden;
+    Alcotest.test_case "ladder table golden" `Quick test_ladder_golden;
     Alcotest.test_case "fmeda best coverage wins" `Quick test_fmeda_best_coverage_wins;
     Alcotest.test_case "fmeda unmatched ignored" `Quick test_fmeda_unmatched_ignored;
     Alcotest.test_case "metrics no SR hardware" `Quick test_metrics_no_sr_hardware;
