@@ -1848,10 +1848,9 @@ let coverage_cmd =
 (* same scale *)
 
 let scale_cmd =
-  (* --analysis path-fmea: Algorithm 1 on synthetic block diagrams with
-     closed-form path counts (diamond chain for --topology ladder, block
-     grid for --topology grid) — dominator classification timed against
-     the enumeration reference wherever the latter can run at all. *)
+  (* --analysis path-fmea: Algorithm 1's dominator classification on
+     synthetic block diagrams with closed-form path counts (diamond chain
+     for --topology ladder, block grid for --topology grid). *)
   let run_path_fmea n topology =
     let sys, paths =
       match topology with
@@ -1878,20 +1877,6 @@ let scale_cmd =
     let sr = Fmea.Table.safety_related_components table in
     Printf.printf "dominator classification: %d single points in %.3f ms\n"
       (List.length sr) (1000.0 *. t_dom);
-    if paths <= Fmea.Path_fmea.max_paths then begin
-      let reference, t_enum =
-        timed (fun () -> Fmea.Path_fmea.analyse_enumerated sys)
-      in
-      Printf.printf
-        "path enumeration:         %.3f ms (speedup %.1fx, identical %b)\n"
-        (1000.0 *. t_enum) (t_enum /. t_dom)
-        (Fmea.Table.equal table reference)
-    end
-    else
-      Printf.printf
-        "path enumeration:         N/A (%d paths exceed the %d cap; the \
-         dominator answer is still exact)\n"
-        paths Fmea.Path_fmea.max_paths;
     0
   in
   (* --analysis batch-fmea: the fleet workload — N PSU design variants
@@ -1961,13 +1946,10 @@ let scale_cmd =
           Circuit.Generator.grid ~rows:side ~cols:side
     in
     let p = Circuit.Dc.prepare nl in
-    Printf.printf "netlist %s: %d elements, %d unknowns, backend %s\n"
+    Printf.printf "netlist %s: %d elements, %d unknowns\n"
       (Circuit.Netlist.name nl)
       (Circuit.Netlist.element_count nl)
-      (Circuit.Dc.size p)
-      (match Circuit.Dc.backend_used p with
-      | `Sparse -> "sparse"
-      | `Dense -> "dense");
+      (Circuit.Dc.size p);
     let timed f =
       let t0 = Unix.gettimeofday () in
       let r = f () in
@@ -1979,7 +1961,8 @@ let scale_cmd =
         1
     | Ok g, t_factor ->
         Printf.printf "golden factorisation: %.1f ms\n" (1000.0 *. t_factor);
-        (* A handful of representative injections, fast vs dense. *)
+        (* A handful of representative injections: the low-rank re-solve
+           against a fresh analysis of the faulted netlist. *)
         let cases =
           List.filter_map
             (fun (e : Circuit.Element.t) ->
@@ -1991,20 +1974,20 @@ let scale_cmd =
         in
         let stride = max 1 (List.length cases / 12) in
         let cases = List.filteri (fun i _ -> i mod stride = 0) cases in
-        let max_dev = ref 0.0 and t_fast = ref 0.0 and t_dense = ref 0.0 in
+        let max_dev = ref 0.0 and t_fast = ref 0.0 and t_fresh = ref 0.0 in
         List.iter
           (fun (id, fault) ->
             let fast, tf =
               timed (fun () -> Circuit.Dc.inject g ~element_id:id fault)
             in
-            let dense, td =
+            let fresh, tr =
               timed (fun () ->
-                  Circuit.Dc.analyse ~backend:`Dense
+                  Circuit.Dc.analyse
                     (Circuit.Fault.inject nl ~element_id:id fault))
             in
             t_fast := !t_fast +. tf;
-            t_dense := !t_dense +. td;
-            match (fast, dense) with
+            t_fresh := !t_fresh +. tr;
+            match (fast, fresh) with
             | Ok sf, Ok sd ->
                 List.iter2
                   (fun (_, a) (_, b) ->
@@ -2015,20 +1998,31 @@ let scale_cmd =
           cases;
         let n_cases = float_of_int (List.length cases) in
         Printf.printf
-          "%d injections: low-rank re-solve %.3f ms/inj, dense refactorise \
-           %.1f ms/inj (speedup %.1fx)\n"
+          "%d injections: low-rank re-solve %.3f ms/inj, fresh analysis \
+           %.3f ms/inj (speedup %.1fx)\n"
           (List.length cases)
           (1000.0 *. !t_fast /. n_cases)
-          (1000.0 *. !t_dense /. n_cases)
-          (!t_dense /. !t_fast);
+          (1000.0 *. !t_fresh /. n_cases)
+          (!t_fresh /. !t_fast);
         Printf.printf "max sensor-reading deviation: %.3g\n" !max_dev;
         0
   in
+  let positive_int =
+    let parse s =
+      match int_of_string_opt s with
+      | Some n when n >= 1 -> Ok n
+      | Some n -> Error (`Msg (Printf.sprintf "N must be at least 1 (got %d)" n))
+      | None -> Error (`Msg (Printf.sprintf "invalid integer %S" s))
+    in
+    Arg.conv (parse, Format.pp_print_int)
+  in
   let n_arg =
     Arg.(
-      value & opt int 512
+      value & opt positive_int 512
       & info [ "n" ] ~docv:"N"
-          ~doc:"Scale parameter: ladder sections, or grid node count.")
+          ~doc:
+            "Scale parameter, at least 1: ladder sections, or grid node \
+             count.")
   in
   let topology_arg =
     Arg.(

@@ -40,9 +40,9 @@ let () =
       ~meta:(Ssam.Base.meta ~name:"pll-model" "model:pll")
       ()
   in
-  let issues = Ssam.Validate.check model in
-  Format.printf "validation: %d issue(s)@." (List.length issues);
-  List.iter (fun i -> Format.printf "  %a@." Ssam.Validate.pp_issue i) issues;
+  let findings = Ssam.Validate.findings model in
+  Format.printf "validation: %d finding(s)@." (List.length findings);
+  List.iter (fun f -> Format.printf "  %a@." Ssam.Validate.pp_finding f) findings;
 
   (* What would it take to push this PLL to ASIL-D?  Ask the optimiser. *)
   let chosen, front =

@@ -51,35 +51,20 @@ let diode_conductance (p : Element.diode_params) v =
    companion entries, instead of re-walking the element list with
    hashtable lookups per rebuild.
 
-   The base system is assembled in triplet form and then lowered to
-   either a dense matrix (small systems — the O(n³) constant is tiny and
-   cache-friendly) or CSR with a cached minimum-degree ordering (large
-   systems, where dense factorisation is almost entirely wasted work on
-   structural zeros).  Diode companion stamps get explicit zero triplets
-   so the sparse pattern — and therefore the cached ordering and the
-   per-diode value indices — is stable across Newton iterations. *)
-
-type backend = [ `Auto | `Dense | `Sparse ]
-
-(* Above this many unknowns the sparse path wins even for one-shot
-   solves; below it the dense kernel's low constant dominates. *)
-let sparse_threshold = 128
-
-type base =
-  | Dense_base of Numeric.Matrix.t
-  | Sparse_base of {
-      s_a : Numeric.Sparse.t;
-      s_order : int array; (* cached fill-reducing ordering *)
-      (* Per diode, the CSR value positions of its four companion stamps
-         as (value index, ±1) — filled per Newton iteration. *)
-      s_diode_pos : (int * float) array array;
-    }
+   The base system is assembled in triplet form and compressed to CSR,
+   with a cached minimum-degree ordering: a two-terminal element touches
+   at most four entries, so dense factorisation would be almost entirely
+   wasted work on structural zeros.  Diode companion stamps get explicit
+   zero triplets so the sparse pattern — and therefore the cached
+   ordering and the per-diode value indices — is stable across Newton
+   iterations. *)
 
 type prepared = {
   elements : Element.t array;
   node_names : string list;
   n_nodes : int;
   size : int;
+  gmin : float;
   (* Per-element resolved unknown indices: None = ground. *)
   el_a : int option array;
   el_b : int option array;
@@ -87,18 +72,21 @@ type prepared = {
   el_branch : int array;
   (* Diodes as (element index, params); restamped each iteration. *)
   diodes : (int * Element.diode_params) array;
-  base : base;
+  base_a : Numeric.Sparse.t;
+  order : int array; (* cached fill-reducing ordering *)
+  (* Per diode, the CSR value positions of its four companion stamps as
+     (value index, ±1) — filled per Newton iteration. *)
+  diode_pos : (int * float) array array;
   base_b : float array;
 }
 
 let size p = p.size
 
-let backend_used p =
-  match p.base with Dense_base _ -> `Dense | Sparse_base _ -> `Sparse
+let backend_used _ = `Sparse
 
-let prepare ?(gmin = 1e-9) ?(backend = `Auto) netlist =
-  let elements = Array.of_list (Netlist.elements netlist) in
-  let node_names = Netlist.nodes netlist in
+(* [node_names] fixes the unknown numbering, so a faulted copy of the
+   element array prepares onto the same unknowns as the golden one. *)
+let prepare_elements ~gmin ~node_names elements =
   let node_index = Hashtbl.create 16 in
   List.iteri (fun i n -> Hashtbl.add node_index n i) node_names;
   let n_nodes = List.length node_names in
@@ -176,59 +164,46 @@ let prepare ?(gmin = 1e-9) ?(backend = `Auto) netlist =
   done;
   let diodes = Array.of_list (List.rev !diodes) in
   let sa = Numeric.Sparse.compress trip in
-  let chosen =
-    match backend with
-    | `Dense -> `Dense
-    | `Sparse -> `Sparse
-    | `Auto -> if size >= sparse_threshold then `Sparse else `Dense
+  let pos i j =
+    match Numeric.Sparse.index sa i j with
+    | Some p -> p
+    | None -> assert false (* reserved above *)
   in
-  let base =
-    match chosen with
-    | `Dense -> Dense_base (Numeric.Sparse.to_dense sa)
-    | `Sparse ->
-        let pos i j =
-          match Numeric.Sparse.index sa i j with
-          | Some p -> p
-          | None -> assert false (* reserved above *)
-        in
-        let s_diode_pos =
-          Array.map
-            (fun (idx, _) ->
-              let ia = el_a.(idx) and ib = el_b.(idx) in
-              let entries = ref [] in
-              (match ia with
-              | Some i -> entries := (pos i i, 1.0) :: !entries
-              | None -> ());
-              (match ib with
-              | Some j -> entries := (pos j j, 1.0) :: !entries
-              | None -> ());
-              (match (ia, ib) with
-              | Some i, Some j ->
-                  entries := (pos i j, -1.0) :: (pos j i, -1.0) :: !entries
-              | _ -> ());
-              Array.of_list !entries)
-            diodes
-        in
-        Sparse_base { s_a = sa; s_order = Numeric.Sparse.min_degree_order sa; s_diode_pos }
+  let diode_pos =
+    Array.map
+      (fun (idx, _) ->
+        let ia = el_a.(idx) and ib = el_b.(idx) in
+        let entries = ref [] in
+        (match ia with Some i -> entries := (pos i i, 1.0) :: !entries | None -> ());
+        (match ib with Some j -> entries := (pos j j, 1.0) :: !entries | None -> ());
+        (match (ia, ib) with
+        | Some i, Some j ->
+            entries := (pos i j, -1.0) :: (pos j i, -1.0) :: !entries
+        | _ -> ());
+        Array.of_list !entries)
+      diodes
   in
   {
     elements;
     node_names;
     n_nodes;
     size;
+    gmin;
     el_a;
     el_b;
     el_branch;
     diodes;
-    base;
+    base_a = sa;
+    order = Numeric.Sparse.min_degree_order sa;
+    diode_pos;
     base_b = b;
   }
 
-(* ---------- assembly and raw solves ---------- *)
+let prepare ?(gmin = 1e-9) netlist =
+  prepare_elements ~gmin ~node_names:(Netlist.nodes netlist)
+    (Array.of_list (Netlist.elements netlist))
 
-type assembled =
-  | A_dense of Numeric.Matrix.t
-  | A_sparse of Numeric.Sparse.t
+(* ---------- assembly and raw solves ---------- *)
 
 let node_v v_guess = function Some i -> v_guess.(i) | None -> 0.0
 
@@ -244,85 +219,38 @@ let diode_companion p v_guess idx (prm : Element.diode_params) =
    the base arrays directly; circuits with diodes copy and restamp only
    the companion entries. *)
 let assemble p v_guess =
-  if Array.length p.diodes = 0 then
-    ( (match p.base with
-      | Dense_base a -> A_dense a
-      | Sparse_base { s_a; _ } -> A_sparse s_a),
-      p.base_b )
+  if Array.length p.diodes = 0 then (p.base_a, p.base_b)
   else begin
+    let a = Numeric.Sparse.copy p.base_a in
     let b = Array.copy p.base_b in
-    let stamp_rhs idx i_eq =
-      (match p.el_a.(idx) with
-      | Some i -> b.(i) <- b.(i) -. i_eq
-      | None -> ());
-      match p.el_b.(idx) with
-      | Some j -> b.(j) <- b.(j) +. i_eq
-      | None -> ()
-    in
-    let a =
-      match p.base with
-      | Dense_base base_a ->
-          let a = Numeric.Matrix.copy base_a in
-          Array.iter
-            (fun (idx, prm) ->
-              let g, i_eq = diode_companion p v_guess idx prm in
-              let ia = p.el_a.(idx) and ib = p.el_b.(idx) in
-              (match ia with
-              | Some i -> Numeric.Matrix.add_to a i i g
-              | None -> ());
-              (match ib with
-              | Some j -> Numeric.Matrix.add_to a j j g
-              | None -> ());
-              (match (ia, ib) with
-              | Some i, Some j ->
-                  Numeric.Matrix.add_to a i j (-.g);
-                  Numeric.Matrix.add_to a j i (-.g)
-              | _ -> ());
-              stamp_rhs idx i_eq)
-            p.diodes;
-          A_dense a
-      | Sparse_base { s_a; s_diode_pos; _ } ->
-          let a = Numeric.Sparse.copy s_a in
-          Array.iteri
-            (fun di (idx, prm) ->
-              let g, i_eq = diode_companion p v_guess idx prm in
-              Array.iter
-                (fun (vi, sign) -> Numeric.Sparse.add_to_value a vi (sign *. g))
-                s_diode_pos.(di);
-              stamp_rhs idx i_eq)
-            p.diodes;
-          A_sparse a
-    in
+    Array.iteri
+      (fun di (idx, prm) ->
+        let g, i_eq = diode_companion p v_guess idx prm in
+        Array.iter
+          (fun (vi, sign) -> Numeric.Sparse.add_to_value a vi (sign *. g))
+          p.diode_pos.(di);
+        (match p.el_a.(idx) with Some i -> b.(i) <- b.(i) -. i_eq | None -> ());
+        match p.el_b.(idx) with Some j -> b.(j) <- b.(j) +. i_eq | None -> ())
+      p.diodes;
     (a, b)
   end
 
+(* [Lu.Singular] carries the original column, i.e. the unknown. *)
 let singular_error k =
   Singular_system (Printf.sprintf "pivot failure at unknown %d" k)
 
-let solve_assembled p a b =
-  match a with
-  | A_dense m -> (
-      (* [Lu.solve] copies its inputs, so the base system survives. *)
-      match Numeric.Lu.solve m b with
-      | x -> Ok x
-      | exception Numeric.Lu.Singular k -> Error (singular_error k))
-  | A_sparse s -> (
-      let order =
-        match p.base with
-        | Sparse_base { s_order; _ } -> s_order
-        | Dense_base _ -> assert false
-      in
-      match Numeric.Sparse.solve ~order s b with
-      | x -> Ok x
-      | exception Numeric.Lu.Singular k -> Error (singular_error k))
+let factor p a =
+  match Numeric.Sparse.decompose ~order:p.order a with
+  | f -> Ok f
+  | exception Numeric.Lu.Singular k -> Error (singular_error k)
 
 (* ---------- Newton iteration ---------- *)
 
 let reltol = 1e-6
 let vntol = 1e-6
 
-(* Generic damped Newton driver shared by the prepared solve (dense or
-   sparse base) and the golden-factor injection re-solve.  [solve_once]
+(* Generic damped Newton driver shared by the prepared solve and the
+   golden-factor injection re-solve.  [solve_once]
    produces the next iterate from the current guess. *)
 let newton_loop ~max_iterations ~max_step ~n_nodes solve_once guess0 =
   let rec go v_guess iter =
@@ -357,7 +285,7 @@ let newton_loop ~max_iterations ~max_step ~n_nodes solve_once guess0 =
 let solve_raw ?(max_iterations = 200) ?(max_step_param = 0.5) p =
   let solve_once v_guess =
     let a, b = assemble p v_guess in
-    solve_assembled p a b
+    Result.map (fun f -> Numeric.Sparse.solve_factored f b) (factor p a)
   in
   if Array.length p.diodes = 0 then solve_once [||]
   else
@@ -413,8 +341,8 @@ let solve ?max_iterations ?max_step_param p =
   | Error _ as e -> e
   | Ok x -> Ok (extract p p.elements x)
 
-let analyse ?gmin ?backend ?max_iterations ?max_step_param netlist =
-  solve ?max_iterations ?max_step_param (prepare ?gmin ?backend netlist)
+let analyse ?gmin ?max_iterations ?max_step_param netlist =
+  solve ?max_iterations ?max_step_param (prepare ?gmin netlist)
 
 (* ---------- golden factorisation and low-rank fault re-solve ----------
 
@@ -426,14 +354,10 @@ let analyse ?gmin ?backend ?max_iterations ?max_step_param netlist =
    Sherman–Morrison–Woodbury against the existing factors, instead of
    assembling and factorising a faulted system from scratch. *)
 
-type factors_v =
-  | F_dense of Numeric.Lu.factors
-  | F_sparse of Numeric.Sparse.factors
-
 type golden = {
   g_p : prepared;
-  g_a : assembled; (* final op-point matrix, for refinement residuals *)
-  g_fact : factors_v;
+  g_a : Numeric.Sparse.t; (* final op-point matrix, for refinement residuals *)
+  g_fact : Numeric.Sparse.factors;
   g_b : float array; (* final op-point RHS, incl. diode companions *)
   g_x : float array;
   g_solution : solution;
@@ -441,16 +365,6 @@ type golden = {
   g_diode_op : (float * float) array;
   g_index : (string, int) Hashtbl.t; (* element id -> index *)
 }
-
-let solve_factored_v f b =
-  match f with
-  | F_dense f -> Numeric.Lu.solve_factored f b
-  | F_sparse f -> Numeric.Sparse.solve_factored f b
-
-let matvec_v a x =
-  match a with
-  | A_dense m -> Numeric.Matrix.mul_vec m x
-  | A_sparse s -> Numeric.Sparse.mul_vec s x
 
 let factorise ?max_iterations ?max_step_param p =
   match solve_raw ?max_iterations ?max_step_param p with
@@ -460,24 +374,10 @@ let factorise ?max_iterations ?max_step_param p =
          factors must correspond exactly to the stamps recorded in
          [g_diode_op], since injection deltas are computed against them. *)
       let a, b = assemble p x_star in
-      let fact_result =
-        try
-          Ok
-            (match a with
-            | A_dense m -> F_dense (Numeric.Lu.decompose m)
-            | A_sparse s ->
-                let order =
-                  match p.base with
-                  | Sparse_base { s_order; _ } -> s_order
-                  | Dense_base _ -> assert false
-                in
-                F_sparse (Numeric.Sparse.decompose ~order s))
-        with Numeric.Lu.Singular k -> Error (singular_error k)
-      in
-      match fact_result with
+      match factor p a with
       | Error err -> Error err
       | Ok fact ->
-          let g_x = solve_factored_v fact b in
+          let g_x = Numeric.Sparse.solve_factored fact b in
           let g_diode_op =
             Array.map
               (fun (idx, prm) -> diode_companion p x_star idx prm)
@@ -501,10 +401,19 @@ let factorise ?max_iterations ?max_step_param p =
 
 let golden_solution g = g.g_solution
 
-let smw_singular_error element_id fault =
-  Singular_system
-    (Printf.sprintf "fault %s on %s makes the system singular"
-       (Fault.to_string fault) element_id)
+(* A singular low-rank update is reported the way a full re-analysis of
+   the faulted netlist reports it — naming the unknown that lost its
+   pivot — whenever that re-analysis finds the system singular too. *)
+let smw_singular_error p faulted_elements element_id fault =
+  match
+    solve_raw
+      (prepare_elements ~gmin:p.gmin ~node_names:p.node_names faulted_elements)
+  with
+  | Error (Singular_system _ as e) -> e
+  | Ok _ | Error (No_convergence _) ->
+      Singular_system
+        (Printf.sprintf "fault %s on %s makes the system singular"
+           (Fault.to_string fault) element_id)
 
 let inject ?(max_iterations = 200) ?(max_step_param = 0.5)
     ?(on_path = fun _ -> ()) g ~element_id fault =
@@ -622,7 +531,7 @@ let inject ?(max_iterations = 200) ?(max_step_param = 0.5)
   end
   else begin
     let n = p.size in
-    let base_solve b = solve_factored_v g.g_fact b in
+    let base_solve b = Numeric.Sparse.solve_factored g.g_fact b in
     let b_fault = Array.copy g.g_b in
     List.iter (fun (i, d) -> b_fault.(i) <- b_fault.(i) +. d) !rhs;
     (* Diodes other than the faulted element stay active: their golden
@@ -646,10 +555,10 @@ let inject ?(max_iterations = 200) ?(max_step_param = 0.5)
          otherwise cost a few digits). *)
       match Numeric.Smw.prepare ~n ~solve:base_solve ~u:fu ~v:fv with
       | exception Numeric.Lu.Singular _ ->
-          Error (smw_singular_error element_id fault)
+          Error (smw_singular_error p faulted_elements element_id fault)
       | smw ->
           let x = Numeric.Smw.solve smw b_fault in
-          let ax = matvec_v g.g_a x in
+          let ax = Numeric.Sparse.mul_vec g.g_a x in
           let uvx = Numeric.Smw.apply_update smw x in
           let r = Array.init n (fun i -> b_fault.(i) -. ax.(i) -. uvx.(i)) in
           let dx = Numeric.Smw.solve smw r in
@@ -685,7 +594,7 @@ let inject ?(max_iterations = 200) ?(max_step_param = 0.5)
         rank_seen := max !rank_seen (Array.length u);
         match Numeric.Smw.prepare ~n ~solve:base_solve ~u ~v with
         | exception Numeric.Lu.Singular _ ->
-            Error (smw_singular_error element_id fault)
+            Error (smw_singular_error p faulted_elements element_id fault)
         | smw -> Ok (Numeric.Smw.solve smw b)
       in
       match

@@ -2,8 +2,10 @@
 
     Unknowns are the non-ground node voltages plus one branch current per
     voltage-defined element (sources, inductors — DC shorts — and current
-    sensors).  Diodes are solved by damped Newton iteration on the
-    Shockley equation.  A small [gmin] conductance from every node to
+    sensors).  The MNA system is assembled in compressed sparse form and
+    factorised by {!Numeric.Sparse} (minimum-degree ordering,
+    Gilbert–Peierls LU).  Diodes are solved by damped Newton iteration on
+    the Shockley equation.  A small [gmin] conductance from every node to
     ground keeps fault-injected circuits (floating nodes after an "open")
     solvable; the affected readings then collapse towards zero, which is
     exactly the observable the failure-injection FMEA compares. *)
@@ -16,16 +18,12 @@ type error =
 
 val pp_error : Format.formatter -> error -> unit
 
-type backend = [ `Auto | `Dense | `Sparse ]
-(** Linear-algebra backend for the MNA system.  [`Auto] (the default)
-    picks dense below ~128 unknowns — where the dense kernel's low
-    constant wins — and sparse (CSR, minimum-degree ordering,
-    Gilbert–Peierls LU) above, where dense O(n³) factorisation is almost
-    entirely wasted work on structural zeros. *)
-
-val analyse : ?gmin:float -> ?backend:backend -> ?max_iterations:int -> ?max_step_param:float -> Netlist.t -> (solution, error) result
+val analyse : ?gmin:float -> ?max_iterations:int -> ?max_step_param:float -> Netlist.t -> (solution, error) result
 (** Default [gmin] 1e-9 S, [max_iterations] 200.  Equivalent to
-    {!prepare} followed by {!solve}. *)
+    {!prepare} followed by {!solve}.  A singular system is reported as
+    [Singular_system "pivot failure at unknown k"], [k] indexing the
+    unknowns as node voltages (in {!Netlist.nodes} order) then branch
+    currents. *)
 
 (** {1 Prepared solves}
 
@@ -37,19 +35,22 @@ val analyse : ?gmin:float -> ?backend:backend -> ?max_iterations:int -> ?max_ste
     each iteration copies the base matrix/RHS and restamps only the diode
     companion entries, instead of rebuilding the full MNA system from the
     element list.  Linear circuits skip the copy entirely and factor the
-    base system directly.  On the sparse backend the fill-reducing
-    ordering and the diode stamp positions are computed once here and
-    reused by every subsequent factorisation. *)
+    base system directly.  The fill-reducing ordering and the diode stamp
+    positions are computed once here and reused by every subsequent
+    factorisation. *)
 
 type prepared
 
-val prepare : ?gmin:float -> ?backend:backend -> Netlist.t -> prepared
+val prepare : ?gmin:float -> Netlist.t -> prepared
 (** O(elements + nnz) — one element walk and one base-system assembly. *)
 
 val size : prepared -> int
 (** Number of MNA unknowns (node voltages + branch currents). *)
 
 val backend_used : prepared -> [ `Dense | `Sparse ]
+(** Always [`Sparse]: sparse LU is the only MNA backend.  Kept, with its
+    original type, because the benchmark driver in [perfbench/] still
+    compiles against it. *)
 
 val solve : ?max_iterations:int -> ?max_step_param:float -> prepared -> (solution, error) result
 (** A prepared netlist may be solved any number of times; [prepared] is
@@ -62,8 +63,8 @@ val solve : ?max_iterations:int -> ?max_step_param:float -> prepared -> (solutio
     [A + U·Vᵀ] of the golden matrix.  {!factorise} captures the golden
     factorisation once; {!inject} classifies a fault into its low-rank
     delta and re-solves via Sherman–Morrison–Woodbury against the
-    existing factors in O(n²·k) (dense) / O(nnz·k) (sparse) instead of
-    refactorising a freshly assembled faulted system.  Circuits with
+    existing factors in O(nnz·k) instead of refactorising a freshly
+    assembled faulted system.  Circuits with
     diodes warm-start Newton from the golden operating point, each
     iteration adding per-diode [(g(v) − g_op)] rank-1 corrections. *)
 
@@ -93,7 +94,9 @@ val inject :
     [Not_found] for an unknown element and {!Fault.Not_applicable} as
     {!Fault.inject}.  Results match a full re-analysis of the faulted
     netlist to solver tolerance (roundoff for linear circuits, Newton
-    tolerance when diodes are present). *)
+    tolerance when diodes are present).  A fault that makes the system
+    singular is reported as that re-analysis reports it, naming the
+    unknown without a pivot. *)
 
 val node_voltage : solution -> string -> float
 (** 0.0 for ground; raises [Not_found] for unknown nodes. *)

@@ -25,48 +25,11 @@ let surviving_modes explanations =
     (fun e -> match e.verdict with Refuted _ -> None | _ -> Some e.mode)
     explanations
 
-let direct_cut_sets (m : Model.t) explanations =
-  let surviving = surviving_modes explanations in
-  let singles =
-    List.filter_map
-      (fun (md : Model.mode) ->
-        if
-          md.Model.m_loss_like
-          && not (Graph.Bitset.mem m.Model.redundant md.Model.m_node)
-        then Some (Fta.Cut_sets.normalize [ md.Model.m_key ])
-        else None)
-      surviving
-  in
-  (* Loss-like modes of redundant components only break the function in
-     pairs across distinct components. *)
-  let redundant_modes =
-    List.filter
-      (fun (md : Model.mode) ->
-        md.Model.m_loss_like
-        && Graph.Bitset.mem m.Model.redundant md.Model.m_node)
-      surviving
-  in
-  let doubles =
-    List.concat_map
-      (fun (a : Model.mode) ->
-        List.filter_map
-          (fun (b : Model.mode) ->
-            if
-              a.Model.m_index < b.Model.m_index
-              && not (String.equal a.Model.m_component b.Model.m_component)
-            then Some (Fta.Cut_sets.normalize [ a.Model.m_key; b.Model.m_key ])
-            else None)
-          redundant_modes)
-      redundant_modes
-  in
-  let minimal = Fta.Cut_sets.minimize (singles @ doubles) in
-  List.partition (fun cs -> List.length cs = 1) minimal
-
-(* The same combination logic as [direct_cut_sets], but said once as a
-   fault tree: surviving non-redundant loss-like modes are direct
-   disjuncts, redundant components become per-component OR gates under
-   a 2-out-of-N vote (a single redundant channel loss is tolerated;
-   any two distinct redundant components failing are not). *)
+(* The explanations combined as a fault tree: surviving non-redundant
+   loss-like modes are direct disjuncts, redundant components become
+   per-component OR gates under a 2-out-of-N vote (a single redundant
+   channel loss is tolerated; any two distinct redundant components
+   failing are not). *)
 let lowered_fault_tree (m : Model.t) explanations =
   let basic (md : Model.mode) =
     Fta.Fault_tree.basic
@@ -111,7 +74,7 @@ let lowered_fault_tree (m : Model.t) explanations =
 
 (* Production route: read the explanations off the decision diagram of
    the lowered tree — cardinality ≤ 2 minimal critical sets, partitioned
-   by size.  Differentially tested against [direct_cut_sets]. *)
+   by size.  Differentially tested against a direct pair enumeration. *)
 let cut_sets (m : Model.t) explanations =
   match lowered_fault_tree m explanations with
   | None -> ([], [])

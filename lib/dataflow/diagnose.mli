@@ -57,12 +57,6 @@ val lowered_fault_tree :
     off this tree's {!Fta.Bdd} as the cardinality-1/2 minimal critical
     sets. *)
 
-val direct_cut_sets :
-  Model.t -> explanation list -> string list list * string list list
-(** The historical direct combination — explicit pair enumeration plus
-    {!Fta.Cut_sets.minimize} — kept as the differential oracle for the
-    BDD route ([(singles, doubles)], same answers, QCheck-tested). *)
-
 val circuit_verifier :
   ?options:Fmea.Injection_fmea.options ->
   reliability:Reliability.Reliability_model.t ->

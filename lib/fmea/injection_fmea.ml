@@ -17,7 +17,7 @@ let default_options =
 
 type element_types = (string * string) list
 
-type solver = [ `Reuse | `Refactor of Circuit.Dc.backend ]
+type solver = [ `Reuse | `Refactor ]
 
 type solve_path = [ `Reused | `Rank_update of int | `Refactor ]
 
@@ -41,8 +41,6 @@ type prepared = {
   p_netlist : Circuit.Netlist.t;
   (* Some iff the solver is [`Reuse]. *)
   p_factors : Circuit.Dc.golden option;
-  (* The backend forced on per-injection re-analysis under [`Refactor]. *)
-  p_refactor_backend : Circuit.Dc.backend;
   p_golden : Circuit.Dc.solution;
   p_golden_max_current : float;
   p_golden_readings : (string * float) list;  (* monitored, in sensor order *)
@@ -50,15 +48,15 @@ type prepared = {
 
 let prepare ?(options = default_options) ?(solver = `Reuse) netlist =
   let fail e = raise (Golden_run_failed (Format.asprintf "%a" Circuit.Dc.pp_error e)) in
-  let factors, refactor_backend, golden =
+  let factors, golden =
     match solver with
     | `Reuse -> (
         match Circuit.Dc.factorise (Circuit.Dc.prepare netlist) with
-        | Ok g -> (Some g, `Auto, Circuit.Dc.golden_solution g)
+        | Ok g -> (Some g, Circuit.Dc.golden_solution g)
         | Error e -> fail e)
-    | `Refactor backend -> (
-        match Circuit.Dc.analyse ~backend netlist with
-        | Ok s -> (None, backend, s)
+    | `Refactor -> (
+        match Circuit.Dc.analyse netlist with
+        | Ok s -> (None, s)
         | Error e -> fail e)
   in
   let monitored readings =
@@ -71,7 +69,6 @@ let prepare ?(options = default_options) ?(solver = `Reuse) netlist =
     p_options = options;
     p_netlist = netlist;
     p_factors = factors;
-    p_refactor_backend = refactor_backend;
     p_golden = golden;
     p_golden_max_current = max_element_current netlist golden;
     p_golden_readings = monitored (Circuit.Dc.all_sensor_readings golden);
@@ -119,7 +116,7 @@ let faulted_solution p ~on_solved ~element_id fault =
   | None -> (
       let faulted = Circuit.Fault.inject p.p_netlist ~element_id fault in
       on_solved `Refactor;
-      Circuit.Dc.analyse ~backend:p.p_refactor_backend faulted)
+      Circuit.Dc.analyse faulted)
 
 let classify_prepared ?(on_solved = fun (_ : solve_path) -> ()) p ~element_id
     fault =

@@ -42,13 +42,14 @@ type element_types = (string * string) list
     {!Blockdiag.To_netlist}); elements not listed fall back to their
     {!Circuit.Element.kind_name}. *)
 
-type solver = [ `Reuse | `Refactor of Circuit.Dc.backend ]
+type solver = [ `Reuse | `Refactor ]
 (** How faulted systems are solved.  [`Reuse] (the default) factorises
     the golden MNA system once and serves every injection as a low-rank
     (Sherman–Morrison–Woodbury) re-solve against those factors —
-    {!Circuit.Dc.inject}.  [`Refactor b] is the from-scratch baseline:
-    each injection rewrites the netlist, re-assembles and refactorises on
-    backend [b]; kept for comparison benchmarks and as an escape hatch. *)
+    {!Circuit.Dc.inject}.  [`Refactor] is the from-scratch baseline:
+    each injection rewrites the netlist and runs a fresh
+    {!Circuit.Dc.analyse}; kept for comparison benchmarks and as an
+    escape hatch. *)
 
 type solve_path = [ `Reused | `Rank_update of int | `Refactor ]
 (** How one faulted solve was served, reported through [on_solved]:

@@ -55,12 +55,10 @@ let child_digraph (c : Architecture.component) =
 
 let child_structure = child_digraph
 
-(* ---------- reference implementation: simple-path enumeration ----------
+(* ---------- simple-path enumeration ----------
 
-   Exponential and capped at [max_paths]; kept as the executable
-   specification the dominator route is property-tested against, and
-   for {!paths}, whose consumers (the FTA bridge) genuinely want the
-   path lists. *)
+   Exponential and capped at [max_paths]; kept for {!paths}, whose
+   consumers (the FTA bridge) genuinely want the path lists. *)
 
 let enumerate_paths g ~sources ~sinks =
   let n = Graph.Digraph.node_count g in
@@ -86,19 +84,16 @@ let enumerate_paths g ~sources ~sinks =
   List.iter (dfs []) sources;
   List.rev !results
 
-let path_ids (c : Architecture.component) =
-  let g, sources, sinks = child_digraph c in
-  enumerate_paths g ~sources ~sinks
-
 let paths (c : Architecture.component) =
+  let g, sources, sinks = child_digraph c in
   let find id =
     List.find
       (fun ch -> String.equal (Architecture.component_id ch) id)
       c.Architecture.children
   in
-  List.map (fun ids -> List.map find ids) (path_ids c)
+  List.map (List.map find) (enumerate_paths g ~sources ~sinks)
 
-(* ---------- dominator-based classification (the production route) ---- *)
+(* ---------- dominator-based classification ---------- *)
 
 let single_points (c : Architecture.component) =
   let g, sources, sinks = child_digraph c in
@@ -108,40 +103,17 @@ let single_points (c : Architecture.component) =
       List.map (Graph.Digraph.name g) (Graph.Bitset.to_list on)
       |> List.sort String.compare
 
-(* A child's classification for loss-like failure modes. *)
-type path_verdict =
-  | On_all_paths
-  | Alternatives_remain
-  | Unclassified of string
-      (* the give-up branch: enumeration overflowed; never silent *)
-
-let dominator_classifier (c : Architecture.component) =
+(* Whether a child lies on every input→output path of [c]: it dominates
+   the super-sink.  False for every child when there is no path at all. *)
+let on_every_path (c : Architecture.component) =
   let g, sources, sinks = child_digraph c in
   match Graph.Dominators.on_every_path g ~sources ~sinks with
-  | None -> fun _ -> Alternatives_remain (* no input→output path at all *)
+  | None -> fun _ -> false
   | Some on ->
       fun id ->
         (match Graph.Digraph.index g id with
-        | Some i when Graph.Bitset.mem on i -> On_all_paths
-        | Some _ | None -> Alternatives_remain)
-
-let enumeration_classifier (c : Architecture.component) =
-  match path_ids c with
-  | ids ->
-      fun id ->
-        if
-          ids <> []
-          && List.for_all (fun p -> List.exists (String.equal id) p) ids
-        then On_all_paths
-        else Alternatives_remain
-  | exception Too_many_paths ->
-      let msg =
-        Printf.sprintf
-          "path enumeration overflowed (> %d simple paths); single-point \
-           status unknown — use the dominator analysis"
-          max_paths
-      in
-      fun _ -> Unclassified msg
+        | Some i -> Graph.Bitset.mem on i
+        | None -> false)
 
 (* A child is never a single point if all its declared functions are
    redundant (1oo2 / 1oo3 / 2oo3). *)
@@ -156,8 +128,8 @@ let redundant (child : Architecture.component) =
              true)
        child.Architecture.functions
 
-let rec analyse_into ~options ~classify acc (c : Architecture.component) =
-  let verdict = classify c in
+let rec analyse_into ~options acc (c : Architecture.component) =
+  let single_point = on_every_path c in
   let acc =
     List.fold_left
       (fun acc (child : Architecture.component) ->
@@ -183,27 +155,19 @@ let rec analyse_into ~options ~classify acc (c : Architecture.component) =
                       ~failure_mode:fm_name
                       ~distribution_pct:fm.Architecture.distribution_pct
                       ~safety_related:false ()
+                  else if single_point cid then
+                    Table.make_row
+                      ~impact:"breaks every input-output path (single point)"
+                      ~component:cid ~component_fit:child.Architecture.fit
+                      ~failure_mode:fm_name
+                      ~distribution_pct:fm.Architecture.distribution_pct
+                      ~safety_related:true ()
                   else
-                    match verdict cid with
-                    | On_all_paths ->
-                        Table.make_row
-                          ~impact:"breaks every input-output path (single point)"
-                          ~component:cid ~component_fit:child.Architecture.fit
-                          ~failure_mode:fm_name
-                          ~distribution_pct:fm.Architecture.distribution_pct
-                          ~safety_related:true ()
-                    | Alternatives_remain ->
-                        Table.make_row ~impact:"alternative paths remain"
-                          ~component:cid ~component_fit:child.Architecture.fit
-                          ~failure_mode:fm_name
-                          ~distribution_pct:fm.Architecture.distribution_pct
-                          ~safety_related:false ()
-                    | Unclassified why ->
-                        Table.make_row ~warning:why ~component:cid
-                          ~component_fit:child.Architecture.fit
-                          ~failure_mode:fm_name
-                          ~distribution_pct:fm.Architecture.distribution_pct
-                          ~safety_related:false ()
+                    Table.make_row ~impact:"alternative paths remain"
+                      ~component:cid ~component_fit:child.Architecture.fit
+                      ~failure_mode:fm_name
+                      ~distribution_pct:fm.Architecture.distribution_pct
+                      ~safety_related:false ()
                 else
                   Table.make_row
                     ~warning:
@@ -220,21 +184,15 @@ let rec analyse_into ~options ~classify acc (c : Architecture.component) =
             acc child.Architecture.failure_modes
         in
         if options.recurse && child.Architecture.children <> [] then
-          analyse_into ~options ~classify acc child
+          analyse_into ~options acc child
         else acc)
       acc c.Architecture.children
   in
   acc
 
-let analyse_with ~classify ~options c =
-  let rows = List.rev (analyse_into ~options ~classify [] c) in
-  { Table.system_name = Architecture.component_name c; rows }
-
 let analyse ?(options = default_options) c =
-  analyse_with ~classify:dominator_classifier ~options c
-
-let analyse_enumerated ?(options = default_options) c =
-  analyse_with ~classify:enumeration_classifier ~options c
+  let rows = List.rev (analyse_into ~options [] c) in
+  { Table.system_name = Architecture.component_name c; rows }
 
 let wrap_flat_package (p : Architecture.package) =
   let name = Base.display_name p.Architecture.package_meta in

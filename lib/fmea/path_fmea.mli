@@ -14,9 +14,9 @@
     linear).  This is exact on any diagram — cyclic ones included — and
     replaces the historical simple-path enumeration, which was
     exponential and gave up (capped at {!max_paths}) on wide diagrams.
-    The enumeration survives as {!analyse_enumerated}/{!paths}: the
-    executable specification the dominator route is property-tested
-    against, and the path lists the FTA bridge consumes.
+    The enumeration survives as {!paths}: the path lists the FTA bridge
+    consumes, and what the test suite's enumeration oracle classifies
+    by.
 
     Extension (documented in DESIGN.md): children whose every
     {!Ssam.Architecture.func} declares a redundant tolerance (1oo2, 1oo3,
@@ -34,7 +34,7 @@ type options = {
 val default_options : options
 
 val max_paths : int
-(** Cap on the reference enumeration (20 000 simple paths).  The
+(** Cap on the {!paths} enumeration (20 000 simple paths).  The
     dominator-based {!analyse} has no cap. *)
 
 exception Too_many_paths
@@ -68,15 +68,6 @@ val analyse :
   ?options:options -> Ssam.Architecture.component -> Table.t
 (** FMEA table for one composite component, classified via dominators:
     exact on every model, no path cap. *)
-
-val analyse_enumerated :
-  ?options:options -> Ssam.Architecture.component -> Table.t
-(** The pre-dominator reference implementation: classification by
-    explicit path enumeration.  On components whose path count exceeds
-    {!max_paths} it no longer silently reports "alternative paths
-    remain" — every loss-like row gets an explicit warning that the
-    classification is unknown.  Kept for differential testing and
-    benchmarks; production callers want {!analyse}. *)
 
 val analyse_package :
   ?options:options -> Ssam.Architecture.package -> Table.t

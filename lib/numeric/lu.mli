@@ -1,13 +1,16 @@
-(** LU decomposition with partial pivoting, and linear solves.
+(** Dense LU decomposition with partial pivoting, and linear solves.
 
-    This is the numerical core used by the circuit simulator's MNA
-    analysis.  Systems are small (node count + source count), so a dense
-    O(n^3) factorisation is appropriate. *)
+    Used for the small dense systems of the circuit simulator: the
+    Sherman–Morrison–Woodbury capacitance matrix ({!Smw}) and the
+    transient engine's companion systems.  DC operating points go through
+    {!Sparse}. *)
 
 exception Singular of int
-(** Raised when elimination finds no usable pivot at the given step.  For
-    the circuit simulator this typically means a floating node (a node with
-    no DC path to ground), which failure injection can create. *)
+(** Raised when elimination finds no usable pivot for the given column
+    (the original, unpermuted column index — dense LU never permutes
+    columns, {!Sparse.decompose} does).  For the circuit simulator this
+    typically means a floating node (a node with no DC path to ground),
+    which failure injection can create. *)
 
 type factors
 (** An LU factorisation of a square matrix, with the row permutation. *)

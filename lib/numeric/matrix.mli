@@ -1,8 +1,8 @@
 (** Dense row-major float matrices.
 
-    Sized for MNA systems (tens to a few thousands of unknowns); no attempt
-    at sparsity.  Mutation is exposed because the MNA assembler stamps
-    element contributions in place. *)
+    For the small dense systems ({!Lu}, the transient engine's companion
+    systems); MNA DC solves use {!Sparse}.  Mutation is exposed because
+    the transient assembler stamps element contributions in place. *)
 
 type t
 

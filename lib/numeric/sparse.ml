@@ -145,27 +145,6 @@ let mul_vec a x =
       done;
       !acc)
 
-let to_dense a =
-  let m = Matrix.create a.sn a.sn in
-  for i = 0 to a.sn - 1 do
-    for p = a.row_ptr.(i) to a.row_ptr.(i + 1) - 1 do
-      Matrix.set m i a.cols.(p) a.vals.(p)
-    done
-  done;
-  m
-
-let of_dense ?(drop_tol = 0.0) m =
-  let r = Matrix.rows m in
-  if Matrix.cols m <> r then invalid_arg "Sparse.of_dense: not square";
-  let t = create r in
-  for i = 0 to r - 1 do
-    for j = 0 to r - 1 do
-      let v = Matrix.get m i j in
-      if Float.abs v > drop_tol then add_to t i j v
-    done
-  done;
-  compress t
-
 (* ---------- minimum-degree ordering ---------- *)
 
 (* Exact minimum degree on the pattern of A + Aᵀ, with an elimination
@@ -419,7 +398,7 @@ let decompose ?order a =
       end
       else dyn_push u pinv.(i) x.(i)
     done;
-    if !ipiv < 0 || !amax < pivot_threshold then raise (Lu.Singular k);
+    if !ipiv < 0 || !amax < pivot_threshold then raise (Lu.Singular col);
     let pivot = x.(!ipiv) in
     pinv.(!ipiv) <- k;
     frowp.(k) <- !ipiv;

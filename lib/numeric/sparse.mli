@@ -1,9 +1,8 @@
 (** Sparse linear algebra for large MNA systems.
 
     The circuit simulator's matrices are overwhelmingly sparse — a
-    two-terminal element touches at most four entries — so above a few
-    hundred unknowns the dense O(n³) factorisation in {!Lu} is almost
-    entirely wasted work.  This module provides triplet assembly into
+    two-terminal element touches at most four entries — so the dense
+    O(n³) factorisation in {!Lu} would be almost entirely wasted work.  This module provides triplet assembly into
     CSR, a fill-reducing (minimum-degree) ordering, and a left-looking
     sparse LU with partial pivoting (Gilbert–Peierls).  Factors and
     orderings are first-class values so the fault-injection hot loop can
@@ -53,11 +52,6 @@ val copy : t -> t
 
 val mul_vec : t -> float array -> float array
 
-val to_dense : t -> Matrix.t
-val of_dense : ?drop_tol:float -> Matrix.t -> t
-(** Entries with magnitude [<= drop_tol] (default 0.0: keep everything
-    nonzero) are dropped. *)
-
 val min_degree_order : t -> int array
 (** A fill-reducing column pre-ordering: minimum degree on the pattern
     of [A + Aᵀ].  [order.(k)] is the original column eliminated at step
@@ -72,8 +66,9 @@ type factors
 val decompose : ?order:int array -> t -> factors
 (** Factorise.  [order] defaults to {!min_degree_order}; pass a cached
     ordering to skip the symbolic analysis on repeated factorisations of
-    the same pattern.  Raises {!Lu.Singular} when no acceptable pivot
-    exists, and [Invalid_argument] if [order] has the wrong length. *)
+    the same pattern.  Raises {!Lu.Singular} with the original column
+    index when no acceptable pivot exists for that column, and
+    [Invalid_argument] if [order] has the wrong length. *)
 
 val factor_order : factors -> int array
 (** The column ordering actually used, for reuse. *)

@@ -1,8 +1,5 @@
 type severity = Error | Warning [@@deriving eq, show]
 
-type issue = { severity : severity; element : Base.id; message : string }
-[@@deriving eq, show]
-
 type finding = {
   f_rule : string;
   f_severity : severity;
@@ -26,21 +23,12 @@ let rules =
     ("SSAM010", Warning, "integrity target without allocated requirement");
   ]
 
-let pp_issue ppf i =
-  Format.fprintf ppf "%s: [%s] %s"
-    (match i.severity with Error -> "error" | Warning -> "warning")
-    i.element i.message
-
 let pp_finding ppf f =
   Format.fprintf ppf "%s %s: [%s] %s" f.f_rule
     (match f.f_severity with Error -> "error" | Warning -> "warning")
     f.f_element f.f_message
 
 type adder = string -> ?hint:string -> severity -> Base.id -> string -> unit
-
-let errors issues = List.filter (fun i -> i.severity = Error) issues
-
-let warnings issues = List.filter (fun i -> i.severity = Warning) issues
 
 (* Collect every id in declaration order, including duplicates, so
    uniqueness can be checked (Model.index silently keeps the first). *)
@@ -460,10 +448,5 @@ let findings model =
   List.filter (fun f -> f.f_severity = Error) all
   @ List.filter (fun f -> f.f_severity = Warning) all
 
-let check model =
-  List.map
-    (fun f ->
-      { severity = f.f_severity; element = f.f_element; message = f.f_message })
-    (findings model)
-
-let is_valid model = errors (check model) = []
+let is_valid model =
+  List.for_all (fun f -> f.f_severity <> Error) (findings model)

@@ -1,27 +1,19 @@
 (** Well-formedness validation for SSAM models.
 
     SAME runs these checks before any automated analysis; analysis modules
-    assume a model that passed {!check} with no errors.
+    assume a model whose {!findings} include no errors.
 
     Each check is a named {e rule} ([SSAM001], [SSAM002], ...) so the lint
     driver ([Lint], the [same lint] subcommand) can filter, document and
     report them individually.  This module is the single source of truth
-    for the SSAM rule pack: {!findings} returns rule-tagged results, and
-    the historical {!check}/{!issue} API is a thin adapter over it. *)
+    for the SSAM rule pack: {!findings} returns rule-tagged results. *)
 
 type severity = Error | Warning [@@deriving eq, show]
-
-type issue = {
-  severity : severity;
-  element : Base.id;  (** offending element *)
-  message : string;
-}
-[@@deriving eq, show]
 
 type finding = {
   f_rule : string;  (** rule id, e.g. ["SSAM003"] *)
   f_severity : severity;
-  f_element : Base.id;
+  f_element : Base.id;  (** offending element *)
   f_message : string;
   f_hint : string option;  (** how to fix, when a generic hint exists *)
 }
@@ -58,15 +50,5 @@ val findings : Model.t -> finding list
 
 val pp_finding : Format.formatter -> finding -> unit
 
-val pp_issue : Format.formatter -> issue -> unit
-
-val check : Model.t -> issue list
-(** {!findings} stripped of rule ids and hints — the pre-lint API, kept
-    for callers that predate the rule registry. *)
-
-val errors : issue list -> issue list
-
-val warnings : issue list -> issue list
-
 val is_valid : Model.t -> bool
-(** No [Error]-severity issues. *)
+(** No [Error]-severity finding. *)

@@ -197,7 +197,10 @@ let prop_transform_roundtrip =
 let test_transform_produces_valid_ssam () =
   let model = Transform.to_ssam_model psu in
   Alcotest.(check int) "no validation errors" 0
-    (List.length (Ssam.Validate.errors (Ssam.Validate.check model)))
+    (List.length
+       (List.filter
+          (fun f -> f.Ssam.Validate.f_severity = Ssam.Validate.Error)
+          (Ssam.Validate.findings model)))
 
 let test_transform_types_marked () =
   let package = Transform.to_ssam psu in

@@ -374,12 +374,48 @@ let observables s ids nodes =
   @ List.map (fun n -> Dc.node_voltage s n) nodes
   @ List.map snd (Dc.all_sensor_readings s)
 
+let oracle_observables s ids nodes =
+  List.map (fun id -> Oracle.Dense_dc.element_current s id) ids
+  @ List.map (fun n -> Oracle.Dense_dc.node_voltage s n) nodes
+  @ List.map snd (Oracle.Dense_dc.all_sensor_readings s)
+
+(* From-scratch re-analyses of a netlist, as observables: the sparse
+   solver's own, and the dense reference's. *)
+let sparse_reanalysis ids nodes nl =
+  Result.map (fun s -> observables s ids nodes) (Dc.analyse nl)
+
+let dense_reanalysis ids nodes nl =
+  Result.map (fun s -> oracle_observables s ids nodes) (Oracle.Dense_dc.analyse nl)
+
 (* [eps] is relative to the observable's magnitude: Newton tolerance
-   bounds voltage agreement, and currents through mΩ shorts amplify it. *)
-let check_inject_matches_reanalysis ~eps ?backend nl =
-  let p = Dc.prepare ?backend nl in
+   bounds voltage agreement, and currents through mΩ shorts amplify it.
+   Both sides failing counts as agreement unless [allow_failure] is
+   false. *)
+let check_agree ?(allow_failure = true) ~eps what fast reference =
+  match (fast, reference) with
+  | Ok a, Ok b ->
+      List.iter2
+        (fun a b ->
+          check_float
+            ~eps:(eps *. (1.0 +. Float.max (Float.abs a) (Float.abs b)))
+            what b a)
+        a b
+  | Error _, Error _ when allow_failure -> ()
+  | Error e, Error _ ->
+      Alcotest.fail (Format.asprintf "%s: both failed (%a)" what Dc.pp_error e)
+  | Ok _, Error e ->
+      Alcotest.fail
+        (Format.asprintf "%s: re-analysis failed (%a) but inject succeeded"
+           what Dc.pp_error e)
+  | Error e, Ok _ ->
+      Alcotest.fail
+        (Format.asprintf "%s: inject failed (%a) but re-analysis succeeded"
+           what Dc.pp_error e)
+
+let check_inject_matches_reanalysis ?allow_failure ~eps
+    ?(reanalyse = sparse_reanalysis) ?cases nl =
   let g =
-    match Dc.factorise p with
+    match Dc.factorise (Dc.prepare nl) with
     | Ok g -> g
     | Error e -> Alcotest.fail (Format.asprintf "golden failed: %a" Dc.pp_error e)
   in
@@ -387,55 +423,79 @@ let check_inject_matches_reanalysis ~eps ?backend nl =
   let nodes = Netlist.nodes nl in
   List.iter
     (fun (id, fault) ->
-      let what = Printf.sprintf "%s/%s" id (Fault.to_string fault) in
-      let fast = Dc.inject g ~element_id:id fault in
-      let slow = Dc.analyse (Fault.inject nl ~element_id:id fault) in
-      match (fast, slow) with
-      | Ok sf, Ok ss ->
-          List.iter2
-            (fun a b ->
-              check_float
-                ~eps:(eps *. (1.0 +. Float.max (Float.abs a) (Float.abs b)))
-                what b a)
-            (observables sf ids nodes) (observables ss ids nodes)
-      | Error _, Error _ -> ()
-      | Ok _, Error e ->
-          Alcotest.fail
-            (Format.asprintf "%s: re-analysis failed (%a) but inject succeeded"
-               what Dc.pp_error e)
-      | Error e, Ok _ ->
-          Alcotest.fail
-            (Format.asprintf "%s: inject failed (%a) but re-analysis succeeded"
-               what Dc.pp_error e))
-    (injection_cases nl)
+      check_agree ?allow_failure ~eps
+        (Printf.sprintf "%s/%s" id (Fault.to_string fault))
+        (Result.map
+           (fun s -> observables s ids nodes)
+           (Dc.inject g ~element_id:id fault))
+        (reanalyse ids nodes (Fault.inject nl ~element_id:id fault)))
+    (Option.value cases ~default:(injection_cases nl))
 
-let test_inject_matches_dense () =
+let test_inject_matches_reanalysis () =
   check_inject_matches_reanalysis ~eps:1e-4 (mixed_netlist ())
 
 let test_inject_matches_linear () =
   check_inject_matches_reanalysis ~eps:1e-8 (mixed_linear_netlist ())
 
-let test_inject_matches_sparse_backend () =
-  check_inject_matches_reanalysis ~eps:1e-4 ~backend:`Sparse (mixed_netlist ())
+let test_inject_matches_dense_oracle () =
+  check_inject_matches_reanalysis ~eps:1e-4 ~reanalyse:dense_reanalysis
+    (mixed_netlist ())
 
-let test_sparse_backend_matches_dense () =
-  let nl = mixed_netlist () in
-  let sd = solve_exn nl in
-  let ss =
-    match Dc.analyse ~backend:`Sparse nl with
-    | Ok s -> s
-    | Error e -> Alcotest.fail (Format.asprintf "sparse: %a" Dc.pp_error e)
+(* The sparse solver against the dense reference, golden and faulted, on
+   generated ladders and grids of 3 to ~300 unknowns, the mixed diode
+   netlist and the Fig. 11 power supply.  Golden solves agree to 1e-9
+   relative (both run the same Newton iterates from the same start);
+   faulted ones to 1e-9 on linear circuits and to Newton tolerance
+   (1e-4) with diodes, where inject warm-starts from the golden point. *)
+let prop_sparse_matches_dense =
+  let subject =
+    QCheck.Gen.(
+      frequency
+        [
+          (4, map (fun n -> Generator.ladder ~sections:n) (int_range 1 280));
+          ( 4,
+            map2
+              (fun rows cols -> Generator.grid ~rows ~cols)
+              (int_range 1 17) (int_range 1 17) );
+          (1, return (mixed_netlist ()));
+          (1, return Decisive.Case_study.power_supply_netlist);
+        ])
   in
-  let ids = List.map (fun (e : Element.t) -> e.Element.id) (Netlist.elements nl) in
-  let nodes = Netlist.nodes nl in
-  List.iter2
-    (fun a b -> check_float ~eps:1e-6 "sparse vs dense" b a)
-    (observables ss ids nodes) (observables sd ids nodes)
+  QCheck.Test.make ~name:"sparse backend matches dense" ~count:40
+    (QCheck.make
+       ~print:(fun (nl, picks) ->
+         Printf.sprintf "%s (%d unknowns), cases %s" (Netlist.name nl)
+           (Dc.size (Dc.prepare nl))
+           (String.concat "," (List.map string_of_int picks)))
+       QCheck.Gen.(pair subject (list_size (int_range 1 4) nat)))
+    (fun (nl, picks) ->
+      let has_diode =
+        List.exists
+          (fun (e : Element.t) ->
+            match e.Element.kind with Element.Diode _ -> true | _ -> false)
+          (Netlist.elements nl)
+      in
+      let eps = if has_diode then 1e-4 else 1e-9 in
+      let ids = List.map (fun (e : Element.t) -> e.Element.id) (Netlist.elements nl) in
+      let nodes = Netlist.nodes nl in
+      check_agree ~allow_failure:false ~eps:1e-9 (Netlist.name nl)
+        (sparse_reanalysis ids nodes nl)
+        (dense_reanalysis ids nodes nl);
+      (* Every fault on the small hand-built circuits; a drawn handful on
+         the generated ones. *)
+      let all = injection_cases nl in
+      let cases =
+        if List.length all <= 64 then all
+        else List.map (fun i -> List.nth all (i mod List.length all)) picks
+      in
+      check_inject_matches_reanalysis ~eps ~reanalyse:dense_reanalysis ~cases nl;
+      true)
 
 let test_inject_floating_node_singular () =
   (* With gmin = 0 an open on R1 leaves n2 with no conductive connection
-     at all (the voltage sensor does not conduct): both the full
-     re-analysis and the SMW path must report a singular system. *)
+     at all (the voltage sensor does not conduct): the full re-analysis,
+     the SMW path and the dense reference must all report a singular
+     system, naming n2's unknown. *)
   let nl =
     Netlist.of_elements "floating"
       [
@@ -444,20 +504,24 @@ let test_inject_floating_node_singular () =
         Element.make ~id:"VS" ~kind:Element.Voltage_sensor "n2" "gnd";
       ]
   in
-  (match Dc.analyse ~gmin:0.0 (Fault.inject nl ~element_id:"R1" Fault.Open_circuit) with
-  | Error (Dc.Singular_system _) -> ()
-  | _ -> Alcotest.fail "dense re-analysis: expected Singular_system");
-  List.iter
-    (fun backend ->
-      let p = Dc.prepare ~gmin:0.0 ~backend nl in
-      match Dc.factorise p with
-      | Error e ->
-          Alcotest.fail (Format.asprintf "golden failed: %a" Dc.pp_error e)
-      | Ok g -> (
-          match Dc.inject g ~element_id:"R1" Fault.Open_circuit with
-          | Error (Dc.Singular_system _) -> ()
-          | _ -> Alcotest.fail "inject: expected Singular_system"))
-    [ `Dense; `Sparse ]
+  let n2 =
+    match List.find_index (String.equal "n2") (Netlist.nodes nl) with
+    | Some i -> i
+    | None -> Alcotest.fail "n2 is not a node"
+  in
+  let expected = Printf.sprintf "pivot failure at unknown %d" n2 in
+  let check what = function
+    | Error (Dc.Singular_system msg) -> Alcotest.(check string) what expected msg
+    | Error e -> Alcotest.fail (Format.asprintf "%s: %a" what Dc.pp_error e)
+    | Ok _ -> Alcotest.fail (what ^ ": expected Singular_system")
+  in
+  let faulted = Fault.inject nl ~element_id:"R1" Fault.Open_circuit in
+  check "re-analysis" (Dc.analyse ~gmin:0.0 faulted);
+  check "dense reference"
+    (Result.map ignore (Oracle.Dense_dc.analyse ~gmin:0.0 faulted));
+  match Dc.factorise (Dc.prepare ~gmin:0.0 nl) with
+  | Error e -> Alcotest.fail (Format.asprintf "golden failed: %a" Dc.pp_error e)
+  | Ok g -> check "inject" (Dc.inject g ~element_id:"R1" Fault.Open_circuit)
 
 let test_inject_paths_reported () =
   (* Exact ranks hold on the linear netlist; with diodes present Newton
@@ -544,13 +608,13 @@ let suite =
     Alcotest.test_case "fault stuck/shift" `Quick test_fault_stuck_and_shift;
     Alcotest.test_case "fault not applicable" `Quick test_fault_not_applicable;
     Alcotest.test_case "fault name mapping" `Quick test_fault_name_mapping;
-    Alcotest.test_case "inject matches re-analysis" `Quick test_inject_matches_dense;
+    Alcotest.test_case "inject matches re-analysis" `Quick
+      test_inject_matches_reanalysis;
     Alcotest.test_case "inject matches re-analysis (linear)" `Quick
       test_inject_matches_linear;
-    Alcotest.test_case "inject matches re-analysis (sparse)" `Quick
-      test_inject_matches_sparse_backend;
-    Alcotest.test_case "sparse backend matches dense" `Quick
-      test_sparse_backend_matches_dense;
+    Alcotest.test_case "inject matches re-analysis (sparse vs dense)" `Quick
+      test_inject_matches_dense_oracle;
+    QCheck_alcotest.to_alcotest prop_sparse_matches_dense;
     Alcotest.test_case "inject floating node singular" `Quick
       test_inject_floating_node_singular;
     Alcotest.test_case "inject paths reported" `Quick test_inject_paths_reported;
@@ -872,57 +936,23 @@ let generator_suite =
     Alcotest.(check bool) (Printf.sprintf "droop (%.3f V)" vout) true
       (vout > 0.0 && vout < 12.0)
   in
-  (* Acceptance-shaped check at unit-test scale: on an auto-sparse
-     ladder, the golden-factor re-solve must match a dense from-scratch
-     re-analysis to 1e-9 on every observable. *)
+  (* Acceptance-shaped check at unit-test scale: on a 160-section ladder,
+     the golden-factor re-solve must match the dense reference's
+     from-scratch re-analysis to 1e-9 on every observable. *)
   let test_ladder_inject_accuracy () =
-    let nl = Generator.ladder ~sections:160 in
-    let p = Dc.prepare nl in
-    Alcotest.(check bool) "auto picks sparse" true
-      (Dc.backend_used p = `Sparse);
-    let g =
-      match Dc.factorise p with
-      | Ok g -> g
-      | Error e -> Alcotest.fail (Format.asprintf "%a" Dc.pp_error e)
-    in
-    let ids =
-      List.map (fun (e : Element.t) -> e.Element.id) (Netlist.elements nl)
-    in
-    let nodes = Netlist.nodes nl in
-    List.iter
-      (fun (id, fault) ->
-        let what = Printf.sprintf "%s/%s" id (Fault.to_string fault) in
-        let fast =
-          match Dc.inject g ~element_id:id fault with
-          | Ok s -> s
-          | Error e ->
-              Alcotest.fail (Format.asprintf "%s: %a" what Dc.pp_error e)
-        in
-        let slow =
-          match
-            Dc.analyse ~backend:`Dense (Fault.inject nl ~element_id:id fault)
-          with
-          | Ok s -> s
-          | Error e ->
-              Alcotest.fail (Format.asprintf "%s: %a" what Dc.pp_error e)
-        in
-        List.iter2
-          (fun a b ->
-            check_float
-              ~eps:(1e-9 *. (1.0 +. Float.max (Float.abs a) (Float.abs b)))
-              what b a)
-          (observables fast ids nodes)
-          (observables slow ids nodes))
-      [
-        ("RS5", Fault.Open_circuit);
-        ("RS5", Fault.Short_circuit);
-        ("RL40", Fault.Open_circuit);
-        ("RL40", Fault.Short_circuit);
-        ("RS80", Fault.Parameter_shift 2.0);
-        ("CS16", Fault.Open_circuit);
-        ("VIN", Fault.Stuck_value 0.0);
-        ("VIN", Fault.Parameter_shift 1.25);
-      ]
+    check_inject_matches_reanalysis ~allow_failure:false ~eps:1e-9
+      ~reanalyse:dense_reanalysis ~cases:
+        [
+          ("RS5", Fault.Open_circuit);
+          ("RS5", Fault.Short_circuit);
+          ("RL40", Fault.Open_circuit);
+          ("RL40", Fault.Short_circuit);
+          ("RS80", Fault.Parameter_shift 2.0);
+          ("CS16", Fault.Open_circuit);
+          ("VIN", Fault.Stuck_value 0.0);
+          ("VIN", Fault.Parameter_shift 1.25);
+        ]
+      (Generator.ladder ~sections:160)
   in
   [
     Alcotest.test_case "ladder shape" `Quick test_ladder_shape;

@@ -279,7 +279,22 @@ let test_error_handling () =
           ( "--trials 100000 --rel-precision 0.01",
             "a fixed trial budget (100000) and a relative precision (0.01) \
              are mutually exclusive" );
-        ])
+        ];
+      (* A scale parameter below 1 is a usage error (cmdliner's exit
+         124), not an uncaught generator exception. *)
+      List.iter
+        (fun args ->
+          let code =
+            Sys.command
+              (Printf.sprintf "%s scale %s >/dev/null 2>%s" bin args
+                 (Filename.quote err))
+          in
+          Alcotest.(check int) (args ^ ": usage error") 124 code;
+          Alcotest.(check bool) (args ^ ": message names the bound") true
+            (String.starts_with
+               ~prefix:"same: option '-n': N must be at least 1 (got 0)\n"
+               (In_channel.with_open_bin err In_channel.input_all)))
+        [ "-n 0"; "--topology grid -n 0"; "--analysis path-fmea -n 0" ])
 
 let suite =
   [

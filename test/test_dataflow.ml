@@ -427,7 +427,7 @@ let test_cut_set_routes_agree () =
     | Error e -> Alcotest.fail e
     | Ok report ->
         let direct_singles, direct_doubles =
-          Diagnose.direct_cut_sets m report.Diagnose.explanations
+          Oracle.Direct_cut_sets.of_explanations m report.Diagnose.explanations
         in
         Alcotest.(check (list (list string)))
           (name ^ ": BDD singles = direct singles")

@@ -129,7 +129,10 @@ let test_case_study_ssam_is_valid () =
       ~meta:(Ssam.Base.meta "m") ()
   in
   Alcotest.(check int) "no errors" 0
-    (List.length (Ssam.Validate.errors (Ssam.Validate.check model)))
+    (List.length
+       (List.filter
+          (fun f -> f.Ssam.Validate.f_severity = Ssam.Validate.Error)
+          (Ssam.Validate.findings model)))
 
 let test_pll_table_i () =
   let t = Case_study.pll_fmeda ~fit:50.0 in

@@ -433,27 +433,13 @@ let test_solver_reuse_matches_refactor () =
       nl rm
   in
   let baseline =
-    Fmea.Injection_fmea.analyse ~options ~solver:(`Refactor `Auto) nl rm
+    Fmea.Injection_fmea.analyse ~options ~solver:`Refactor nl rm
   in
   Alcotest.(check bool) "tables equal" true (Fmea.Table.equal fast baseline);
   Alcotest.(check bool) "no refactorise on the fast path" true
     (not (List.mem `Refactor !paths));
   Alcotest.(check bool) "rank updates used" true
     (List.exists (function `Rank_update _ -> true | _ -> false) !paths)
-
-let test_solver_sparse_backend_table () =
-  (* Forcing the sparse backend through the whole refactor pipeline must
-     not change the table either. *)
-  let nl = Decisive.Case_study.power_supply_netlist in
-  let options = Decisive.Case_study.injection_options in
-  let rm = Reliability.Reliability_model.table_ii in
-  let dense =
-    Fmea.Injection_fmea.analyse ~options ~solver:(`Refactor `Dense) nl rm
-  in
-  let sparse =
-    Fmea.Injection_fmea.analyse ~options ~solver:(`Refactor `Sparse) nl rm
-  in
-  Alcotest.(check bool) "tables equal" true (Fmea.Table.equal dense sparse)
 
 (* ---------- Pinned injection-FMEA tables ----------
 
@@ -632,8 +618,6 @@ let suite =
     Alcotest.test_case "no fault model warning" `Quick test_no_fault_model_warning;
     Alcotest.test_case "solver reuse matches refactor" `Quick
       test_solver_reuse_matches_refactor;
-    Alcotest.test_case "solver sparse backend table" `Quick
-      test_solver_sparse_backend_table;
     Alcotest.test_case "System B table golden" `Quick test_system_b_golden;
     Alcotest.test_case "ladder table golden" `Quick test_ladder_golden;
     Alcotest.test_case "fmeda best coverage wins" `Quick test_fmeda_best_coverage_wins;

@@ -237,7 +237,7 @@ let test_enumeration_overflow_warns () =
   (* The enumeration reference no longer fakes a verdict on overflow:
      every loss-like row gets an explicit warning instead. *)
   let sys = Circuit.Generator.diamond_arch ~stages:18 in
-  let t = Fmea.Path_fmea.analyse_enumerated sys in
+  let t = Oracle.Enumerated_path_fmea.analyse sys in
   Alcotest.(check (list string)) "no silent verdicts" []
     (Fmea.Table.safety_related_components t);
   let contains ~sub s =
@@ -343,7 +343,7 @@ let prop_dominators_match_enumeration =
         (QCheck.int_range 0 0x3FFFFFFF) QCheck.bool)
     (fun (widths, mask, feedback) ->
       let sys = layered_system widths mask feedback in
-      let reference = Fmea.Path_fmea.analyse_enumerated sys in
+      let reference = Oracle.Enumerated_path_fmea.analyse sys in
       let saved = Exec.default_jobs () in
       Fun.protect
         ~finally:(fun () -> Exec.set_default_jobs saved)

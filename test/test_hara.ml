@@ -129,7 +129,10 @@ let test_to_package_valid () =
       ~hazard_packages:[ sample_package ] ~meta:(Base.meta "m") ()
   in
   Alcotest.(check int) "no dangling traces" 0
-    (List.length (Validate.errors (Validate.check model)))
+    (List.length
+       (List.filter
+          (fun f -> f.Validate.f_severity = Validate.Error)
+          (Validate.findings model)))
 
 let suite =
   [

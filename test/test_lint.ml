@@ -125,22 +125,24 @@ let test_ssam_unreachable () =
   Alcotest.(check (list string)) "only the unwired leaf" [ "lonely" ]
     (List.map (fun f -> f.Ssam.Validate.f_element) unreachable)
 
-let test_check_is_findings () =
-  (* The legacy API is a thin view of the rule-tagged findings. *)
-  let m = model_of [ component ~fit:(-1.0) "bad" ] in
-  let from_findings =
-    List.map
+let test_is_valid_is_findings () =
+  (* Validity is read off the rule-tagged findings: a model is valid
+     exactly when none of its findings is an error. *)
+  let no_error_finding m =
+    List.for_all
       (fun (f : Ssam.Validate.finding) ->
-        {
-          Ssam.Validate.severity = f.Ssam.Validate.f_severity;
-          element = f.Ssam.Validate.f_element;
-          message = f.Ssam.Validate.f_message;
-        })
+        f.Ssam.Validate.f_severity <> Ssam.Validate.Error)
       (Ssam.Validate.findings m)
   in
-  Alcotest.(check bool) "check = findings stripped" true
-    (List.for_all2 Ssam.Validate.equal_issue (Ssam.Validate.check m)
-       from_findings)
+  List.iter
+    (fun (name, m, valid) ->
+      Alcotest.(check bool) (name ^ ": is_valid") valid (Ssam.Validate.is_valid m);
+      Alcotest.(check bool) (name ^ ": = no error finding") valid
+        (no_error_finding m))
+    [
+      ("negative FIT", model_of [ component ~fit:(-1.0) "bad" ], false);
+      ("single leaf", model_of [ component ~fit:1.0 "ok" ], true);
+    ]
 
 let test_ssam_pack_adapts () =
   let input =
@@ -613,7 +615,8 @@ let suite =
     Alcotest.test_case "catalogue" `Quick test_catalogue;
     Alcotest.test_case "ssam new rules" `Quick test_ssam_new_rules;
     Alcotest.test_case "ssam unreachable" `Quick test_ssam_unreachable;
-    Alcotest.test_case "check delegates to findings" `Quick test_check_is_findings;
+    Alcotest.test_case "is_valid delegates to findings" `Quick
+      test_is_valid_is_findings;
     Alcotest.test_case "ssam pack adapts" `Quick test_ssam_pack_adapts;
     Alcotest.test_case "blk wiring" `Quick test_blk_wiring;
     Alcotest.test_case "blk unknown type/port" `Quick test_blk_unknown_type_and_port;

@@ -214,9 +214,23 @@ let test_sparse_singular () =
   Numeric.Sparse.add_to t 0 1 2.0;
   Numeric.Sparse.add_to t 1 0 2.0;
   Numeric.Sparse.add_to t 1 1 4.0;
-  match Numeric.Sparse.solve (Numeric.Sparse.compress t) [| 1.0; 1.0 |] with
+  (match Numeric.Sparse.solve (Numeric.Sparse.compress t) [| 1.0; 1.0 |] with
   | exception Numeric.Lu.Singular _ -> ()
-  | _ -> Alcotest.fail "expected Singular"
+  | _ -> Alcotest.fail "expected Singular");
+  (* An empty column is reported by its original index, whichever step
+     of the column ordering reaches it. *)
+  let t = Numeric.Sparse.create 3 in
+  Numeric.Sparse.add_to t 0 0 1.0;
+  Numeric.Sparse.add_to t 1 0 1.0;
+  Numeric.Sparse.add_to t 2 2 1.0;
+  let a = Numeric.Sparse.compress t in
+  List.iter
+    (fun order ->
+      match Numeric.Sparse.decompose ~order a with
+      | exception Numeric.Lu.Singular k ->
+          Alcotest.(check int) "empty column named" 1 k
+      | _ -> Alcotest.fail "expected Singular")
+    [ [| 0; 1; 2 |]; [| 2; 1; 0 |]; [| 1; 0; 2 |] ]
 
 let test_sparse_factor_reuse () =
   let rand = make_rand 7 in

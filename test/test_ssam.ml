@@ -264,7 +264,10 @@ let test_mbsa_latest () =
 let test_validate_clean () =
   Alcotest.(check bool) "clean model is valid" true (Validate.is_valid full_model);
   Alcotest.(check int) "no errors" 0
-    (List.length (Validate.errors (Validate.check full_model)))
+    (List.length
+       (List.filter
+          (fun f -> f.Validate.f_severity = Validate.Error)
+          (Validate.findings full_model)))
 
 let model_of_component c =
   Model.create
@@ -278,29 +281,29 @@ let test_validate_duplicate_ids () =
       ~children:[ leaf ~id:"dup" (); leaf ~id:"dup" () ]
       ~meta:(Base.meta "root") ()
   in
-  let issues = Validate.check (model_of_component c) in
+  let findings = Validate.findings (model_of_component c) in
   Alcotest.(check bool) "duplicate flagged" true
-    (List.exists (fun i -> i.Validate.message = "duplicate element id") issues)
+    (List.exists (fun f -> f.Validate.f_message = "duplicate element id") findings)
 
 let test_validate_negative_fit () =
   let c = leaf ~id:"bad" ~fit:(-1.0) () in
-  let issues = Validate.check (model_of_component c) in
+  let findings = Validate.findings (model_of_component c) in
   Alcotest.(check bool) "negative FIT flagged" true
     (List.exists
-       (fun i -> i.Validate.severity = Validate.Error && i.Validate.message = "negative FIT")
-       issues)
+       (fun f -> f.Validate.f_severity = Validate.Error && f.Validate.f_message = "negative FIT")
+       findings)
 
 let test_validate_distribution_sum () =
   let c = leaf ~id:"c" ~fms:[ fm ~id:"f1" ~dist:30.0 (); fm ~id:"f2" ~dist:30.0 () ] () in
-  let issues = Validate.check (model_of_component c) in
+  let findings = Validate.findings (model_of_component c) in
   Alcotest.(check bool) "sum warning" true
-    (List.exists (fun i -> i.Validate.severity = Validate.Warning) issues)
+    (List.exists (fun f -> f.Validate.f_severity = Validate.Warning) findings)
 
 let test_validate_bad_distribution () =
   let c = leaf ~id:"c" ~fms:[ fm ~id:"f1" ~dist:150.0 () ] () in
-  let issues = Validate.check (model_of_component c) in
+  let findings = Validate.findings (model_of_component c) in
   Alcotest.(check bool) "range error" true
-    (List.exists (fun i -> i.Validate.severity = Validate.Error) issues)
+    (List.exists (fun f -> f.Validate.f_severity = Validate.Error) findings)
 
 let test_validate_dangling_cite () =
   let c =
@@ -308,11 +311,11 @@ let test_validate_dangling_cite () =
       ~meta:(Base.meta ~cites:[ "ghost" ] "c")
       ()
   in
-  let issues = Validate.check (model_of_component c) in
+  let findings = Validate.findings (model_of_component c) in
   Alcotest.(check bool) "dangling cite" true
     (List.exists
-       (fun i -> i.Validate.message = "dangling cite reference to 'ghost'")
-       issues)
+       (fun f -> f.Validate.f_message = "dangling cite reference to 'ghost'")
+       findings)
 
 let test_validate_dangling_relationship () =
   let c =
@@ -325,13 +328,13 @@ let test_validate_dangling_relationship () =
         ]
       ~meta:(Base.meta "root") ()
   in
-  let issues = Validate.check (model_of_component c) in
+  let findings = Validate.findings (model_of_component c) in
   Alcotest.(check bool) "dangling endpoint" true
     (List.exists
-       (fun i ->
-         i.Validate.severity = Validate.Error
-         && i.Validate.message = "dangling relationship endpoint 'ghost'")
-       issues)
+       (fun f ->
+         f.Validate.f_severity = Validate.Error
+         && f.Validate.f_message = "dangling relationship endpoint 'ghost'")
+       findings)
 
 let test_validate_sm_covers () =
   let c =
@@ -344,9 +347,9 @@ let test_validate_sm_covers () =
         ]
       ~meta:(Base.meta "c") ()
   in
-  let issues = Validate.check (model_of_component c) in
+  let findings = Validate.findings (model_of_component c) in
   Alcotest.(check bool) "sm covers error" true
-    (List.exists (fun i -> i.Validate.severity = Validate.Error) issues)
+    (List.exists (fun f -> f.Validate.f_severity = Validate.Error) findings)
 
 let test_validate_io_limits () =
   let io =
@@ -354,9 +357,9 @@ let test_validate_io_limits () =
       ~meta:(Base.meta "io1") Architecture.Input
   in
   let c = Architecture.component ~io_nodes:[ io ] ~meta:(Base.meta "c") () in
-  let issues = Validate.check (model_of_component c) in
+  let findings = Validate.findings (model_of_component c) in
   Alcotest.(check bool) "inverted limits" true
-    (List.exists (fun i -> i.Validate.severity = Validate.Error) issues)
+    (List.exists (fun f -> f.Validate.f_severity = Validate.Error) findings)
 
 let test_validate_bad_coverage () =
   let c =
@@ -369,9 +372,9 @@ let test_validate_bad_coverage () =
         ]
       ~meta:(Base.meta "c") ()
   in
-  let issues = Validate.check (model_of_component c) in
+  let findings = Validate.findings (model_of_component c) in
   Alcotest.(check bool) "coverage range" true
-    (List.exists (fun i -> i.Validate.severity = Validate.Error) issues)
+    (List.exists (fun f -> f.Validate.f_severity = Validate.Error) findings)
 
 let suite =
   [
