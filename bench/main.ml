@@ -718,10 +718,12 @@ let batch_fmea ~smoke () =
    [--scale N] sections (default 512, ~578 MNA unknowns), every faulted
    solve goes through {!Circuit.Dc.inject} — a low-rank SMW re-solve
    against the golden sparse factors — and is compared, per injection,
-   with the from-scratch dense refactorise baseline.  The baseline is
-   sampled (a spread of ~24 injections) because a full dense FMEA at
-   this size is O(n^3) per row; the fast path also runs the complete
-   FMEA end-to-end. *)
+   with a from-scratch dense refactorise by the test oracle
+   [Oracle.Dense_dc].  The baseline is sampled (a spread of ~24
+   injections) because a full dense FMEA at this size is O(n^3) per row;
+   the fast path also runs the complete FMEA end-to-end.  Gated at
+   >= 500 unknowns, >= 5x per injection and <= 1e-9 reading
+   deviation. *)
 let scaling () =
   section "Scaling — sparse golden factors + low-rank re-solve (--scale)";
   let sections =

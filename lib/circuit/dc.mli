@@ -42,7 +42,8 @@ val analyse : ?gmin:float -> ?max_iterations:int -> ?max_step_param:float -> Net
 type prepared
 
 val prepare : ?gmin:float -> Netlist.t -> prepared
-(** O(elements + nnz) — one element walk and one base-system assembly. *)
+(** One element walk, one base-system assembly and the fill-reducing
+    ordering of its pattern. *)
 
 val size : prepared -> int
 (** Number of MNA unknowns (node voltages + branch currents). *)
