@@ -441,6 +441,20 @@ let test_solver_reuse_matches_refactor () =
   Alcotest.(check bool) "rank updates used" true
     (List.exists (function `Rank_update _ -> true | _ -> false) !paths)
 
+let test_solver_sparse_backend_table () =
+  (* The from-scratch refactor pipeline runs on the sparse solver; its
+     PSU table — every row, impact string and warning — must be the one
+     the former dense MNA backend produced, pinned in
+     golden/psu_refactor_table.txt. *)
+  let nl = Decisive.Case_study.power_supply_netlist in
+  let options = Decisive.Case_study.injection_options in
+  let rm = Reliability.Reliability_model.table_ii in
+  let sparse = Fmea.Injection_fmea.analyse ~options ~solver:`Refactor nl rm in
+  Alcotest.(check string) "table = golden/psu_refactor_table.txt"
+    (In_channel.with_open_bin "golden/psu_refactor_table.txt"
+       In_channel.input_all)
+    (Fmea.Table.show sparse ^ "\n")
+
 (* ---------- Pinned injection-FMEA tables ----------
 
    Byte-for-byte CSV goldens of two injection FMEAs whose numbers come
@@ -618,6 +632,8 @@ let suite =
     Alcotest.test_case "no fault model warning" `Quick test_no_fault_model_warning;
     Alcotest.test_case "solver reuse matches refactor" `Quick
       test_solver_reuse_matches_refactor;
+    Alcotest.test_case "solver sparse backend table" `Quick
+      test_solver_sparse_backend_table;
     Alcotest.test_case "System B table golden" `Quick test_system_b_golden;
     Alcotest.test_case "ladder table golden" `Quick test_ladder_golden;
     Alcotest.test_case "fmeda best coverage wins" `Quick test_fmeda_best_coverage_wins;
