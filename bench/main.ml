@@ -10,8 +10,9 @@
                          and the growth shape.
 
    Exit status 1 when a gate the harness enforces itself fails (see
-   [gate]: the path-FMEA, assess and scaling sections); the other
-   sections' gates are checked by the CI scripts on BENCH_results.json. *)
+   [gate]: the batch-fleet, incremental, path-FMEA, assess and scaling
+   sections); the other sections' gates are checked by the CI scripts on
+   BENCH_results.json. *)
 
 let section title =
   Printf.printf "\n%s\n%s\n" title (String.make (String.length title) '=')
@@ -647,7 +648,7 @@ let batch_fmea ~smoke () =
   (* Best-of-N with a fresh scenario per repetition: every rep pays the
      full engine setup it claims to (a re-used fleet engine would serve
      the whole batch from its result cache and time a no-op), and the
-     minimum strips scheduler/GC noise — the CI gate asserts on these
+     minimum strips scheduler/GC noise — the gates below assert on these
      numbers. *)
   let reps = 5 in
   let best f =
@@ -693,6 +694,15 @@ let batch_fmea ~smoke () =
     fleet_golden;
   Printf.printf "speedup %.2fx, golden solves %d -> %d, identical %b\n"
     (t_cold /. t_fleet) cold_golden fleet_golden identical;
+  (* Fleet sharing (golden dedup + duplicate-variant dedup) must beat
+     independent cold runs on wall clock, not only on solve counts. *)
+  gate (count >= 6) "batch_fmea: fleet too small: %d variants" count;
+  gate (fleet_golden < cold_golden)
+    "batch_fmea: fleet golden solves %d not below cold %d" fleet_golden
+    cold_golden;
+  gate identical "batch_fmea: fleet tables differ from independent runs";
+  gate (t_cold /. t_fleet >= 1.0) "batch_fmea: fleet speedup %.2fx below 1.0x"
+    (t_cold /. t_fleet);
   record_timing "batch/cold" t_cold;
   record_timing "batch/fleet" t_fleet;
   json_batch :=
@@ -1383,7 +1393,7 @@ let iteration_loop () =
   (* Best-of-N, fresh scenario per repetition: the warm engine is
      recreated and refilled (untimed) every rep — re-running warm on an
      already-warm engine would hit the result cache and time a no-op —
-     and the cold engine is recreated every rep.  The CI gate asserts
+     and the cold engine is recreated every rep.  The gate below asserts
      warm <= cold on these minima. *)
   let reps = 5 in
   (* [f] returns (value, elapsed); keep the fastest rep. *)
@@ -1432,6 +1442,12 @@ let iteration_loop () =
   Printf.printf "warm result identical to cold: %b; solves saved: %d\n"
     identical
     (Engine.Stats.solves_performed cold - Engine.Stats.solves_performed warm);
+  (* A warm engine reuses fingerprints, conversions and cached rows from
+     the previous revision; it must never lose to a cold run. *)
+  gate (t_warm <= t_cold)
+    "incremental: warm %.2f ms slower than cold %.2f ms" (t_warm *. 1e3)
+    (t_cold *. 1e3);
+  gate identical "incremental: warm table != cold table";
   record_timing "incremental/cold" t_cold;
   record_timing "incremental/warm" t_warm;
   json_incremental :=

@@ -1,10 +1,3 @@
-type solution = {
-  voltages : (string, float) Hashtbl.t;
-  currents : (string, float) Hashtbl.t;
-  current_sensors : (string * float) list;
-  voltage_sensors : (string * float) list;
-}
-
 type error = Singular_system of string | No_convergence of int
 
 let pp_error ppf = function
@@ -15,32 +8,30 @@ let pp_error ppf = function
 
 let closed_switch_resistance = 1e-3
 
-(* Junction-voltage critical value above which the exponential is
-   linearised to avoid overflow (SPICE's pnjlim idea, simplified). *)
-let junction_limit (p : Element.diode_params) v =
+(* Per-diode constants of the junction model: the scaled thermal voltage
+   vt = n·Vt, and the critical junction voltage above which the
+   exponential is linearised to avoid overflow (SPICE's pnjlim idea,
+   simplified).  Prepared netlists compute them once per diode. *)
+let diode_limits (p : Element.diode_params) =
   let vt = p.Element.thermal_voltage *. p.Element.emission in
-  let vcrit = vt *. log (vt /. (Float.sqrt 2.0 *. p.Element.saturation_current)) in
-  if v > vcrit then vcrit +. (vt *. log (1.0 +. ((v -. vcrit) /. vt)))
-  else v
+  (vt, vt *. log (vt /. (Float.sqrt 2.0 *. p.Element.saturation_current)))
 
-let diode_current (p : Element.diode_params) v =
-  let vt = p.Element.thermal_voltage *. p.Element.emission in
-  let v = junction_limit p v in
+let current_with (vt, vcrit) (p : Element.diode_params) v =
+  let v = if v > vcrit then vcrit +. (vt *. log (1.0 +. ((v -. vcrit) /. vt))) else v in
   p.Element.saturation_current *. (exp (v /. vt) -. 1.0)
 
-(* True derivative of [diode_current], including the limiter's chain-rule
-   factor — an inconsistent Jacobian makes Newton oscillate around the
-   operating point instead of converging. *)
-let diode_conductance (p : Element.diode_params) v =
-  let vt = p.Element.thermal_voltage *. p.Element.emission in
-  let vcrit =
-    vt *. log (vt /. (Float.sqrt 2.0 *. p.Element.saturation_current))
-  in
-  let vl = junction_limit p v in
-  let limiter_slope =
-    if v > vcrit then 1.0 /. (1.0 +. ((v -. vcrit) /. vt)) else 1.0
-  in
-  p.Element.saturation_current /. vt *. exp (vl /. vt) *. limiter_slope
+(* True derivative of [current_with], including the limiter's chain-rule
+   factor 1/r — an inconsistent Jacobian makes Newton oscillate around
+   the operating point instead of converging. *)
+let conductance_with (vt, vcrit) (p : Element.diode_params) v =
+  let is = p.Element.saturation_current in
+  if v > vcrit then
+    let r = 1.0 +. ((v -. vcrit) /. vt) in
+    is /. vt *. exp ((vcrit +. (vt *. log r)) /. vt) *. (1.0 /. r)
+  else is /. vt *. exp (v /. vt)
+
+let diode_current p v = current_with (diode_limits p) p v
+let diode_conductance p v = conductance_with (diode_limits p) p v
 
 (* ---------- prepared netlists ----------
 
@@ -62,6 +53,8 @@ let diode_conductance (p : Element.diode_params) v =
 type prepared = {
   elements : Element.t array;
   node_names : string list;
+  node_index : (string, int) Hashtbl.t; (* node name -> unknown *)
+  el_index : (string, int) Hashtbl.t; (* element id -> index *)
   n_nodes : int;
   size : int;
   gmin : float;
@@ -72,6 +65,8 @@ type prepared = {
   el_branch : int array;
   (* Diodes as (element index, params); restamped each iteration. *)
   diodes : (int * Element.diode_params) array;
+  diode_of : int array; (* per element, its index in [diodes] or -1 *)
+  diode_lim : (float * float) array; (* per diode, [diode_limits] *)
   base_a : Numeric.Sparse.t;
   order : int array; (* cached fill-reducing ordering *)
   (* Per diode, the CSR value positions of its four companion stamps as
@@ -101,6 +96,10 @@ let prepare_elements ~gmin ~node_names elements =
       end)
     elements;
   let size = !next_branch in
+  let el_index = Hashtbl.create (2 * n_elements) in
+  Array.iteri
+    (fun i (e : Element.t) -> Hashtbl.replace el_index e.Element.id i)
+    elements;
   let node n =
     if String.equal n Netlist.ground then None else Hashtbl.find_opt node_index n
   in
@@ -163,6 +162,8 @@ let prepare_elements ~gmin ~node_names elements =
     Numeric.Sparse.add_to trip i i gmin
   done;
   let diodes = Array.of_list (List.rev !diodes) in
+  let diode_of = Array.make n_elements (-1) in
+  Array.iteri (fun di (idx, _) -> diode_of.(idx) <- di) diodes;
   let sa = Numeric.Sparse.compress trip in
   let pos i j =
     match Numeric.Sparse.index sa i j with
@@ -186,6 +187,8 @@ let prepare_elements ~gmin ~node_names elements =
   {
     elements;
     node_names;
+    node_index;
+    el_index;
     n_nodes;
     size;
     gmin;
@@ -193,6 +196,8 @@ let prepare_elements ~gmin ~node_names elements =
     el_b;
     el_branch;
     diodes;
+    diode_of;
+    diode_lim = Array.map (fun (_, prm) -> diode_limits prm) diodes;
     base_a = sa;
     order = Numeric.Sparse.min_degree_order sa;
     diode_pos;
@@ -207,12 +212,24 @@ let prepare ?(gmin = 1e-9) netlist =
 
 let node_v v_guess = function Some i -> v_guess.(i) | None -> 0.0
 
-let diode_companion p v_guess idx (prm : Element.diode_params) =
+(* coeff·(e_a − e_b) over an element's terminals, ground dropped. *)
+let port_vec ia ib coeff : Numeric.Smw.sparse_vec =
+  Array.of_list
+    (List.filter_map Fun.id
+       [ Option.map (fun i -> (i, coeff)) ia; Option.map (fun j -> (j, -.coeff)) ib ])
+
+(* Junction voltage of diode [di] at the unknown vector [x]. *)
+let diode_v p x di =
+  let idx = fst p.diodes.(di) in
+  node_v x p.el_a.(idx) -. node_v x p.el_b.(idx)
+
+let diode_companion p v_guess di =
   (* Newton companion model: conductance g and current source
      i_eq = i(v) - g v, in parallel a -> b. *)
-  let v = node_v v_guess p.el_a.(idx) -. node_v v_guess p.el_b.(idx) in
-  let g = Float.max (diode_conductance prm v) 1e-12 in
-  let i_eq = (diode_current prm v) -. (g *. v) in
+  let prm = snd p.diodes.(di) and lim = p.diode_lim.(di) in
+  let v = diode_v p v_guess di in
+  let g = Float.max (conductance_with lim prm v) 1e-12 in
+  let i_eq = current_with lim prm v -. (g *. v) in
   (g, i_eq)
 
 (* The MNA system at a given diode-voltage guess.  Linear circuits reuse
@@ -224,8 +241,8 @@ let assemble p v_guess =
     let a = Numeric.Sparse.copy p.base_a in
     let b = Array.copy p.base_b in
     Array.iteri
-      (fun di (idx, prm) ->
-        let g, i_eq = diode_companion p v_guess idx prm in
+      (fun di (idx, _) ->
+        let g, i_eq = diode_companion p v_guess di in
         Array.iter
           (fun (vi, sign) -> Numeric.Sparse.add_to_value a vi (sign *. g))
           p.diode_pos.(di);
@@ -281,7 +298,7 @@ let newton_loop ~max_iterations ~max_step ~n_nodes solve_once guess0 =
   in
   go guess0 0
 
-(* Raw solve: the unknown vector, before observable extraction. *)
+(* Raw solve: the unknown vector. *)
 let solve_raw ?(max_iterations = 200) ?(max_step_param = 0.5) p =
   let solve_once v_guess =
     let a, b = assemble p v_guess in
@@ -293,53 +310,59 @@ let solve_raw ?(max_iterations = 200) ?(max_step_param = 0.5) p =
       solve_once
       (Array.make p.size 0.0)
 
-(* ---------- observable extraction ---------- *)
+(* ---------- solutions ----------
 
-(* [elements] is passed explicitly so the injection path can extract with
-   one element's kind swapped for its faulted kind while reusing the
-   golden topology (node/branch numbering is unchanged by faults). *)
-let extract p (elements : Element.t array) x =
-  let voltages = Hashtbl.create 16 in
-  Hashtbl.add voltages Netlist.ground 0.0;
-  List.iteri (fun i n -> Hashtbl.add voltages n x.(i)) p.node_names;
-  let uv = function Some i -> x.(i) | None -> 0.0 in
-  let currents = Hashtbl.create 16 in
-  let current_sensors = ref [] in
-  let voltage_sensors = ref [] in
-  Array.iteri
-    (fun idx (e : Element.t) ->
-      let va = uv p.el_a.(idx) and vb = uv p.el_b.(idx) in
-      let current =
-        match e.Element.kind with
-        | Element.Resistor r | Element.Load r -> (va -. vb) /. r
-        | Element.Switch true -> (va -. vb) /. closed_switch_resistance
-        | Element.Switch false | Element.Capacitor _ | Element.Voltage_sensor
-          ->
-            0.0
-        | Element.Isource amps -> amps
-        | Element.Diode prm -> diode_current prm (va -. vb)
-        | Element.Vsource _ | Element.Inductor _ | Element.Current_sensor ->
-            x.(p.el_branch.(idx))
-      in
-      Hashtbl.replace currents e.Element.id current;
-      (match e.Element.kind with
-      | Element.Current_sensor ->
-          current_sensors := (e.Element.id, current) :: !current_sensors
-      | Element.Voltage_sensor ->
-          voltage_sensors := (e.Element.id, va -. vb) :: !voltage_sensors
-      | _ -> ()))
-    elements;
-  {
-    voltages;
-    currents;
-    current_sensors = List.rev !current_sensors;
-    voltage_sensors = List.rev !voltage_sensors;
-  }
+   A solution is the unknown vector together with the prepared topology
+   it was solved on; every observable is read from the two on demand.  A
+   faulted solution shares the golden topology and records the one
+   element whose kind the fault swapped (node/branch numbering is
+   unchanged by faults), so building one allocates nothing beyond the
+   vector. *)
+
+type solution = {
+  s_p : prepared;
+  s_x : float array;
+  s_fault : (int * Element.kind) option; (* element index, faulted kind *)
+}
+
+let kind_at s idx =
+  match s.s_fault with
+  | Some (j, kind) when j = idx -> kind
+  | Some _ | None -> s.s_p.elements.(idx).Element.kind
+
+let port_voltage s idx =
+  let p = s.s_p in
+  node_v s.s_x p.el_a.(idx) -. node_v s.s_x p.el_b.(idx)
+
+let element_count s = Array.length s.s_p.elements
+
+let element_current_at s idx =
+  let p = s.s_p in
+  match kind_at s idx with
+  | Element.Resistor r | Element.Load r -> port_voltage s idx /. r
+  | Element.Switch true -> port_voltage s idx /. closed_switch_resistance
+  | Element.Switch false | Element.Capacitor _ | Element.Voltage_sensor -> 0.0
+  | Element.Isource amps -> amps
+  | Element.Diode prm ->
+      current_with p.diode_lim.(p.diode_of.(idx)) prm (port_voltage s idx)
+  | Element.Vsource _ | Element.Inductor _ | Element.Current_sensor ->
+      s.s_x.(p.el_branch.(idx))
+
+let sensor_reading_at s idx =
+  match kind_at s idx with
+  | Element.Current_sensor -> Some (element_current_at s idx)
+  | Element.Voltage_sensor -> Some (port_voltage s idx)
+  | _ -> None
+
+let element_index s id =
+  match Hashtbl.find_opt s.s_p.el_index id with
+  | Some i -> i
+  | None -> raise Not_found
 
 let solve ?max_iterations ?max_step_param p =
-  match solve_raw ?max_iterations ?max_step_param p with
-  | Error _ as e -> e
-  | Ok x -> Ok (extract p p.elements x)
+  Result.map
+    (fun x -> { s_p = p; s_x = x; s_fault = None })
+    (solve_raw ?max_iterations ?max_step_param p)
 
 let analyse ?gmin ?max_iterations ?max_step_param netlist =
   solve ?max_iterations ?max_step_param (prepare ?gmin netlist)
@@ -349,8 +372,9 @@ let analyse ?gmin ?max_iterations ?max_step_param netlist =
    The fault-injection FMEA solves thousands of systems that differ from
    the golden one by a handful of stamps: an open, a short or a drift on
    one element is a rank-0/1/2 perturbation A + U·Vᵀ of the golden MNA
-   matrix.  [factorise] captures the golden factors once; [inject] then
-   classifies a fault into its low-rank delta and re-solves with
+   matrix.  [factorise] captures the golden factors once, together with
+   each diode's port response z_d = A⁻¹(e_a − e_b); [inject] classifies
+   a fault into its low-rank delta and re-solves with
    Sherman–Morrison–Woodbury against the existing factors, instead of
    assembling and factorising a faulted system from scratch. *)
 
@@ -360,10 +384,13 @@ type golden = {
   g_fact : Numeric.Sparse.factors;
   g_b : float array; (* final op-point RHS, incl. diode companions *)
   g_x : float array;
-  g_solution : solution;
-  (* Per p.diodes entry: companion (g, i_eq) baked into g_a/g_b. *)
+  (* Per p.diodes entry: port voltage at the operating point and the
+     companion (g, i_eq) there, baked into g_a/g_b. *)
+  g_diode_v : float array;
   g_diode_op : (float * float) array;
-  g_index : (string, int) Hashtbl.t; (* element id -> index *)
+  (* Per p.diodes entry: its port response A⁻¹(e_a − e_b).  Read only,
+     shared by every injection. *)
+  g_diode_z : float array array;
 }
 
 let factorise ?max_iterations ?max_step_param p =
@@ -377,37 +404,34 @@ let factorise ?max_iterations ?max_step_param p =
       match factor p a with
       | Error err -> Error err
       | Ok fact ->
-          let g_x = Numeric.Sparse.solve_factored fact b in
-          let g_diode_op =
-            Array.map
-              (fun (idx, prm) -> diode_companion p x_star idx prm)
-              p.diodes
-          in
-          let g_index = Hashtbl.create 64 in
-          Array.iteri
-            (fun i (e : Element.t) -> Hashtbl.replace g_index e.Element.id i)
-            p.elements;
+          let solve = Numeric.Sparse.solve_factored fact in
           Ok
             {
               g_p = p;
               g_a = a;
               g_fact = fact;
               g_b = b;
-              g_x;
-              g_solution = extract p p.elements g_x;
-              g_diode_op;
-              g_index;
+              g_x = solve b;
+              g_diode_v = Array.mapi (fun di _ -> diode_v p x_star di) p.diodes;
+              g_diode_op = Array.mapi (fun di _ -> diode_companion p x_star di) p.diodes;
+              g_diode_z =
+                Array.map
+                  (fun (idx, _) ->
+                    Numeric.Smw.response ~n:p.size ~solve
+                      (port_vec p.el_a.(idx) p.el_b.(idx) 1.0))
+                  p.diodes;
             })
 
-let golden_solution g = g.g_solution
+let golden_solution g = { s_p = g.g_p; s_x = g.g_x; s_fault = None }
 
 (* A singular low-rank update is reported the way a full re-analysis of
    the faulted netlist reports it — naming the unknown that lost its
    pivot — whenever that re-analysis finds the system singular too. *)
-let smw_singular_error p faulted_elements element_id fault =
+let smw_singular_error p idx new_kind element_id fault =
+  let faulted = Array.copy p.elements in
+  faulted.(idx) <- { faulted.(idx) with Element.kind = new_kind };
   match
-    solve_raw
-      (prepare_elements ~gmin:p.gmin ~node_names:p.node_names faulted_elements)
+    solve_raw (prepare_elements ~gmin:p.gmin ~node_names:p.node_names faulted)
   with
   | Error (Singular_system _ as e) -> e
   | Ok _ | Error (No_convergence _) ->
@@ -415,30 +439,29 @@ let smw_singular_error p faulted_elements element_id fault =
         (Printf.sprintf "fault %s on %s makes the system singular"
            (Fault.to_string fault) element_id)
 
+(* (U·Vᵀ)·x for sparse columns U and V. *)
+let apply_update u v x =
+  let r = Array.make (Array.length x) 0.0 in
+  Array.iteri
+    (fun j vj ->
+      let c = Array.fold_left (fun acc (i, w) -> acc +. (w *. x.(i))) 0.0 vj in
+      if c <> 0.0 then Array.iter (fun (i, uv) -> r.(i) <- r.(i) +. (uv *. c)) u.(j))
+    v;
+  r
+
 let inject ?(max_iterations = 200) ?(max_step_param = 0.5)
     ?(on_path = fun _ -> ()) g ~element_id fault =
   let p = g.g_p in
   let idx =
-    match Hashtbl.find_opt g.g_index element_id with
+    match Hashtbl.find_opt p.el_index element_id with
     | Some i -> i
     | None -> raise Not_found
   in
-  let e = p.elements.(idx) in
-  let old_kind = e.Element.kind in
+  let old_kind = p.elements.(idx).Element.kind in
   let new_kind = Fault.faulted_kind old_kind fault ~element:element_id in
-  let faulted_elements = Array.copy p.elements in
-  faulted_elements.(idx) <- { e with Element.kind = new_kind };
-  (* coeff·(e_a − e_b) over the given terminals, ground dropped. *)
-  let pvec ia ib coeff =
-    Array.of_list
-      (List.filter_map Fun.id
-         [
-           Option.map (fun i -> (i, coeff)) ia;
-           Option.map (fun j -> (j, -.coeff)) ib;
-         ])
-  in
+  let solution x = { s_p = p; s_x = x; s_fault = Some (idx, new_kind) } in
   let ia = p.el_a.(idx) and ib = p.el_b.(idx) in
-  let pair_vec = pvec ia ib in
+  let pair_vec = port_vec ia ib in
   (* Conductance stamped for a (non-branch, non-diode) kind. *)
   let static_g = function
     | Element.Resistor r | Element.Load r -> 1.0 /. r
@@ -450,10 +473,7 @@ let inject ?(max_iterations = 200) ?(max_step_param = 0.5)
     | Element.Diode _ ->
         assert false
   in
-  let my_diode = ref None in
-  Array.iteri
-    (fun di (ei, _) -> if ei = idx then my_diode := Some di)
-    p.diodes;
+  let my_diode = p.diode_of.(idx) in
   let updates = ref [] in
   let rhs = ref [] in
   let add_update u v =
@@ -477,13 +497,13 @@ let inject ?(max_iterations = 200) ?(max_step_param = 0.5)
            current drops out of the KCL rows.  With the original stamps
            A(k,a)=1, A(k,b)=-1, A(a,k)=1, A(b,k)=-1, A(k,k)=0, this is
            the rank-2 update e_k·(e_k − e_a + e_b)ᵀ + (e_b − e_a)·e_kᵀ. *)
-        add_update [| (k, 1.0) |] (Array.append [| (k, 1.0) |] (pvec ia ib (-1.0)));
-        add_update (pvec ia ib (-1.0)) [| (k, 1.0) |];
+        add_update [| (k, 1.0) |] (Array.append [| (k, 1.0) |] (pair_vec (-1.0)));
+        add_update (pair_vec (-1.0)) [| (k, 1.0) |];
         if old_bk <> 0.0 then rhs := (k, -.old_bk) :: !rhs
     | Element.Resistor r ->
         (* Short: keep the branch current and turn the defining equation
-           into v_a − v_b − r·i_k = 0, i.e. add −r at (k,k).  Extraction
-           as (va − vb)/r then equals x_k by construction. *)
+           into v_a − v_b − r·i_k = 0, i.e. add −r at (k,k).  Reading the
+           current as (va − vb)/r then equals x_k by construction. *)
         add_update [| (k, 1.0) |] [| (k, -.r) |];
         if old_bk <> 0.0 then rhs := (k, -.old_bk) :: !rhs
     | Element.Vsource v' -> if v' <> old_bk then rhs := (k, v' -. old_bk) :: !rhs
@@ -493,10 +513,7 @@ let inject ?(max_iterations = 200) ?(max_step_param = 0.5)
   else begin
     let g_old =
       match old_kind with
-      | Element.Diode _ -> (
-          match !my_diode with
-          | Some di -> fst g.g_diode_op.(di)
-          | None -> assert false)
+      | Element.Diode _ -> fst g.g_diode_op.(my_diode)
       | kind -> static_g kind
     in
     let dg = static_g new_kind -. g_old in
@@ -507,11 +524,7 @@ let inject ?(max_iterations = 200) ?(max_step_param = 0.5)
         add_rhs ia amps;
         add_rhs ib (-.amps)
     | Element.Diode _ ->
-        let i_eq =
-          match !my_diode with
-          | Some di -> snd g.g_diode_op.(di)
-          | None -> 0.0
-        in
+        let i_eq = snd g.g_diode_op.(my_diode) in
         add_rhs ia i_eq;
         add_rhs ib (-.i_eq)
     | _ -> ());
@@ -527,102 +540,152 @@ let inject ?(max_iterations = 200) ?(max_step_param = 0.5)
     (* The faulted stamps are identical (e.g. capacitor open, closed
        switch shorted): the golden solution is the faulted solution. *)
     on_path `Reused;
-    Ok (extract p faulted_elements g.g_x)
+    Ok (solution g.g_x)
   end
   else begin
     let n = p.size in
     let base_solve b = Numeric.Sparse.solve_factored g.g_fact b in
     let b_fault = Array.copy g.g_b in
     List.iter (fun (i, d) -> b_fault.(i) <- b_fault.(i) +. d) !rhs;
-    (* Diodes other than the faulted element stay active: their golden
-       companion stamps are inside the factors, so each Newton iteration
-       contributes (g(v) − g_op) rank-1 corrections on top of the fault's
-       own delta.  At the warm start v = golden x those corrections are
-       exactly zero. *)
-    let active =
-      Array.of_list
-        (List.filter_map Fun.id
-           (Array.to_list
-              (Array.mapi
-                 (fun di (ei, prm) ->
-                   if ei = idx then None
-                   else Some (ei, prm, g.g_diode_op.(di)))
-                 p.diodes)))
+    (* Solved once per fault against the golden factors: the fault's own
+       response columns and the base solution of its right-hand side. *)
+    let fz = Array.map (Numeric.Smw.response ~n ~solve:base_solve) fu in
+    let y0 = base_solve b_fault in
+    let singular () =
+      Error (smw_singular_error p idx new_kind element_id fault)
     in
-    if Array.length active = 0 then begin
+    (* One step of iterative refinement of x ≈ (A + U·Vᵀ)⁻¹b against the
+       golden matrix: the residual in the original space, one triangular
+       solve. *)
+    let refine smw ~u ~v b x =
+      let ax = Numeric.Sparse.mul_vec g.g_a x in
+      let uvx = apply_update u v x in
+      let r = Array.init n (fun i -> b.(i) -. ax.(i) -. uvx.(i)) in
+      let dx = base_solve r in
+      Numeric.Smw.update smw dx;
+      for i = 0 to n - 1 do
+        x.(i) <- x.(i) +. dx.(i)
+      done
+    in
+    let n_active = Array.length p.diodes - if my_diode >= 0 then 1 else 0 in
+    if n_active = 0 then begin
       (* Linear faulted circuit: one SMW re-solve plus one step of
          iterative refinement (gmin-scale cancellation on opens would
          otherwise cost a few digits). *)
-      match Numeric.Smw.prepare ~n ~solve:base_solve ~u:fu ~v:fv with
-      | exception Numeric.Lu.Singular _ ->
-          Error (smw_singular_error p faulted_elements element_id fault)
+      match Numeric.Smw.make ~z:fz ~v:fv with
+      | exception Numeric.Lu.Singular _ -> singular ()
       | smw ->
-          let x = Numeric.Smw.solve smw b_fault in
-          let ax = Numeric.Sparse.mul_vec g.g_a x in
-          let uvx = Numeric.Smw.apply_update smw x in
-          let r = Array.init n (fun i -> b_fault.(i) -. ax.(i) -. uvx.(i)) in
-          let dx = Numeric.Smw.solve smw r in
-          for i = 0 to n - 1 do
-            x.(i) <- x.(i) +. dx.(i)
-          done;
+          let x = y0 in
+          Numeric.Smw.update smw x;
+          refine smw ~u:fu ~v:fv b_fault x;
           on_path (`Rank_update (Numeric.Smw.rank smw));
-          Ok (extract p faulted_elements x)
+          Ok (solution x)
     end
     else begin
+      (* Diodes other than the faulted element stay active: their golden
+         companion stamps are inside the factors, so at a guess v each
+         contributes the rank-1 correction Δg_d·p_d·p_dᵀ (p_d its port
+         vector) and moves its companion current by Δi_eq,d.  By
+         linearity the iterate's base solution is
+         y = y0 − Σ Δi_eq,d·z_d with z_d the port response solved at
+         [factorise], and the moved diodes' update columns are z_d with
+         Δg_d folded into V — no triangular solve per iteration.  At the
+         warm start (the golden solution) every Δ is zero up to
+         roundoff.
+
+         The responses carry the golden factors' rounding.  When the
+         faulted system is nearly singular — a node held only by gmin,
+         such as the far side of an open supply resistor once every
+         diode behind it is off — that rounding, amplified, can keep the
+         iterate from settling within [vntol].  Such a fault runs again
+         with one step of iterative refinement per iteration ([refine]
+         with the iteration's full U, V and right-hand side), paying the
+         one triangular solve per iteration the loop otherwise avoids. *)
       let rank_seen = ref (Array.length fu) in
-      let solve_once v_guess =
-        let extra = ref [] in
-        let b = Array.copy b_fault in
-        Array.iter
-          (fun (ei, prm, (g_op, ieq_op)) ->
-            let dia = p.el_a.(ei) and dib = p.el_b.(ei) in
-            let v = node_v v_guess dia -. node_v v_guess dib in
-            let gd = Float.max (diode_conductance prm v) 1e-12 in
-            let ieq = (diode_current prm v) -. (gd *. v) in
-            let dgd = gd -. g_op and dieq = ieq -. ieq_op in
-            if dgd <> 0.0 then extra := (pvec dia dib dgd, pvec dia dib 1.0) :: !extra;
-            (match dia with
-            | Some i -> b.(i) <- b.(i) -. dieq
-            | None -> ());
-            match dib with
-            | Some j -> b.(j) <- b.(j) +. dieq
-            | None -> ())
-          active;
-        let extra = Array.of_list !extra in
-        let u = Array.append fu (Array.map fst extra) in
-        let v = Array.append fv (Array.map snd extra) in
-        rank_seen := max !rank_seen (Array.length u);
-        match Numeric.Smw.prepare ~n ~solve:base_solve ~u ~v with
-        | exception Numeric.Lu.Singular _ ->
-            Error (smw_singular_error p faulted_elements element_id fault)
-        | smw -> Ok (Numeric.Smw.solve smw b)
+      let solve_once ~refined v_guess =
+        let y = Array.copy y0 in
+        let b = if refined then Array.copy b_fault else [||] in
+        let zs = ref [] and us = ref [] and vs = ref [] in
+        for di = Array.length p.diodes - 1 downto 0 do
+          let v = diode_v p v_guess di in
+          (* A diode still at its operating-point voltage has Δg = Δi_eq
+             = 0 exactly: skip the device evaluation. *)
+          if di <> my_diode && v <> g.g_diode_v.(di) then begin
+            let prm = snd p.diodes.(di) and lim = p.diode_lim.(di) in
+            let g_op, ieq_op = g.g_diode_op.(di) in
+            let gd = Float.max (conductance_with lim prm v) 1e-12 in
+            let dieq = current_with lim prm v -. (gd *. v) -. ieq_op in
+            let ei = fst p.diodes.(di) in
+            let z = g.g_diode_z.(di) in
+            if dieq <> 0.0 then begin
+              for i = 0 to n - 1 do
+                y.(i) <- y.(i) -. (dieq *. z.(i))
+              done;
+              if refined then
+                Array.iter
+                  (fun (i, c) -> b.(i) <- b.(i) -. (dieq *. c))
+                  (port_vec p.el_a.(ei) p.el_b.(ei) 1.0)
+            end;
+            let dgd = gd -. g_op in
+            if dgd <> 0.0 then begin
+              zs := z :: !zs;
+              vs := port_vec p.el_a.(ei) p.el_b.(ei) dgd :: !vs;
+              if refined then us := port_vec p.el_a.(ei) p.el_b.(ei) 1.0 :: !us
+            end
+          end
+        done;
+        let z = Array.append fz (Array.of_list !zs) in
+        let v = Array.append fv (Array.of_list !vs) in
+        rank_seen := max !rank_seen (Array.length z);
+        match Numeric.Smw.make ~z ~v with
+        | exception Numeric.Lu.Singular _ -> singular ()
+        | smw ->
+            Numeric.Smw.update smw y;
+            if refined then
+              refine smw ~u:(Array.append fu (Array.of_list !us)) ~v b y;
+            Ok y
+      in
+      let newton refined =
+        newton_loop ~max_iterations ~max_step:max_step_param
+          ~n_nodes:p.n_nodes (solve_once ~refined) (Array.copy g.g_x)
       in
       match
-        newton_loop ~max_iterations ~max_step:max_step_param
-          ~n_nodes:p.n_nodes solve_once (Array.copy g.g_x)
+        match newton false with
+        | Error (No_convergence _) -> newton true
+        | result -> result
       with
       | Error _ as err -> err
       | Ok x ->
           on_path (`Rank_update !rank_seen);
-          Ok (extract p faulted_elements x)
+          Ok (solution x)
     end
   end
 
 (* ---------- observables ---------- *)
 
 let node_voltage s n =
-  match Hashtbl.find_opt s.voltages n with
-  | Some v -> v
-  | None ->
-      if String.equal (String.lowercase_ascii n) "0" then 0.0 else raise Not_found
+  if String.equal n Netlist.ground then 0.0
+  else
+    match Hashtbl.find_opt s.s_p.node_index n with
+    | Some i -> s.s_x.(i)
+    | None ->
+        if String.equal (String.lowercase_ascii n) "0" then 0.0 else raise Not_found
 
-let element_current s id =
-  match Hashtbl.find_opt s.currents id with
-  | Some i -> i
-  | None -> raise Not_found
+let element_current s id = element_current_at s (element_index s id)
 
-let current_sensor_readings s = s.current_sensors
+(* Sensors of one kind as (id, reading), in netlist order. *)
+let sensor_readings s kind =
+  let acc = ref [] in
+  for idx = element_count s - 1 downto 0 do
+    if Element.equal_kind (kind_at s idx) kind then
+      match sensor_reading_at s idx with
+      | Some r -> acc := (s.s_p.elements.(idx).Element.id, r) :: !acc
+      | None -> ()
+  done;
+  !acc
 
-let voltage_sensor_readings s = s.voltage_sensors
+let current_sensor_readings s = sensor_readings s Element.Current_sensor
 
-let all_sensor_readings s = s.current_sensors @ s.voltage_sensors
+let voltage_sensor_readings s = sensor_readings s Element.Voltage_sensor
+
+let all_sensor_readings s = current_sensor_readings s @ voltage_sensor_readings s

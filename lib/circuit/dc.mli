@@ -62,19 +62,29 @@ val solve : ?max_iterations:int -> ?max_step_param:float -> prepared -> (solutio
     Injecting a failure mode changes a handful of MNA stamps — an open,
     short or drift on one element is a rank-0/1/2 perturbation
     [A + U·Vᵀ] of the golden matrix.  {!factorise} captures the golden
-    factorisation once; {!inject} classifies a fault into its low-rank
-    delta and re-solves via Sherman–Morrison–Woodbury against the
-    existing factors in O(nnz·k) instead of refactorising a freshly
-    assembled faulted system.  Circuits with
-    diodes warm-start Newton from the golden operating point, each
-    iteration adding per-diode [(g(v) − g_op)] rank-1 corrections. *)
+    factorisation once, together with each diode's port response
+    [z_d = A⁻¹(e_a − e_b)]; {!inject} classifies a fault into its
+    low-rank delta and re-solves via Sherman–Morrison–Woodbury
+    ({!Numeric.Smw}) against the existing factors instead of
+    refactorising a freshly assembled faulted system.
+
+    A fault costs one triangular solve per column of its own delta plus
+    one for its right-hand side, [y0 = A⁻¹b_fault].  Circuits with other
+    diodes warm-start Newton from the golden operating point; there each
+    iteration is [y = y0 − Σ_d Δi_eq,d·z_d] followed by a [k × k]
+    capacitance solve whose columns are the fault's own plus [z_d] for
+    every diode whose conductance moved ([Δg_d] folded into [V]) — no
+    triangular solve inside the Newton loop.  A fault whose faulted
+    system is so nearly singular that this loop does not settle (a node
+    held only by [gmin]) is run again with one step of iterative
+    refinement against the golden matrix per iteration. *)
 
 type golden
 
 val factorise : ?max_iterations:int -> ?max_step_param:float -> prepared -> (golden, error) result
 (** Solve the golden system and keep its factors, operating point and
-    solution for reuse by {!inject}.  [golden] is immutable and safe to
-    share across domains. *)
+    diode port responses (one solve per diode) for reuse by {!inject}.
+    [golden] is immutable and safe to share across domains. *)
 
 val golden_solution : golden -> solution
 
@@ -89,15 +99,23 @@ val inject :
 (** Solve the circuit with the given fault applied to one element,
     reusing the golden factors.  [on_path] reports how the solve was
     served: [`Reused] — the fault does not change the system (e.g. an
-    open capacitor) and the golden solution was re-extracted;
+    open capacitor) and the golden solution is read again, no solve;
     [`Rank_update k] — a rank-[k] SMW re-solve ([k = 0] is an RHS-only
-    change, one substitution against the golden factors).  Raises
+    change, one substitution against the golden factors; with other
+    diodes present, [k] is the largest rank a Newton iteration used:
+    the fault's own columns plus the diodes whose conductance moved).
+    Raises
     [Not_found] for an unknown element and {!Fault.Not_applicable} as
     {!Fault.inject}.  Results match a full re-analysis of the faulted
     netlist to solver tolerance (roundoff for linear circuits, Newton
     tolerance when diodes are present).  A fault that makes the system
     singular is reported as that re-analysis reports it, naming the
     unknown without a pivot. *)
+
+(** {1 Observables}
+
+    A solution keeps the unknown vector and the topology it was solved
+    on; every observable is computed from them when read. *)
 
 val node_voltage : solution -> string -> float
 (** 0.0 for ground; raises [Not_found] for unknown nodes. *)
@@ -116,6 +134,26 @@ val voltage_sensor_readings : solution -> (string * float) list
 val all_sensor_readings : solution -> (string * float) list
 (** Current then voltage sensors — the observation vector the
     failure-injection FMEA compares between golden and faulty runs. *)
+
+(** {2 By element index}
+
+    Elements are indexed by their position in {!Netlist.elements}.  A
+    fault never moves an element, so an index taken from the golden
+    solution reads the same element in every faulted one — whether it
+    came from {!inject} or from analysing {!Fault.inject}'s netlist. *)
+
+val element_index : solution -> string -> int
+(** Raises [Not_found] for an unknown id. *)
+
+val element_count : solution -> int
+
+val element_current_at : solution -> int -> float
+(** {!element_current} of the element at that index. *)
+
+val sensor_reading_at : solution -> int -> float option
+(** The reading of the element at that index when it is a current or
+    voltage sensor in this solution; [None] otherwise (a fault that opens
+    or shorts a sensor removes it). *)
 
 (** {1 Device equations}
 

@@ -352,7 +352,8 @@ let injection_fmea t ?previous ~options diagram reliability =
       in
       let on_classified () = Stats.incr_row_classified t.p_stats in
       let on_solved = function
-        | `Reused | `Rank_update _ -> Stats.incr_rank_update t.p_stats
+        | `Reused -> Stats.incr_reused t.p_stats
+        | `Rank_update _ -> Stats.incr_rank_update t.p_stats
         | `Refactor -> Stats.incr_refactorisation t.p_stats
       in
       Fmea.Injection_fmea.analyse ~options ~element_types ~prepared ?reuse
@@ -422,7 +423,8 @@ let injection_fmea_fleet t ~options variants reliability =
   in
   let on_classified () = Stats.incr_row_classified t.p_stats in
   let on_solved = function
-    | `Reused | `Rank_update _ -> Stats.incr_rank_update t.p_stats
+    | `Reused -> Stats.incr_reused t.p_stats
+    | `Rank_update _ -> Stats.incr_rank_update t.p_stats
     | `Refactor -> Stats.incr_refactorisation t.p_stats
   in
   (* Flatten every pending variant's injections into ONE task list: the

@@ -7,6 +7,7 @@ type t = {
   rows_classified : int Atomic.t;
   rows_reused : int Atomic.t;
   rank_updates : int Atomic.t;
+  reused : int Atomic.t;
   refactorisations : int Atomic.t;
 }
 
@@ -20,6 +21,7 @@ let create () =
     rows_classified = Atomic.make 0;
     rows_reused = Atomic.make 0;
     rank_updates = Atomic.make 0;
+    reused = Atomic.make 0;
     refactorisations = Atomic.make 0;
   }
 
@@ -32,6 +34,7 @@ let reset t =
   Atomic.set t.rows_classified 0;
   Atomic.set t.rows_reused 0;
   Atomic.set t.rank_updates 0;
+  Atomic.set t.reused 0;
   Atomic.set t.refactorisations 0
 
 let incr_mem_hit t = Atomic.incr t.mem_hits
@@ -42,6 +45,7 @@ let incr_golden_solve t = Atomic.incr t.golden_solves
 let incr_row_classified t = Atomic.incr t.rows_classified
 let incr_row_reused t = Atomic.incr t.rows_reused
 let incr_rank_update t = Atomic.incr t.rank_updates
+let incr_reused t = Atomic.incr t.reused
 let incr_refactorisation t = Atomic.incr t.refactorisations
 
 type snapshot = {
@@ -53,6 +57,7 @@ type snapshot = {
   rows_classified : int;
   rows_reused : int;
   rank_updates : int;
+  reused : int;
   refactorisations : int;
   sched_sequential : int;
   sched_parallel : int;
@@ -72,6 +77,7 @@ let snapshot (t : t) =
     rows_classified = Atomic.get t.rows_classified;
     rows_reused = Atomic.get t.rows_reused;
     rank_updates = Atomic.get t.rank_updates;
+    reused = Atomic.get t.reused;
     refactorisations = Atomic.get t.refactorisations;
     sched_sequential;
     sched_parallel;
@@ -85,14 +91,14 @@ let pp ppf s =
   Format.fprintf ppf
     "engine: %d cache hit%s (%d memory, %d disk), %d miss%s; %d solve%s \
      performed (%d golden + %d injections, %d by rank update, %d \
-     refactorised); %d row%s reused"
+     reused, %d refactorised); %d row%s reused"
     (hits s)
     (if hits s = 1 then "" else "s")
     s.mem_hits s.disk_hits s.misses
     (if s.misses = 1 then "" else "es")
     (solves_performed s)
     (if solves_performed s = 1 then "" else "s")
-    s.golden_solves s.rows_classified s.rank_updates s.refactorisations
+    s.golden_solves s.rows_classified s.rank_updates s.reused s.refactorisations
     s.rows_reused
     (if s.rows_reused = 1 then "" else "s");
   Format.fprintf ppf "; scheduler: %d parallel / %d sequential batch%s"

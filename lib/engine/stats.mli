@@ -23,6 +23,7 @@ val incr_golden_solve : t -> unit
 val incr_row_classified : t -> unit
 val incr_row_reused : t -> unit
 val incr_rank_update : t -> unit
+val incr_reused : t -> unit
 val incr_refactorisation : t -> unit
 
 type snapshot = {
@@ -35,8 +36,11 @@ type snapshot = {
   rows_reused : int;  (** FMEA rows taken verbatim from a previous table *)
   rank_updates : int;
       (** faulted solves served by a low-rank (SMW) re-solve against the
-          golden factors — including zero-delta reuses of the golden
-          solution *)
+          golden factors *)
+  reused : int;
+      (** faulted solves that needed no solve at all: the fault left
+          every MNA stamp as it was (e.g. an open capacitor), so the
+          golden solution was read again *)
   refactorisations : int;
       (** faulted solves that assembled and factorised a system from
           scratch *)

@@ -23,12 +23,15 @@ type solve_path = [ `Reused | `Rank_update of int | `Refactor ]
 
 exception Golden_run_failed of string
 
-let max_element_current netlist solution =
-  List.fold_left
-    (fun acc (e : Circuit.Element.t) ->
-      Float.max acc (Float.abs (Circuit.Dc.element_current solution e.Circuit.Element.id)))
-    0.0
-    (Circuit.Netlist.elements netlist)
+(* Element ids — and therefore the set of currents to bound — are
+   unchanged by faults, and so are element indices: a golden and a
+   faulted solution are read the same way. *)
+let max_element_current solution =
+  let m = ref 0.0 in
+  for i = 0 to Circuit.Dc.element_count solution - 1 do
+    m := Float.max !m (Float.abs (Circuit.Dc.element_current_at solution i))
+  done;
+  !m
 
 (* The golden run and everything derived from it, computed once and
    shared — across the repeated single classifications of the "delve into
@@ -41,9 +44,10 @@ type prepared = {
   p_netlist : Circuit.Netlist.t;
   (* Some iff the solver is [`Reuse]. *)
   p_factors : Circuit.Dc.golden option;
-  p_golden : Circuit.Dc.solution;
   p_golden_max_current : float;
-  p_golden_readings : (string * float) list;  (* monitored, in sensor order *)
+  (* Monitored sensors in sensor order: id, element index, golden
+     reading. *)
+  p_golden_readings : (string * int * float) array;
 }
 
 let prepare ?(options = default_options) ?(solver = `Reuse) netlist =
@@ -59,36 +63,33 @@ let prepare ?(options = default_options) ?(solver = `Reuse) netlist =
         | Ok s -> (None, s)
         | Error e -> fail e)
   in
-  let monitored readings =
+  let monitored id =
     match options.monitored_sensors with
-    | None -> readings
-    | Some ids ->
-        List.filter (fun (id, _) -> List.exists (String.equal id) ids) readings
+    | None -> true
+    | Some ids -> List.exists (String.equal id) ids
   in
   {
     p_options = options;
     p_netlist = netlist;
     p_factors = factors;
-    p_golden = golden;
-    p_golden_max_current = max_element_current netlist golden;
-    p_golden_readings = monitored (Circuit.Dc.all_sensor_readings golden);
+    p_golden_max_current = max_element_current golden;
+    p_golden_readings =
+      Array.of_list
+        (List.filter_map
+           (fun (id, g) ->
+             if monitored id then
+               Some (id, Circuit.Dc.element_index golden id, g)
+             else None)
+           (Circuit.Dc.all_sensor_readings golden));
   }
 
 (* Compare faulty sensor readings against golden; return the worst
-   offending sensor when the deviation exceeds the thresholds.  The
-   faulty readings are indexed once — the previous per-golden-reading
-   [List.assoc_opt] made this O(sensors²). *)
+   offending sensor when the deviation exceeds the thresholds.  Each
+   sensor is read by its element index. *)
 let compare_readings options golden_readings faulty =
-  let faulty_readings = Hashtbl.create 16 in
-  List.iter
-    (fun (sensor, f) ->
-      (* First reading wins, matching [List.assoc_opt] on duplicates. *)
-      if not (Hashtbl.mem faulty_readings sensor) then
-        Hashtbl.add faulty_readings sensor f)
-    (Circuit.Dc.all_sensor_readings faulty);
-  List.fold_left
-    (fun acc (sensor, g) ->
-      match Hashtbl.find_opt faulty_readings sensor with
+  Array.fold_left
+    (fun acc (sensor, idx, g) ->
+      match Circuit.Dc.sensor_reading_at faulty idx with
       | None ->
           (* The fault removed the sensor itself: the observation channel
              is lost, which violates the monitoring goal outright. *)
@@ -130,10 +131,7 @@ let classify_prepared ?(on_solved = fun (_ : solve_path) -> ()) p ~element_id
         match options.overcurrent_factor with
         | None -> true
         | Some factor ->
-            (* Element ids — and therefore the set of currents to bound —
-               are unchanged by faults, so the golden netlist indexes the
-               faulted solution too. *)
-            max_element_current p.p_netlist solution
+            max_element_current solution
             <= factor *. Float.max p.p_golden_max_current 1e-12
       in
       if not plausible then

@@ -154,8 +154,8 @@ wait "$SERVE_PID" || {
 [ ! -S "$SOCK" ] || { echo "FAIL: daemon left its socket behind" >&2; exit 1; }
 
 echo "== bench --smoke: fta + assess + regression acceptance =="
-# bench exits non-zero itself when the assess gate fails (>= 1e6
-# trials/s, estimate inside the 99% CI of exact); the rest is below.
+# bench exits non-zero itself when one of its own gates fails (batch
+# fleet, incremental, path FMEA, assess, scaling); the rest is below.
 SAME_JOBS=4 dune exec bench/main.exe -- --smoke > /dev/null
 python3 - <<'EOF'
 import json, sys
@@ -181,33 +181,6 @@ if not b["exact"]:
 print("fta OK: " + ", ".join(
     f"{e['name']} {e['speedup']:.0f}x" for e in published) +
     f"; {b['cut_sets']:.0f} cut sets solved past the cap")
-
-inc = r.get("incremental")
-if not inc:
-    sys.exit("incremental section is empty")
-for e in inc:
-    # A warm engine reuses fingerprints, conversions and cached rows from
-    # the previous revision; it must never lose to a cold run.
-    if e["warm_s"] > e["cold_s"]:
-        sys.exit(f"{e['name']}: warm {e['warm_s'] * 1e3:.2f} ms slower "
-                 f"than cold {e['cold_s'] * 1e3:.2f} ms")
-    if not e["identical"]:
-        sys.exit(f"{e['name']}: warm table != cold table")
-print("incremental OK: " + ", ".join(
-    f"{e['name']} warm {e['warm_s'] * 1e3:.2f} ms vs cold "
-    f"{e['cold_s'] * 1e3:.2f} ms" for e in inc))
-
-batch = r.get("batch_fmea")
-if not batch:
-    sys.exit("batch_fmea section is empty")
-for e in batch:
-    # Fleet-mode sharing (golden dedup + duplicate-variant dedup) must
-    # beat independent cold runs on wall clock, not only on solve counts.
-    if e["speedup"] < 1.0:
-        sys.exit(f"{e['name']}: fleet speedup {e['speedup']:.2f}x "
-                 f"below 1.0x")
-print("batch_fmea OK: " + ", ".join(
-    f"{e['name']} {e['speedup']:.2f}x" for e in batch))
 
 serve = r.get("serve")
 if not serve:

@@ -372,6 +372,27 @@ let test_system_b_fewer_solves () =
   Alcotest.(check bool) "rows were reused" true
     (warm.Engine.Stats.rows_reused > 0)
 
+(* Every injection the engine classifies is served one way: a low-rank
+   update against the golden factors, the golden solution as is (the
+   fault changed no stamp), or a refactorisation — and [--explain]
+   counts each apart. *)
+let test_solve_paths_add_up () =
+  let e = Engine.Pipeline.create () in
+  ignore
+    (Engine.Pipeline.injection_fmea e
+       ~options:Decisive.Case_study.injection_options
+       Decisive.Case_study.power_supply_diagram
+       Decisive.Case_study.reliability_model);
+  let s = Engine.Pipeline.snapshot e in
+  Alcotest.(check int) "rank updates + reused + refactorised = injections"
+    s.Engine.Stats.rows_classified
+    (s.Engine.Stats.rank_updates + s.Engine.Stats.reused
+   + s.Engine.Stats.refactorisations);
+  Alcotest.(check bool) "some injections reuse the golden solution" true
+    (s.Engine.Stats.reused > 0);
+  Alcotest.(check bool) "some injections are rank updates" true
+    (s.Engine.Stats.rank_updates > 0)
+
 (* ---------- pipeline: search and path stages ---------- *)
 
 let test_optimise_warm_equals_cold () =
@@ -573,6 +594,8 @@ let suite =
     QCheck_alcotest.to_alcotest prop_warm_equals_cold;
     Alcotest.test_case "pipeline: System B fewer solves" `Quick
       test_system_b_fewer_solves;
+    Alcotest.test_case "pipeline: solve paths add up" `Quick
+      test_solve_paths_add_up;
     Alcotest.test_case "pipeline: optimise warm equals cold" `Quick
       test_optimise_warm_equals_cold;
     Alcotest.test_case "api: refine through the engine" `Quick

@@ -293,41 +293,37 @@ let prop_smw_matches_refactorise =
       match Numeric.Lu.solve updated (Array.copy b) with
       | exception Numeric.Lu.Singular _ -> QCheck.assume_fail ()
       | x_full -> (
-          match
-            Numeric.Smw.prepare ~n
-              ~solve:(Numeric.Lu.solve_factored f)
-              ~u ~v
-          with
+          let solve = Numeric.Lu.solve_factored f in
+          let z = Array.map (Numeric.Smw.response ~n ~solve) u in
+          match Numeric.Smw.make ~z ~v with
           | exception Numeric.Lu.Singular _ -> QCheck.assume_fail ()
           | smw ->
-              let x_smw = Numeric.Smw.solve smw (Array.copy b) in
+              let x_smw = solve (Array.copy b) in
+              Numeric.Smw.update smw x_smw;
               Numeric.Vector.max_abs_diff x_smw x_full < 1e-9))
 
 let test_smw_rank1_known () =
   (* A = I (2x2), u = e0, v = e1: A' = [[1;1];[0;1]], b = [3;2] -> x = [1;2]. *)
   let a = Numeric.Matrix.identity 2 in
-  let f = Numeric.Lu.decompose a in
-  let smw =
-    Numeric.Smw.prepare ~n:2
-      ~solve:(Numeric.Lu.solve_factored f)
-      ~u:[| [| (0, 1.0) |] |]
-      ~v:[| [| (1, 1.0) |] |]
-  in
+  let solve = Numeric.Lu.solve_factored (Numeric.Lu.decompose a) in
+  let z = Numeric.Smw.response ~n:2 ~solve [| (0, 1.0) |] in
+  let smw = Numeric.Smw.make ~z:[| z |] ~v:[| [| (1, 1.0) |] |] in
   Alcotest.(check int) "rank" 1 (Numeric.Smw.rank smw);
-  let x = Numeric.Smw.solve smw [| 3.0; 2.0 |] in
+  let x = solve [| 3.0; 2.0 |] in
+  Numeric.Smw.update smw x;
   check_float "x0" 1.0 x.(0);
   check_float "x1" 2.0 x.(1);
-  let upd = Numeric.Smw.apply_update smw [| 0.0; 5.0 |] in
-  check_float "update e0" 5.0 upd.(0);
-  check_float "update e1" 0.0 upd.(1)
+  (* Duplicate indices of a column sum, as in MNA stamping. *)
+  let r = Numeric.Smw.response ~n:2 ~solve [| (1, 2.0); (1, 3.0) |] in
+  check_float "response e0" 0.0 r.(0);
+  check_float "response e1" 5.0 r.(1)
 
 let test_smw_singular_update () =
   (* A = I, u = v = -e0: A' zeroes row/col 0 -> singular capacitance. *)
-  let f = Numeric.Lu.decompose (Numeric.Matrix.identity 2) in
+  let solve = Numeric.Lu.solve_factored (Numeric.Lu.decompose (Numeric.Matrix.identity 2)) in
   match
-    Numeric.Smw.prepare ~n:2
-      ~solve:(Numeric.Lu.solve_factored f)
-      ~u:[| [| (0, -1.0) |] |]
+    Numeric.Smw.make
+      ~z:[| Numeric.Smw.response ~n:2 ~solve [| (0, -1.0) |] |]
       ~v:[| [| (0, 1.0) |] |]
   with
   | exception Numeric.Lu.Singular _ -> ()
