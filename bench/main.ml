@@ -9,10 +9,9 @@
                          by 1/100, which preserves the overflow behaviour
                          and the growth shape.
 
-   Exit status 1 when a gate the harness enforces itself fails (see
-   [gate]: the batch-fleet, incremental, path-FMEA, assess and scaling
-   sections); the other sections' gates are checked by the CI scripts on
-   BENCH_results.json. *)
+   Exit status 1 when a gate fails (see [gate]): every section's
+   acceptance thresholds are checked here, and [final_gates] checks that
+   the sections CI relies on produced results. *)
 
 let section title =
   Printf.printf "\n%s\n%s\n" title (String.make (String.length title) '=')
@@ -577,6 +576,13 @@ let parallel_speedups ~smoke () =
       "%-26s seq %7.3f s   auto %7.3f s   %-20s effective %5.2fx (raw \
        %5.2fx)   identical %b\n"
       name t_seq t_auto decision_str effective_speedup raw_speedup identical;
+    (* The adaptive scheduler must never lose to sequential: when it
+       chooses the pool the measured speedup must clear 1.0; when it
+       chooses sequential it runs the baseline code path. *)
+    gate (effective_speedup >= 1.0)
+      "parallel/%s: effective speedup %.2fx below 1.0 (decision %s)" name
+      effective_speedup decision_str;
+    gate identical "parallel/%s: scheduled result != sequential" name;
     json_parallel :=
       Modelio.Json.Object
         [
@@ -1092,6 +1098,10 @@ let fta ~smoke () =
       "%-18s %6d cut sets   mocus %8.3f ms   bdd %8.3f ms   speedup \
        %6.1fx   identical %b\n"
       name sets (1000.0 *. t_mocus) (1000.0 *. t_bdd) speedup identical;
+    (* The BDD engine must never lose to MOCUS at a published size, and
+       both must agree on the cut-set list. *)
+    gate identical "fta/%s: BDD cut sets != MOCUS cut sets" name;
+    gate (speedup >= 1.0) "fta/%s: BDD speedup %.2fx below 1.0x" name speedup;
     json_fta :=
       Modelio.Json.Object
         [
@@ -1137,6 +1147,8 @@ let fta ~smoke () =
     "vote-2-of-%d       %6d cut sets   mocus raises (over the 100k cap): \
      %b   bdd %8.3f ms   P(top) %.6e vs closed form %.6e   exact %b\n"
     n expected mocus_raises (1000.0 *. t_bdd) bdd_p closed exact;
+  gate mocus_raises "fta/vote-2-of-%d: MOCUS unexpectedly fit under the cap" n;
+  gate exact "fta/vote-2-of-%d: beyond-cap BDD solve not exact" n;
   json_fta :=
     Modelio.Json.Object
       [
@@ -1262,6 +1274,9 @@ let diagnosis ~smoke () =
       + backward.Passes.stats.Fixpoint.iterations
     in
     let ns_per_node = 1e9 *. t /. float_of_int (reps * 2 * nodes) in
+    gate (iterations >= nodes)
+      "diagnosis/%s: fixpoint under-iterated (%d < %d nodes)" name iterations
+      nodes;
     Printf.printf
       "%-14s %5d nodes   %5d iterations   %8.0f ns/node/pass   oracle \
        agrees over %d pairs\n"
@@ -1321,6 +1336,11 @@ let diagnosis ~smoke () =
     (List.length report.Diagnose.singles)
     (1000.0 *. t);
   assert report.Diagnose.agree;
+  gate
+    (confirmed = 3 && List.length report.Diagnose.singles = 3)
+    "diagnosis: power supply: expected 3 confirmed / 3 singles, got %d / %d"
+    confirmed
+    (List.length report.Diagnose.singles);
   json_diagnosis :=
     Modelio.Json.Object
       [
@@ -1670,6 +1690,16 @@ let serve_bench ~smoke () =
           "%d identical concurrent requests -> %d computation(s), outputs \
            identical: %b\n"
           concurrent coalesced_solves identical;
+        (* The warm daemon must clear the published 10x one-edit latency
+           win over a cold CLI process, and N identical concurrent
+           requests must coalesce onto one solve with identical replies. *)
+        gate (warm_p50 *. 10.0 <= t_cold)
+          "serve: warm p50 %.2f ms not 10x under cold CLI %.2f ms"
+          (warm_p50 *. 1e3) (t_cold *. 1e3);
+        gate (coalesced_solves = 1)
+          "serve: %d solves for %d identical requests" coalesced_solves
+          concurrent;
+        gate identical "serve: coalesced replies differ";
         record_timing "serve/cold_cli" t_cold;
         record_timing "serve/warm_p50" warm_p50;
         json_serve :=
@@ -1799,6 +1829,31 @@ let micro_benchmarks () =
   in
   bechamel_run ~quota:0.5 tests
 
+(* Sections whose results CI reads: each must have produced its rows
+   (the serve section skips itself when same.exe is missing). *)
+let final_gates () =
+  let open Modelio.Json in
+  let has key value =
+    List.exists (function
+      | Object fields -> (
+          match (List.assoc_opt key fields, value) with
+          | Some v, Some expected -> v = expected
+          | found, None -> found <> None
+          | None, Some _ -> false)
+      | _ -> false)
+  in
+  gate (!json_kernels <> []) "kernels_ns_per_run is empty";
+  gate (!json_parallel <> []) "parallel section is empty";
+  gate (Exec.Cost.decisions () <> []) "scheduler decision log is empty";
+  gate
+    (has "ns_per_node" None !json_diagnosis
+    && has "name" (Some (String "power-supply-CS1")) !json_diagnosis)
+    "diagnosis section is missing a subject class";
+  gate
+    (has "speedup" None !json_fta && has "beyond_cap" None !json_fta)
+    "fta section is missing a subject class";
+  gate (!json_serve <> []) "serve section is empty"
+
 let () =
   (* --smoke (CI): only the fast deterministic sections — enough to catch
      a broken harness and still emit BENCH_results.json. *)
@@ -1831,6 +1886,7 @@ let () =
   scaling ();
   kernel_benchmarks ~smoke ();
   if not smoke then micro_benchmarks ();
+  final_gates ();
   write_results ();
   match List.rev !gate_failures with
   | [] -> Printf.printf "\nDone.\n"

@@ -4,33 +4,30 @@
 
 open Cmdliner
 
-let load_diagram path =
-  try Ok (Blockdiag.Text_format.parse_file path) with
-  | Blockdiag.Text_format.Parse_error { line; message } ->
-      Error (Printf.sprintf "%s:%d: %s" path line message)
-  | Sys_error m -> Error m
+(* A failed step prints "error: ..." and exits 1. *)
+let ( let* ) r f =
+  match r with
+  | Error m ->
+      Printf.eprintf "error: %s\n" m;
+      1
+  | Ok v -> f v
 
-let load_reliability = function
-  | None -> Ok Reliability.Reliability_model.table_ii
-  | Some path -> (
-      try Ok (Reliability.Reliability_model.of_spreadsheet (Modelio.Spreadsheet.load path))
-      with
-      | Reliability.Reliability_model.Format_error m ->
-          Error (Printf.sprintf "%s: %s" path m)
-      | Sys_error m -> Error m
-      | Modelio.Csv.Parse_error { line; message } ->
-          Error (Printf.sprintf "%s:%d: %s" path line message))
+let source path = Serve.Command.Path path
+let load_diagram path = Serve.Command.parse_diagram (source path)
+let load_sm_model path = Serve.Command.parse_sm (Option.map source path)
 
-let load_sm_model = function
-  | None -> Ok Reliability.Sm_model.extended_catalogue
-  | Some path -> (
-      try Ok (Reliability.Sm_model.of_spreadsheet (Modelio.Spreadsheet.load path))
-      with
-      | Reliability.Sm_model.Format_error m ->
-          Error (Printf.sprintf "%s: %s" path m)
-      | Sys_error m -> Error m
-      | Modelio.Csv.Parse_error { line; message } ->
-          Error (Printf.sprintf "%s:%d: %s" path line message))
+let load_reliability path =
+  Serve.Command.parse_reliability (Option.map source path)
+
+(* The models a command line names: files, whose paths label errors and
+   lint findings. *)
+let files ?reliability ?sm ?(queries = []) diagram =
+  {
+    Serve.Command.diagram = Option.map source diagram;
+    reliability = Option.map source reliability;
+    sm = Option.map source sm;
+    queries = List.map source queries;
+  }
 
 let target_conv =
   let parse s =
@@ -172,41 +169,24 @@ let report_stats explain engine =
   | Some e -> Engine.Pipeline.save_cost_state e
   | None -> ()
 
-(* The `--strict` gate shared by fmea/fmeda/optimize: lint exactly the
-   artefacts the analysis is about to consume. *)
+(* The `--strict` gate of `--batch` and optimize. *)
 let strict_ok ~strict ?diagram ?reliability ?sm ?(exclude = [])
     ?(monitored = []) () =
   (not strict)
   ||
-  let input =
-    {
-      Lint.Input.empty with
-      Lint.Input.diagram;
-      reliability;
-      sm;
-      exclude;
-      monitored;
-    }
-  in
-  let diagnostics = Lint.Driver.run input in
-  if Lint.Driver.has_errors diagnostics then begin
-    prerr_string (Lint.Driver.to_text diagnostics);
-    prerr_endline "error: lint errors in the inputs (--strict)";
-    false
-  end
-  else true
+  match
+    Serve.Command.strict_findings ?diagram ?reliability ?sm ~exclude
+      ~monitored ()
+  with
+  | None -> true
+  | Some findings ->
+      prerr_string findings;
+      false
 
 let route_arg =
-  let routes =
-    [
-      ("injection", Decisive.Api.Via_injection);
-      ("ssam", Decisive.Api.Via_ssam_paths);
-      ("fta", Decisive.Api.Via_fta);
-    ]
-  in
   Arg.(
     value
-    & opt (enum routes) Decisive.Api.Via_injection
+    & opt (enum Serve.Command.routes) Decisive.Api.Via_injection
     & info [ "route" ] ~docv:"ROUTE"
         ~doc:
           "Analysis route: $(b,injection) (circuit failure injection), \
@@ -214,29 +194,14 @@ let route_arg =
            (fault-tree cut sets).")
 
 let with_diagram_and_models diagram_path reliability_path f =
-  match load_diagram diagram_path with
-  | Error m ->
-      Printf.eprintf "error: %s\n" m;
-      1
-  | Ok diagram -> (
-      match load_reliability reliability_path with
-      | Error m ->
-          Printf.eprintf "error: %s\n" m;
-          1
-      | Ok reliability -> f diagram reliability)
+  let* diagram = load_diagram diagram_path in
+  let* reliability = load_reliability reliability_path in
+  f diagram reliability
 
-let report_table output table =
-  Format.printf "%a@." Fmea.Table.pp table;
-  Format.printf "%a@." Fmea.Metrics.pp_breakdown (Fmea.Metrics.compute table);
-  (match output with
-  | Some path ->
-      Decisive.Api.export_fmeda ~path table;
-      Format.printf "FMEDA written to %s@." path
-  | None -> ());
-  0
-
-(* Daemon routing (`--connect`): ship the model texts to a running
-   `same serve` and print its response instead of computing locally. *)
+(* Each of fmea, fmeda, fta, assess, diagnose and lint builds a
+   [Serve.Command.request] and runs it here, or with --connect in a
+   running `same serve`: one implementation, the same bytes and exit
+   code either way. *)
 
 let connect_arg =
   Arg.(
@@ -248,53 +213,33 @@ let connect_arg =
            this Unix socket: the warm engine reuses golden factorisations \
            and cached results across requests and sessions.")
 
-let read_file path =
-  try
-    let ic = open_in_bin path in
-    let n = in_channel_length ic in
-    let s = really_input_string ic n in
-    close_in ic;
-    Ok s
-  with Sys_error m -> Error m
+let local ?engine models request =
+  let r = Serve.Command.run ?engine ~wall_clock:true models request in
+  prerr_string r.Serve.Command.err;
+  print_string r.Serve.Command.out;
+  r.Serve.Command.code
 
-let daemon_analyse ~socket ~analysis ~diagram_path ?reliability_path ?sm_path
-    ~params () =
-  let ( let* ) r f =
-    match r with
-    | Error m ->
-        Printf.eprintf "error: %s\n" m;
-        1
-    | Ok v -> f v
-  in
-  let read_opt = function
-    | None -> Ok None
-    | Some path -> Result.map Option.some (read_file path)
-  in
-  let* a_diagram = read_file diagram_path in
-  let* a_reliability = read_opt reliability_path in
-  let* a_sm = read_opt sm_path in
-  let a =
-    {
-      Serve.Protocol.a_analysis = analysis;
-      a_diagram;
-      a_reliability;
-      a_sm;
-      a_params = List.filter (fun (_, v) -> v <> "") params;
-    }
-  in
-  match Serve.Client.one_shot ~socket (Serve.Protocol.Analyse a) with
-  | Error m ->
-      Printf.eprintf "error: %s\n" m;
-      1
-  | Ok json ->
-      (match Modelio.Json.(Option.bind (member "output" json) to_str) with
-      | Some out -> print_string out
-      | None -> ());
-      (match Modelio.Json.(Option.bind (member "exit" json) to_float) with
-      | Some code -> int_of_float code
-      | None -> 0)
+(* The daemon's reply carries stderr's text ahead of stdout's, all
+   printed on stdout.  [local_only] pairs each flag a daemon cannot
+   honour with whether it was given: any given one is a usage error. *)
+let remote ~socket ?(local_only = []) models request =
+  match List.find_opt snd local_only with
+  | Some (flag, _) ->
+      Printf.eprintf "error: %s does not work with --connect\n" flag;
+      2
+  | None ->
+      let* a = Serve.Command.to_analyse models request in
+      let* client = Serve.Client.connect socket in
+      let reply = Serve.Client.analyse client a in
+      Serve.Client.close client;
+      let* r = reply in
+      print_string r.Serve.Client.r_output;
+      r.Serve.Client.r_exit
 
-let comma ids = String.concat "," ids
+let dispatch ~connect ?local_only models request =
+  match connect with
+  | Some socket -> remote ~socket ?local_only models request
+  | None -> local models request
 
 (* same lint *)
 
@@ -361,163 +306,45 @@ let lint_cmd =
   let run list_rules format rules categories severity diagram_path
       reliability_path sm_path query_paths exclude monitored jobs connect =
     set_jobs jobs;
-    match (connect, diagram_path) with
-    | Some _, None ->
+    let split ids =
+      List.concat_map (String.split_on_char ',') ids
+      |> List.map String.trim
+      |> List.filter (fun s -> s <> "")
+    in
+    let models =
+      files ?reliability:reliability_path ?sm:sm_path ~queries:query_paths
+        diagram_path
+    in
+    let request =
+      Serve.Command.Lint
+        {
+          rules = split rules;
+          categories = split categories;
+          severity;
+          format;
+          exclude;
+          monitored;
+        }
+    in
+    match connect with
+    | Some _ when diagram_path = None ->
         Printf.eprintf "error: --connect lints a DIAGRAM (with -r/-s/-q)\n";
         2
-    | Some socket, Some diagram_path -> (
-        let query =
-          match query_paths with
-          | [] -> Ok ("", "")
-          | [ path ] -> Result.map (fun src -> (path, src)) (read_file path)
-          | _ -> Error "--connect takes at most one --query"
-        in
-        match query with
-        | Error m ->
-            Printf.eprintf "error: %s\n" m;
-            2
-        | Ok (qname, query) ->
-            daemon_analyse ~socket ~analysis:Serve.Protocol.Lint ~diagram_path
-              ?reliability_path ?sm_path
-              ~params:
-                [
-                  ("exclude", comma exclude);
-                  ("monitored", comma monitored);
-                  ( "severity",
-                    match severity with
-                    | None -> ""
-                    | Some s -> Lint.Rule.severity_to_string s );
-                  ("query", query);
-                  ("qname", qname);
-                  (* Labels only: keep daemon diagnostics prefixed with
-                     the same file names the local CLI would print. *)
-                  ("name", diagram_path);
-                  ("rname", Option.value reliability_path ~default:"");
-                  ("sname", Option.value sm_path ~default:"");
-                  ( "format",
-                    match format with `Text -> "" | `Json -> "json" );
-                ]
-              ())
-    | None, _ ->
-    if list_rules then begin
-      List.iter
-        (fun (r : Lint.Rule.t) ->
-          Printf.printf "%-8s %-8s %-12s %s\n" r.Lint.Rule.id
-            (Lint.Rule.severity_to_string r.Lint.Rule.severity)
-            (Lint.Rule.category_to_string r.Lint.Rule.category)
-            r.Lint.Rule.title)
-        Lint.Driver.catalogue;
-      0
-    end
-    else begin
-      let rules =
-        List.concat_map (String.split_on_char ',') rules
-        |> List.map String.trim
-        |> List.filter (fun s -> s <> "")
-      in
-      let category_names =
-        List.concat_map (String.split_on_char ',') categories
-        |> List.map String.trim
-        |> List.filter (fun s -> s <> "")
-      in
-      let categories, bad_categories =
-        List.partition_map
-          (fun s ->
-            match Lint.Rule.category_of_string s with
-            | Some c -> Left c
-            | None -> Right s)
-          category_names
-      in
-      let unknown =
-        List.filter (fun id -> Lint.Driver.find_rule id = None) rules
-      in
-      match (unknown, bad_categories) with
-      | id :: _, _ ->
-          Printf.eprintf "error: unknown rule id '%s' (see same lint --list)\n"
-            id;
-          2
-      | [], c :: _ ->
-          Printf.eprintf
-            "error: unknown category '%s' (ssam, blk, rel, qry, dfa or fta)\n"
-            c;
-          2
-      | [], [] -> (
-          let ( let* ) r f =
-            match r with
-            | Error m ->
-                Printf.eprintf "error: %s\n" m;
-                Error 1
-            | Ok v -> f v
-          in
-          let outcome =
-            let* diagram =
-              match diagram_path with
-              | None -> Ok None
-              | Some path ->
-                  Result.map (fun d -> Some (path, d)) (load_diagram path)
-            in
-            let* reliability =
-              match (reliability_path, diagram) with
-              | None, None -> Ok None
-              | _ ->
-                  Result.map
-                    (fun r -> Some (reliability_path, r))
-                    (load_reliability reliability_path)
-            in
-            let* sm =
-              match (sm_path, diagram) with
-              | None, None -> Ok None
-              | _ -> Result.map (fun s -> Some (sm_path, s)) (load_sm_model sm_path)
-            in
-            let* queries =
-              List.fold_left
-                (fun acc path ->
-                  match acc with
-                  | Error _ as e -> e
-                  | Ok qs -> (
-                      try
-                        let ic = open_in_bin path in
-                        let n = in_channel_length ic in
-                        let s = really_input_string ic n in
-                        close_in ic;
-                        Ok ((path, s) :: qs)
-                      with Sys_error m -> Error m))
-                (Ok []) query_paths
-              |> Result.map List.rev
-            in
-            if diagram = None && reliability = None && sm = None && queries = []
-            then begin
-              Printf.eprintf
-                "error: nothing to lint (give a DIAGRAM, -r, -s or -q)\n";
-              Error 2
-            end
-            else
-              Ok
-                {
-                  Lint.Input.empty with
-                  Lint.Input.diagram;
-                  reliability;
-                  sm;
-                  queries;
-                  exclude;
-                  monitored;
-                }
-          in
-          match outcome with
-          | Error code -> code
-          | Ok input ->
-              let diagnostics =
-                Lint.Driver.run ~rules ~categories ?min_severity:severity
-                  input
-              in
-              (match format with
-              | `Text -> print_string (Lint.Driver.to_text diagnostics)
-              | `Json ->
-                  print_endline
-                    (Modelio.Json.to_string ~indent:2
-                       (Lint.Driver.to_json diagnostics)));
-              if Lint.Driver.has_errors diagnostics then 1 else 0)
-    end
+    | Some _ when List.length query_paths > 1 ->
+        Printf.eprintf "error: --connect takes at most one --query\n";
+        2
+    | Some socket ->
+        remote ~socket ~local_only:[ ("--list", list_rules) ] models request
+    | None when list_rules ->
+        List.iter
+          (fun (r : Lint.Rule.t) ->
+            Printf.printf "%-8s %-8s %-12s %s\n" r.Lint.Rule.id
+              (Lint.Rule.severity_to_string r.Lint.Rule.severity)
+              (Lint.Rule.category_to_string r.Lint.Rule.category)
+              r.Lint.Rule.title)
+          Lint.Driver.catalogue;
+        0
+    | None -> local models request
   in
   let doc =
     "Statically check designs, reliability/SM models and queries against the \
@@ -560,70 +387,10 @@ let diagnose_cmd =
       structural jobs sched connect =
     set_jobs jobs;
     set_sched sched;
-    match connect with
-    | Some socket ->
-        daemon_analyse ~socket ~analysis:Serve.Protocol.Diagnose ~diagram_path
-          ?reliability_path
-          ~params:
-            [
-              ("output", output);
-              ("exclude", comma exclude);
-              ("monitored", comma monitored);
-              ("structural", if structural then "true" else "");
-              ( "format",
-                match format with
-                | `Text -> ""
-                | `Json -> "json"
-                | `Sarif -> "sarif" );
-            ]
-          ()
-    | None ->
-    let ( let* ) r f =
-      match r with
-      | Error m ->
-          Printf.eprintf "error: %s\n" m;
-          1
-      | Ok v -> f v
-    in
-    let* diagram = load_diagram diagram_path in
-    let* reliability = load_reliability reliability_path in
-    let model =
-      Dataflow.Model.of_diagram ~monitored ~reliability diagram
-    in
-    let verify =
-      if structural then None
-      else
-        let options =
-          { Fmea.Injection_fmea.default_options with exclude }
-        in
-        match
-          Dataflow.Diagnose.circuit_verifier ~options ~reliability ~output
-            diagram
-        with
-        | Ok v -> Some v
-        | Error why ->
-            Printf.eprintf
-              "warning: numeric verification unavailable (%s); reporting \
-               structural candidates\n"
-              why;
-            None
-    in
-    match Dataflow.Diagnose.diagnose ?verify model ~output with
-    | Error m ->
-        Printf.eprintf "error: %s\n" m;
-        2
-    | Ok report ->
-        (match format with
-        | `Text -> print_string (Dataflow.Diagnose.to_text report)
-        | `Json ->
-            print_endline
-              (Modelio.Json.to_string ~indent:2
-                 (Dataflow.Diagnose.to_json report))
-        | `Sarif ->
-            print_endline
-              (Modelio.Json.to_string ~indent:2
-                 (Dataflow.Diagnose.to_sarif report)));
-        if report.Dataflow.Diagnose.agree then 0 else 1
+    dispatch ~connect
+      (files ?reliability:reliability_path (Some diagram_path))
+      (Serve.Command.Diagnose
+         { output; exclude; monitored; structural; format })
   in
   let doc =
     "Explain an observed output deviation: backward propagation proposes \
@@ -674,120 +441,94 @@ let load_diagrams paths =
    input order) and the fleet summary. *)
 let with_fleet paths reliability_path exclude monitored strict cache explain k
     =
-  match load_diagrams paths with
-  | Error m ->
-      Printf.eprintf "error: %s\n" m;
-      1
-  | Ok variants -> (
-      match load_reliability reliability_path with
-      | Error m ->
-          Printf.eprintf "error: %s\n" m;
-          1
-      | Ok reliability ->
-          if
-            strict
-            && not
-                 (List.for_all
-                    (fun (path, diagram) ->
-                      strict_ok ~strict ~diagram:(path, diagram)
-                        ~reliability:(reliability_path, reliability) ~exclude
-                        ~monitored ())
-                    variants)
-          then 1
-          else begin
-            let options =
-              {
-                Fmea.Injection_fmea.default_options with
-                exclude;
-                monitored_sensors =
-                  (match monitored with [] -> None | ids -> Some ids);
-              }
-            in
-            let engine =
-              match make_engine cache explain with
-              | Some e -> e
-              | None -> Engine.Pipeline.create ()
-            in
-            match
-              Engine.Batch.run_fmea engine ~options variants reliability
-            with
-            | exception Fmea.Injection_fmea.Golden_run_failed m ->
-                Printf.eprintf "error: golden simulation failed: %s\n" m;
-                1
-            | summary -> k engine variants reliability summary
-          end)
+  let* variants = load_diagrams paths in
+  let* reliability = load_reliability reliability_path in
+  if
+    not
+      (List.for_all
+         (fun (path, diagram) ->
+           strict_ok ~strict ~diagram:(path, diagram)
+             ~reliability:(reliability_path, reliability) ~exclude ~monitored
+             ())
+         variants)
+  then 1
+  else
+    let options =
+      {
+        Fmea.Injection_fmea.default_options with
+        exclude;
+        monitored_sensors = (match monitored with [] -> None | ids -> Some ids);
+      }
+    in
+    let engine =
+      match make_engine cache explain with
+      | Some e -> e
+      | None -> Engine.Pipeline.create ()
+    in
+    match Engine.Batch.run_fmea engine ~options variants reliability with
+    | exception Fmea.Injection_fmea.Golden_run_failed m ->
+        Printf.eprintf "error: golden simulation failed: %s\n" m;
+        1
+    | summary -> k engine variants reliability summary
+
+(* fmea and fmeda: [fleet ()] under --batch, else one diagram, here (on
+   the incremental engine under --cache or --explain) or in the daemon. *)
+let fmea_or_fmeda ~connect ~batch ~reliability_path ?sm_path ~output ~strict
+    ~cache ~explain ~fleet paths request =
+  match (connect, batch, paths) with
+  | Some _, _, _ :: _ :: _ ->
+      Printf.eprintf "error: --connect takes a single DIAGRAM\n";
+      2
+  | None, true, _ -> fleet ()
+  | Some socket, _, [ path ] ->
+      remote ~socket
+        ~local_only:
+          [
+            ("-o", output <> None);
+            ("--strict", strict);
+            ("--cache", cache <> None);
+            ("--explain", explain);
+            ("--batch", batch);
+          ]
+        (files ?reliability:reliability_path ?sm:sm_path (Some path))
+        request
+  | None, false, [ path ] ->
+      let engine = make_engine cache explain in
+      let code =
+        local ?engine
+          (files ?reliability:reliability_path ?sm:sm_path (Some path))
+          request
+      in
+      if code = 0 then report_stats explain engine;
+      code
+  | _ ->
+      Printf.eprintf "error: analysing several DIAGRAMs requires --batch\n";
+      2
 
 let fmea_cmd =
-  let run_single diagram_path reliability_path exclude monitored output route
-      strict cache explain =
-    with_diagram_and_models diagram_path reliability_path
-      (fun diagram reliability ->
-        if
-          not
-            (strict_ok ~strict ~diagram:(diagram_path, diagram)
-               ~reliability:(reliability_path, reliability) ~exclude ~monitored
-               ())
-        then 1
-        else
-          let monitored_sensors =
-            match monitored with [] -> None | ids -> Some ids
-          in
-          let engine = make_engine cache explain in
-          match
-            Decisive.Api.analyse ?engine ~route ~exclude ?monitored_sensors
-              diagram reliability
-          with
-          | table ->
-              let code = report_table output table in
-              report_stats explain engine;
-              code
-          | exception Fmea.Injection_fmea.Golden_run_failed m ->
-              Printf.eprintf "error: golden simulation failed: %s\n" m;
-              1
-          | exception Fta.From_ssam.No_paths c ->
-              Printf.eprintf "error: no input-output paths through %s\n" c;
-              1)
-  in
   let run diagram_paths reliability_path exclude monitored output route strict
       jobs sched cache explain batch connect =
     set_jobs jobs;
     set_sched sched;
-    match (connect, diagram_paths) with
-    | Some socket, [ diagram_path ] ->
-        daemon_analyse ~socket ~analysis:Serve.Protocol.Fmea ~diagram_path
-          ?reliability_path
-          ~params:
-            [ ("exclude", comma exclude); ("monitored", comma monitored) ]
-          ()
-    | Some _, _ ->
-        Printf.eprintf "error: --connect takes a single DIAGRAM\n";
-        2
-    | None, _ ->
-    if batch then
-      if route <> Decisive.Api.Via_injection then begin
-        Printf.eprintf "error: --batch supports only --route injection\n";
-        2
-      end
-      else
-        with_fleet diagram_paths reliability_path exclude monitored strict
-          cache explain (fun engine _variants _reliability summary ->
-            Format.printf "%a@." Engine.Batch.pp_summary summary;
-            (match output with
-            | Some path ->
-                Modelio.Csv.write_file path (Engine.Batch.to_csv summary);
-                Format.printf "fleet summary written to %s@." path
-            | None -> ());
-            report_stats explain (Some engine);
-            0)
-    else
-      match diagram_paths with
-      | [ diagram_path ] ->
-          run_single diagram_path reliability_path exclude monitored output
-            route strict cache explain
-      | _ ->
-          Printf.eprintf
-            "error: analysing several DIAGRAMs requires --batch\n";
+    fmea_or_fmeda ~connect ~batch ~reliability_path ~output ~strict ~cache
+      ~explain diagram_paths
+      (Serve.Command.Fmea { route; exclude; monitored; csv = output; strict })
+      ~fleet:(fun () ->
+        if route <> Decisive.Api.Via_injection then begin
+          Printf.eprintf "error: --batch supports only --route injection\n";
           2
+        end
+        else
+          with_fleet diagram_paths reliability_path exclude monitored strict
+            cache explain (fun engine _variants _reliability summary ->
+              Format.printf "%a@." Engine.Batch.pp_summary summary;
+              (match output with
+              | Some path ->
+                  Modelio.Csv.write_file path (Engine.Batch.to_csv summary);
+                  Format.printf "fleet summary written to %s@." path
+              | None -> ());
+              report_stats explain (Some engine);
+              0))
   in
   let doc = "Automated FMEA (DECISIVE Step 4a)." in
   Cmd.v
@@ -807,113 +548,48 @@ let target_arg =
         ~doc:"Target integrity level (QM, ASIL-A..D, SIL1..4).")
 
 let fmeda_cmd =
-  let run_single diagram_path reliability_path sm_path exclude monitored
-      output target strict cache explain =
-    with_diagram_and_models diagram_path reliability_path
-      (fun diagram reliability ->
-        match load_sm_model sm_path with
-        | Error m ->
-            Printf.eprintf "error: %s\n" m;
-            1
-        | Ok sm_model when
-            not
-              (strict_ok ~strict ~diagram:(diagram_path, diagram)
-                 ~reliability:(reliability_path, reliability)
-                 ~sm:(sm_path, sm_model) ~exclude ~monitored ()) ->
-            1
-        | Ok sm_model -> (
-            let monitored_sensors =
-              match monitored with [] -> None | ids -> Some ids
-            in
-            let engine = make_engine cache explain in
-            match
-              Decisive.Api.analyse ?engine ~exclude ?monitored_sensors diagram
-                reliability
-            with
-            | exception Fmea.Injection_fmea.Golden_run_failed m ->
-                Printf.eprintf "error: golden simulation failed: %s\n" m;
-                1
-            | table ->
-                let conversion = Blockdiag.To_netlist.convert diagram in
-                let refinement =
-                  Decisive.Api.refine ?engine ~target
-                    ~component_types:conversion.Blockdiag.To_netlist.block_types
-                    table sm_model
-                in
-                let code = report_table output refinement.Decisive.Api.refined_table in
-                print_string (Decisive.Api.refinement_text ~target refinement);
-                report_stats explain engine;
-                code))
-  in
   let run diagram_paths reliability_path sm_path exclude monitored output
       target strict jobs sched cache explain batch connect =
     set_jobs jobs;
     set_sched sched;
-    match (connect, diagram_paths) with
-    | Some socket, [ diagram_path ] ->
-        daemon_analyse ~socket ~analysis:Serve.Protocol.Fmeda ~diagram_path
-          ?reliability_path ?sm_path
-          ~params:
-            [
-              ("exclude", comma exclude);
-              ("monitored", comma monitored);
-              ( "target",
-                Ssam.Requirement.integrity_level_to_string target );
-            ]
-          ()
-    | Some _, _ ->
-        Printf.eprintf "error: --connect takes a single DIAGRAM\n";
-        2
-    | None, _ ->
-    if batch then
-      match load_sm_model sm_path with
-      | Error m ->
-          Printf.eprintf "error: %s\n" m;
-          1
-      | Ok sm_model ->
-          with_fleet diagram_paths reliability_path exclude monitored strict
-            cache explain (fun engine variants _reliability summary ->
-              Format.printf "%a@." Engine.Batch.pp_summary summary;
-              (* Step 4b per variant, still against the shared warm
-                 engine: search results cache by table fingerprint, so
-                 variants sharing a design also share the search. *)
-              let code =
-                List.fold_left2
-                  (fun worst (_, diagram)
-                       (e : Engine.Batch.fmea_entry) ->
-                    let conversion = Blockdiag.To_netlist.convert diagram in
-                    let refinement =
-                      Decisive.Api.refine ~engine ~target
-                        ~component_types:
-                          conversion.Blockdiag.To_netlist.block_types
-                        e.Engine.Batch.b_table sm_model
-                    in
-                    Format.printf "%-24s %a@." e.Engine.Batch.b_label
-                      (fun ppf () ->
-                        Fmea.Asil.pp_verdict ppf ~target
-                          ~spfm:refinement.Decisive.Api.achieved_spfm)
-                      ();
-                    match refinement.Decisive.Api.chosen with
-                    | Some _ -> worst
-                    | None -> 1)
-                  0 variants summary.Engine.Batch.f_entries
-              in
-              (match output with
-              | Some path ->
-                  Modelio.Csv.write_file path (Engine.Batch.to_csv summary);
-                  Format.printf "fleet summary written to %s@." path
-              | None -> ());
-              report_stats explain (Some engine);
-              code)
-    else
-      match diagram_paths with
-      | [ diagram_path ] ->
-          run_single diagram_path reliability_path sm_path exclude monitored
-            output target strict cache explain
-      | _ ->
-          Printf.eprintf
-            "error: analysing several DIAGRAMs requires --batch\n";
-          2
+    fmea_or_fmeda ~connect ~batch ~reliability_path ?sm_path ~output ~strict
+      ~cache ~explain diagram_paths
+      (Serve.Command.Fmeda { target; exclude; monitored; csv = output; strict })
+      ~fleet:(fun () ->
+        let* sm_model = load_sm_model sm_path in
+        with_fleet diagram_paths reliability_path exclude monitored strict
+          cache explain (fun engine variants _reliability summary ->
+            Format.printf "%a@." Engine.Batch.pp_summary summary;
+            (* Step 4b per variant, still against the shared warm
+               engine: search results cache by table fingerprint, so
+               variants sharing a design also share the search. *)
+            let code =
+              List.fold_left2
+                (fun worst (_, diagram) (e : Engine.Batch.fmea_entry) ->
+                  let conversion = Blockdiag.To_netlist.convert diagram in
+                  let refinement =
+                    Decisive.Api.refine ~engine ~target
+                      ~component_types:
+                        conversion.Blockdiag.To_netlist.block_types
+                      e.Engine.Batch.b_table sm_model
+                  in
+                  Format.printf "%-24s %a@." e.Engine.Batch.b_label
+                    (fun ppf () ->
+                      Fmea.Asil.pp_verdict ppf ~target
+                        ~spfm:refinement.Decisive.Api.achieved_spfm)
+                    ();
+                  match refinement.Decisive.Api.chosen with
+                  | Some _ -> worst
+                  | None -> 1)
+                0 variants summary.Engine.Batch.f_entries
+            in
+            (match output with
+            | Some path ->
+                Modelio.Csv.write_file path (Engine.Batch.to_csv summary);
+                Format.printf "fleet summary written to %s@." path
+            | None -> ());
+            report_stats explain (Some engine);
+            code))
   in
   let doc = "Automated FMEDA with safety-mechanism search (Steps 4a + 4b)." in
   Cmd.v
@@ -931,41 +607,38 @@ let optimize_cmd =
     set_jobs jobs;
     with_diagram_and_models diagram_path reliability_path
       (fun diagram reliability ->
-        match load_sm_model sm_path with
-        | Error m ->
-            Printf.eprintf "error: %s\n" m;
-            1
-        | Ok sm_model when
-            not
-              (strict_ok ~strict ~diagram:(diagram_path, diagram)
-                 ~reliability:(reliability_path, reliability)
-                 ~sm:(sm_path, sm_model) ~exclude ()) ->
-            1
-        | Ok sm_model ->
-            let engine = make_engine cache explain in
-            let table =
-              Decisive.Api.analyse ?engine ~exclude diagram reliability
-            in
-            let conversion = Blockdiag.To_netlist.convert diagram in
-            let refinement =
-              Decisive.Api.refine ?engine ~target
-                ~component_types:conversion.Blockdiag.To_netlist.block_types
-                table sm_model
-            in
-            Format.printf "Pareto front (cost vs SPFM):@.";
-            List.iter
-              (fun (c : Optimize.Search.candidate) ->
-                Format.printf "  cost %6.1f h   SPFM %6.2f%%   (%d mechanisms)@."
-                  c.Optimize.Search.cost c.Optimize.Search.spfm_pct
-                  (List.length c.Optimize.Search.deployments))
-              refinement.Decisive.Api.pareto_front;
-            (match refinement.Decisive.Api.chosen with
-            | Some c ->
-                Format.printf "chosen: cost %.1f h, SPFM %.2f%%@."
-                  c.Optimize.Search.cost c.Optimize.Search.spfm_pct
-            | None -> Format.printf "no candidate meets the target@.");
-            report_stats explain engine;
-            0)
+        let* sm_model = load_sm_model sm_path in
+        if
+          not
+            (strict_ok ~strict ~diagram:(diagram_path, diagram)
+               ~reliability:(reliability_path, reliability)
+               ~sm:(sm_path, sm_model) ~exclude ())
+        then 1
+      else
+          let engine = make_engine cache explain in
+          let table =
+            Decisive.Api.analyse ?engine ~exclude diagram reliability
+          in
+          let conversion = Blockdiag.To_netlist.convert diagram in
+          let refinement =
+            Decisive.Api.refine ?engine ~target
+              ~component_types:conversion.Blockdiag.To_netlist.block_types
+              table sm_model
+          in
+          Format.printf "Pareto front (cost vs SPFM):@.";
+          List.iter
+            (fun (c : Optimize.Search.candidate) ->
+              Format.printf "  cost %6.1f h   SPFM %6.2f%%   (%d mechanisms)@."
+                c.Optimize.Search.cost c.Optimize.Search.spfm_pct
+                (List.length c.Optimize.Search.deployments))
+            refinement.Decisive.Api.pareto_front;
+          (match refinement.Decisive.Api.chosen with
+          | Some c ->
+              Format.printf "chosen: cost %.1f h, SPFM %.2f%%@."
+                c.Optimize.Search.cost c.Optimize.Search.spfm_pct
+          | None -> Format.printf "no candidate meets the target@.");
+          report_stats explain engine;
+          0)
   in
   let doc = "Search the cost/SPFM Pareto front of SM deployments." in
   Cmd.v
@@ -985,25 +658,21 @@ let transform_cmd =
           ~doc:"Write the round-tripped diagram (default: print summary).")
   in
   let run diagram_path out =
-    match load_diagram diagram_path with
-    | Error m ->
-        Printf.eprintf "error: %s\n" m;
-        1
-    | Ok diagram ->
-        let package = Blockdiag.Transform.to_ssam diagram in
-        let back = Blockdiag.Transform.to_diagram package in
-        let lossless = Blockdiag.Diagram.equal diagram back in
-        Format.printf
-          "transformed '%s': %d SSAM elements, round-trip lossless: %b@."
-          diagram.Blockdiag.Diagram.diagram_name
-          (Ssam.Architecture.count_package_elements package)
-          lossless;
-        (match out with
-        | Some path ->
-            Blockdiag.Text_format.write_file path back;
-            Format.printf "round-tripped diagram written to %s@." path
-        | None -> ());
-        if lossless then 0 else 1
+    let* diagram = load_diagram diagram_path in
+    let package = Blockdiag.Transform.to_ssam diagram in
+    let back = Blockdiag.Transform.to_diagram package in
+    let lossless = Blockdiag.Diagram.equal diagram back in
+    Format.printf
+      "transformed '%s': %d SSAM elements, round-trip lossless: %b@."
+      diagram.Blockdiag.Diagram.diagram_name
+      (Ssam.Architecture.count_package_elements package)
+      lossless;
+    (match out with
+    | Some path ->
+        Blockdiag.Text_format.write_file path back;
+        Format.printf "round-tripped diagram written to %s@." path
+    | None -> ());
+    if lossless then 0 else 1
   in
   let doc = "Transform a diagram to SSAM and verify the lossless round-trip." in
   Cmd.v (Cmd.info "transform" ~doc) Term.(const run $ diagram_arg $ out_arg)
@@ -1065,62 +734,36 @@ let fta_cmd =
       & info [ "open-psa" ] ~docv:"FILE"
           ~doc:"Write the tree as Open-PSA MEF XML.")
   in
-  let run pos_path from_path reliability_path engine max_card out dot psa
-      connect =
+  (* [--engine]'s two values are synonyms: nothing to pass on. *)
+  let run pos_path from_path reliability_path _engine max_cardinality out dot
+      psa connect =
     match (match from_path with Some p -> Some p | None -> pos_path) with
     | None ->
         Printf.eprintf "error: give a DIAGRAM argument or --from FILE\n";
         2
-    | Some diagram_path when connect <> None ->
-        let socket = Option.get connect in
-        daemon_analyse ~socket ~analysis:Serve.Protocol.Fta ~diagram_path
-          ?reliability_path
-          ~params:
-            [
-              ("engine", match engine with `Auto -> "" | `Bdd -> "bdd");
-              ( "max_cardinality",
-                match max_card with
-                | None -> ""
-                | Some k -> string_of_int k );
-            ]
-          ()
     | Some path ->
-        with_diagram_and_models path reliability_path
-          (fun diagram reliability ->
-            let name = diagram.Blockdiag.Diagram.diagram_name in
-            match Fta.From_ssam.lower_diagram ~reliability diagram with
-            | Error m ->
-                Printf.eprintf "error: %s\n" m;
-                1
-            | Ok (tree, route) ->
-                let report =
-                  Fta.Report.text ?max_cardinality:max_card ~route tree
-                in
-                print_string report;
-                (match out with
-                | Some path when Filename.check_suffix path ".dot" ->
-                    Fta.Export.save_dot ~path ~name tree;
-                    Format.printf "dot written to %s@." path
-                | Some path when Filename.check_suffix path ".xml" ->
-                    Fta.Export.save_open_psa ~path ~model_name:name tree;
-                    Format.printf "Open-PSA written to %s@." path
-                | Some path ->
-                    let oc = open_out path in
-                    output_string oc report;
-                    close_out oc;
-                    Format.printf "report written to %s@." path
-                | None -> ());
-                (match dot with
-                | Some path ->
-                    Fta.Export.save_dot ~path ~name tree;
-                    Format.printf "dot written to %s@." path
-                | None -> ());
-                (match psa with
-                | Some path ->
-                    Fta.Export.save_open_psa ~path ~model_name:name tree;
-                    Format.printf "Open-PSA written to %s@." path
-                | None -> ());
-                0)
+        let kind_of p =
+          if Filename.check_suffix p ".dot" then `Dot
+          else if Filename.check_suffix p ".xml" then `Open_psa
+          else `Report
+        in
+        let exports =
+          List.filter_map Fun.id
+            [
+              Option.map (fun p -> (kind_of p, p)) out;
+              Option.map (fun p -> (`Dot, p)) dot;
+              Option.map (fun p -> (`Open_psa, p)) psa;
+            ]
+        in
+        dispatch ~connect
+          ~local_only:
+            [
+              ("-o", out <> None);
+              ("--dot", dot <> None);
+              ("--open-psa", psa <> None);
+            ]
+          (files ?reliability:reliability_path (Some path))
+          (Serve.Command.Fta { max_cardinality; exports })
   in
   let doc =
     "Generate and analyse the fault tree of a design (structural lowering, \
@@ -1148,7 +791,7 @@ let assess_cmd =
       value
       & opt
           (enum
-             [ ("auto", `Auto); ("fta", `Fta); ("ssam", `Ssam);
+             [ ("auto", `Auto); ("fta", `Open_psa); ("ssam", `Ssam);
                ("diagram", `Diagram) ])
           `Auto
       & info [ "from" ] ~docv:"KIND"
@@ -1189,12 +832,7 @@ let assess_cmd =
   let method_arg =
     Arg.(
       value
-      & opt
-          (enum
-             [ ("direct", Assess.Mc.Direct);
-               ("importance", Assess.Mc.Importance);
-               ("stratified", Assess.Mc.Stratified) ])
-          Assess.Mc.Direct
+      & opt (enum Serve.Command.methods) Assess.Mc.Direct
       & info [ "method" ] ~docv:"METHOD"
           ~doc:
             "Sampling scheme: $(b,direct), $(b,importance) (rate-tilted \
@@ -1226,175 +864,40 @@ let assess_cmd =
              computed and lies inside the Monte-Carlo confidence \
              interval.")
   in
-  let lower_diagram path reliability_path via_ssam =
-    match load_diagram path with
-    | Error m -> Error m
-    | Ok diagram -> (
-        match load_reliability reliability_path with
-        | Error m -> Error m
-        | Ok reliability -> (
-            if not via_ssam then
-              Result.map fst (Fta.From_ssam.lower_diagram ~reliability diagram)
-            else
-              let root = Decisive.Api.functional_root ~reliability diagram in
-              match Fta.From_ssam.generate root with
-              | tree -> Ok tree
-              | exception Fta.From_ssam.No_paths c ->
-                  Error
-                    (Printf.sprintf "no input-output paths through %s" c)))
-  in
-  let load_tree path from reliability_path =
-    let kind =
-      match from with
-      | `Auto ->
-          if Filename.check_suffix path ".xml" then `Fta else `Diagram
-      | `Fta -> `Fta
-      | `Ssam -> `Ssam
-      | `Diagram -> `Diagram
-    in
-    match kind with
-    | `Fta -> (
-        try Ok (Fta.Export.load_open_psa ~path) with
-        | Fta.Export.Format_error m ->
-            Error (Printf.sprintf "%s: %s" path m)
-        | Sys_error m -> Error m
-        | Modelio.Xml.Parse_error { pos; message } ->
-            Error (Printf.sprintf "%s: at offset %d: %s" path pos message))
-    | `Diagram -> lower_diagram path reliability_path false
-    | `Ssam -> lower_diagram path reliability_path true
-  in
-  let report_json (r : Assess.Mc.report) =
-    let open Modelio.Json in
-    let num x = Number x in
-    let opt = function Some x -> Number x | None -> Null in
-    Object
-      [
-        ("top_probability", num r.Assess.Mc.top_probability);
-        ("ci_halfwidth", num r.Assess.Mc.halfwidth);
-        ("trials", num (float_of_int r.Assess.Mc.trials));
-        ("elapsed_s", num r.Assess.Mc.elapsed_s);
-        ("trials_per_sec", num r.Assess.Mc.trials_per_sec);
-        ("sampling", String (Assess.Mc.sampling_to_string r.Assess.Mc.sampling));
-        ("mission_hours", num r.Assess.Mc.mission_hours);
-        ("instructions", num (float_of_int r.Assess.Mc.instrs));
-        ("exact", opt r.Assess.Mc.exact);
-        ("exact_delta", opt r.Assess.Mc.exact_delta);
-        ( "events",
-          List
-            (List.map
-               (fun (e : Assess.Mc.event_report) ->
-                 Object
-                   [
-                     ("id", String e.Assess.Mc.event_id);
-                     ("probability", num e.Assess.Mc.probability);
-                     ("importance", num e.Assess.Mc.importance);
-                   ])
-               r.Assess.Mc.events) );
-      ]
-  in
-  let report_text (r : Assess.Mc.report) =
-    Printf.printf "top event (%s, %g h mission): %.6e +/- %.1e (99%% CI)\n"
-      (Assess.Mc.sampling_to_string r.Assess.Mc.sampling)
-      r.Assess.Mc.mission_hours r.Assess.Mc.top_probability
-      r.Assess.Mc.halfwidth;
-    Printf.printf "trials: %d  (%.1f Mtrials/s, %.3f s, %d instructions)\n"
-      r.Assess.Mc.trials
-      (r.Assess.Mc.trials_per_sec /. 1e6)
-      r.Assess.Mc.elapsed_s r.Assess.Mc.instrs;
-    (match (r.Assess.Mc.exact, r.Assess.Mc.exact_delta) with
-    | Some exact, Some delta ->
-        Printf.printf "BDD-exact cross-check: %.6e  delta %.1e  %s\n" exact
-          delta
-          (if delta <= r.Assess.Mc.halfwidth then "(inside CI)"
-           else "(OUTSIDE CI)")
-    | _ -> ());
-    if r.Assess.Mc.events <> [] then begin
-      Printf.printf "event importance (Fussell-Vesely style):\n";
-      List.iter
-        (fun (e : Assess.Mc.event_report) ->
-          Printf.printf "  %-32s p=%.3e  importance %.3f\n"
-            e.Assess.Mc.event_id e.Assess.Mc.probability
-            e.Assess.Mc.importance)
-        r.Assess.Mc.events
-    end
-  in
-  let run path from reliability_path mission trials precision method_ seed out
-      check connect =
+  let run path from reliability_path mission_hours trials rel_precision
+      sampling seed format check connect =
     match path with
     | None ->
         Printf.eprintf "error: give a MODEL argument\n";
         2
-    | Some diagram_path when connect <> None ->
-        if Filename.check_suffix diagram_path ".xml" then begin
-          Printf.eprintf
-            "error: --connect assesses block diagrams (the daemon lowers \
-             them); load Open-PSA trees locally\n";
-          2
-        end
-        else
-          let socket = Option.get connect in
-          daemon_analyse ~socket ~analysis:Serve.Protocol.Assess
-            ~diagram_path ?reliability_path
-            ~params:
-              [
-                ("mission_hours", Printf.sprintf "%.17g" mission);
-                ( "trials",
-                  match trials with
-                  | None -> ""
-                  | Some t -> string_of_int t );
-                ( "rel_precision",
-                  match precision with
-                  | None -> ""
-                  | Some p -> Printf.sprintf "%.17g" p );
-                ( "method",
-                  match method_ with
-                  | Assess.Mc.Direct -> "direct"
-                  | Assess.Mc.Importance -> "importance"
-                  | Assess.Mc.Stratified -> "stratified" );
-                ("seed", string_of_int seed);
-                ("check", if check then "true" else "");
-              ]
-            ()
     | Some path -> (
-        match load_tree path from reliability_path with
-        | Error m ->
-            Printf.eprintf "error: %s\n" m;
-            1
-        | Ok tree -> (
-            let config =
-              {
-                Assess.Mc.default with
-                Assess.Mc.mission_hours = mission;
-                sampling = method_;
-                trials;
-                rel_precision = precision;
-                seed;
-              }
-            in
-            match Assess.Mc.run config tree with
-            | exception Invalid_argument m ->
-                Printf.eprintf "error: %s\n" m;
-                1
-            | report ->
-                (match out with
-                | `Text -> report_text report
-                | `Json ->
-                    print_endline
-                      (Modelio.Json.to_string ~indent:2 (report_json report)));
-                if check then
-                  match report.Assess.Mc.exact_delta with
-                  | Some delta when delta <= report.Assess.Mc.halfwidth -> 0
-                  | Some _ ->
-                      Printf.eprintf
-                        "error: estimate outside the 99%% CI of the \
-                         BDD-exact probability\n";
-                      1
-                  | None ->
-                      Printf.eprintf
-                        "error: --check needs the BDD-exact cross-check \
-                         (tree too large)\n";
-                      1
-                else 0))
+        let from =
+          match from with
+          | `Auto when Filename.check_suffix path ".xml" -> `Open_psa
+          | `Auto -> `Diagram
+          | (`Open_psa | `Ssam | `Diagram) as from -> from
+        in
+        let config =
+          {
+            Assess.Mc.default with
+            Assess.Mc.mission_hours;
+            sampling;
+            trials;
+            rel_precision;
+            seed;
+          }
+        in
+        match connect with
+        | Some _ when from = `Open_psa ->
+            Printf.eprintf
+              "error: --connect assesses block diagrams (the daemon lowers \
+               them); load Open-PSA trees locally\n";
+            2
+        | _ ->
+            dispatch ~connect
+              ~local_only:[ ("--from ssam", from = `Ssam) ]
+              (files ?reliability:reliability_path (Some path))
+              (Serve.Command.Assess { from; config; check; format }))
   in
   let doc =
     "Bit-parallel Monte-Carlo safety assessment: estimate the mission \
@@ -1463,21 +966,17 @@ let run_cmd =
     set_jobs jobs;
     with_diagram_and_models diagram_path reliability_path
       (fun diagram reliability ->
-        match load_sm_model sm_path with
-        | Error m ->
-            Printf.eprintf "error: %s\n" m;
-            1
-        | Ok sm_model ->
-            let monitored_sensors =
-              match monitored with [] -> None | ids -> Some ids
-            in
-            let process, table =
-              Decisive.Api.run_decisive ~name ~target ~exclude
-                ?monitored_sensors diagram reliability sm_model
-            in
-            Format.printf "%a@." Decisive.Process.pp_history process;
-            Format.printf "%a@." Fmea.Table.pp table;
-            if Decisive.Process.is_complete process then 0 else 1)
+        let* sm_model = load_sm_model sm_path in
+        let monitored_sensors =
+          match monitored with [] -> None | ids -> Some ids
+        in
+        let process, table =
+          Decisive.Api.run_decisive ~name ~target ~exclude
+            ?monitored_sensors diagram reliability sm_model
+        in
+        Format.printf "%a@." Decisive.Process.pp_history process;
+        Format.printf "%a@." Fmea.Table.pp table;
+        if Decisive.Process.is_complete process then 0 else 1)
   in
   let doc = "Run the full DECISIVE loop (Fig. 1) to a safety concept." in
   Cmd.v
@@ -1522,62 +1021,58 @@ let simulate_cmd =
           ~doc:"Write all node-voltage traces as CSV.")
   in
   let run diagram_path source amplitude hz dt duration out =
-    match load_diagram diagram_path with
-    | Error m ->
-        Printf.eprintf "error: %s\n" m;
+    let* diagram = load_diagram diagram_path in
+    let conversion = Blockdiag.To_netlist.convert diagram in
+    let nl = conversion.Blockdiag.To_netlist.netlist in
+    let waveforms =
+      match source with
+      | None -> []
+      | Some id ->
+          let nominal =
+            match Circuit.Netlist.find nl id with
+            | Some { Circuit.Element.kind = Circuit.Element.Vsource v; _ } -> v
+            | Some { Circuit.Element.kind = Circuit.Element.Isource i; _ } -> i
+            | Some _ | None -> 0.0
+          in
+          [
+            ( id,
+              fun t ->
+                nominal +. (amplitude *. sin (2.0 *. Float.pi *. hz *. t)) );
+          ]
+    in
+    match Circuit.Transient.simulate ~waveforms nl ~dt ~duration with
+    | Error e ->
+        Format.eprintf "error: %a@." Circuit.Dc.pp_error e;
         1
-    | Ok diagram -> (
-        let conversion = Blockdiag.To_netlist.convert diagram in
-        let nl = conversion.Blockdiag.To_netlist.netlist in
-        let waveforms =
-          match source with
-          | None -> []
-          | Some id ->
-              let nominal =
-                match Circuit.Netlist.find nl id with
-                | Some { Circuit.Element.kind = Circuit.Element.Vsource v; _ } -> v
-                | Some { Circuit.Element.kind = Circuit.Element.Isource i; _ } -> i
-                | Some _ | None -> 0.0
-              in
-              [
-                ( id,
-                  fun t ->
-                    nominal +. (amplitude *. sin (2.0 *. Float.pi *. hz *. t)) );
-              ]
-        in
-        match Circuit.Transient.simulate ~waveforms nl ~dt ~duration with
-        | Error e ->
-            Format.eprintf "error: %a@." Circuit.Dc.pp_error e;
-            1
-        | Ok r ->
-            let times = Circuit.Transient.times r in
-            let nodes = Circuit.Netlist.nodes nl in
-            Printf.printf "%d steps over %gs; final node voltages:\n"
-              (Array.length times - 1)
-              duration;
-            List.iter
-              (fun n ->
-                let trace = Circuit.Transient.node_voltage r n in
-                Printf.printf "  %-8s %+10.5f V   ripple %8.5f V\n" n
-                  (Circuit.Transient.final_value trace)
-                  (Circuit.Transient.ripple trace))
-              nodes;
-            (match out with
-            | Some path ->
-                let header = "t" :: nodes in
-                let rows =
-                  List.init (Array.length times) (fun i ->
-                      Printf.sprintf "%g" times.(i)
-                      :: List.map
-                           (fun n ->
-                             Printf.sprintf "%g"
-                               (Circuit.Transient.node_voltage r n).(i))
-                           nodes)
-                in
-                Modelio.Csv.write_file path (header :: rows);
-                Printf.printf "traces written to %s\n" path
-            | None -> ());
-            0)
+    | Ok r ->
+        let times = Circuit.Transient.times r in
+        let nodes = Circuit.Netlist.nodes nl in
+        Printf.printf "%d steps over %gs; final node voltages:\n"
+          (Array.length times - 1)
+          duration;
+        List.iter
+          (fun n ->
+            let trace = Circuit.Transient.node_voltage r n in
+            Printf.printf "  %-8s %+10.5f V   ripple %8.5f V\n" n
+              (Circuit.Transient.final_value trace)
+              (Circuit.Transient.ripple trace))
+          nodes;
+        (match out with
+        | Some path ->
+            let header = "t" :: nodes in
+            let rows =
+              List.init (Array.length times) (fun i ->
+                  Printf.sprintf "%g" times.(i)
+                  :: List.map
+                       (fun n ->
+                         Printf.sprintf "%g"
+                           (Circuit.Transient.node_voltage r n).(i))
+                       nodes)
+            in
+            Modelio.Csv.write_file path (header :: rows);
+            Printf.printf "traces written to %s\n" path
+        | None -> ());
+        0
   in
   let doc = "Transient (time-domain) simulation of a design." in
   Cmd.v
@@ -1613,50 +1108,46 @@ let bode_cmd =
     Arg.(value & opt int 31 & info [ "points" ] ~docv:"N" ~doc:"Sweep points.")
   in
   let run diagram_path source sensor from_hz to_hz points =
-    match load_diagram diagram_path with
-    | Error m ->
-        Printf.eprintf "error: %s\n" m;
+    let* diagram = load_diagram diagram_path in
+    let conversion = Blockdiag.To_netlist.convert diagram in
+    let nl = conversion.Blockdiag.To_netlist.netlist in
+    let freqs = Circuit.Ac.log_space ~from_hz ~to_hz ~points in
+    match Circuit.Ac.analyse ~source nl ~frequencies_hz:freqs with
+    | Error e ->
+        Format.eprintf "error: %a@." Circuit.Dc.pp_error e;
         1
-    | Ok diagram -> (
-        let conversion = Blockdiag.To_netlist.convert diagram in
-        let nl = conversion.Blockdiag.To_netlist.netlist in
-        let freqs = Circuit.Ac.log_space ~from_hz ~to_hz ~points in
-        match Circuit.Ac.analyse ~source nl ~frequencies_hz:freqs with
-        | Error e ->
-            Format.eprintf "error: %a@." Circuit.Dc.pp_error e;
-            1
-        | Ok sweep ->
-            let sensors =
-              match sensor with
-              | Some id -> [ id ]
-              | None ->
-                  List.filter_map
-                    (fun (e : Circuit.Element.t) ->
-                      match e.Circuit.Element.kind with
-                      | Circuit.Element.Current_sensor
-                      | Circuit.Element.Voltage_sensor ->
-                          Some e.Circuit.Element.id
-                      | _ -> None)
-                    (Circuit.Netlist.elements nl)
-            in
-            List.iter
-              (fun id ->
-                match Circuit.Ac.sensor_response sweep id with
-                | exception Not_found ->
-                    Printf.eprintf "warning: no sensor %s\n" id
-                | pts ->
-                    Printf.printf "%s (stimulus on %s):\n" id source;
-                    List.iter
-                      (fun (p : Circuit.Ac.point) ->
-                        Printf.printf "  %10.1f Hz  %8.2f dB  %7.1f deg\n"
-                          p.Circuit.Ac.frequency_hz p.Circuit.Ac.magnitude_db
-                          p.Circuit.Ac.phase_deg)
-                      pts;
-                    (match Circuit.Ac.cutoff_hz pts with
-                    | Some fc -> Printf.printf "  -3 dB cutoff: %.0f Hz\n" fc
-                    | None -> Printf.printf "  no cutoff within the sweep\n"))
-              sensors;
-            0)
+    | Ok sweep ->
+        let sensors =
+          match sensor with
+          | Some id -> [ id ]
+          | None ->
+              List.filter_map
+                (fun (e : Circuit.Element.t) ->
+                  match e.Circuit.Element.kind with
+                  | Circuit.Element.Current_sensor
+                  | Circuit.Element.Voltage_sensor ->
+                      Some e.Circuit.Element.id
+                  | _ -> None)
+                (Circuit.Netlist.elements nl)
+        in
+        List.iter
+          (fun id ->
+            match Circuit.Ac.sensor_response sweep id with
+            | exception Not_found ->
+                Printf.eprintf "warning: no sensor %s\n" id
+            | pts ->
+                Printf.printf "%s (stimulus on %s):\n" id source;
+                List.iter
+                  (fun (p : Circuit.Ac.point) ->
+                    Printf.printf "  %10.1f Hz  %8.2f dB  %7.1f deg\n"
+                      p.Circuit.Ac.frequency_hz p.Circuit.Ac.magnitude_db
+                      p.Circuit.Ac.phase_deg)
+                  pts;
+                (match Circuit.Ac.cutoff_hz pts with
+                | Some fc -> Printf.printf "  -3 dB cutoff: %.0f Hz\n" fc
+                | None -> Printf.printf "  no cutoff within the sweep\n"))
+          sensors;
+        0
   in
   let doc = "AC small-signal frequency sweep (Bode data) of a design." in
   Cmd.v
@@ -1733,46 +1224,42 @@ let report_cmd =
       out =
     with_diagram_and_models diagram_path reliability_path
       (fun diagram reliability ->
-        match load_sm_model sm_path with
-        | Error m ->
-            Printf.eprintf "error: %s\n" m;
-            1
-        | Ok sm_model ->
-            let monitored_sensors =
-              match monitored with [] -> None | ids -> Some ids
-            in
-            let process, fmeda =
-              Decisive.Api.run_decisive ~name ~target ~exclude
-                ?monitored_sensors diagram reliability sm_model
-            in
-            let deployments =
-              List.filter_map
-                (fun (r : Fmea.Table.row) ->
-                  match (r.Fmea.Table.safety_mechanism, r.Fmea.Table.sm_coverage_pct) with
-                  | Some sm, Some cov ->
-                      Some
-                        (Fmea.Fmeda.deploy ~component:r.Fmea.Table.component
-                           ~failure_mode:r.Fmea.Table.failure_mode
-                           {
-                             Reliability.Sm_model.sm_name = sm;
-                             component_type = r.Fmea.Table.component;
-                             failure_mode = r.Fmea.Table.failure_mode;
-                             coverage_pct = cov;
-                             cost = 0.0;
-                           })
-                  | _ -> None)
-                fmeda.Fmea.Table.rows
-            in
-            let input =
-              Decisive.Report.make_input ~deployments ~process
-                ~system_name:name ~target fmeda
-            in
-            (match out with
-            | Some path ->
-                Decisive.Report.save ~path input;
-                Format.printf "report written to %s@." path
-            | None -> print_string (Decisive.Report.to_markdown input));
-            if Decisive.Report.verdict input then 0 else 1)
+        let* sm_model = load_sm_model sm_path in
+        let monitored_sensors =
+          match monitored with [] -> None | ids -> Some ids
+        in
+        let process, fmeda =
+          Decisive.Api.run_decisive ~name ~target ~exclude
+            ?monitored_sensors diagram reliability sm_model
+        in
+        let deployments =
+          List.filter_map
+            (fun (r : Fmea.Table.row) ->
+              match (r.Fmea.Table.safety_mechanism, r.Fmea.Table.sm_coverage_pct) with
+              | Some sm, Some cov ->
+                  Some
+                    (Fmea.Fmeda.deploy ~component:r.Fmea.Table.component
+                       ~failure_mode:r.Fmea.Table.failure_mode
+                       {
+                         Reliability.Sm_model.sm_name = sm;
+                         component_type = r.Fmea.Table.component;
+                         failure_mode = r.Fmea.Table.failure_mode;
+                         coverage_pct = cov;
+                         cost = 0.0;
+                       })
+              | _ -> None)
+            fmeda.Fmea.Table.rows
+        in
+        let input =
+          Decisive.Report.make_input ~deployments ~process
+            ~system_name:name ~target fmeda
+        in
+        (match out with
+        | Some path ->
+            Decisive.Report.save ~path input;
+            Format.printf "report written to %s@." path
+        | None -> print_string (Decisive.Report.to_markdown input));
+        if Decisive.Report.verdict input then 0 else 1)
   in
   let doc = "Generate the Markdown safety-concept report (Step 5)." in
   Cmd.v
@@ -1797,26 +1284,21 @@ let diff_cmd =
       & info [] ~docv:"NEW" ~doc:"Current iteration's diagram.")
   in
   let run old_path new_path =
-    match (load_diagram old_path, load_diagram new_path) with
-    | Error m, _ | _, Error m ->
-        Printf.eprintf "error: %s\n" m;
-        1
-    | Ok old_diagram, Ok new_diagram ->
-        let wrap d =
-          Blockdiag.Transform.to_ssam_model d
-        in
-        let impact =
-          Ssam.Diff.analyse ~old_model:(wrap old_diagram)
-            ~new_model:(wrap new_diagram)
-        in
-        Format.printf "%a@." Ssam.Diff.pp_impact impact;
-        if impact.Ssam.Diff.reanalysis_required then begin
-          Format.printf
-            "re-run `same fmea %s` — the previous analysis is stale@."
-            new_path;
-          1
-        end
-        else 0
+    let* old_diagram = load_diagram old_path in
+    let* new_diagram = load_diagram new_path in
+    let wrap = Blockdiag.Transform.to_ssam_model in
+    let impact =
+      Ssam.Diff.analyse ~old_model:(wrap old_diagram)
+        ~new_model:(wrap new_diagram)
+    in
+    Format.printf "%a@." Ssam.Diff.pp_impact impact;
+    if impact.Ssam.Diff.reanalysis_required then begin
+      Format.printf
+        "re-run `same fmea %s` — the previous analysis is stale@."
+        new_path;
+      1
+    end
+    else 0
   in
   let doc =
     "Change-impact analysis between two design iterations (exit 1 when \
@@ -1828,19 +1310,15 @@ let diff_cmd =
 
 let coverage_cmd =
   let run diagram_path =
-    match load_diagram diagram_path with
-    | Error m ->
-        Printf.eprintf "error: %s\n" m;
-        1
-    | Ok diagram ->
-        let types =
-          List.map
-            (fun (b : Blockdiag.Diagram.block) -> b.Blockdiag.Diagram.block_type)
-            (Blockdiag.Diagram.all_blocks diagram)
-        in
-        Format.printf "%a@." Circuit.Library.pp_coverage
-          (Circuit.Library.coverage types);
-        0
+    let* diagram = load_diagram diagram_path in
+    let types =
+      List.map
+        (fun (b : Blockdiag.Diagram.block) -> b.Blockdiag.Diagram.block_type)
+        (Blockdiag.Diagram.all_blocks diagram)
+    in
+    Format.printf "%a@." Circuit.Library.pp_coverage
+      (Circuit.Library.coverage types);
+    0
   in
   let doc = "Report block-library coverage for a design (evaluation RQ2)." in
   Cmd.v (Cmd.info "coverage" ~doc) Term.(const run $ diagram_arg)
@@ -1848,6 +1326,11 @@ let coverage_cmd =
 (* same scale *)
 
 let scale_cmd =
+  let timed f =
+    let t0 = Unix.gettimeofday () in
+    let r = f () in
+    (r, Unix.gettimeofday () -. t0)
+  in
   (* --analysis path-fmea: Algorithm 1's dominator classification on
      synthetic block diagrams with closed-form path counts (diamond chain
      for --topology ladder, block grid for --topology grid). *)
@@ -1863,11 +1346,6 @@ let scale_cmd =
           in
           ( Circuit.Generator.grid_arch ~rows:side ~cols:side,
             Circuit.Generator.grid_path_count ~rows:side ~cols:side )
-    in
-    let timed f =
-      let t0 = Unix.gettimeofday () in
-      let r = f () in
-      (r, Unix.gettimeofday () -. t0)
     in
     Printf.printf "architecture %s: %d blocks, %s input→output paths\n"
       (Ssam.Architecture.component_id sys)
@@ -1887,11 +1365,6 @@ let scale_cmd =
     let variants = Decisive.Case_study.design_variants ~count () in
     let reliability = Decisive.Case_study.reliability_model in
     let options = Decisive.Case_study.injection_options in
-    let timed f =
-      let t0 = Unix.gettimeofday () in
-      let r = f () in
-      (r, Unix.gettimeofday () -. t0)
-    in
     let cold, t_cold =
       timed (fun () ->
           List.map
@@ -1950,11 +1423,6 @@ let scale_cmd =
       (Circuit.Netlist.name nl)
       (Circuit.Netlist.element_count nl)
       (Circuit.Dc.size p);
-    let timed f =
-      let t0 = Unix.gettimeofday () in
-      let r = f () in
-      (r, Unix.gettimeofday () -. t0)
-    in
     match timed (fun () -> Circuit.Dc.factorise p) with
     | Error e, _ ->
         Format.eprintf "error: golden solve failed: %a@." Circuit.Dc.pp_error e;
@@ -2117,13 +1585,9 @@ let client_cmd =
           ~doc:"$(b,ping), $(b,stats) or $(b,shutdown).")
   in
   let run socket request =
-    match Serve.Client.one_shot ~socket request with
-    | Error m ->
-        Printf.eprintf "error: %s\n" m;
-        1
-    | Ok json ->
-        print_endline (Modelio.Json.to_string ~indent:2 json);
-        0
+    let* json = Serve.Client.one_shot ~socket request in
+    print_endline (Modelio.Json.to_string ~indent:2 json);
+    0
   in
   let doc =
     "Control a running $(b,same serve) daemon (analyses route through it \

@@ -85,20 +85,21 @@ let snapshot (t : t) =
 
 let hits s = s.mem_hits + s.disk_hits
 
-let solves_performed s = s.golden_solves + s.rows_classified
+let solves_performed s = s.golden_solves + s.rank_updates + s.refactorisations
 
 let pp ppf s =
   Format.fprintf ppf
     "engine: %d cache hit%s (%d memory, %d disk), %d miss%s; %d solve%s \
-     performed (%d golden + %d injections, %d by rank update, %d \
-     reused, %d refactorised); %d row%s reused"
+     performed (%d golden, %d by rank update, %d refactorised; %d of %d \
+     injections reused the golden solution); %d row%s reused"
     (hits s)
     (if hits s = 1 then "" else "s")
     s.mem_hits s.disk_hits s.misses
     (if s.misses = 1 then "" else "es")
     (solves_performed s)
     (if solves_performed s = 1 then "" else "s")
-    s.golden_solves s.rows_classified s.rank_updates s.reused s.refactorisations
+    s.golden_solves s.rank_updates s.refactorisations s.reused
+    s.rows_classified
     s.rows_reused
     (if s.rows_reused = 1 then "" else "s");
   Format.fprintf ppf "; scheduler: %d parallel / %d sequential batch%s"

@@ -59,8 +59,9 @@ val hits : snapshot -> int
 
 val solves_performed : snapshot -> int
 (** Circuit solves this pipeline actually ran:
-    [golden_solves + rows_classified] (one faulted solve per classified
-    row). *)
+    [golden_solves + rank_updates + refactorisations].  A [reused]
+    injection ran no solve, and a row without a fault model none
+    either. *)
 
 val pp : Format.formatter -> snapshot -> unit
 (** One-line summary, the [--explain] output. *)

@@ -22,11 +22,13 @@ type analyse = {
   a_reliability : string option;  (** reliability model, CSV text *)
   a_sm : string option;  (** safety-mechanism model, CSV text *)
   a_params : (string * string) list;
-      (** analysis-specific knobs (sorted canonically by {!fingerprint}):
-          [exclude], [monitored] (comma-separated ids), [target],
+      (** analysis-specific knobs (sorted canonically by {!fingerprint}),
+          read by {!Command.of_params}: [exclude], [monitored], [rules],
+          [category] (comma-separated), [route], [target],
           [max_cardinality], [engine], [mission_hours], [trials],
           [rel_precision], [method], [seed], [check], [output],
-          [structural], [severity], [query], [format] *)
+          [structural], [severity], [format]; and lint's [query] text
+          and the [name], [rname], [sname], [qname] labels *)
 }
 
 type request =

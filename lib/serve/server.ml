@@ -61,9 +61,10 @@ let handle_analyse t (a : Protocol.analyse) =
   let key = Engine.Fingerprint.to_hex fp in
   let computed = ref false in
   let compute () =
-    Engine.Pipeline.memo t.engine ~stage:"serve.response" ~key:fp (fun () ->
+    Engine.Pipeline.memo t.engine ~stage:"serve.response" ~version:2 ~key:fp
+      (fun () ->
         computed := true;
-        with_request_slot t (fun () -> Handlers.analyse ~engine:t.engine a))
+        with_request_slot t (fun () -> Command.analyse ~engine:t.engine a))
   in
   let (output, exit_code), outcome = Singleflight.run t.flight ~key compute in
   let coalesced = outcome = Singleflight.Coalesced in
@@ -79,35 +80,53 @@ let handle_analyse t (a : Protocol.analyse) =
       ("coalesced", Bool coalesced);
     ]
 
+(* A session is an injection FMEA: its [open] params are an fmea
+   request's. *)
+let session_options params =
+  match Command.of_params Protocol.Fmea params with
+  | Ok (Command.Fmea { route = Via_injection; exclude; monitored; _ }) ->
+      Ok
+        {
+          Fmea.Injection_fmea.default_options with
+          exclude;
+          monitored_sensors =
+            (match monitored with [] -> None | ids -> Some ids);
+        }
+  | Ok _ -> Error "sessions analyse by injection only"
+  | Error _ as e -> e
+
+(* Session texts arrive unlabelled; errors name them as analyse's do. *)
+let diagram_text text = Command.Text { name = "diagram"; text }
+let reliability_text text = Command.Text { name = "reliability"; text }
+
 let handle_open t ~o_diagram ~o_reliability ~o_params =
-  match Handlers.parse_diagram o_diagram with
-  | Error m -> Protocol.error m
-  | Ok diagram -> (
-      match Handlers.parse_reliability o_reliability with
-      | Error m -> Protocol.error m
-      | Ok reliability -> (
-          let options = Handlers.injection_options o_params in
-          match
-            with_request_slot t (fun () ->
-                Engine.Pipeline.injection_fmea t.engine ~options diagram
-                  reliability)
-          with
-          | exception Fmea.Injection_fmea.Golden_run_failed m ->
-              Protocol.error (Printf.sprintf "golden simulation failed: %s" m)
-          | table ->
-              let s =
-                Session.open_session t.sessions ~options ~diagram ~reliability
-                  ~table
-              in
-              Protocol.ok
-                [
-                  ("session", String s.Session.s_id);
-                  ("revision", Number 0.);
-                  ( "rows",
-                    Number (float_of_int (List.length table.Fmea.Table.rows))
-                  );
-                  ("output", String (Handlers.table_report table));
-                ]))
+  match
+    ( Command.parse_diagram (diagram_text o_diagram),
+      Command.parse_reliability (Option.map reliability_text o_reliability),
+      session_options o_params )
+  with
+  | Error m, _, _ | _, Error m, _ | _, _, Error m -> Protocol.error m
+  | Ok diagram, Ok reliability, Ok options -> (
+      match
+        with_request_slot t (fun () ->
+            Engine.Pipeline.injection_fmea t.engine ~options diagram
+              reliability)
+      with
+      | exception Fmea.Injection_fmea.Golden_run_failed m ->
+          Protocol.error (Printf.sprintf "golden simulation failed: %s" m)
+      | table ->
+          let s =
+            Session.open_session t.sessions ~options ~diagram ~reliability
+              ~table
+          in
+          Protocol.ok
+            [
+              ("session", String s.Session.s_id);
+              ("revision", Number 0.);
+              ( "rows",
+                Number (float_of_int (List.length table.Fmea.Table.rows)) );
+              ("output", String (Command.table_report table));
+            ])
 
 (* Rows of [table] absent from [previous] (matched on the full row, so a
    changed classification reports as changed).  Analysis order is kept. *)
@@ -132,18 +151,16 @@ let handle_edit t ~e_session ~e_diagram ~e_reliability =
   match Session.find t.sessions e_session with
   | None -> Protocol.error (Printf.sprintf "no such session %S" e_session)
   | Some s -> (
-      let parsed_diagram =
-        match e_diagram with
+      let parse f = function
         | None -> Ok None
-        | Some text -> Result.map Option.some (Handlers.parse_diagram text)
+        | Some text -> Result.map Option.some (f text)
       in
-      let parsed_reliability =
-        match e_reliability with
-        | None -> Ok None
-        | Some text ->
-            Result.map Option.some (Handlers.parse_reliability (Some text))
-      in
-      match (parsed_diagram, parsed_reliability) with
+      match
+        ( parse (fun d -> Command.parse_diagram (diagram_text d)) e_diagram,
+          parse
+            (fun r -> Command.parse_reliability (Some (reliability_text r)))
+            e_reliability )
+      with
       | Error m, _ | _, Error m -> Protocol.error m
       | Ok new_diagram, Ok new_reliability -> (
           (* Serialise edits to one session: the reuse baseline must be

@@ -92,19 +92,13 @@ done
 [ "$ok" -eq 1 ] || { echo "FAIL: daemon socket never appeared" >&2; exit 1; }
 "$SAME" client ping --socket "$SOCK" > /dev/null
 
-echo "== serve: warm answers equal the cold CLI =="
-"$SAME" fmea examples/models/psu.bd > _build/serve_cold.txt
+echo "== serve: a replayed answer equals the first =="
+# That the daemon answers as the cold CLI does, for every analysis kind,
+# is the test "server: reply = CLI, every kind" in test/test_serve.ml,
+# run by `dune runtest` above.
 "$SAME" fmea examples/models/psu.bd --connect "$SOCK" > _build/serve_warm1.txt
 "$SAME" fmea examples/models/psu.bd --connect "$SOCK" > _build/serve_warm2.txt
-cmp _build/serve_cold.txt _build/serve_warm1.txt
 cmp _build/serve_warm1.txt _build/serve_warm2.txt
-"$SAME" lint examples/models/psu.bd > _build/serve_lint_cold.txt
-"$SAME" lint examples/models/psu.bd --connect "$SOCK" > _build/serve_lint_warm.txt
-cmp _build/serve_lint_cold.txt _build/serve_lint_warm.txt
-"$SAME" fta --from examples/models/psu.bd --engine bdd > _build/serve_fta_cold.txt
-"$SAME" fta --from examples/models/psu.bd --engine bdd \
-  --connect "$SOCK" > _build/serve_fta_warm.txt
-cmp _build/serve_fta_cold.txt _build/serve_fta_warm.txt
 
 echo "== serve: N identical concurrent requests, one computation =="
 before=$("$SAME" client stats --socket "$SOCK" \
@@ -153,53 +147,9 @@ wait "$SERVE_PID" || {
 }
 [ ! -S "$SOCK" ] || { echo "FAIL: daemon left its socket behind" >&2; exit 1; }
 
-echo "== bench --smoke: fta + assess + regression acceptance =="
-# bench exits non-zero itself when one of its own gates fails (batch
-# fleet, incremental, path FMEA, assess, scaling); the rest is below.
+echo "== bench --smoke: every section's acceptance gates =="
+# bench exits non-zero itself when one of its gates fails; each failure
+# is a "gate failed:" line on stderr.
 SAME_JOBS=4 dune exec bench/main.exe -- --smoke > /dev/null
-python3 - <<'EOF'
-import json, sys
-with open("BENCH_results.json") as f:
-    r = json.load(f)
-fta = r.get("fta")
-if not fta:
-    sys.exit("fta section is empty")
-published = [e for e in fta if "speedup" in e]
-beyond = [e for e in fta if e.get("beyond_cap")]
-if not published or not beyond:
-    sys.exit("fta section is missing a subject class")
-for e in published:
-    if not e["identical"]:
-        sys.exit(f"{e['name']}: BDD cut sets != MOCUS cut sets")
-    if e["speedup"] < 1.0:
-        sys.exit(f"{e['name']}: BDD speedup {e['speedup']:.2f}x below 1.0x")
-b = beyond[0]
-if not b["mocus_raises"]:
-    sys.exit(f"{b['name']}: MOCUS unexpectedly fit under the 100k cap")
-if not b["exact"]:
-    sys.exit(f"{b['name']}: beyond-cap BDD solve not exact")
-print("fta OK: " + ", ".join(
-    f"{e['name']} {e['speedup']:.0f}x" for e in published) +
-    f"; {b['cut_sets']:.0f} cut sets solved past the cap")
-
-serve = r.get("serve")
-if not serve:
-    sys.exit("serve section is empty")
-for e in serve:
-    # The warm daemon must clear the published 10x one-edit latency win
-    # over a cold CLI process, and N identical concurrent requests must
-    # coalesce onto exactly one solve with bit-identical replies.
-    if e["warm_p50_s"] * 10.0 > e["cold_cli_s"]:
-        sys.exit(f"{e['name']}: warm p50 {e['warm_p50_s'] * 1e3:.2f} ms "
-                 f"not 10x under cold CLI {e['cold_cli_s'] * 1e3:.2f} ms")
-    if e["coalesced_solves"] != 1:
-        sys.exit(f"{e['name']}: {e['coalesced_solves']:.0f} solves for "
-                 f"{e['coalesced_requests']:.0f} identical requests")
-    if not e["identical"]:
-        sys.exit(f"{e['name']}: coalesced replies differ")
-print("serve OK: " + ", ".join(
-    f"{e['name']} {e['speedup']:.0f}x warm, "
-    f"{e['coalesced_requests']:.0f} requests -> 1 solve" for e in serve))
-EOF
 
 echo "CI OK"

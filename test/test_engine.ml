@@ -391,7 +391,16 @@ let test_solve_paths_add_up () =
   Alcotest.(check bool) "some injections reuse the golden solution" true
     (s.Engine.Stats.reused > 0);
   Alcotest.(check bool) "some injections are rank updates" true
-    (s.Engine.Stats.rank_updates > 0)
+    (s.Engine.Stats.rank_updates > 0);
+  (* A reused injection runs no solve: the count is the golden solve
+     plus the faulted solves actually run. *)
+  Alcotest.(check int) "solves = golden + rank updates + refactorisations"
+    (s.Engine.Stats.golden_solves + s.Engine.Stats.rank_updates
+   + s.Engine.Stats.refactorisations)
+    (Engine.Stats.solves_performed s);
+  Alcotest.(check bool) "fewer solves than golden + injections" true
+    (Engine.Stats.solves_performed s
+    < s.Engine.Stats.golden_solves + s.Engine.Stats.rows_classified)
 
 (* ---------- pipeline: search and path stages ---------- *)
 

@@ -340,39 +340,245 @@ let test_server_assess_budgets () =
              mutually exclusive" );
         ]
 
-(* The daemon's fmeda reply is byte for byte what `same fmeda` prints
-   for the same model and parameters. *)
-let test_server_fmeda_equals_cli () =
+(* One command layer: for each analysis kind, a success and an error
+   case.  The CLI's stderr ^ stdout and exit code equal the daemon's
+   reply for the same models and wire parameters; assess is compared
+   without the Mtrials/s and elapsed time (text) or the elapsed_s and
+   trials_per_sec keys (JSON) that only the CLI prints. *)
+let test_server_equals_cli_every_kind () =
   match Test_cli.binary with
   | None -> Alcotest.skip ()
   | Some bin ->
       let psu = "../examples/models/psu.bd" in
-      let out = Filename.temp_file "serve-fmeda" ".txt" in
-      Fun.protect ~finally:(fun () -> Sys.remove out) @@ fun () ->
-      Alcotest.(check int) "same fmeda exits 0" 0
-        (Sys.command
-           (Printf.sprintf "%s fmeda %s -e DC1 -t ASIL-B > %s" bin psu
-              (Filename.quote out)));
-      let request =
-        Serve.Protocol.Analyse
-          {
-            Serve.Protocol.a_analysis = Serve.Protocol.Fmeda;
-            a_diagram = Test_cli.read_file psu;
-            a_reliability = None;
-            a_sm = None;
-            a_params = [ ("exclude", "DC1"); ("target", "ASIL-B") ];
-          }
+      let write name text =
+        let path = Filename.temp_file name ".bd" in
+        Out_channel.with_open_bin path (fun oc -> output_string oc text);
+        path
+      in
+      (* no input-output path: fta and the fta route cannot lower it *)
+      let lonely =
+        write "lonely"
+          "diagram lonely {\n  block DC1 : vsource { volts = 5; }\n  block \
+           LD1 : load { ohms = 10; }\n}\n"
+      in
+      (* two sources in parallel: the golden solve is singular *)
+      let clash =
+        write "clash"
+          "diagram clash {\n  block DC1 : vsource { volts = 5; }\n  block \
+           DC2 : vsource { volts = 3; }\n  block GND1 : ground ports \
+           (conserving a);\n  connect DC1.a -> DC2.a;\n  connect DC1.b -> \
+           GND1.a;\n  connect DC2.b -> GND1.a;\n}\n"
+      in
+      let out = Filename.temp_file "serve-cli" ".out" in
+      let err = Filename.temp_file "serve-cli" ".err" in
+      Fun.protect
+        ~finally:(fun () -> List.iter Sys.remove [ lonely; clash; out; err ])
+      @@ fun () ->
+      let strip_wall_clock text =
+        String.split_on_char '\n' text
+        |> List.filter (fun line ->
+               not
+                 (List.exists
+                    (fun prefix ->
+                      String.starts_with ~prefix (String.trim line))
+                    [ {|"elapsed_s":|}; {|"trials_per_sec":|} ]))
+        |> List.map (fun line ->
+               try
+                 Scanf.sscanf line "trials: %d  (%_f Mtrials/s, %_f s, %d \
+                                    instructions)%!"
+                   (Printf.sprintf "trials: %d  (%d instructions)")
+               with Scanf.Scan_failure _ | End_of_file | Failure _ -> line)
+        |> String.concat "\n"
       in
       with_server @@ fun _server socket ->
-      match Serve.Client.connect socket with
-      | Error m -> Alcotest.fail m
-      | Ok client ->
-          Fun.protect ~finally:(fun () -> Serve.Client.close client)
-          @@ fun () ->
-          let reply = rpc client request in
-          Alcotest.(check int) "exit 0" 0 (member_num "exit" reply);
-          Alcotest.(check string) "reply = CLI stdout" (Test_cli.read_file out)
-            (member_str "output" reply)
+      List.iter
+        (fun (analysis, design, args, params) ->
+          let kind = Serve.Protocol.analysis_to_string analysis in
+          let label = Printf.sprintf "%s %s %s" kind design args in
+          let code =
+            Sys.command
+              (Printf.sprintf "%s %s %s %s > %s 2> %s" bin kind design args
+                 (Filename.quote out) (Filename.quote err))
+          in
+          let cli =
+            strip_wall_clock (Test_cli.read_file err ^ Test_cli.read_file out)
+          in
+          let request =
+            Serve.Protocol.Analyse
+              {
+                Serve.Protocol.a_analysis = analysis;
+                a_diagram = Test_cli.read_file design;
+                a_reliability = None;
+                a_sm = None;
+                a_params = params;
+              }
+          in
+          match Serve.Client.one_shot ~socket request with
+          | Error m -> Alcotest.fail (label ^ ": " ^ m)
+          | Ok reply ->
+              Alcotest.(check int) (label ^ ": exit") code
+                (member_num "exit" reply);
+              Alcotest.(check string) (label ^ ": output") cli
+                (member_str "output" reply))
+        Serve.Protocol.
+          [
+            (Fmea, psu, "-e DC1 --route ssam", [ ("exclude", "DC1"); ("route", "ssam") ]);
+            (Fmea, clash, "", []);
+            ( Fmeda,
+              psu,
+              "-e DC1 -t ASIL-B",
+              [ ("exclude", "DC1"); ("target", "ASIL-B") ] );
+            (Fmeda, clash, "-t ASIL-D", [ ("target", "ASIL-D") ]);
+            (Fta, psu, "--max-cardinality 1", [ ("max_cardinality", "1") ]);
+            (Fta, lonely, "", []);
+            ( Assess,
+              psu,
+              "--trials 100000 --seed 3 -o json",
+              [ ("trials", "100000"); ("seed", "3"); ("format", "json") ] );
+            ( Assess,
+              psu,
+              "--trials 100000 --method importance",
+              [ ("trials", "100000"); ("method", "importance") ] );
+            (Assess, psu, "--trials 0", [ ("trials", "0") ]);
+            ( Diagnose,
+              psu,
+              "-o CS1 -e DC1 --format sarif",
+              [ ("output", "CS1"); ("exclude", "DC1"); ("format", "sarif") ] );
+            (Diagnose, psu, "-o NOPE", [ ("output", "NOPE") ]);
+            (Lint, psu, "", [ ("name", psu) ]);
+            (Lint, psu, "--rules SSAM001", [ ("rules", "SSAM001") ]);
+            (Lint, psu, "--category bogus", [ ("category", "bogus") ]);
+          ]
+
+(* Malformed wire parameters are error replies with exit 1, never a
+   silent default. *)
+let test_malformed_params () =
+  let diagram =
+    In_channel.with_open_bin "../examples/models/psu.bd" In_channel.input_all
+  in
+  let engine = Engine.Pipeline.create () in
+  List.iter
+    (fun (analysis, params, message) ->
+      let output, code =
+        Serve.Command.analyse ~engine
+          {
+            Serve.Protocol.a_analysis = analysis;
+            a_diagram = diagram;
+            a_reliability = None;
+            a_sm = None;
+            a_params = params;
+          }
+      in
+      Alcotest.(check (pair string int)) message
+        ("error: " ^ message ^ "\n", 1)
+        (output, code))
+    Serve.Protocol.
+      [
+        (Assess, [ ("trials", "abc") ], {|trials: expected an integer, got "abc"|});
+        (Assess, [ ("seed", "1.5") ], {|seed: expected an integer, got "1.5"|});
+        ( Assess,
+          [ ("mission_hours", "long") ],
+          {|mission_hours: expected a number, got "long"|} );
+        ( Assess,
+          [ ("rel_precision", "1%") ],
+          {|rel_precision: expected a number, got "1%"|} );
+        ( Fta,
+          [ ("max_cardinality", "two") ],
+          {|max_cardinality: expected an integer, got "two"|} );
+        ( Assess,
+          [ ("method", "bogus") ],
+          {|unknown method "bogus" (expected direct, importance or stratified)|}
+        );
+        ( Assess,
+          [ ("format", "xml") ],
+          {|unknown format "xml" (expected text or json)|} );
+        ( Diagnose,
+          [ ("output", "CS1"); ("format", "html") ],
+          {|unknown format "html" (expected text, json or sarif)|} );
+        (Fmeda, [ ("target", "ASIL-E") ], {|unknown integrity level "ASIL-E"|});
+        ( Lint,
+          [ ("severity", "fatal") ],
+          {|unknown severity "fatal" (expected error, warning or info)|} );
+        ( Fmea,
+          [ ("route", "magic") ],
+          {|unknown route "magic" (expected injection, ssam or fta)|} );
+        (Assess, [ ("check", "yes") ], {|unknown check "yes" (expected true or false)|});
+        (Diagnose, [], {|diagnose needs an "output" param (the observation point)|});
+      ]
+
+(* A request that fits the wire reads back as itself. *)
+let prop_params_roundtrip =
+  let open QCheck.Gen in
+  let id = string_size ~gen:(char_range 'A' 'Z') (int_range 1 5) in
+  let ids = list_size (int_range 0 3) id in
+  let pick table = oneofl (List.map snd table) in
+  let request =
+    oneof
+      [
+        map3
+          (fun route exclude monitored ->
+            Serve.Command.Fmea
+              { route; exclude; monitored; csv = None; strict = false })
+          (pick Serve.Command.routes) ids ids;
+        map3
+          (fun target exclude monitored ->
+            Serve.Command.Fmeda
+              { target; exclude; monitored; csv = None; strict = false })
+          (oneofl
+             Ssam.Requirement.
+               [ QM; ASIL_A; ASIL_B; ASIL_C; ASIL_D; SIL 1; SIL 2; SIL 3; SIL 4 ])
+          ids ids;
+        map
+          (fun max_cardinality ->
+            Serve.Command.Fta { max_cardinality; exports = [] })
+          (opt (int_range 1 9));
+        (let* mission_hours = float_range 0. 1e6 in
+         let* trials = opt (int_range 1 1_000_000) in
+         let* rel_precision = opt (float_range 1e-4 1.) in
+         let* seed = int in
+         let* sampling = pick Serve.Command.methods in
+         let* check = bool in
+         let* format = oneofl [ `Text; `Json ] in
+         return
+           (Serve.Command.Assess
+              {
+                from = `Diagram;
+                config =
+                  {
+                    Assess.Mc.default with
+                    mission_hours;
+                    trials;
+                    rel_precision;
+                    seed;
+                    sampling;
+                  };
+                check;
+                format;
+              }));
+        (let* output = id in
+         let* exclude = ids in
+         let* monitored = ids in
+         let* structural = bool in
+         let* format = oneofl [ `Text; `Json; `Sarif ] in
+         return
+           (Serve.Command.Diagnose
+              { output; exclude; monitored; structural; format }));
+        (let* rules = ids in
+         let* categories = ids in
+         let* severity = opt (oneofl Lint.Rule.[ Error; Warning; Info ]) in
+         let* format = oneofl [ `Text; `Json ] in
+         let* exclude = ids in
+         let* monitored = ids in
+         return
+           (Serve.Command.Lint
+              { rules; categories; severity; format; exclude; monitored }));
+      ]
+  in
+  QCheck.Test.make ~name:"command: params round-trip" ~count:500
+    (QCheck.make request) (fun r ->
+      Serve.Command.of_params (Serve.Command.analysis r)
+        (Serve.Command.to_params r)
+      = Ok r)
 
 let test_server_incremental_session () =
   let diagram, reliability_csv, reliability, render = system_b_texts () in
@@ -486,6 +692,9 @@ let suite =
       test_server_fta_engine_param;
     Alcotest.test_case "server: assess budgets validated" `Quick
       test_server_assess_budgets;
-    Alcotest.test_case "server: fmeda reply = CLI stdout" `Quick
-      test_server_fmeda_equals_cli;
+    Alcotest.test_case "server: reply = CLI, every kind" `Quick
+      test_server_equals_cli_every_kind;
+    Alcotest.test_case "command: malformed params" `Quick
+      test_malformed_params;
+    QCheck_alcotest.to_alcotest prop_params_roundtrip;
   ]
