@@ -5,8 +5,9 @@ let compare = String.compare
 let to_hex = Digest.to_hex
 let pp ppf t = Format.pp_print_string ppf (to_hex t)
 
-(* Leaves and nodes are domain-separated by a one-byte tag so that
-   [node [leaf s]] and [leaf s] can never collide. *)
+(* Leaves, nodes and encoded values are domain-separated by a one-byte
+   tag so that [node [leaf s]], [leaf s] and [value tag v] can never
+   collide. *)
 let leaf s = Digest.string ("L" ^ s)
 let node ts = Digest.string ("N" ^ String.concat "" ts)
 
@@ -17,48 +18,27 @@ let file path =
 
 (* ---------- domain fingerprints ----------
 
-   Leaf content is the ppx_deriving [show] rendering of the value: it
-   covers every field, is stable across runs, and costs nothing to keep
-   in sync with the types. *)
+   Every domain value is hashed as a kind tag plus its [Marshal] bytes.
+   The encoding covers every field, costs nothing to keep in sync with
+   the types, and writes floats as their IEEE bits, so any change to a
+   float moves the hash.  [No_sharing] makes the bytes a function of the
+   value's structure alone: physically shared and separately allocated
+   equal sub-values encode identically.  The tag is a NUL-free literal,
+   so tag and bytes cannot be confused with another kind's. *)
+let encode v = Marshal.to_string v [ Marshal.No_sharing ]
 
-let rec diagram (d : Blockdiag.Diagram.t) =
-  node
-    (leaf ("diagram:" ^ d.Blockdiag.Diagram.diagram_name)
-     :: List.map
-          (fun b -> leaf (Blockdiag.Diagram.show_block b))
-          d.Blockdiag.Diagram.blocks
-    @ List.map
-        (fun c -> leaf (Blockdiag.Diagram.show_connection c))
-        d.Blockdiag.Diagram.connections
-    @ List.map diagram d.Blockdiag.Diagram.subsystems)
+let value tag v =
+  Digest.string (String.concat "" [ "V"; tag; "\x00"; encode v ])
+
+let diagram (d : Blockdiag.Diagram.t) = value "diagram" d
 
 let rec ssam_component (c : Ssam.Architecture.component) =
   (* Shallow part: every field except the children, which hash as their
      own subtrees (the Merkle property the change-impact reuse needs). *)
   let shallow = { c with Ssam.Architecture.children = [] } in
   node
-    (leaf (Ssam.Architecture.show_component shallow)
+    (value "ssam-component" shallow
     :: List.map ssam_component c.Ssam.Architecture.children)
-
-let ssam_package (p : Ssam.Architecture.package) =
-  node
-    (leaf (Ssam.Base.show_meta p.Ssam.Architecture.package_meta)
-     :: List.map
-          (function
-            | Ssam.Architecture.Component c -> ssam_component c
-            | Ssam.Architecture.Relationship r ->
-                leaf (Ssam.Architecture.show_relationship r))
-          p.Ssam.Architecture.elements
-    @ List.map
-        (fun i -> leaf (Ssam.Architecture.show_package_interface i))
-        p.Ssam.Architecture.interfaces)
-
-let netlist nl =
-  node
-    (leaf ("netlist:" ^ Circuit.Netlist.name nl)
-    :: List.map
-         (fun e -> leaf (Circuit.Element.show e))
-         (Circuit.Netlist.elements nl))
 
 (* Name-free view for golden-run identity: every observable of a golden
    run (factorisation, operating point, sensor readings, max element
@@ -66,42 +46,30 @@ let netlist nl =
    whose extracted circuits are element-for-element equal can share one
    factorisation even when their diagrams are named differently. *)
 let netlist_structure nl =
-  node
-    (leaf "netlist-structure"
-    :: List.map
-         (fun e -> leaf (Circuit.Element.show e))
-         (Circuit.Netlist.elements nl))
+  value "netlist-structure" (Circuit.Netlist.elements nl)
 
-let reliability_entry (e : Reliability.Reliability_model.entry) =
-  leaf (Reliability.Reliability_model.show_entry e)
+let netlist_with_structure nl ~structure =
+  node [ leaf ("netlist:" ^ Circuit.Netlist.name nl); structure ]
+
+let netlist nl = netlist_with_structure nl ~structure:(netlist_structure nl)
 
 let reliability_model rm =
-  let entries =
-    List.sort
-      (fun (a : Reliability.Reliability_model.entry) b ->
-        String.compare a.Reliability.Reliability_model.component_type
-          b.Reliability.Reliability_model.component_type)
-      (Reliability.Reliability_model.entries rm)
-  in
-  node (leaf "reliability-model" :: List.map reliability_entry entries)
+  (* [add] keeps one entry per component type, so the sort is total. *)
+  value "reliability-model"
+    (List.sort
+       (fun (a : Reliability.Reliability_model.entry) b ->
+         String.compare a.Reliability.Reliability_model.component_type
+           b.Reliability.Reliability_model.component_type)
+       (Reliability.Reliability_model.entries rm))
 
 let sm_model sm =
-  let mechanisms =
-    List.sort
-      (fun a b ->
-        String.compare
-          (Reliability.Sm_model.show_mechanism a)
-          (Reliability.Sm_model.show_mechanism b))
-      (Reliability.Sm_model.mechanisms sm)
-  in
-  node
-    (leaf "sm-model"
-    :: List.map (fun m -> leaf (Reliability.Sm_model.show_mechanism m)) mechanisms)
+  (* Mechanisms may repeat and have no natural key: sort their
+     encodings, so the order they were added in does not matter. *)
+  value "sm-model"
+    (List.sort String.compare
+       (List.map encode (Reliability.Sm_model.mechanisms sm)))
 
-let fmea_table (t : Fmea.Table.t) =
-  node
-    (leaf ("fmea-table:" ^ t.Fmea.Table.system_name)
-    :: List.map (fun r -> leaf (Fmea.Table.show_row r)) t.Fmea.Table.rows)
+let fmea_table (t : Fmea.Table.t) = value "fmea-table" t
 
 let injection_options (o : Fmea.Injection_fmea.options) =
   leaf

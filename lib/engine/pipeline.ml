@@ -1,12 +1,14 @@
-(* Physical-identity memo, bounded.  Within a session the engine keeps
-   meeting the same in-memory values — the warm path re-fingerprints the
-   previous diagram it analysed a moment ago, a fleet shares one
-   reliability model across every variant — and the derived values
-   (fingerprints, netlist conversions, SSAM views) are pure.  Keyed by
-   [==]: content hashing is exactly the cost being avoided.  A miss on a
+(* Bounded memo, least recently used evicted.  Within a session the
+   engine keeps meeting the same in-memory values — the warm path
+   re-fingerprints the previous diagram it analysed a moment ago, a
+   fleet shares one reliability model across every variant — and the
+   derived values (fingerprints, netlist conversions, SSAM views) are
+   pure.  Those memos are keyed by [==] (the default [eq]): content
+   hashing is exactly the cost being avoided.  A miss on a
    structurally-equal-but-fresh value only costs the recompute, so the
-   memo can never serve a stale answer. *)
-module Ident_memo = struct
+   memo can never serve a stale answer.  The live memos of values
+   Marshal cannot carry are keyed by fingerprint hex instead. *)
+module Memo = struct
   type ('a, 'b) t = { mutable entries : ('a * 'b) list; cap : int }
 
   let create cap = { entries = []; cap }
@@ -16,36 +18,44 @@ module Ident_memo = struct
     | _ :: _ when n = 0 -> []
     | x :: rest -> x :: truncate (n - 1) rest
 
+  let length m = List.length m.entries
+
   let find_or ?(eq = fun a b -> a == b) m lock key compute =
+    let others () = List.filter (fun (k, _) -> not (eq k key)) m.entries in
     Mutex.lock lock;
     let hit = List.find_opt (fun (k, _) -> eq k key) m.entries in
+    Option.iter (fun e -> m.entries <- e :: others ()) hit;
     Mutex.unlock lock;
     match hit with
     | Some (_, v) -> v
     | None ->
         let v = compute () in
         Mutex.lock lock;
-        m.entries <- truncate m.cap ((key, v) :: m.entries);
+        (* A racing computation may have beaten us; last write wins — the
+           values are equal by construction. *)
+        m.entries <- truncate m.cap ((key, v) :: others ());
         Mutex.unlock lock;
         v
 end
+
+(* The most golden runs, and evaluators, a pipeline holds at once. *)
+let live_cap = 32
 
 type t = {
   p_cache : Cache.t;
   p_stats : Stats.t;
   (* Live memos for values Marshal cannot carry (solutions hold solver
      state; evaluators are documented-immutable but stage-local).  Keyed
-     by fingerprint hex; guarded by [lock]. *)
-  golden_runs : (string, Fmea.Injection_fmea.prepared) Hashtbl.t;
-  evaluators : (string, Optimize.Search.evaluator) Hashtbl.t;
+     by fingerprint hex, [live_cap] entries each; guarded by [lock]. *)
+  golden_runs : (string, Fmea.Injection_fmea.prepared) Memo.t;
+  evaluators : (string, Optimize.Search.evaluator) Memo.t;
   (* Identity memos for the per-call fixed costs of the FMEA entry
      points; these dominate a warm one-edit run at small system sizes. *)
-  fp_diagrams : (Blockdiag.Diagram.t, Fingerprint.t) Ident_memo.t;
-  fp_models : (Reliability.Reliability_model.t, Fingerprint.t) Ident_memo.t;
-  conversions : (Blockdiag.Diagram.t, Blockdiag.To_netlist.result) Ident_memo.t;
-  fp_netlists : (Blockdiag.Diagram.t, Fingerprint.t) Ident_memo.t;
-  fp_structures : (Circuit.Netlist.t, Fingerprint.t) Ident_memo.t;
-  ssam_views : (Blockdiag.Diagram.t * Reliability.Reliability_model.t, Ssam.Model.t) Ident_memo.t;
+  fp_diagrams : (Blockdiag.Diagram.t, Fingerprint.t) Memo.t;
+  fp_models : (Reliability.Reliability_model.t, Fingerprint.t) Memo.t;
+  conversions : (Blockdiag.Diagram.t, Blockdiag.To_netlist.result) Memo.t;
+  fp_structures : (Circuit.Netlist.t, Fingerprint.t) Memo.t;
+  ssam_views : (Blockdiag.Diagram.t * Reliability.Reliability_model.t, Ssam.Model.t) Memo.t;
   lock : Mutex.t;
 }
 
@@ -73,14 +83,13 @@ let create ?cache () =
     {
       p_cache = (match cache with Some c -> c | None -> Cache.create ());
       p_stats = Stats.create ();
-      golden_runs = Hashtbl.create 8;
-      evaluators = Hashtbl.create 8;
-      fp_diagrams = Ident_memo.create 8;
-      fp_models = Ident_memo.create 8;
-      conversions = Ident_memo.create 8;
-      fp_netlists = Ident_memo.create 8;
-      fp_structures = Ident_memo.create 8;
-      ssam_views = Ident_memo.create 8;
+      golden_runs = Memo.create live_cap;
+      evaluators = Memo.create live_cap;
+      fp_diagrams = Memo.create 8;
+      fp_models = Memo.create 8;
+      conversions = Memo.create 8;
+      fp_structures = Memo.create 8;
+      ssam_views = Memo.create 8;
       lock = Mutex.create ();
     }
   in
@@ -93,6 +102,12 @@ let create ?cache () =
 let cache t = t.p_cache
 let stats t = t.p_stats
 let snapshot t = Stats.snapshot t.p_stats
+
+let golden_runs_held t =
+  Mutex.lock t.lock;
+  let n = Memo.length t.golden_runs in
+  Mutex.unlock t.lock;
+  n
 
 (* ---------- generic memoisation ---------- *)
 
@@ -137,20 +152,7 @@ let memo t ~stage ?(version = 1) ~key f =
       v
 
 let live_memo t table key compute =
-  Mutex.lock t.lock;
-  match Hashtbl.find_opt table key with
-  | Some v ->
-      Mutex.unlock t.lock;
-      v
-  | None ->
-      Mutex.unlock t.lock;
-      let v = compute () in
-      Mutex.lock t.lock;
-      (* A racing computation may have beaten us; last write wins — the
-         values are content-equal by construction. *)
-      Hashtbl.replace table key v;
-      Mutex.unlock t.lock;
-      v
+  Memo.find_or ~eq:String.equal table t.lock key compute
 
 (* ---------- incremental injection FMEA ---------- *)
 
@@ -178,29 +180,30 @@ let ssam_model_of diagram reliability =
    changed; a cold engine pays every fingerprint from scratch — which is
    what makes warm strictly cheaper than cold. *)
 let fp_diagram t d =
-  Ident_memo.find_or t.fp_diagrams t.lock d (fun () -> Fingerprint.diagram d)
+  Memo.find_or t.fp_diagrams t.lock d (fun () -> Fingerprint.diagram d)
 
 let fp_model t rm =
-  Ident_memo.find_or t.fp_models t.lock rm (fun () ->
+  Memo.find_or t.fp_models t.lock rm (fun () ->
       Fingerprint.reliability_model rm)
 
 let convert t d =
-  Ident_memo.find_or t.conversions t.lock d (fun () ->
+  Memo.find_or t.conversions t.lock d (fun () ->
       Blockdiag.To_netlist.convert d)
 
-let fp_netlist_of t d netlist =
-  Ident_memo.find_or t.fp_netlists t.lock d (fun () ->
-      Fingerprint.netlist netlist)
-
-(* The structural fingerprint pretty-prints every element; keyed by the
-   netlist value itself, which [convert]'s identity memo keeps stable
-   across a session's edits. *)
+(* Keyed by the netlist value itself, which [convert]'s identity memo
+   keeps stable across a session's edits. *)
 let fp_structure_of t netlist =
-  Ident_memo.find_or t.fp_structures t.lock netlist (fun () ->
+  Memo.find_or t.fp_structures t.lock netlist (fun () ->
       Fingerprint.netlist_structure netlist)
 
+(* The named fingerprint reuses the structural one: a diagram edit
+   encodes its element list once. *)
+let fp_netlist_of t netlist =
+  Fingerprint.netlist_with_structure netlist
+    ~structure:(fp_structure_of t netlist)
+
 let ssam_view t d rm =
-  Ident_memo.find_or
+  Memo.find_or
     ~eq:(fun (d1, r1) (d2, r2) -> d1 == d2 && r1 == r2)
     t.ssam_views t.lock (d, rm)
     (fun () -> ssam_model_of d rm)
@@ -238,7 +241,7 @@ let reuse_hook t ~previous:prev ~diagram ~reliability ~element_types
   if
     not
       (Fingerprint.equal
-         (fp_netlist_of t prev.prev_diagram prev_netlist)
+         (fp_netlist_of t prev_netlist)
          fp_netlist)
   then None
   else begin
@@ -331,7 +334,7 @@ let injection_fmea t ?previous ~options diagram reliability =
   let conversion = convert t diagram in
   let netlist = conversion.Blockdiag.To_netlist.netlist in
   let element_types = conversion.Blockdiag.To_netlist.block_types in
-  let fp_netlist = fp_netlist_of t diagram netlist in
+  let fp_netlist = fp_netlist_of t netlist in
   let fp_options = Fingerprint.injection_options options in
   let key =
     Fingerprint.node

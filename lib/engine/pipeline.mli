@@ -1,14 +1,14 @@
 (** The staged incremental analysis pipeline.
 
     One pipeline value owns a {!Cache}, a {!Stats} block and the live
-    (in-memory-only) memos the marshalled cache cannot hold (golden
-    circuit runs, SPFM evaluators).  Every analysis entry point routed
-    through it behaves exactly like its cold counterpart — cached results
-    are bit-identical, a property the test suite checks with the same
-    discipline as the [SAME_JOBS] determinism tests — but re-running an
-    analysis whose input fingerprints are unchanged costs a lookup, and
-    re-running after a {e component-level} edit costs only the impacted
-    subset:
+    (in-memory-only, {!live_cap}-bounded) memos the marshalled cache
+    cannot hold (golden circuit runs, SPFM evaluators).  Every analysis
+    entry point routed through it behaves exactly like its cold
+    counterpart — cached results are bit-identical, a property the test
+    suite checks with the same discipline as the [SAME_JOBS] determinism
+    tests — but re-running an analysis whose input fingerprints are
+    unchanged costs a lookup, and re-running after a {e component-level}
+    edit costs only the impacted subset:
 
     - {!injection_fmea} caches whole tables by input fingerprint, caches
       the golden run by (netlist, options) fingerprint, and — given the
@@ -38,6 +38,15 @@ val cache : t -> Cache.t
 val stats : t -> Stats.t
 
 val snapshot : t -> Stats.snapshot
+
+val live_cap : int
+(** The most golden runs, and the most SPFM evaluators, a pipeline holds
+    in memory at once; the least recently used is evicted first.  An
+    evicted golden run is recomputed (one more golden solve) when its
+    circuit comes back. *)
+
+val golden_runs_held : t -> int
+(** Golden runs currently held, at most {!live_cap}. *)
 
 (** {1 Generic memoisation} *)
 

@@ -129,11 +129,20 @@ let handle_open t ~o_diagram ~o_reliability ~o_params =
             ])
 
 (* Rows of [table] absent from [previous] (matched on the full row, so a
-   changed classification reports as changed).  Analysis order is kept. *)
+   changed classification reports as changed).  Analysis order is kept.
+   Equal rows share their (component, failure mode), so each row is
+   compared only with the previous rows under that key. *)
 let changed_rows ~previous table =
+  let key (r : Fmea.Table.row) =
+    (r.Fmea.Table.component, r.Fmea.Table.failure_mode)
+  in
+  let before = Hashtbl.create 256 in
+  List.iter (fun r -> Hashtbl.add before (key r) r) previous.Fmea.Table.rows;
   List.filter
     (fun row ->
-      not (List.exists (Fmea.Table.equal_row row) previous.Fmea.Table.rows))
+      not
+        (List.exists (Fmea.Table.equal_row row)
+           (Hashtbl.find_all before (key row))))
     table.Fmea.Table.rows
 
 let row_json (r : Fmea.Table.row) =

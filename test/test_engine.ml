@@ -94,6 +94,84 @@ let test_fingerprint_subtree_locality () =
     (fp_hex (Engine.Fingerprint.ssam_component (sibling p1)))
     (fp_hex (Engine.Fingerprint.ssam_component (sibling p2)))
 
+(* A load edit far below [show]'s 12 significant digits is still an
+   edit: the fingerprints compare floats bit for bit. *)
+let load_diagram ohms =
+  let open Blockdiag.Diagram in
+  diagram ~name:"fp_load"
+    [
+      block ~id:"DC1" ~block_type:"vsource" ~parameters:[ ("volts", P_num 5.0) ] ();
+      block ~id:"RL1" ~block_type:"load" ~parameters:[ ("ohms", P_num ohms) ] ();
+      block ~id:"GND1" ~block_type:"ground"
+        ~ports:[ { port_name = "a"; port_kind = Conserving } ]
+        ();
+    ]
+    ~connections:
+      [
+        connect ("DC1", "a") ("RL1", "a");
+        connect ("RL1", "b") ("GND1", "a");
+        connect ("DC1", "b") ("GND1", "a");
+      ]
+
+let test_fingerprint_diagram_floats_exact () =
+  let d1 = load_diagram 48.0 and d2 = load_diagram 48.0000000000001 in
+  let differ what a b =
+    Alcotest.(check bool) what false (Engine.Fingerprint.equal a b)
+  in
+  differ "diagrams differ" (Engine.Fingerprint.diagram d1)
+    (Engine.Fingerprint.diagram d2);
+  let netlist d = (Blockdiag.To_netlist.convert d).Blockdiag.To_netlist.netlist in
+  differ "netlists differ"
+    (Engine.Fingerprint.netlist (netlist d1))
+    (Engine.Fingerprint.netlist (netlist d2));
+  differ "netlist structures differ"
+    (Engine.Fingerprint.netlist_structure (netlist d1))
+    (Engine.Fingerprint.netlist_structure (netlist d2))
+
+let test_fingerprint_reliability_floats_exact () =
+  let model fit =
+    Reliability.Reliability_model.of_entries
+      [
+        {
+          Reliability.Reliability_model.component_type = "load";
+          fit;
+          failure_modes = [];
+        };
+      ]
+  in
+  Alcotest.(check bool)
+    "FITs 100.0 and 100.00000000001 differ" false
+    (Engine.Fingerprint.equal
+       (Engine.Fingerprint.reliability_model (model 100.0))
+       (Engine.Fingerprint.reliability_model (model 100.00000000001)))
+
+(* Fingerprints see structure, never physical sharing: two blocks on one
+   [ports] list hash like two blocks on separate copies of it. *)
+let test_fingerprint_sharing_independent () =
+  let open Blockdiag.Diagram in
+  let ports =
+    [
+      { port_name = "a"; port_kind = Conserving };
+      { port_name = "b"; port_kind = Conserving };
+    ]
+  in
+  let copy () = List.map (fun p -> { p with port_kind = p.port_kind }) ports in
+  let mk p1 p2 =
+    diagram ~name:"fp_shared"
+      [
+        block ~id:"R1" ~block_type:"resistor" ~ports:p1 ();
+        block ~id:"R2" ~block_type:"resistor" ~ports:p2 ();
+      ]
+  in
+  let separate = (copy (), copy ()) in
+  Alcotest.(check bool)
+    "the copies are physically distinct" false
+    (List.hd (fst separate) == List.hd (snd separate));
+  Alcotest.(check string)
+    "shared and copied ports fingerprint equal"
+    (fp_hex (Engine.Fingerprint.diagram (mk ports ports)))
+    (fp_hex (Engine.Fingerprint.diagram (mk (fst separate) (snd separate))))
+
 (* ---------- cache ---------- *)
 
 let key_of s = Engine.Cache.key ~stage:"test" ~version:1 (Engine.Fingerprint.leaf s)
@@ -402,6 +480,57 @@ let test_solve_paths_add_up () =
     (Engine.Stats.solves_performed s
     < s.Engine.Stats.golden_solves + s.Engine.Stats.rows_classified)
 
+(* The live golden-run memo is bounded: a long run of distinct diagram
+   edits keeps at most [live_cap] golden runs, and the most recent one
+   is still there for the next reliability edit. *)
+let test_golden_runs_bounded () =
+  let e = Engine.Pipeline.create () in
+  let options = Fmea.Injection_fmea.default_options in
+  let analyse ?previous d r =
+    Engine.Pipeline.injection_fmea e ?previous ~options d r
+  in
+  let previous (d, t) =
+    {
+      Engine.Pipeline.prev_diagram = d;
+      prev_reliability = default_reliability;
+      prev_table = t;
+    }
+  in
+  let edits = 200 in
+  let last =
+    List.fold_left
+      (fun prev i ->
+        let d = mk_diagram ~volts:(3.0 +. (0.01 *. float_of_int i)) () in
+        let previous = Option.map previous prev in
+        Some (d, analyse ?previous d default_reliability))
+      None (List.init edits Fun.id)
+    |> Option.get
+  in
+  let golden () = (Engine.Pipeline.snapshot e).Engine.Stats.golden_solves in
+  Alcotest.(check int) "one golden solve per distinct circuit" edits (golden ());
+  Alcotest.(check bool)
+    (Printf.sprintf "golden runs held %d <= cap %d"
+       (Engine.Pipeline.golden_runs_held e)
+       Engine.Pipeline.live_cap)
+    true
+    (Engine.Pipeline.golden_runs_held e <= Engine.Pipeline.live_cap);
+  let edited =
+    match
+      Reliability.Reliability_model.find default_reliability "microcontroller"
+    with
+    | Some en ->
+        Reliability.Reliability_model.add default_reliability
+          {
+            en with
+            Reliability.Reliability_model.fit =
+              en.Reliability.Reliability_model.fit +. 50.0;
+          }
+    | None -> Alcotest.fail "no microcontroller entry"
+  in
+  let warm = analyse ~previous:(previous last) (fst last) edited in
+  Alcotest.(check int) "the last golden run is reused" edits (golden ());
+  Alcotest.check table "still equals cold" (analyse_cold (fst last) edited) warm
+
 (* ---------- pipeline: search and path stages ---------- *)
 
 let test_optimise_warm_equals_cold () =
@@ -592,6 +721,12 @@ let suite =
       test_fingerprint_reliability_order_insensitive;
     Alcotest.test_case "fingerprint: subtree locality" `Quick
       test_fingerprint_subtree_locality;
+    Alcotest.test_case "fingerprint: diagram floats bit for bit" `Quick
+      test_fingerprint_diagram_floats_exact;
+    Alcotest.test_case "fingerprint: reliability floats bit for bit" `Quick
+      test_fingerprint_reliability_floats_exact;
+    Alcotest.test_case "fingerprint: sharing-independent" `Quick
+      test_fingerprint_sharing_independent;
     Alcotest.test_case "cache: LRU eviction" `Quick test_cache_lru;
     Alcotest.test_case "cache: disk round-trip" `Quick test_cache_disk_roundtrip;
     Alcotest.test_case "cache: corruption recovery" `Quick
@@ -605,6 +740,8 @@ let suite =
       test_system_b_fewer_solves;
     Alcotest.test_case "pipeline: solve paths add up" `Quick
       test_solve_paths_add_up;
+    Alcotest.test_case "pipeline: golden runs bounded" `Quick
+      test_golden_runs_bounded;
     Alcotest.test_case "pipeline: optimise warm equals cold" `Quick
       test_optimise_warm_equals_cold;
     Alcotest.test_case "api: refine through the engine" `Quick

@@ -670,6 +670,124 @@ let test_server_incremental_session () =
             (String.length m > 0)
       | Ok _ -> Alcotest.fail "edit of unknown session succeeded")
 
+let session_params = [ ("exclude", "DC1,BAT1"); ("monitored", "CS1,CS2,VS1") ]
+
+let open_session client ~diagram ~reliability =
+  let opened =
+    rpc client
+      (Serve.Protocol.Open_session
+         {
+           o_diagram = diagram;
+           o_reliability = Some reliability;
+           o_params = session_params;
+         })
+  in
+  member_str "session" opened
+
+let edit_session client session ?diagram ?reliability () =
+  rpc client
+    (Serve.Protocol.Edit
+       { e_session = session; e_diagram = diagram; e_reliability = reliability })
+
+let changed_keys response =
+  match Modelio.Json.member "changed_rows" response with
+  | Some (Modelio.Json.List l) ->
+      List.map (fun r -> (member_str "component" r, member_str "failure_mode" r)) l
+  | _ -> Alcotest.fail "no changed_rows in edit response"
+
+(* [text] with the first [old] after [from] replaced by [by]. *)
+let replace_after text ~from ~old ~by =
+  let find sub i =
+    let n = String.length sub in
+    let rec go i =
+      if i + n > String.length text then Alcotest.fail ("no " ^ sub)
+      else if String.sub text i n = sub then i
+      else go (i + 1)
+    in
+    go i
+  in
+  let i = find old (find from 0) in
+  String.sub text 0 i ^ by
+  ^ String.sub text (i + String.length old)
+      (String.length text - i - String.length old)
+
+(* A load edit in the 13th significant digit is a new circuit: the edit
+   must re-run the golden solve, not serve the old diagram's table. *)
+let test_server_exact_diagram_edit () =
+  let diagram, reliability_csv, _, _ = system_b_texts () in
+  let edited =
+    replace_after diagram ~from:"block THR1 : load" ~old:"ohms = 48;"
+      ~by:"ohms = 48.00000000001;"
+  in
+  with_server @@ fun server socket ->
+  match Serve.Client.connect socket with
+  | Error m -> Alcotest.fail m
+  | Ok client ->
+      Fun.protect ~finally:(fun () -> Serve.Client.close client) @@ fun () ->
+      let session = open_session client ~diagram ~reliability:reliability_csv in
+      let golden () =
+        (Engine.Pipeline.snapshot (Serve.Server.engine server))
+          .Engine.Stats.golden_solves
+      in
+      let before = golden () in
+      let response = edit_session client session ~diagram:edited () in
+      Alcotest.(check bool)
+        "the edit solved" true
+        (member_num "solves" response > 0);
+      Alcotest.(check int) "one more golden solve" (before + 1) (golden ())
+
+(* A FIT edit reports exactly the edited type's rows, in table order. *)
+let test_server_fit_edit_rows () =
+  let diagram_text, reliability_csv, reliability, render = system_b_texts () in
+  let edited =
+    match Reliability.Reliability_model.find reliability "load" with
+    | Some e ->
+        Reliability.Reliability_model.add reliability
+          { e with Reliability.Reliability_model.fit =
+              e.Reliability.Reliability_model.fit +. 5.0 }
+    | None -> Alcotest.fail "no load entry"
+  in
+  let expected =
+    let parse f text = Result.get_ok (f (Serve.Command.Text { name = "t"; text })) in
+    let diagram = parse Serve.Command.parse_diagram diagram_text in
+    let reliability =
+      parse (fun s -> Serve.Command.parse_reliability (Some s)) (render edited)
+    in
+    let conversion = Blockdiag.To_netlist.convert diagram in
+    let options =
+      {
+        Fmea.Injection_fmea.default_options with
+        exclude = [ "DC1"; "BAT1" ];
+        monitored_sensors = Some [ "CS1"; "CS2"; "VS1" ];
+      }
+    in
+    let table =
+      Engine.Pipeline.injection_fmea (Engine.Pipeline.create ()) ~options
+        diagram reliability
+    in
+    List.filter_map
+      (fun (r : Fmea.Table.row) ->
+        match
+          List.assoc_opt r.Fmea.Table.component
+            conversion.Blockdiag.To_netlist.block_types
+        with
+        | Some "load" -> Some (r.Fmea.Table.component, r.Fmea.Table.failure_mode)
+        | _ -> None)
+      table.Fmea.Table.rows
+  in
+  Alcotest.(check bool) "System B has load rows" true (List.length expected > 2);
+  with_server @@ fun _server socket ->
+  match Serve.Client.connect socket with
+  | Error m -> Alcotest.fail m
+  | Ok client ->
+      Fun.protect ~finally:(fun () -> Serve.Client.close client) @@ fun () ->
+      let session =
+        open_session client ~diagram:diagram_text ~reliability:reliability_csv
+      in
+      let response = edit_session client session ~reliability:(render edited) () in
+      Alcotest.(check (list (pair string string)))
+        "changed rows are the load rows" expected (changed_keys response)
+
 let suite =
   [
     Alcotest.test_case "protocol: request round-trip" `Quick test_protocol_roundtrip;
@@ -688,6 +806,10 @@ let suite =
       test_server_coalesces_concurrent;
     Alcotest.test_case "server: incremental session reuses rows" `Quick
       test_server_incremental_session;
+    Alcotest.test_case "server: 13th-digit diagram edit re-solves" `Quick
+      test_server_exact_diagram_edit;
+    Alcotest.test_case "server: FIT edit reports that type's rows" `Quick
+      test_server_fit_edit_rows;
     Alcotest.test_case "server: fta engine parameter" `Quick
       test_server_fta_engine_param;
     Alcotest.test_case "server: assess budgets validated" `Quick
