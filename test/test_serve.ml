@@ -788,8 +788,59 @@ let test_server_fit_edit_rows () =
       Alcotest.(check (list (pair string string)))
         "changed rows are the load rows" expected (changed_keys response)
 
+(* `same assess` pinned byte for byte without its wall-clock figures:
+   direct sampling on the PSU as text and JSON, the k-of-n carry-save
+   tape on a 2-of-24 vote, and importance sampling on the PSU. *)
+let vote_2_of_24 =
+  let events = List.init 24 (fun i -> (Printf.sprintf "e%d" i, float_of_int (90 + i) *. 1e-9)) in
+  Printf.sprintf
+    "<?xml version=\"1.0\"?>\n<opsa-mef name=\"vote\"><define-fault-tree name=\"vote\">\
+     <define-gate name=\"top\"><atleast min=\"2\">%s</atleast></define-gate>%s\
+     </define-fault-tree></opsa-mef>\n"
+    (String.concat ""
+       (List.map (fun (id, _) -> Printf.sprintf "<basic-event name=\"%s\"/>" id) events))
+    (String.concat ""
+       (List.map
+          (fun (id, rate) ->
+            Printf.sprintf
+              "<define-basic-event name=\"%s\"><exponential><float \
+               value=\"%.17g\"/></exponential></define-basic-event>"
+              id rate)
+          events))
+
+let test_assess_golden () =
+  let psu = Serve.Command.Path "../examples/models/psu.bd" in
+  let vote = Serve.Command.Text { name = "vote.xml"; text = vote_2_of_24 } in
+  List.iter
+    (fun (golden, source, from, config, format) ->
+      let models =
+        { Serve.Command.diagram = Some source; reliability = None; sm = None; queries = [] }
+      in
+      let reply =
+        Serve.Command.run models
+          (Serve.Command.Assess { from; config; check = false; format })
+      in
+      Alcotest.(check int) (golden ^ ": exit") 0 reply.Serve.Command.code;
+      Alcotest.(check string) (golden ^ ": output")
+        (Test_cli.read_file ("golden/" ^ golden))
+        (reply.Serve.Command.err ^ reply.Serve.Command.out))
+    Assess.Mc.
+      [
+        ( "psu_assess.txt", psu, `Diagram,
+          { default with trials = Some 200_000; seed = 11 }, `Text );
+        ( "psu_assess.json", psu, `Diagram,
+          { default with trials = Some 200_000; seed = 11 }, `Json );
+        ( "vote24_assess.json", vote, `Open_psa,
+          { default with trials = Some 100_000; seed = 5; mission_hours = 50_000.0 },
+          `Json );
+        ( "psu_assess_importance.txt", psu, `Diagram,
+          { default with trials = Some 100_000; seed = 7; sampling = Importance },
+          `Text );
+      ]
+
 let suite =
   [
+    Alcotest.test_case "command: assess output golden" `Quick test_assess_golden;
     Alcotest.test_case "protocol: request round-trip" `Quick test_protocol_roundtrip;
     Alcotest.test_case "protocol: framing rejects newlines" `Quick
       test_protocol_framing_rejects_newline;
