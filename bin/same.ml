@@ -660,8 +660,13 @@ let transform_cmd =
   let run diagram_path out =
     let* diagram = load_diagram diagram_path in
     let package = Blockdiag.Transform.to_ssam diagram in
-    let back = Blockdiag.Transform.to_diagram package in
-    let lossless = Blockdiag.Diagram.equal diagram back in
+    (* Lossless means the saved text reads back as the input design. *)
+    let text = Blockdiag.Text_format.print (Blockdiag.Transform.to_diagram package) in
+    let lossless =
+      match Blockdiag.Text_format.parse text with
+      | reread -> Blockdiag.Diagram.equal diagram reread
+      | exception Blockdiag.Text_format.Parse_error _ -> false
+    in
     Format.printf
       "transformed '%s': %d SSAM elements, round-trip lossless: %b@."
       diagram.Blockdiag.Diagram.diagram_name
@@ -669,7 +674,7 @@ let transform_cmd =
       lossless;
     (match out with
     | Some path ->
-        Blockdiag.Text_format.write_file path back;
+        Out_channel.with_open_bin path (fun oc -> output_string oc text);
         Format.printf "round-tripped diagram written to %s@." path
     | None -> ());
     if lossless then 0 else 1
@@ -1323,209 +1328,6 @@ let coverage_cmd =
   let doc = "Report block-library coverage for a design (evaluation RQ2)." in
   Cmd.v (Cmd.info "coverage" ~doc) Term.(const run $ diagram_arg)
 
-(* same scale *)
-
-let scale_cmd =
-  let timed f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, Unix.gettimeofday () -. t0)
-  in
-  (* --analysis path-fmea: Algorithm 1's dominator classification on
-     synthetic block diagrams with closed-form path counts (diamond chain
-     for --topology ladder, block grid for --topology grid). *)
-  let run_path_fmea n topology =
-    let sys, paths =
-      match topology with
-      | `Ladder ->
-          ( Circuit.Generator.diamond_arch ~stages:n,
-            Circuit.Generator.diamond_path_count ~stages:n )
-      | `Grid ->
-          let side =
-            max 1 (int_of_float (Float.round (sqrt (float_of_int n))))
-          in
-          ( Circuit.Generator.grid_arch ~rows:side ~cols:side,
-            Circuit.Generator.grid_path_count ~rows:side ~cols:side )
-    in
-    Printf.printf "architecture %s: %d blocks, %s input→output paths\n"
-      (Ssam.Architecture.component_id sys)
-      (List.length sys.Ssam.Architecture.children)
-      (if paths = max_int then "> 2^62" else string_of_int paths);
-    let table, t_dom = timed (fun () -> Fmea.Path_fmea.analyse sys) in
-    let sr = Fmea.Table.safety_related_components table in
-    Printf.printf "dominator classification: %d single points in %.3f ms\n"
-      (List.length sr) (1000.0 *. t_dom);
-    0
-  in
-  (* --analysis batch-fmea: the fleet workload — N PSU design variants
-     (cycling 3 electrical designs) cold (N independent engines) vs warm
-     (one engine, shared golden factorisations, one flat pool batch). *)
-  let run_batch_fmea n =
-    let count = max 2 (min n 1024) in
-    let variants = Decisive.Case_study.design_variants ~count () in
-    let reliability = Decisive.Case_study.reliability_model in
-    let options = Decisive.Case_study.injection_options in
-    let cold, t_cold =
-      timed (fun () ->
-          List.map
-            (fun (label, diagram) ->
-              let e = Engine.Pipeline.create () in
-              let table =
-                Engine.Pipeline.injection_fmea e ~options diagram reliability
-              in
-              let snap = Engine.Pipeline.snapshot e in
-              (label, table, snap.Engine.Stats.golden_solves))
-            variants)
-    in
-    let cold_golden =
-      List.fold_left (fun acc (_, _, g) -> acc + g) 0 cold
-    in
-    let engine = Engine.Pipeline.create () in
-    let summary, t_fleet =
-      timed (fun () ->
-          Engine.Batch.run_fmea engine ~options variants reliability)
-    in
-    let snap = Engine.Pipeline.snapshot engine in
-    let identical =
-      List.for_all2
-        (fun (_, table, _) (e : Engine.Batch.fmea_entry) ->
-          Fmea.Table.equal table e.Engine.Batch.b_table)
-        cold summary.Engine.Batch.f_entries
-    in
-    Printf.printf
-      "fleet of %d variants (%d distinct designs, %d rows total)\n" count
-      summary.Engine.Batch.f_distinct_designs summary.Engine.Batch.f_rows;
-    Printf.printf "cold (N independent engines): %.3f ms, %d golden solves\n"
-      (1000.0 *. t_cold) cold_golden;
-    Printf.printf "warm fleet (one engine):      %.3f ms, %d golden solves\n"
-      (1000.0 *. t_fleet) snap.Engine.Stats.golden_solves;
-    Printf.printf "speedup %.2fx, golden solves %d -> %d, identical %b\n"
-      (t_cold /. t_fleet) cold_golden snap.Engine.Stats.golden_solves
-      identical;
-    if identical && snap.Engine.Stats.golden_solves < cold_golden then 0
-    else 1
-  in
-  let run n topology analysis jobs sched =
-    set_jobs jobs;
-    set_sched sched;
-    if analysis = `Path_fmea then run_path_fmea n topology
-    else if analysis = `Batch_fmea then run_batch_fmea n
-    else
-    let nl =
-      match topology with
-      | `Ladder -> Circuit.Generator.ladder ~sections:n
-      | `Grid ->
-          let side = max 1 (int_of_float (Float.round (sqrt (float_of_int n)))) in
-          Circuit.Generator.grid ~rows:side ~cols:side
-    in
-    let p = Circuit.Dc.prepare nl in
-    Printf.printf "netlist %s: %d elements, %d unknowns\n"
-      (Circuit.Netlist.name nl)
-      (Circuit.Netlist.element_count nl)
-      (Circuit.Dc.size p);
-    match timed (fun () -> Circuit.Dc.factorise p) with
-    | Error e, _ ->
-        Format.eprintf "error: golden solve failed: %a@." Circuit.Dc.pp_error e;
-        1
-    | Ok g, t_factor ->
-        Printf.printf "golden factorisation: %.1f ms\n" (1000.0 *. t_factor);
-        (* A handful of representative injections: the low-rank re-solve
-           against a fresh analysis of the faulted netlist. *)
-        let cases =
-          List.filter_map
-            (fun (e : Circuit.Element.t) ->
-              match e.Circuit.Element.kind with
-              | Circuit.Element.Resistor _ | Circuit.Element.Load _ ->
-                  Some (e.Circuit.Element.id, Circuit.Fault.Open_circuit)
-              | _ -> None)
-            (Circuit.Netlist.elements nl)
-        in
-        let stride = max 1 (List.length cases / 12) in
-        let cases = List.filteri (fun i _ -> i mod stride = 0) cases in
-        let max_dev = ref 0.0 and t_fast = ref 0.0 and t_fresh = ref 0.0 in
-        List.iter
-          (fun (id, fault) ->
-            let fast, tf =
-              timed (fun () -> Circuit.Dc.inject g ~element_id:id fault)
-            in
-            let fresh, tr =
-              timed (fun () ->
-                  Circuit.Dc.analyse
-                    (Circuit.Fault.inject nl ~element_id:id fault))
-            in
-            t_fast := !t_fast +. tf;
-            t_fresh := !t_fresh +. tr;
-            match (fast, fresh) with
-            | Ok sf, Ok sd ->
-                List.iter2
-                  (fun (_, a) (_, b) ->
-                    max_dev := Float.max !max_dev (Float.abs (a -. b)))
-                  (Circuit.Dc.all_sensor_readings sf)
-                  (Circuit.Dc.all_sensor_readings sd)
-            | _ -> ())
-          cases;
-        let n_cases = float_of_int (List.length cases) in
-        Printf.printf
-          "%d injections: low-rank re-solve %.3f ms/inj, fresh analysis \
-           %.3f ms/inj (speedup %.1fx)\n"
-          (List.length cases)
-          (1000.0 *. !t_fast /. n_cases)
-          (1000.0 *. !t_fresh /. n_cases)
-          (!t_fresh /. !t_fast);
-        Printf.printf "max sensor-reading deviation: %.3g\n" !max_dev;
-        0
-  in
-  let positive_int =
-    let parse s =
-      match int_of_string_opt s with
-      | Some n when n >= 1 -> Ok n
-      | Some n -> Error (`Msg (Printf.sprintf "N must be at least 1 (got %d)" n))
-      | None -> Error (`Msg (Printf.sprintf "invalid integer %S" s))
-    in
-    Arg.conv (parse, Format.pp_print_int)
-  in
-  let n_arg =
-    Arg.(
-      value & opt positive_int 512
-      & info [ "n" ] ~docv:"N"
-          ~doc:
-            "Scale parameter, at least 1: ladder sections, or grid node \
-             count.")
-  in
-  let topology_arg =
-    Arg.(
-      value
-      & opt (enum [ ("ladder", `Ladder); ("grid", `Grid) ]) `Ladder
-      & info [ "topology" ] ~docv:"TOPOLOGY" ~doc:"$(b,ladder) or $(b,grid).")
-  in
-  let analysis_arg =
-    Arg.(
-      value
-      & opt
-          (enum
-             [
-               ("injection", `Injection);
-               ("path-fmea", `Path_fmea);
-               ("batch-fmea", `Batch_fmea);
-             ])
-          `Injection
-      & info [ "analysis" ] ~docv:"ANALYSIS"
-          ~doc:
-            "$(b,injection) benchmarks the fault-injection kernels on a \
-             synthetic netlist; $(b,path-fmea) benchmarks Algorithm 1's \
-             dominator classification on a synthetic block diagram (for \
-             $(b,ladder), $(docv) is the diamond-chain stage count; for \
-             $(b,grid), the approximate block count); $(b,batch-fmea) \
-             benchmarks the batch-fleet engine on $(docv) PSU design \
-             variants — one warm engine vs $(docv) cold runs (exit 0 iff \
-             the fleet shares golden solves and the tables are identical).")
-  in
-  let doc =
-    "Benchmark the analysis kernels on synthetic scalable models."
-  in
-  Cmd.v (Cmd.info "scale" ~doc)
-    Term.(const run $ n_arg $ topology_arg $ analysis_arg $ jobs_arg $ sched_arg)
-
 (* same serve / same client *)
 
 let socket_arg =
@@ -1604,7 +1406,6 @@ let main =
       client_cmd;
       lint_cmd;
       diagnose_cmd;
-      scale_cmd;
       fmea_cmd;
       fmeda_cmd;
       optimize_cmd;

@@ -138,14 +138,14 @@ let sample states thresholds (vars : int array) =
    [sums.(1)] = sum w^2), whose stores are unboxed, rather than in
    [Stat.t]'s mutable float fields, which box on every write. *)
 let accumulate_direct sums (ev : float array) (vars : int array) top =
-  let hits = float_of_int (Program.popcount top) in
+  let hits = float_of_int (Graph.Bitset.popcount top) in
   Array.unsafe_set sums 0 (Array.unsafe_get sums 0 +. hits);
   Array.unsafe_set sums 1 (Array.unsafe_get sums 1 +. hits);
   for e = 0 to Array.length vars - 1 do
     let c = top land Array.unsafe_get vars e in
     if c <> 0 then
       Array.unsafe_set ev e
-        (Array.unsafe_get ev e +. float_of_int (Program.popcount c))
+        (Array.unsafe_get ev e +. float_of_int (Graph.Bitset.popcount c))
   done
 
 (* A trial's weight matters only where the top event fired, so the

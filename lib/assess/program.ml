@@ -165,16 +165,3 @@ let eval t { regs; planes } ~(vars : int array) =
         Array.unsafe_set regs dst (!ge lor !eq)
   done;
   Array.unsafe_get regs t.result
-
-let popcount =
-  (* 16-bit table: four lookups per 63-bit word. *)
-  let table =
-    Array.init 65536 (fun i ->
-        let rec go n acc = if n = 0 then acc else go (n lsr 1) (acc + (n land 1)) in
-        go i 0)
-  in
-  fun w ->
-    table.(w land 0xFFFF)
-    + table.((w lsr 16) land 0xFFFF)
-    + table.((w lsr 32) land 0xFFFF)
-    + table.((w lsr 48) land 0x7FFF)

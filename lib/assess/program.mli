@@ -37,6 +37,3 @@ val eval : t -> scratch -> vars:int array -> int
 (** [eval p s ~vars] runs the tape over sampled indicator words —
     [vars.(v)] bit l is 1 iff event [v] failed in trial lane l — and
     returns the top-event word. *)
-
-val popcount : int -> int
-(** Set bits in a word (16-bit table lookups). *)

@@ -100,7 +100,8 @@ let tokenize src =
             then num (j + 1)
             else j
           in
-          let next = num i in
+          (* past a leading sign, which [num] takes only after an exponent *)
+          let next = num (if c = '-' then i + 1 else i) in
           let text = String.sub src i (next - i) in
           (match float_of_string_opt text with
           | Some f -> emit (T_num f)
@@ -298,9 +299,21 @@ let parse_file path =
 
 (* ---------- printing ---------- *)
 
+(* Lossless: numbers in their shortest exact decimal form, strings with
+   only the two characters the lexer unescapes ('"' and '\\') escaped,
+   so [parse (print d)] gives back every parameter bit for bit. *)
 let print_value = function
-  | Diagram.P_num f -> Printf.sprintf "%g" f
-  | Diagram.P_str s -> Printf.sprintf "%S" s
+  | Diagram.P_num f -> Modelio.Float_text.to_string f
+  | Diagram.P_str s ->
+      let buf = Buffer.create (String.length s + 2) in
+      Buffer.add_char buf '"';
+      String.iter
+        (fun c ->
+          if c = '"' || c = '\\' then Buffer.add_char buf '\\';
+          Buffer.add_char buf c)
+        s;
+      Buffer.add_char buf '"';
+      Buffer.contents buf
   | Diagram.P_bool b -> string_of_bool b
 
 let print d =

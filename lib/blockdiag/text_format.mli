@@ -15,7 +15,9 @@
     }
     v}
 
-    Comments run [#] to end of line.  [parse (print d) = d]. *)
+    Comments run [#] to end of line.  [parse (print d) = d] bit for bit
+    for finite numbers ({!Modelio.Float_text}), any string and identifier
+    names the lexer accepts. *)
 
 exception Parse_error of { line : int; message : string }
 

@@ -19,6 +19,11 @@ val add : t -> int -> unit
 
 val remove : t -> int -> unit
 
+val popcount : int -> int
+(** Set bits in one word, all 63 counted ([popcount (-1) = 63]): a
+    table-free SWAR count, shared with the Monte-Carlo kernel's
+    per-word hit counts. *)
+
 val cardinal : t -> int
 (** Population count, O(words). *)
 

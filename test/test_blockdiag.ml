@@ -124,6 +124,61 @@ let prop_text_roundtrip =
     (QCheck.make diagram_gen)
     (fun d -> Diagram.equal d (Text_format.parse (Text_format.print d)))
 
+(* The writer is lossless: any finite parameter (subnormals, 1e300, a
+   13th-digit edit, -0.), any string and nested subsystems read back bit
+   for bit — compared on their marshalled bytes, which tell -0. from 0.
+   where [Diagram.equal] does not. *)
+let lossless_diagram_gen =
+  let open QCheck.Gen in
+  let ident = string_size ~gen:(char_range 'a' 'z') (int_range 1 6) in
+  let finite =
+    oneof
+      [
+        float_bound_inclusive 1e6;
+        map (fun f -> if Float.is_finite f then f else 0.5) float;
+        oneofl
+          [ 48.00000000001; 48.0000000000001; 1e300; -1e300; 5e-324;
+            2.2250738585072009e-308; Float.max_float; Float.min_float; -0.0;
+            0.1; 1234567.0; 1e-5 ];
+      ]
+  in
+  let value =
+    frequency
+      [
+        (4, map (fun f -> Diagram.P_num f) finite);
+        (1, map (fun s -> Diagram.P_str s) string);
+        (1, map (fun b -> Diagram.P_bool b) bool);
+      ]
+  in
+  let param = pair (map (fun n -> "p" ^ n) ident) value in
+  let block i =
+    map3
+      (fun bt parameters annotation ->
+        Diagram.block ~id:(Printf.sprintf "B%d" i) ~block_type:bt ~parameters
+          ?annotation ())
+      ident
+      (list_size (int_range 0 3) param)
+      (opt string)
+  in
+  let body name =
+    let* n = int_range 0 4 in
+    let* blocks = flatten_l (List.init n block) in
+    return (Diagram.diagram ~name blocks)
+  in
+  let* top = body "top" in
+  let* subsystems = list_size (int_range 0 2) (body "sub") in
+  return { top with Diagram.subsystems }
+
+let prop_text_lossless =
+  QCheck.Test.make ~name:"text format lossless (arbitrary finite parameters)"
+    ~count:300
+    (QCheck.make ~print:Text_format.print lossless_diagram_gen)
+    (fun d ->
+      let d' = Text_format.parse (Text_format.print d) in
+      Diagram.equal d d'
+      && Marshal.to_string d [ Marshal.No_sharing ]
+         = Marshal.to_string d' [ Marshal.No_sharing ])
+
 (* ---------- To_netlist ---------- *)
 
 let test_netlist_extraction () =
@@ -238,6 +293,7 @@ let suite =
     Alcotest.test_case "text parse errors" `Quick test_text_parse_errors;
     Alcotest.test_case "text comments/subsystems" `Quick test_text_comments_and_subsystems;
     QCheck_alcotest.to_alcotest prop_text_roundtrip;
+    QCheck_alcotest.to_alcotest prop_text_lossless;
     Alcotest.test_case "netlist extraction" `Quick test_netlist_extraction;
     Alcotest.test_case "netlist skips" `Quick test_netlist_skips;
     Alcotest.test_case "netlist unsupported" `Quick test_netlist_unsupported;

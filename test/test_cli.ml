@@ -282,22 +282,7 @@ let test_error_handling () =
           ( "--trials 100000 --rel-precision 0.01",
             "a fixed trial budget (100000) and a relative precision (0.01) \
              are mutually exclusive" );
-        ];
-      (* A scale parameter below 1 is a usage error (cmdliner's exit
-         124), not an uncaught generator exception. *)
-      List.iter
-        (fun args ->
-          let code =
-            Sys.command
-              (Printf.sprintf "%s scale %s >/dev/null 2>%s" bin args
-                 (Filename.quote err))
-          in
-          Alcotest.(check int) (args ^ ": usage error") 124 code;
-          Alcotest.(check bool) (args ^ ": message names the bound") true
-            (String.starts_with
-               ~prefix:"same: option '-n': N must be at least 1 (got 0)\n"
-               (In_channel.with_open_bin err In_channel.input_all)))
-        [ "-n 0"; "--topology grid -n 0"; "--analysis path-fmea -n 0" ])
+        ])
 
 (* A daemon cannot write the CLI's files, lint first or keep its cache:
    under --connect those flags are usage errors, checked before any
@@ -337,6 +322,36 @@ let test_connect_local_only () =
       Alcotest.(check bool) "no file written" false
         (Sys.file_exists "x.csv" || Sys.file_exists "ft.dot"))
 
+(* Start-up cost: every cold `same` pays its libraries' module
+   initialisers before main.  The runtime's exit report (v=0x400) counts
+   what `--version` allocated; an eager table or an eagerly built model
+   in a linked library pushes it past the bound or into a major
+   collection. *)
+let test_startup_allocation () =
+  with_fixture (fun ~bin ~dir ~bd:_ ->
+      let err = Filename.concat dir "version.err" in
+      Alcotest.(check int) "--version exits 0" 0
+        (Sys.command
+           (Printf.sprintf "OCAMLRUNPARAM=v=0x400 %s --version >/dev/null 2>%s"
+              bin (Filename.quote err)));
+      let counter name =
+        List.find_map
+          (fun line ->
+            match String.split_on_char ':' line with
+            | [ key; value ] when String.trim key = name ->
+                int_of_string_opt (String.trim value)
+            | _ -> None)
+          (String.split_on_char '\n' (read_file err))
+        |> function
+        | Some n -> n
+        | None -> Alcotest.failf "no %s in the runtime's exit report" name
+      in
+      let words = counter "allocated_words" in
+      Alcotest.(check bool)
+        (Printf.sprintf "allocated words %d <= 30000" words)
+        true (words <= 30_000);
+      Alcotest.(check int) "major collections" 0 (counter "major_collections"))
+
 let suite =
   [
     Alcotest.test_case "fmeda + assure" `Slow test_fmea_and_assure;
@@ -349,4 +364,5 @@ let suite =
     Alcotest.test_case "search output golden" `Slow test_search_golden;
     Alcotest.test_case "--connect local-only flags" `Quick
       test_connect_local_only;
+    Alcotest.test_case "start-up allocation" `Quick test_startup_allocation;
   ]

@@ -25,7 +25,24 @@ let test_bitset () =
   Alcotest.(check bool) "union idempotent" false
     (Graph.Bitset.union_into ~into:t s);
   Alcotest.(check (list int)) "union members" [ 0; 5; 62; 64; 199 ]
-    (Graph.Bitset.to_list t)
+    (Graph.Bitset.to_list t);
+  List.iter
+    (fun (label, x, n) -> Alcotest.(check int) label n (Graph.Bitset.popcount x))
+    [ ("popcount -1", -1, 63); ("popcount min_int", min_int, 1);
+      ("popcount max_int", max_int, 62) ]
+
+(* The shared word popcount against the bit-clearing loop it replaced,
+   on arbitrary words and the edges of the 63-bit range. *)
+let prop_popcount =
+  let reference x =
+    let rec go acc x = if x = 0 then acc else go (acc + 1) (x land (x - 1)) in
+    go 0 x
+  in
+  QCheck.Test.make ~name:"Bitset.popcount = bit-clearing count" ~count:2000
+    QCheck.(
+      oneof
+        [ int; oneofl [ 0; 1; -1; min_int; max_int; 1 lsl 61; 0x5555_5555_5555_5555 ] ])
+    (fun x -> Graph.Bitset.popcount x = reference x)
 
 (* ---------- digraph ---------- *)
 
@@ -357,6 +374,7 @@ let prop_dominators_match_enumeration =
 let suite =
   [
     Alcotest.test_case "bitset" `Quick test_bitset;
+    QCheck_alcotest.to_alcotest prop_popcount;
     Alcotest.test_case "digraph basics" `Quick test_digraph_basics;
     Alcotest.test_case "reachability" `Quick test_reachability;
     Alcotest.test_case "undirected components" `Quick test_undirected_components;
