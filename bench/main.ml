@@ -507,11 +507,11 @@ let replicated_psu copies =
 let parallel_speedups ~smoke () =
   section "Parallel execution — forced sequential vs the adaptive scheduler";
   Printf.printf
-    "each workload runs under SAME_SCHED=seq and under the auto scheduler \
-     (SAME_JOBS=4); 'identical' checks the results are equal.  When auto \
-     chooses sequential it runs the very same code path as the baseline, \
-     so its effective speedup is 1.0 by construction — the raw ratio is \
-     reported for honesty but is pure timer noise.\n";
+    "each workload runs at one job (sequential) and under the adaptive \
+     scheduler at four jobs; 'identical' checks the results are equal.  When \
+     the scheduler chooses sequential it runs the very same code path as the \
+     one-job baseline, so its effective speedup is 1.0 by construction — the \
+     raw ratio is reported for honesty but is pure timer noise.\n";
   let cores = Domain.recommended_domain_count () in
   Printf.printf "host cores: %d\n" cores;
   ignore (Exec.Cost.calibrate ());
@@ -533,13 +533,12 @@ let parallel_speedups ~smoke () =
     (Option.get !r, t)
   in
   let compare_sched name f equal =
+    (* warm-up at four jobs: fills caches and seeds the cost estimates *)
     Exec.set_default_jobs 4;
-    (* warm-up under auto: fills caches and seeds the cost estimates *)
-    Exec.Cost.set_sched Exec.Cost.Auto;
     ignore (f ());
-    Exec.Cost.set_sched Exec.Cost.Seq;
+    Exec.set_default_jobs 1;
     let r_seq, t_seq = best_of f in
-    Exec.Cost.set_sched Exec.Cost.Auto;
+    Exec.set_default_jobs 4;
     let n0 = List.length (Exec.Cost.decisions ()) in
     let r_auto, t_auto = best_of f in
     Exec.set_default_jobs saved;

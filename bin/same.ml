@@ -102,23 +102,6 @@ let set_jobs = function
   | Some n when n >= 1 -> Exec.set_default_jobs n
   | Some n -> Printf.eprintf "warning: ignoring non-positive --jobs %d\n" n
 
-let sched_arg =
-  let modes =
-    [ ("seq", Exec.Cost.Seq); ("par", Exec.Cost.Par); ("auto", Exec.Cost.Auto) ]
-  in
-  Arg.(
-    value
-    & opt (some (enum modes)) None
-    & info [ "sched" ] ~docv:"MODE"
-        ~doc:
-          "Parallel scheduling mode (overrides the $(b,SAME_SCHED) \
-           environment variable): $(b,seq) forces sequential execution, \
-           $(b,par) always dispatches to the pool, $(b,auto) (the default) \
-           parallelises only when the measured per-task cost clears the \
-           dispatch overhead.")
-
-let set_sched = function None -> () | Some m -> Exec.Cost.set_sched m
-
 let strict_arg =
   Arg.(
     value & flag
@@ -384,9 +367,8 @@ let diagnose_cmd =
              run.")
   in
   let run diagram_path output reliability_path exclude monitored format
-      structural jobs sched connect =
+      structural jobs connect =
     set_jobs jobs;
-    set_sched sched;
     dispatch ~connect
       (files ?reliability:reliability_path (Some diagram_path))
       (Serve.Command.Diagnose
@@ -401,8 +383,7 @@ let diagnose_cmd =
   Cmd.v (Cmd.info "diagnose" ~doc)
     Term.(
       const run $ diagram_arg $ output_arg $ reliability_arg $ exclude_arg
-      $ monitored_arg $ format_arg $ structural_arg $ jobs_arg $ sched_arg
-      $ connect_arg)
+      $ monitored_arg $ format_arg $ structural_arg $ jobs_arg $ connect_arg)
 
 (* same fmea *)
 
@@ -507,9 +488,8 @@ let fmea_or_fmeda ~connect ~batch ~reliability_path ?sm_path ~output ~strict
 
 let fmea_cmd =
   let run diagram_paths reliability_path exclude monitored output route strict
-      jobs sched cache explain batch connect =
+      jobs cache explain batch connect =
     set_jobs jobs;
-    set_sched sched;
     fmea_or_fmeda ~connect ~batch ~reliability_path ~output ~strict ~cache
       ~explain diagram_paths
       (Serve.Command.Fmea { route; exclude; monitored; csv = output; strict })
@@ -535,8 +515,8 @@ let fmea_cmd =
     (Cmd.info "fmea" ~doc)
     Term.(
       const run $ diagrams_arg $ reliability_arg $ exclude_arg $ monitored_arg
-      $ output_arg $ route_arg $ strict_arg $ jobs_arg $ sched_arg $ cache_arg
-      $ explain_arg $ batch_arg $ connect_arg)
+      $ output_arg $ route_arg $ strict_arg $ jobs_arg $ cache_arg $ explain_arg
+      $ batch_arg $ connect_arg)
 
 (* same fmeda *)
 
@@ -549,9 +529,8 @@ let target_arg =
 
 let fmeda_cmd =
   let run diagram_paths reliability_path sm_path exclude monitored output
-      target strict jobs sched cache explain batch connect =
+      target strict jobs cache explain batch connect =
     set_jobs jobs;
-    set_sched sched;
     fmea_or_fmeda ~connect ~batch ~reliability_path ?sm_path ~output ~strict
       ~cache ~explain diagram_paths
       (Serve.Command.Fmeda { target; exclude; monitored; csv = output; strict })
@@ -597,7 +576,7 @@ let fmeda_cmd =
     Term.(
       const run $ diagrams_arg $ reliability_arg $ sm_arg $ exclude_arg
       $ monitored_arg $ output_arg $ target_arg $ strict_arg $ jobs_arg
-      $ sched_arg $ cache_arg $ explain_arg $ batch_arg $ connect_arg)
+      $ cache_arg $ explain_arg $ batch_arg $ connect_arg)
 
 (* same optimize *)
 

@@ -174,7 +174,7 @@ let parse_params st =
           let a =
             match value with
             | Diagram.P_str s -> s
-            | Diagram.P_num f -> Printf.sprintf "%g" f
+            | Diagram.P_num f -> Modelio.Float_text.to_string f
             | Diagram.P_bool b -> string_of_bool b
           in
           go params (Some a)

@@ -266,10 +266,15 @@ let factor p a =
 let reltol = 1e-6
 let vntol = 1e-6
 
+(* Newton iteration budget, and the largest node-voltage step one
+   iteration may take. *)
+let max_iterations = 200
+let max_step = 0.5
+
 (* Generic damped Newton driver shared by the prepared solve and the
    golden-factor injection re-solve.  [solve_once]
    produces the next iterate from the current guess. *)
-let newton_loop ~max_iterations ~max_step ~n_nodes solve_once guess0 =
+let newton_loop ~n_nodes solve_once guess0 =
   let rec go v_guess iter =
     if iter > max_iterations then Error (No_convergence max_iterations)
     else
@@ -299,16 +304,14 @@ let newton_loop ~max_iterations ~max_step ~n_nodes solve_once guess0 =
   go guess0 0
 
 (* Raw solve: the unknown vector. *)
-let solve_raw ?(max_iterations = 200) ?(max_step_param = 0.5) p =
+let solve_raw p =
   let solve_once v_guess =
     let a, b = assemble p v_guess in
     Result.map (fun f -> Numeric.Sparse.solve_factored f b) (factor p a)
   in
   if Array.length p.diodes = 0 then solve_once [||]
   else
-    newton_loop ~max_iterations ~max_step:max_step_param ~n_nodes:p.n_nodes
-      solve_once
-      (Array.make p.size 0.0)
+    newton_loop ~n_nodes:p.n_nodes solve_once (Array.make p.size 0.0)
 
 (* ---------- solutions ----------
 
@@ -359,13 +362,10 @@ let element_index s id =
   | Some i -> i
   | None -> raise Not_found
 
-let solve ?max_iterations ?max_step_param p =
-  Result.map
-    (fun x -> { s_p = p; s_x = x; s_fault = None })
-    (solve_raw ?max_iterations ?max_step_param p)
+let solve p =
+  Result.map (fun x -> { s_p = p; s_x = x; s_fault = None }) (solve_raw p)
 
-let analyse ?gmin ?max_iterations ?max_step_param netlist =
-  solve ?max_iterations ?max_step_param (prepare ?gmin netlist)
+let analyse ?gmin netlist = solve (prepare ?gmin netlist)
 
 (* ---------- golden factorisation and low-rank fault re-solve ----------
 
@@ -393,8 +393,8 @@ type golden = {
   g_diode_z : float array array;
 }
 
-let factorise ?max_iterations ?max_step_param p =
-  match solve_raw ?max_iterations ?max_step_param p with
+let factorise p =
+  match solve_raw p with
   | Error err -> Error err
   | Ok x_star -> (
       (* Rebuild the system at the converged operating point: the golden
@@ -449,8 +449,7 @@ let apply_update u v x =
     v;
   r
 
-let inject ?(max_iterations = 200) ?(max_step_param = 0.5)
-    ?(on_path = fun _ -> ()) g ~element_id fault =
+let inject ?(on_path = fun _ -> ()) g ~element_id fault =
   let p = g.g_p in
   let idx =
     match Hashtbl.find_opt p.el_index element_id with
@@ -646,8 +645,7 @@ let inject ?(max_iterations = 200) ?(max_step_param = 0.5)
             Ok y
       in
       let newton refined =
-        newton_loop ~max_iterations ~max_step:max_step_param
-          ~n_nodes:p.n_nodes (solve_once ~refined) (Array.copy g.g_x)
+        newton_loop ~n_nodes:p.n_nodes (solve_once ~refined) (Array.copy g.g_x)
       in
       match
         match newton false with

@@ -18,8 +18,10 @@ type error =
 
 val pp_error : Format.formatter -> error -> unit
 
-val analyse : ?gmin:float -> ?max_iterations:int -> ?max_step_param:float -> Netlist.t -> (solution, error) result
-(** Default [gmin] 1e-9 S, [max_iterations] 200.  Equivalent to
+val analyse : ?gmin:float -> Netlist.t -> (solution, error) result
+(** Default [gmin] 1e-9 S.  Newton runs at most 200 iterations, each
+    node-voltage step clamped to 0.5 V; a circuit that has not settled by
+    then is [No_convergence 200].  Equivalent to
     {!prepare} followed by {!solve}.  A singular system is reported as
     [Singular_system "pivot failure at unknown k"], [k] indexing the
     unknowns as node voltages (in {!Netlist.nodes} order) then branch
@@ -53,7 +55,7 @@ val backend_used : prepared -> [ `Dense | `Sparse ]
     original type, because the benchmark driver in [perfbench/] still
     compiles against it. *)
 
-val solve : ?max_iterations:int -> ?max_step_param:float -> prepared -> (solution, error) result
+val solve : prepared -> (solution, error) result
 (** A prepared netlist may be solved any number of times; [prepared] is
     immutable after construction and safe to share across domains. *)
 
@@ -81,7 +83,7 @@ val solve : ?max_iterations:int -> ?max_step_param:float -> prepared -> (solutio
 
 type golden
 
-val factorise : ?max_iterations:int -> ?max_step_param:float -> prepared -> (golden, error) result
+val factorise : prepared -> (golden, error) result
 (** Solve the golden system and keep its factors, operating point and
     diode port responses (one solve per diode) for reuse by {!inject}.
     [golden] is immutable and safe to share across domains. *)
@@ -89,8 +91,6 @@ val factorise : ?max_iterations:int -> ?max_step_param:float -> prepared -> (gol
 val golden_solution : golden -> solution
 
 val inject :
-  ?max_iterations:int ->
-  ?max_step_param:float ->
   ?on_path:([ `Reused | `Rank_update of int ] -> unit) ->
   golden ->
   element_id:string ->

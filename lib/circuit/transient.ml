@@ -11,11 +11,15 @@ type initial_state = From_dc | Zero_state
 
 let closed_switch_resistance = 1e-3
 
+(* The DC engine's defaults: node-to-ground conductance, and the Newton
+   iteration budget of one time step. *)
+let gmin = 1e-9
+let max_iterations = 200
+
 (* Per-step unknowns: node voltages plus branch currents for voltage
    sources and current sensors.  Inductors — branch elements at DC — are
    companion conductances here, so the layouts differ deliberately. *)
-let simulate ?(gmin = 1e-9) ?(max_iterations = 200) ?(initial = From_dc)
-    ?(waveforms = []) netlist ~dt ~duration =
+let simulate ?(initial = From_dc) ?(waveforms = []) netlist ~dt ~duration =
   if dt <= 0.0 then invalid_arg "Transient.simulate: non-positive dt";
   if duration <= 0.0 then invalid_arg "Transient.simulate: non-positive duration";
   let elements = Netlist.elements netlist in
@@ -59,7 +63,7 @@ let simulate ?(gmin = 1e-9) ?(max_iterations = 200) ?(initial = From_dc)
           elements;
         Ok ()
     | From_dc -> (
-        match Dc.analyse ~gmin ~max_iterations netlist with
+        match Dc.analyse ~gmin netlist with
         | Error e -> Error e
         | Ok dc ->
             List.iteri

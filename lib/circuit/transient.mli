@@ -23,8 +23,6 @@ type initial_state =
   | Zero_state  (** capacitors discharged, inductors currentless *)
 
 val simulate :
-  ?gmin:float ->
-  ?max_iterations:int ->
   ?initial:initial_state ->
   ?waveforms:(string * waveform) list ->
   Netlist.t ->
@@ -32,7 +30,9 @@ val simulate :
   duration:float ->
   (result, Dc.error) Stdlib.result
 (** [waveforms] overrides the value of named [Vsource]/[Isource] elements
-    per time step; other elements ignore their entry.  Raises
+    per time step; other elements ignore their entry.  Every node has a
+    1e-9 S conductance to ground, as under {!Dc.analyse}, and each step's
+    Newton iteration runs at most 200 times.  Raises
     [Invalid_argument] on non-positive [dt] or [duration]. *)
 
 val times : result -> float array

@@ -357,7 +357,6 @@ let injection_fmea t ?previous ~options diagram reliability =
       let on_solved = function
         | `Reused -> Stats.incr_reused t.p_stats
         | `Rank_update _ -> Stats.incr_rank_update t.p_stats
-        | `Refactor -> Stats.incr_refactorisation t.p_stats
       in
       Fmea.Injection_fmea.analyse ~options ~element_types ~prepared ?reuse
         ~on_classified ~on_solved netlist reliability)
@@ -428,7 +427,6 @@ let injection_fmea_fleet t ~options variants reliability =
   let on_solved = function
     | `Reused -> Stats.incr_reused t.p_stats
     | `Rank_update _ -> Stats.incr_rank_update t.p_stats
-    | `Refactor -> Stats.incr_refactorisation t.p_stats
   in
   (* Flatten every pending variant's injections into ONE task list: the
      pool sees a single large batch instead of N small barriers, and the

@@ -8,7 +8,6 @@ type t = {
   rows_reused : int Atomic.t;
   rank_updates : int Atomic.t;
   reused : int Atomic.t;
-  refactorisations : int Atomic.t;
 }
 
 let create () =
@@ -22,7 +21,6 @@ let create () =
     rows_reused = Atomic.make 0;
     rank_updates = Atomic.make 0;
     reused = Atomic.make 0;
-    refactorisations = Atomic.make 0;
   }
 
 let reset t =
@@ -34,8 +32,7 @@ let reset t =
   Atomic.set t.rows_classified 0;
   Atomic.set t.rows_reused 0;
   Atomic.set t.rank_updates 0;
-  Atomic.set t.reused 0;
-  Atomic.set t.refactorisations 0
+  Atomic.set t.reused 0
 
 let incr_mem_hit t = Atomic.incr t.mem_hits
 let incr_disk_hit t = Atomic.incr t.disk_hits
@@ -46,7 +43,6 @@ let incr_row_classified t = Atomic.incr t.rows_classified
 let incr_row_reused t = Atomic.incr t.rows_reused
 let incr_rank_update t = Atomic.incr t.rank_updates
 let incr_reused t = Atomic.incr t.reused
-let incr_refactorisation t = Atomic.incr t.refactorisations
 
 type snapshot = {
   mem_hits : int;
@@ -58,7 +54,6 @@ type snapshot = {
   rows_reused : int;
   rank_updates : int;
   reused : int;
-  refactorisations : int;
   sched_sequential : int;
   sched_parallel : int;
 }
@@ -78,27 +73,26 @@ let snapshot (t : t) =
     rows_reused = Atomic.get t.rows_reused;
     rank_updates = Atomic.get t.rank_updates;
     reused = Atomic.get t.reused;
-    refactorisations = Atomic.get t.refactorisations;
     sched_sequential;
     sched_parallel;
   }
 
 let hits s = s.mem_hits + s.disk_hits
 
-let solves_performed s = s.golden_solves + s.rank_updates + s.refactorisations
+let solves_performed s = s.golden_solves + s.rank_updates
 
 let pp ppf s =
   Format.fprintf ppf
     "engine: %d cache hit%s (%d memory, %d disk), %d miss%s; %d solve%s \
-     performed (%d golden, %d by rank update, %d refactorised; %d of %d \
-     injections reused the golden solution); %d row%s reused"
+     performed (%d golden, %d by rank update; %d of %d injections reused \
+     the golden solution); %d row%s reused"
     (hits s)
     (if hits s = 1 then "" else "s")
     s.mem_hits s.disk_hits s.misses
     (if s.misses = 1 then "" else "es")
     (solves_performed s)
     (if solves_performed s = 1 then "" else "s")
-    s.golden_solves s.rank_updates s.refactorisations s.reused
+    s.golden_solves s.rank_updates s.reused
     s.rows_classified
     s.rows_reused
     (if s.rows_reused = 1 then "" else "s");

@@ -24,7 +24,6 @@ val incr_row_classified : t -> unit
 val incr_row_reused : t -> unit
 val incr_rank_update : t -> unit
 val incr_reused : t -> unit
-val incr_refactorisation : t -> unit
 
 type snapshot = {
   mem_hits : int;  (** artefacts served from the memory tier *)
@@ -41,9 +40,6 @@ type snapshot = {
       (** faulted solves that needed no solve at all: the fault left
           every MNA stamp as it was (e.g. an open capacitor), so the
           golden solution was read again *)
-  refactorisations : int;
-      (** faulted solves that assembled and factorised a system from
-          scratch *)
   sched_sequential : int;
       (** pool batches the adaptive scheduler ran sequentially
           (process-wide, from {!Exec.Cost.counters}) *)
@@ -59,7 +55,7 @@ val hits : snapshot -> int
 
 val solves_performed : snapshot -> int
 (** Circuit solves this pipeline actually ran:
-    [golden_solves + rank_updates + refactorisations].  A [reused]
+    [golden_solves + rank_updates].  A [reused]
     injection ran no solve, and a row without a fault model none
     either. *)
 

@@ -279,13 +279,8 @@ let parallel_map ?jobs f xs =
   | [ x ] -> [ f x ]
   | xs -> Array.to_list (collect ?jobs f (Array.of_list xs))
 
-let parallel_iter ?jobs f xs = ignore (parallel_map ?jobs (fun x -> f x; ()) xs)
-
+(* [chunk_size >= 1]: {!Cost.chunk_for} never returns less. *)
 let chunk_list ~chunk_size xs =
-  if chunk_size <= 0 then
-    invalid_arg
-      (Printf.sprintf "Exec.chunk_list: chunk_size %d (must be >= 1)"
-         chunk_size);
   let rec take k acc = function
     | rest when k = 0 -> (List.rev acc, rest)
     | [] -> (List.rev acc, [])
@@ -298,34 +293,6 @@ let chunk_list ~chunk_size xs =
         go (chunk :: acc) rest
   in
   go [] xs
-
-let parallel_chunks ?jobs ?chunk_size f xs =
-  (match chunk_size with
-  | Some c when c <= 0 ->
-      invalid_arg
-        (Printf.sprintf "Exec.parallel_chunks: chunk_size %d (must be >= 1)" c)
-  | _ -> ());
-  let n = List.length xs in
-  if n = 0 then []
-  else begin
-    let j = match jobs with Some j -> Stdlib.max 1 j | None -> default_jobs () in
-    (* Cap parallelism at the element count so [jobs > n] can never
-       produce empty chunks or one-element dispatch of a cheap map. *)
-    let j = Stdlib.min j n in
-    let chunk_size =
-      match chunk_size with
-      | Some c -> c
-      | None ->
-          (* Ceiling division: ~4 chunks per worker, and never 0 even for
-             tiny lists. *)
-          (n + (j * 4) - 1) / (j * 4)
-    in
-    if j <= 1 || chunk_size >= n then List.map f xs
-    else
-      chunk_list ~chunk_size xs
-      |> parallel_map ~jobs:j (List.map f)
-      |> List.concat
-  end
 
 (* ---------- adaptive scheduling: the cost model ---------- *)
 
@@ -341,8 +308,6 @@ module Cost = struct
   type estimate = { ns_per_task : float; samples : int }
 
   type decision = Sequential | Parallel of { chunk_size : int }
-
-  type sched = Seq | Par | Auto
 
   type record = {
     d_key : string;
@@ -472,37 +437,6 @@ module Cost = struct
         Parallel { chunk_size = chunk_for ~tasks ~jobs:p c }
       else Sequential
     end
-
-  (* ----- SAME_SCHED escape hatch ----- *)
-
-  let sched_override = ref None
-  let warned_sched = ref None
-
-  let env_sched () =
-    match Sys.getenv_opt "SAME_SCHED" with
-    | None -> None
-    | Some s -> (
-        match String.lowercase_ascii (String.trim s) with
-        | "seq" | "sequential" -> Some Seq
-        | "par" | "parallel" -> Some Par
-        | "auto" -> Some Auto
-        | _ ->
-            if !warned_sched <> Some s then begin
-              warned_sched := Some s;
-              Logs.warn (fun m ->
-                  m
-                    "ignoring malformed SAME_SCHED=%S (expected \
-                     seq|par|auto); using auto"
-                    s)
-            end;
-            None)
-
-  let sched () =
-    match !sched_override with
-    | Some m -> m
-    | None -> ( match env_sched () with Some m -> m | None -> Auto)
-
-  let set_sched m = sched_override := Some m
 
   (* ----- bookkeeping: counters and the decision log ----- *)
 
@@ -646,63 +580,43 @@ let scheduled_map ?jobs ~key f xs =
       let jobs =
         match jobs with Some j -> Stdlib.max 1 j | None -> default_jobs ()
       in
-      let mode = Cost.sched () in
       let run_parallel chunk_size xs =
         chunk_list ~chunk_size xs
         |> parallel_map ~jobs (List.map f)
         |> List.concat
       in
-      let fallback_chunk tasks =
-        let j = Stdlib.min jobs tasks in
-        Stdlib.max 1 ((tasks + (j * 4) - 1) / (j * 4))
-      in
-      if mode = Cost.Auto && jobs > 1 && Cost.effective_cores () > 1 then
-        Cost.ensure_calibrated ();
+      let parallel_possible = jobs > 1 && Cost.effective_cores () > 1 in
+      if parallel_possible then Cost.ensure_calibrated ();
       let est0 = Cost.estimate ~key in
       let t0 = Cost.now_ns () in
       let decision, result =
-        match mode with
-        | Cost.Seq -> (Cost.Sequential, List.map f xs)
-        | Cost.Par ->
-            if jobs <= 1 then (Cost.Sequential, List.map f xs)
-            else
-              let chunk_size =
-                match est0 with
-                | Some e -> Cost.chunk_for ~tasks:n ~jobs e.Cost.ns_per_task
-                | None -> fallback_chunk n
-              in
-              (Cost.Parallel { chunk_size }, run_parallel chunk_size xs)
-        | Cost.Auto -> (
-            if jobs <= 1 || Cost.effective_cores () <= 1 then
-              (Cost.Sequential, List.map f xs)
-            else
-              match est0 with
-              | Some e -> (
-                  match Cost.decide ~tasks:n ~cost:e ~jobs with
-                  | Cost.Sequential -> (Cost.Sequential, List.map f xs)
-                  | Cost.Parallel { chunk_size } as d ->
-                      (d, run_parallel chunk_size xs))
-              | None -> (
-                  (* No estimate yet: sequential pilot seeds the EWMA,
-                     then decide about the remainder.  Never slower than
-                     sequential by construction. *)
-                  let pilot = Stdlib.min pilot_tasks n in
-                  let head, tail = split_n pilot xs in
-                  let tp = Cost.now_ns () in
-                  let head_r = List.map f head in
-                  Cost.observe ~key ~tasks:pilot (Cost.now_ns () -. tp);
-                  if tail = [] then (Cost.Sequential, head_r)
-                  else
-                    match Cost.estimate ~key with
-                    | None -> (Cost.Sequential, head_r @ List.map f tail)
-                    | Some e -> (
-                        match
-                          Cost.decide ~tasks:(n - pilot) ~cost:e ~jobs
-                        with
-                        | Cost.Sequential ->
-                            (Cost.Sequential, head_r @ List.map f tail)
-                        | Cost.Parallel { chunk_size } as d ->
-                            (d, head_r @ run_parallel chunk_size tail))))
+        if not parallel_possible then (Cost.Sequential, List.map f xs)
+        else
+          match est0 with
+          | Some e -> (
+              match Cost.decide ~tasks:n ~cost:e ~jobs with
+              | Cost.Sequential -> (Cost.Sequential, List.map f xs)
+              | Cost.Parallel { chunk_size } as d ->
+                  (d, run_parallel chunk_size xs))
+          | None -> (
+              (* No estimate yet: sequential pilot seeds the EWMA, then
+                 decide about the remainder.  Never slower than sequential
+                 by construction. *)
+              let pilot = Stdlib.min pilot_tasks n in
+              let head, tail = split_n pilot xs in
+              let tp = Cost.now_ns () in
+              let head_r = List.map f head in
+              Cost.observe ~key ~tasks:pilot (Cost.now_ns () -. tp);
+              if tail = [] then (Cost.Sequential, head_r)
+              else
+                match Cost.estimate ~key with
+                | None -> (Cost.Sequential, head_r @ List.map f tail)
+                | Some e -> (
+                    match Cost.decide ~tasks:(n - pilot) ~cost:e ~jobs with
+                    | Cost.Sequential ->
+                        (Cost.Sequential, head_r @ List.map f tail)
+                    | Cost.Parallel { chunk_size } as d ->
+                        (d, head_r @ run_parallel chunk_size tail)))
       in
       let elapsed = Cost.now_ns () -. t0 in
       Cost.observe ~key ~tasks:n elapsed;

@@ -60,22 +60,6 @@ val parallel_map : ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list
     failing element is re-raised (deterministic across schedules).
     [?jobs] overrides {!default_jobs} for this call only. *)
 
-val parallel_chunks :
-  ?jobs:int -> ?chunk_size:int -> ('a -> 'b) -> 'a list -> 'b list
-(** Like {!parallel_map} but amortised for cheap tasks: the input is cut
-    into contiguous chunks (default: ceiling division to ~4 chunks per
-    worker, with the worker count capped at the element count so tiny
-    lists and [jobs > n] never yield empty chunks or one-element
-    dispatch) and each pool task maps a whole chunk with [List.map],
-    preserving order.  Use for large candidate lists where per-element
-    dispatch would dominate.
-
-    @raise Invalid_argument if [chunk_size] is given and [<= 0]. *)
-
-val parallel_iter : ?jobs:int -> ('a -> unit) -> 'a list -> unit
-(** {!parallel_map} for effects only (the effects must be thread-safe —
-    e.g. charging an atomic {!Store.Budget}). *)
-
 (** Adaptive scheduling: measure, then decide.
 
     A fixed "always parallelise with ~4 chunks per worker" rule made the
@@ -84,15 +68,14 @@ val parallel_iter : ?jobs:int -> ('a -> unit) -> 'a list -> unit
     keeps an online EWMA of the measured per-task nanoseconds for each
     workload key and a measured dispatch overhead, and {!scheduled_map}
     only parallelises when the estimated saving clears that overhead.
-    The [SAME_SCHED] environment variable ([seq] | [par] | [auto],
-    default [auto]) or {!Cost.set_sched} force a mode globally. *)
+    The one way to force the sequential path is a job count of 1
+    ([--jobs 1], [SAME_JOBS=1], {!set_default_jobs} or {!with_jobs}):
+    {!scheduled_map} then runs [List.map]. *)
 module Cost : sig
   type estimate = { ns_per_task : float; samples : int }
   (** EWMA of measured per-task cost under one workload key. *)
 
   type decision = Sequential | Parallel of { chunk_size : int }
-
-  type sched = Seq | Par | Auto
 
   type record = {
     d_key : string;
@@ -102,12 +85,6 @@ module Cost : sig
     d_estimate_ns : float option;  (** estimate before the batch ran *)
     d_measured_ns : float option;  (** measured per-task ns afterwards *)
   }
-
-  val sched : unit -> sched
-  (** Effective mode: {!set_sched} override, else [SAME_SCHED] (malformed
-      values warn once and are ignored), else [Auto]. *)
-
-  val set_sched : sched -> unit
 
   val observe : key:string -> tasks:int -> float -> unit
   (** [observe ~key ~tasks elapsed_ns] folds a measured batch (total
@@ -131,8 +108,8 @@ module Cost : sig
   val calibrate : ?rounds:int -> unit -> float
   (** One-shot dispatch-overhead measurement (median of [rounds] empty
       pool batches); returns and installs the measured overhead in ns.
-      Runs automatically before the first [Auto] decision if no
-      calibration was imported. *)
+      Runs automatically before the first parallel-capable
+      {!scheduled_map} batch if no calibration was imported. *)
 
   val dispatch_overhead_ns : unit -> float
 
@@ -175,13 +152,14 @@ val scheduled_map : ?jobs:int -> key:string -> ('a -> 'b) -> 'a list -> 'b list
     strategy chosen by {!Cost.decide} under the workload key [key]:
     sequential when the batch is too small to beat dispatch overhead,
     chunked parallel otherwise.  The first batch under a fresh key runs a
-    short sequential pilot to seed the estimate, so [auto] is never
-    slower than sequential.  Results (and the re-raised lowest-index
-    exception) are bit-identical to [List.map] in every mode.  Every
-    batch is timed, folded into the EWMA and recorded in the decision
-    log. *)
+    short sequential pilot (its first 24 tasks) to seed the estimate,
+    then decides about the rest, so it is never slower than sequential.
+    With one job or one effective core it is [List.map f xs].  Results
+    (and the re-raised lowest-index exception) are bit-identical to
+    [List.map] whatever the decision.  Every batch is timed, folded into
+    the EWMA and recorded in the decision log. *)
 
-(** The reusable fixed-size pool underneath the [parallel_*] wrappers.
+(** The reusable fixed-size pool underneath {!parallel_map}.
     Kernels normally use the wrappers (which share one global pool);
     [Pool] is exposed for embedders that want an isolated pool with its
     own lifecycle. *)
@@ -198,8 +176,8 @@ module Pool : sig
   val run : t -> int -> (int -> unit) -> unit
   (** [run pool n task] executes [task 0 .. task (n-1)], each exactly
       once, distributed over the pool's domains plus the caller; returns
-      when all have finished.  [task] must not raise (the [parallel_*]
-      wrappers capture exceptions per index).  Re-entrant calls (from
+      when all have finished.  [task] must not raise ({!parallel_map}
+      captures exceptions per index).  Re-entrant calls (from
       inside a task, or while another batch is active) run inline. *)
 
   val shutdown : t -> unit

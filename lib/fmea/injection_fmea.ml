@@ -17,9 +17,7 @@ let default_options =
 
 type element_types = (string * string) list
 
-type solver = [ `Reuse | `Refactor ]
-
-type solve_path = [ `Reused | `Rank_update of int | `Refactor ]
+type solve_path = [ `Reused | `Rank_update of int ]
 
 exception Golden_run_failed of string
 
@@ -36,33 +34,26 @@ let max_element_current solution =
 (* The golden run and everything derived from it, computed once and
    shared — across the repeated single classifications of the "delve into
    a component" workflow, and (read-only) across the domains of the
-   parallel analysis.  Under the default [`Reuse] solver this includes
-   the golden MNA factorisation, which every injection then re-solves
-   against via a low-rank update instead of refactorising. *)
+   parallel analysis.  This includes the golden MNA factorisation, which
+   every injection then re-solves against via a low-rank update instead
+   of refactorising. *)
 type prepared = {
   p_options : options;
-  p_netlist : Circuit.Netlist.t;
-  (* Some iff the solver is [`Reuse]. *)
-  p_factors : Circuit.Dc.golden option;
+  p_factors : Circuit.Dc.golden;
   p_golden_max_current : float;
   (* Monitored sensors in sensor order: id, element index, golden
      reading. *)
   p_golden_readings : (string * int * float) array;
 }
 
-let prepare ?(options = default_options) ?(solver = `Reuse) netlist =
-  let fail e = raise (Golden_run_failed (Format.asprintf "%a" Circuit.Dc.pp_error e)) in
-  let factors, golden =
-    match solver with
-    | `Reuse -> (
-        match Circuit.Dc.factorise (Circuit.Dc.prepare netlist) with
-        | Ok g -> (Some g, Circuit.Dc.golden_solution g)
-        | Error e -> fail e)
-    | `Refactor -> (
-        match Circuit.Dc.analyse netlist with
-        | Ok s -> (None, s)
-        | Error e -> fail e)
+let prepare ?(options = default_options) netlist =
+  let factors =
+    match Circuit.Dc.factorise (Circuit.Dc.prepare netlist) with
+    | Ok g -> g
+    | Error e ->
+        raise (Golden_run_failed (Format.asprintf "%a" Circuit.Dc.pp_error e))
   in
+  let golden = Circuit.Dc.golden_solution factors in
   let monitored id =
     match options.monitored_sensors with
     | None -> true
@@ -70,7 +61,6 @@ let prepare ?(options = default_options) ?(solver = `Reuse) netlist =
   in
   {
     p_options = options;
-    p_netlist = netlist;
     p_factors = factors;
     p_golden_max_current = max_element_current golden;
     p_golden_readings =
@@ -105,24 +95,10 @@ let compare_readings options golden_readings faulty =
           else acc)
     None golden_readings
 
-(* The faulted solve itself: the low-rank re-solve against the golden
-   factors under [`Reuse], or a from-scratch assemble + factorise of the
-   faulted netlist under [`Refactor]. *)
-let faulted_solution p ~on_solved ~element_id fault =
-  match p.p_factors with
-  | Some g ->
-      Circuit.Dc.inject
-        ~on_path:(fun path -> on_solved (path :> solve_path))
-        g ~element_id fault
-  | None -> (
-      let faulted = Circuit.Fault.inject p.p_netlist ~element_id fault in
-      on_solved `Refactor;
-      Circuit.Dc.analyse faulted)
-
 let classify_prepared ?(on_solved = fun (_ : solve_path) -> ()) p ~element_id
     fault =
   let options = p.p_options in
-  match faulted_solution p ~on_solved ~element_id fault with
+  match Circuit.Dc.inject ~on_path:on_solved p.p_factors ~element_id fault with
   | exception Circuit.Fault.Not_applicable { reason; _ } ->
       `Simulation_failed (Printf.sprintf "fault not applicable: %s" reason)
   | Error e -> `Simulation_failed (Format.asprintf "%a" Circuit.Dc.pp_error e)
@@ -145,9 +121,8 @@ let classify_prepared ?(on_solved = fun (_ : solve_path) -> ()) p ~element_id
               (Printf.sprintf "%s deviates by %.0f%%" sensor (100.0 *. rel))
         | None -> `No_effect)
 
-let classify_single ?(options = default_options) ?solver netlist ~element_id
-    fault =
-  classify_prepared (prepare ~options ?solver netlist) ~element_id fault
+let classify_single ?(options = default_options) netlist ~element_id fault =
+  classify_prepared (prepare ~options netlist) ~element_id fault
 
 type injection = string * float * Reliability.Reliability_model.failure_mode
 
@@ -222,11 +197,9 @@ let injection_row ?reuse ?on_classified ?on_solved p
 
 let cost_key = "fmea.injection"
 
-let analyse ?(options = default_options) ?(element_types = []) ?solver
-    ?prepared ?reuse ?on_classified ?on_solved netlist reliability =
-  let p =
-    match prepared with Some p -> p | None -> prepare ~options ?solver netlist
-  in
+let analyse ?(options = default_options) ?(element_types = []) ?prepared
+    ?reuse ?on_classified ?on_solved netlist reliability =
+  let p = match prepared with Some p -> p | None -> prepare ~options netlist in
   let injections = enumerate ~options ~element_types netlist reliability in
   (* One DC solve per injection, the golden solution shared read-only;
      the cost model decides whether this batch is worth the pool at all

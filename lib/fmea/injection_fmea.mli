@@ -42,30 +42,26 @@ type element_types = (string * string) list
     {!Blockdiag.To_netlist}); elements not listed fall back to their
     {!Circuit.Element.kind_name}. *)
 
-type solver = [ `Reuse | `Refactor ]
-(** How faulted systems are solved.  [`Reuse] (the default) factorises
-    the golden MNA system once and serves every injection as a low-rank
-    (Sherman–Morrison–Woodbury) re-solve against those factors —
-    {!Circuit.Dc.inject}.  [`Refactor] is the from-scratch baseline:
-    each injection rewrites the netlist and runs a fresh
-    {!Circuit.Dc.analyse}; kept for comparison benchmarks and as an
-    escape hatch. *)
-
-type solve_path = [ `Reused | `Rank_update of int | `Refactor ]
+type solve_path = [ `Reused | `Rank_update of int ]
 (** How one faulted solve was served, reported through [on_solved]:
-    golden solution reused as-is, rank-[k] update against the golden
-    factors, or a full refactorise. *)
+    golden solution reused as-is, or a rank-[k] update against the
+    golden factors.  Faulted systems are solved one way: the golden MNA
+    system is factorised once by {!prepare} and every injection is a
+    low-rank (Sherman–Morrison–Woodbury) re-solve against those factors
+    — {!Circuit.Dc.inject}.  The from-scratch re-analysis of each
+    faulted netlist ({!Circuit.Fault.inject} + {!Circuit.Dc.analyse})
+    is the reference the tests hold this path to. *)
 
 exception Golden_run_failed of string
 (** The un-faulted netlist itself does not solve. *)
 
 type prepared
 (** The golden run and its derived observables (max element current,
-    monitored sensor readings, and — under [`Reuse] — the golden MNA
-    factorisation), computed once by {!prepare} and shared by any number
+    monitored sensor readings, and the golden MNA factorisation),
+    computed once by {!prepare} and shared by any number
     of {!classify_prepared} calls. *)
 
-val prepare : ?options:options -> ?solver:solver -> Circuit.Netlist.t -> prepared
+val prepare : ?options:options -> Circuit.Netlist.t -> prepared
 (** Solves the golden netlist; raises {!Golden_run_failed} if it does not
     converge.  The result is immutable and safe to share across
     domains. *)
@@ -85,7 +81,6 @@ val classify_prepared :
 
 val classify_single :
   ?options:options ->
-  ?solver:solver ->
   Circuit.Netlist.t ->
   element_id:string ->
   Circuit.Fault.t ->
@@ -131,7 +126,6 @@ val cost_key : string
 val analyse :
   ?options:options ->
   ?element_types:element_types ->
-  ?solver:solver ->
   ?prepared:prepared ->
   ?reuse:(component:string -> failure_mode:string -> Table.row option) ->
   ?on_classified:(unit -> unit) ->
@@ -159,6 +153,6 @@ val analyse :
       injection (not for reused rows, nor for failure modes without a
       fault model).  Called from pool domains — must be thread-safe.
     - [on_solved] fires once per faulted solve with the path that served
-      it (reused / rank-k update / full refactorise), for the engine's
+      it (reused / rank-k update), for the engine's
       solver statistics.  Called from pool domains — must be
       thread-safe. *)

@@ -179,6 +179,30 @@ let prop_text_lossless =
       && Marshal.to_string d [ Marshal.No_sharing ]
          = Marshal.to_string d' [ Marshal.No_sharing ])
 
+(* A numeric annotation reads back as the number's exact text, not a
+   [%g] rounding of it. *)
+let test_text_numeric_annotation () =
+  List.iter
+    (fun (text, expected) ->
+      let d =
+        Text_format.parse
+          (Printf.sprintf
+             "diagram d {\n  block B1 : resistor {\n    annotation = %s;\n  }\n}\n"
+             text)
+      in
+      let b = List.hd d.Diagram.blocks in
+      Alcotest.(check (option string))
+        ("annotation = " ^ text) (Some expected) b.Diagram.annotation;
+      Alcotest.(check bool)
+        ("annotation = " ^ text ^ " survives print") true
+        (Diagram.equal d (Text_format.parse (Text_format.print d))))
+    [
+      ("48.00000000001", "48.00000000001");
+      ("100000000", "100000000");
+      ("0.1", "0.1");
+      ("-9.1e-06", "-9.1e-06");
+    ]
+
 (* ---------- To_netlist ---------- *)
 
 let test_netlist_extraction () =
@@ -294,6 +318,8 @@ let suite =
     Alcotest.test_case "text comments/subsystems" `Quick test_text_comments_and_subsystems;
     QCheck_alcotest.to_alcotest prop_text_roundtrip;
     QCheck_alcotest.to_alcotest prop_text_lossless;
+    Alcotest.test_case "text format lossless (numeric annotation)" `Quick
+      test_text_numeric_annotation;
     Alcotest.test_case "netlist extraction" `Quick test_netlist_extraction;
     Alcotest.test_case "netlist skips" `Quick test_netlist_skips;
     Alcotest.test_case "netlist unsupported" `Quick test_netlist_unsupported;

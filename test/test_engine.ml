@@ -451,9 +451,8 @@ let test_system_b_fewer_solves () =
     (warm.Engine.Stats.rows_reused > 0)
 
 (* Every injection the engine classifies is served one way: a low-rank
-   update against the golden factors, the golden solution as is (the
-   fault changed no stamp), or a refactorisation — and [--explain]
-   counts each apart. *)
+   update against the golden factors, or the golden solution as is (the
+   fault changed no stamp) — and [--explain] counts each apart. *)
 let test_solve_paths_add_up () =
   let e = Engine.Pipeline.create () in
   ignore
@@ -462,19 +461,17 @@ let test_solve_paths_add_up () =
        Decisive.Case_study.power_supply_diagram
        Decisive.Case_study.reliability_model);
   let s = Engine.Pipeline.snapshot e in
-  Alcotest.(check int) "rank updates + reused + refactorised = injections"
+  Alcotest.(check int) "rank updates + reused = injections"
     s.Engine.Stats.rows_classified
-    (s.Engine.Stats.rank_updates + s.Engine.Stats.reused
-   + s.Engine.Stats.refactorisations);
+    (s.Engine.Stats.rank_updates + s.Engine.Stats.reused);
   Alcotest.(check bool) "some injections reuse the golden solution" true
     (s.Engine.Stats.reused > 0);
   Alcotest.(check bool) "some injections are rank updates" true
     (s.Engine.Stats.rank_updates > 0);
   (* A reused injection runs no solve: the count is the golden solve
      plus the faulted solves actually run. *)
-  Alcotest.(check int) "solves = golden + rank updates + refactorisations"
-    (s.Engine.Stats.golden_solves + s.Engine.Stats.rank_updates
-   + s.Engine.Stats.refactorisations)
+  Alcotest.(check int) "solves = golden + rank updates"
+    (s.Engine.Stats.golden_solves + s.Engine.Stats.rank_updates)
     (Engine.Stats.solves_performed s);
   Alcotest.(check bool) "fewer solves than golden + injections" true
     (Engine.Stats.solves_performed s

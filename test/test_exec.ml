@@ -27,23 +27,6 @@ let test_parallel_map () =
         [ 0; 1; 7; 1000 ])
     [ 1; 2; 4 ]
 
-let test_parallel_chunks () =
-  let xs = List.init 503 Fun.id in
-  List.iter
-    (fun chunk_size ->
-      Alcotest.(check (list int))
-        (Printf.sprintf "chunks size=%d" chunk_size)
-        (List.map succ xs)
-        (Exec.parallel_chunks ~jobs:4 ~chunk_size succ xs))
-    [ 1; 3; 64; 1000 ]
-
-let test_parallel_iter () =
-  let counter = Atomic.make 0 in
-  Exec.parallel_iter ~jobs:4
-    (fun x -> ignore (Atomic.fetch_and_add counter x))
-    (List.init 100 Fun.id);
-  Alcotest.(check int) "all effects ran" 4950 (Atomic.get counter)
-
 let test_nested () =
   (* A task that itself fans out must run its sub-batch inline rather
      than deadlock on the shared pool. *)
@@ -89,12 +72,13 @@ let test_budget_concurrent () =
   (* Charges and releases from many domains never corrupt the counter
      and never over-commit. *)
   let b = Store.Budget.create ~max_bytes:(50 * Store.Budget.bytes_per_element) in
-  Exec.parallel_iter ~jobs:4
-    (fun _ ->
-      match Store.Budget.charge_elements b 5 with
-      | () -> Store.Budget.release_elements b 5
-      | exception Store.Budget.Overflow _ -> ())
-    (List.init 400 Fun.id);
+  ignore
+    (Exec.parallel_map ~jobs:4
+       (fun _ ->
+         match Store.Budget.charge_elements b 5 with
+         | () -> Store.Budget.release_elements b 5
+         | exception Store.Budget.Overflow _ -> ())
+       (List.init 400 Fun.id));
   Alcotest.(check int) "balanced" 0 (Store.Budget.used_bytes b)
 
 (* ---------- kernel determinism across SAME_JOBS ---------- *)
@@ -284,33 +268,6 @@ let test_malformed_same_jobs_warns () =
         "well-formed value parsed" (Some 4) (Exec.env_jobs ());
       Alcotest.(check int) "no extra warning" 1 (List.length !warnings))
 
-(* ---------- parallel_chunks edge cases ---------- *)
-
-let test_parallel_chunks_edges () =
-  List.iter
-    (fun c ->
-      Alcotest.check_raises
-        (Printf.sprintf "chunk_size=%d rejected" c)
-        (Invalid_argument
-           (Printf.sprintf "Exec.parallel_chunks: chunk_size %d (must be >= 1)"
-              c))
-        (fun () ->
-          ignore (Exec.parallel_chunks ~jobs:4 ~chunk_size:c succ [ 1; 2; 3 ])))
-    [ 0; -3 ];
-  Alcotest.(check (list int))
-    "empty list" []
-    (Exec.parallel_chunks ~jobs:4 succ []);
-  (* jobs far above the element count: no empty chunks, no degenerate
-     dispatch, order preserved. *)
-  List.iter
-    (fun n ->
-      let xs = List.init n Fun.id in
-      Alcotest.(check (list int))
-        (Printf.sprintf "jobs=64 n=%d" n)
-        (List.map succ xs)
-        (Exec.parallel_chunks ~jobs:64 succ xs))
-    [ 1; 2; 3; 5; 63; 64; 65 ]
-
 (* ---------- the cost model's decision policy ---------- *)
 
 let with_pinned_cost f =
@@ -419,34 +376,76 @@ let test_cost_state_roundtrip () =
 
 (* ---------- auto scheduling is bit-identical to sequential ---------- *)
 
-let with_sched_mode mode f =
-  (* [set_sched] has no unset; [Auto] is the documented default. *)
-  Fun.protect
-    ~finally:(fun () -> Exec.Cost.set_sched Exec.Cost.Auto)
-    (fun () ->
-      Exec.Cost.set_sched mode;
-      f ())
-
-(* Pin 8 cores and a near-zero overhead so Auto genuinely takes parallel
-   decisions whatever the host's real core count, then require the result
-   to equal the forced-sequential one. *)
+(* Pin 8 cores and a near-zero overhead so the scheduler genuinely takes
+   parallel decisions whatever the host's real core count, then require
+   the result to equal the one-job (sequential) one. *)
 let with_eager_auto f =
   let saved_overhead = Exec.Cost.dispatch_overhead_ns () in
   Fun.protect
     ~finally:(fun () ->
       Exec.Cost.set_assumed_cores None;
-      Exec.Cost.set_dispatch_overhead_ns saved_overhead;
-      Exec.Cost.set_sched Exec.Cost.Auto)
+      Exec.Cost.set_dispatch_overhead_ns saved_overhead)
     (fun () ->
       Exec.Cost.set_assumed_cores (Some 8);
       Exec.Cost.set_dispatch_overhead_ns 1_000.0;
       f ())
 
+(* [scheduled_map] under a fresh key whose estimate is seeded at
+   [ns_per_task]: the batch must go to the pool in chunks of the size
+   [Cost.decide] picks, and the decision log must say so.  Returns the
+   mapped list and the chunk size. *)
+let scheduled_chunks ~key ~jobs ~ns_per_task xs =
+  Exec.Cost.observe ~key ~tasks:1 ns_per_task;
+  let ys = Exec.scheduled_map ~jobs ~key succ xs in
+  let last = List.hd (List.rev (Exec.Cost.decisions ())) in
+  match
+    Exec.Cost.decide ~tasks:(List.length xs)
+      ~cost:{ Exec.Cost.ns_per_task; samples = 1 }
+      ~jobs
+  with
+  | Exec.Cost.Sequential -> Alcotest.failf "%s: expected a parallel batch" key
+  | Exec.Cost.Parallel { chunk_size } as expected ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: logged decision" key)
+        true
+        (last.Exec.Cost.d_key = key && last.Exec.Cost.d_decision = expected);
+      (ys, chunk_size)
+
+let test_scheduled_chunks () =
+  with_eager_auto (fun () ->
+      let xs = List.init 503 Fun.id in
+      List.iter
+        (fun (ns, expected_chunk) ->
+          let key = Printf.sprintf "test.chunks.%g" ns in
+          let ys, chunk = scheduled_chunks ~key ~jobs:4 ~ns_per_task:ns xs in
+          Alcotest.(check int)
+            (Printf.sprintf "chunk size at %g ns/task" ns)
+            expected_chunk chunk;
+          Alcotest.(check (list int))
+            (Printf.sprintf "chunked map at %g ns/task" ns)
+            (List.map succ xs) ys)
+        (* ~200 us of work per chunk, at most 503 / (2 * 4) = 62. *)
+        [ (1e6, 1); (1e4, 20); (2e3, 62) ])
+
+let test_scheduled_chunks_edges () =
+  (* More jobs than elements: no empty chunks, no lost or reordered
+     element. *)
+  with_eager_auto (fun () ->
+      List.iter
+        (fun n ->
+          let xs = List.init n Fun.id in
+          let key = Printf.sprintf "test.chunks.edge.%d" n in
+          let ys, _ = scheduled_chunks ~key ~jobs:8 ~ns_per_task:1e6 xs in
+          Alcotest.(check (list int))
+            (Printf.sprintf "jobs=8 n=%d" n)
+            (List.map succ xs) ys)
+        [ 2; 3; 5; 7; 8; 9; 17 ])
+
 let prop_auto_equals_seq_fmea =
   QCheck.Test.make ~count:12
     ~name:"injection FMEA: auto scheduling bit-identical to sequential"
-    QCheck.(pair (int_range 1 4) (int_range 5 50))
-    (fun (jobs, pct) ->
+    QCheck.(int_range 5 50)
+    (fun pct ->
       let options =
         {
           Decisive.Case_study.injection_options with
@@ -458,11 +457,11 @@ let prop_auto_equals_seq_fmea =
           Decisive.Case_study.power_supply_netlist
           Decisive.Case_study.reliability_model
       in
+      let sequential = with_jobs 1 analyse in
       with_eager_auto (fun () ->
-          with_jobs jobs (fun () ->
-              Fmea.Table.equal
-                (with_sched_mode Exec.Cost.Seq analyse)
-                (with_sched_mode Exec.Cost.Auto analyse))))
+          List.for_all
+            (fun jobs -> Fmea.Table.equal sequential (with_jobs jobs analyse))
+            [ 2; 4 ]))
 
 let test_auto_equals_seq_search () =
   let table = Decisive.Case_study.fmea_via_injection () in
@@ -474,31 +473,28 @@ let test_auto_equals_seq_search () =
     Optimize.Search.greedy ~component_types:case_study_types
       ~target:Ssam.Requirement.ASIL_B table sms
   in
+  let seq_ex = with_jobs 1 exhaustive in
+  let seq_gr = with_jobs 1 greedy in
   with_eager_auto (fun () ->
-      let seq_ex = with_sched_mode Exec.Cost.Seq exhaustive in
-      let seq_gr = with_sched_mode Exec.Cost.Seq greedy in
       List.iter
         (fun jobs ->
-          with_jobs jobs (fun () ->
-              Alcotest.(check bool)
-                (Printf.sprintf "exhaustive auto=seq jobs=%d" jobs)
-                true
-                (List.equal Optimize.Search.equal_candidate seq_ex
-                   (with_sched_mode Exec.Cost.Auto exhaustive));
-              Alcotest.(check bool)
-                (Printf.sprintf "greedy auto=seq jobs=%d" jobs)
-                true
-                (Optimize.Search.equal_candidate seq_gr
-                   (with_sched_mode Exec.Cost.Auto greedy))))
-        [ 1; 2; 4 ])
+          Alcotest.(check bool)
+            (Printf.sprintf "exhaustive auto=seq jobs=%d" jobs)
+            true
+            (List.equal Optimize.Search.equal_candidate seq_ex
+               (with_jobs jobs exhaustive));
+          Alcotest.(check bool)
+            (Printf.sprintf "greedy auto=seq jobs=%d" jobs)
+            true
+            (Optimize.Search.equal_candidate seq_gr (with_jobs jobs greedy)))
+        [ 2; 4 ])
 
 let suite =
   [
     Alcotest.test_case "parallel map" `Quick test_parallel_map;
     Alcotest.test_case "malformed SAME_JOBS warns" `Quick
       test_malformed_same_jobs_warns;
-    Alcotest.test_case "parallel chunks" `Quick test_parallel_chunks;
-    Alcotest.test_case "parallel iter" `Quick test_parallel_iter;
+    Alcotest.test_case "parallel chunks" `Quick test_scheduled_chunks;
     Alcotest.test_case "nested parallelism" `Quick test_nested;
     Alcotest.test_case "exception determinism" `Quick
       test_exception_determinism;
@@ -513,7 +509,7 @@ let suite =
       test_prepared_classification;
     QCheck_alcotest.to_alcotest prop_incremental_evaluator;
     Alcotest.test_case "parallel chunks edges" `Quick
-      test_parallel_chunks_edges;
+      test_scheduled_chunks_edges;
     Alcotest.test_case "cost decide policy" `Quick test_cost_decide;
     Alcotest.test_case "cost decide monotonic" `Quick
       test_cost_decide_monotonic;

@@ -420,40 +420,27 @@ let test_no_fault_model_warning () =
   let t = Fmea.Injection_fmea.analyse nl rm in
   Alcotest.(check int) "warning row" 1 (List.length (Fmea.Table.warnings t))
 
-let test_solver_reuse_matches_refactor () =
-  (* The golden-factor low-rank re-solve must reproduce the from-scratch
-     baseline table — same classifications, same impact strings. *)
-  let nl = Decisive.Case_study.power_supply_netlist in
-  let options = Decisive.Case_study.injection_options in
-  let rm = Reliability.Reliability_model.table_ii in
-  let paths = ref [] in
-  let fast =
-    Fmea.Injection_fmea.analyse ~options ~solver:`Reuse
-      ~on_solved:(fun p -> paths := p :: !paths)
-      nl rm
-  in
-  let baseline =
-    Fmea.Injection_fmea.analyse ~options ~solver:`Refactor nl rm
-  in
-  Alcotest.(check bool) "tables equal" true (Fmea.Table.equal fast baseline);
-  Alcotest.(check bool) "no refactorise on the fast path" true
-    (not (List.mem `Refactor !paths));
-  Alcotest.(check bool) "rank updates used" true
-    (List.exists (function `Rank_update _ -> true | _ -> false) !paths)
-
 let test_solver_sparse_backend_table () =
-  (* The from-scratch refactor pipeline runs on the sparse solver; its
-     PSU table — every row, impact string and warning — must be the one
-     the former dense MNA backend produced, pinned in
+  (* The injection pipeline serves every fault by a low-rank re-solve
+     against the golden sparse factors; its PSU table — every row,
+     impact string and warning — must be the one the former dense MNA
+     backend produced by refactorising each faulted netlist, pinned in
      golden/psu_refactor_table.txt. *)
   let nl = Decisive.Case_study.power_supply_netlist in
   let options = Decisive.Case_study.injection_options in
   let rm = Reliability.Reliability_model.table_ii in
-  let sparse = Fmea.Injection_fmea.analyse ~options ~solver:`Refactor nl rm in
+  let paths = ref [] in
+  let table =
+    Fmea.Injection_fmea.analyse ~options
+      ~on_solved:(fun p -> paths := p :: !paths)
+      nl rm
+  in
   Alcotest.(check string) "table = golden/psu_refactor_table.txt"
     (In_channel.with_open_bin "golden/psu_refactor_table.txt"
        In_channel.input_all)
-    (Fmea.Table.show sparse ^ "\n")
+    (Fmea.Table.show table ^ "\n");
+  Alcotest.(check bool) "rank updates used" true
+    (List.exists (function `Rank_update _ -> true | `Reused -> false) !paths)
 
 (* ---------- Pinned injection-FMEA tables ----------
 
@@ -694,8 +681,6 @@ let suite =
     Alcotest.test_case "injection threshold" `Quick test_injection_threshold_sensitivity;
     Alcotest.test_case "golden run failure" `Quick test_golden_run_failure;
     Alcotest.test_case "no fault model warning" `Quick test_no_fault_model_warning;
-    Alcotest.test_case "solver reuse matches refactor" `Quick
-      test_solver_reuse_matches_refactor;
     Alcotest.test_case "solver sparse backend table" `Quick
       test_solver_sparse_backend_table;
     Alcotest.test_case "System B table golden" `Quick test_system_b_golden;
