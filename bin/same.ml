@@ -969,6 +969,25 @@ let run_cmd =
       const run $ diagram_arg $ reliability_arg $ sm_arg $ exclude_arg
       $ monitored_arg $ target_arg $ name_arg $ jobs_arg)
 
+(* The nominal value of the voltage or current source [--source id]. *)
+let source_value nl id =
+  match Circuit.Netlist.find nl id with
+  | Some
+      {
+        Circuit.Element.kind =
+          Circuit.Element.Vsource v | Circuit.Element.Isource v;
+        _;
+      } ->
+      Ok v
+  | Some e ->
+      Error
+        (Printf.sprintf "--source %s: a %s, not a voltage or current source" id
+           (Circuit.Element.kind_name e.Circuit.Element.kind))
+  | None -> Error (Printf.sprintf "--source %s: no such element in the design" id)
+
+(* A library's argument check ([Invalid_argument]) as a failed step. *)
+let checked f = match f () with v -> Ok v | exception Invalid_argument m -> Error m
+
 (* same simulate *)
 
 let simulate_cmd =
@@ -1008,23 +1027,24 @@ let simulate_cmd =
     let* diagram = load_diagram diagram_path in
     let conversion = Blockdiag.To_netlist.convert diagram in
     let nl = conversion.Blockdiag.To_netlist.netlist in
-    let waveforms =
+    let* waveforms =
       match source with
-      | None -> []
+      | None -> Ok []
       | Some id ->
-          let nominal =
-            match Circuit.Netlist.find nl id with
-            | Some { Circuit.Element.kind = Circuit.Element.Vsource v; _ } -> v
-            | Some { Circuit.Element.kind = Circuit.Element.Isource i; _ } -> i
-            | Some _ | None -> 0.0
-          in
-          [
-            ( id,
-              fun t ->
-                nominal +. (amplitude *. sin (2.0 *. Float.pi *. hz *. t)) );
-          ]
+          Result.map
+            (fun nominal ->
+              [
+                ( id,
+                  fun t ->
+                    nominal +. (amplitude *. sin (2.0 *. Float.pi *. hz *. t))
+                );
+              ])
+            (source_value nl id)
     in
-    match Circuit.Transient.simulate ~waveforms nl ~dt ~duration with
+    let* result =
+      checked (fun () -> Circuit.Transient.simulate ~waveforms nl ~dt ~duration)
+    in
+    match result with
     | Error e ->
         Format.eprintf "error: %a@." Circuit.Dc.pp_error e;
         1
@@ -1095,7 +1115,10 @@ let bode_cmd =
     let* diagram = load_diagram diagram_path in
     let conversion = Blockdiag.To_netlist.convert diagram in
     let nl = conversion.Blockdiag.To_netlist.netlist in
-    let freqs = Circuit.Ac.log_space ~from_hz ~to_hz ~points in
+    let* _ = source_value nl source in
+    let* freqs =
+      checked (fun () -> Circuit.Ac.log_space ~from_hz ~to_hz ~points)
+    in
     match Circuit.Ac.analyse ~source nl ~frequencies_hz:freqs with
     | Error e ->
         Format.eprintf "error: %a@." Circuit.Dc.pp_error e;
@@ -1160,6 +1183,7 @@ let degrade_cmd =
     with_diagram_and_models diagram_path reliability_path
       (fun diagram reliability ->
         let conversion = Blockdiag.To_netlist.convert diagram in
+        let* _ = source_value conversion.Blockdiag.To_netlist.netlist source in
         let options =
           {
             (Fmea.Degradation.default_options ~disturbance_source:source) with

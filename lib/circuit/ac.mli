@@ -18,21 +18,22 @@ type point = {
 type sweep
 
 type prepared
-(** A netlist readied for repeated sweeps: the DC operating point,
-    unknown numbering and every frequency-independent stamp (resistive
-    devices, diode small-signal conductances, source branches, gmin) are
-    computed once.  Each frequency then copies the base matrix and
-    restamps only the reactive entries. *)
+(** A netlist readied for repeated sweeps: {!Dc.factorise}'s
+    operating-point matrix (unknown numbering, resistive devices, diode
+    small-signal conductances, source branches, gmin) is the real part
+    of the system, with the unit stimulus on the right.  Each frequency
+    then copies that matrix and adds only the reactive entries. *)
 
 val prepare :
   ?gmin:float -> source:string -> Netlist.t -> (prepared, Dc.error) result
 (** [source] names the [Vsource]/[Isource] carrying the unit AC stimulus
     (its DC value still sets the operating point).  Raises
-    [Invalid_argument] when [source] is missing or not a source. *)
+    [Invalid_argument] when [source] is missing or not a source.  A
+    singular system is reported as {!Dc} reports it. *)
 
 val solve : prepared -> frequencies_hz:float list -> (sweep, Dc.error) result
 (** Sweep the prepared system.  Raises [Invalid_argument] when a
-    frequency is not positive. *)
+    frequency is not positive and finite. *)
 
 val analyse :
   ?gmin:float ->
@@ -56,4 +57,5 @@ val cutoff_hz : point list -> float option
 
 val log_space : from_hz:float -> to_hz:float -> points:int -> float list
 (** Logarithmically spaced frequencies, inclusive of both ends.  Raises
-    [Invalid_argument] on non-positive bounds or [points < 2]. *)
+    [Invalid_argument] unless [0 < from_hz < to_hz], both finite, and
+    [points >= 2]. *)

@@ -8,6 +8,10 @@ let pp_error ppf = function
 
 let closed_switch_resistance = 1e-3
 
+(* Node-to-ground conductance: keeps fault-injected circuits (floating
+   nodes after an open) solvable. *)
+let default_gmin = 1e-9
+
 (* Per-diode constants of the junction model: the scaled thermal voltage
    vt = n·Vt, and the critical junction voltage above which the
    exponential is linearised to avoid overflow (SPICE's pnjlim idea,
@@ -48,7 +52,9 @@ let diode_conductance p v = conductance_with (diode_limits p) p v
    wasted work on structural zeros.  Diode companion stamps get explicit
    zero triplets so the sparse pattern — and therefore the cached
    ordering and the per-diode value indices — is stable across Newton
-   iterations. *)
+   iterations.  A circuit without diodes has one matrix, so it is
+   factorised here, once, and every solve on it — under new source
+   values too ({!with_sources}) — is a substitution. *)
 
 type prepared = {
   elements : Element.t array;
@@ -73,15 +79,43 @@ type prepared = {
      (value index, ±1) — filled per Newton iteration. *)
   diode_pos : (int * float) array array;
   base_b : float array;
+  (* The factors of [base_a] when there are no diodes; [None] otherwise. *)
+  linear_factors : (Numeric.Sparse.factors, error) result option;
 }
 
 let size p = p.size
 
 let backend_used _ = `Sparse
 
+(* [Lu.Singular] carries the original column, i.e. the unknown. *)
+let pivot_failure k =
+  Singular_system (Printf.sprintf "pivot failure at unknown %d" k)
+
+let factor_with order a =
+  match Numeric.Sparse.decompose ~order a with
+  | f -> Ok f
+  | exception Numeric.Lu.Singular k -> Error (pivot_failure k)
+
+(* The right-hand side: the values of the independent sources. *)
+let source_rhs p =
+  let b = Numeric.Vector.create p.size in
+  Array.iteri
+    (fun idx (e : Element.t) ->
+      match e.Element.kind with
+      | Element.Isource amps ->
+          (* amps flows a -> b inside the source, i.e. out of node b. *)
+          Option.iter (fun i -> b.(i) <- b.(i) -. amps) p.el_a.(idx);
+          Option.iter (fun j -> b.(j) <- b.(j) +. amps) p.el_b.(idx)
+      | Element.Vsource volts ->
+          let k = p.el_branch.(idx) in
+          b.(k) <- b.(k) +. volts
+      | _ -> ())
+    p.elements;
+  b
+
 (* [node_names] fixes the unknown numbering, so a faulted copy of the
    element array prepares onto the same unknowns as the golden one. *)
-let prepare_elements ~gmin ~node_names elements =
+let prepare_with ~gmin ~node_names elements =
   let node_index = Hashtbl.create 16 in
   List.iteri (fun i n -> Hashtbl.add node_index n i) node_names;
   let n_nodes = List.length node_names in
@@ -111,7 +145,6 @@ let prepare_elements ~gmin ~node_names elements =
   in
   let diodes = ref [] in
   let trip = Numeric.Sparse.create size in
-  let b = Numeric.Vector.create size in
   let stamp_conductance ia ib g =
     (match ia with Some i -> Numeric.Sparse.add_to trip i i g | None -> ());
     (match ib with Some j -> Numeric.Sparse.add_to trip j j g | None -> ());
@@ -121,12 +154,7 @@ let prepare_elements ~gmin ~node_names elements =
         Numeric.Sparse.add_to trip j i (-.g)
     | _ -> ()
   in
-  let stamp_current_source ia ib amps =
-    (* amps flows a -> b inside the source, i.e. out of node b. *)
-    (match ia with Some i -> b.(i) <- b.(i) -. amps | None -> ());
-    match ib with Some j -> b.(j) <- b.(j) +. amps | None -> ()
-  in
-  let stamp_voltage_branch k ia ib volts =
+  let stamp_voltage_branch k ia ib =
     (match ia with
     | Some i ->
         Numeric.Sparse.add_to trip i k 1.0;
@@ -136,8 +164,7 @@ let prepare_elements ~gmin ~node_names elements =
     | Some j ->
         Numeric.Sparse.add_to trip j k (-1.0);
         Numeric.Sparse.add_to trip k j (-1.0)
-    | None -> ());
-    b.(k) <- b.(k) +. volts
+    | None -> ())
   in
   Array.iteri
     (fun idx (e : Element.t) ->
@@ -146,11 +173,11 @@ let prepare_elements ~gmin ~node_names elements =
       | Element.Resistor r | Element.Load r -> stamp_conductance ia ib (1.0 /. r)
       | Element.Switch true ->
           stamp_conductance ia ib (1.0 /. closed_switch_resistance)
-      | Element.Switch false | Element.Capacitor _ | Element.Voltage_sensor -> ()
-      | Element.Isource amps -> stamp_current_source ia ib amps
-      | Element.Vsource volts -> stamp_voltage_branch el_branch.(idx) ia ib volts
-      | Element.Inductor _ -> stamp_voltage_branch el_branch.(idx) ia ib 0.0
-      | Element.Current_sensor -> stamp_voltage_branch el_branch.(idx) ia ib 0.0
+      | Element.Switch false | Element.Capacitor _ | Element.Voltage_sensor
+      | Element.Isource _ ->
+          ()
+      | Element.Vsource _ | Element.Inductor _ | Element.Current_sensor ->
+          stamp_voltage_branch el_branch.(idx) ia ib
       | Element.Diode p ->
           (* Reserve the companion stamp positions with explicit zeros so
              the compressed pattern covers them. *)
@@ -184,29 +211,68 @@ let prepare_elements ~gmin ~node_names elements =
         Array.of_list !entries)
       diodes
   in
-  {
-    elements;
-    node_names;
-    node_index;
-    el_index;
-    n_nodes;
-    size;
-    gmin;
-    el_a;
-    el_b;
-    el_branch;
-    diodes;
-    diode_of;
-    diode_lim = Array.map (fun (_, prm) -> diode_limits prm) diodes;
-    base_a = sa;
-    order = Numeric.Sparse.min_degree_order sa;
-    diode_pos;
-    base_b = b;
-  }
+  let order = Numeric.Sparse.min_degree_order sa in
+  let p =
+    {
+      elements;
+      node_names;
+      node_index;
+      el_index;
+      n_nodes;
+      size;
+      gmin;
+      el_a;
+      el_b;
+      el_branch;
+      diodes;
+      diode_of;
+      diode_lim = Array.map (fun (_, prm) -> diode_limits prm) diodes;
+      base_a = sa;
+      order;
+      diode_pos;
+      base_b = [||];
+      linear_factors =
+        (if Array.length diodes = 0 then Some (factor_with order sa) else None);
+    }
+  in
+  { p with base_b = source_rhs p }
 
-let prepare ?(gmin = 1e-9) netlist =
-  prepare_elements ~gmin ~node_names:(Netlist.nodes netlist)
+let prepare ?(gmin = default_gmin) netlist =
+  prepare_with ~gmin ~node_names:(Netlist.nodes netlist)
     (Array.of_list (Netlist.elements netlist))
+
+let prepare_elements ~node_names elements =
+  prepare_with ~gmin:default_gmin ~node_names elements
+
+let with_sources p elements =
+  let same_stamps (old : Element.t) (e : Element.t) =
+    old == e
+    ||
+    match (old.Element.kind, e.Element.kind) with
+    | Element.Vsource _, Element.Vsource _ | Element.Isource _, Element.Isource _ ->
+        Element.equal old { e with Element.kind = old.Element.kind }
+    | _ -> Element.equal old e
+  in
+  if
+    not
+      (Array.length elements = Array.length p.elements
+      && Array.for_all2 same_stamps p.elements elements)
+  then invalid_arg "Dc.with_sources: elements differ in more than source values";
+  let p = { p with elements } in
+  { p with base_b = source_rhs p }
+
+(* The unknown numbering: node voltages, then branch currents.  Ground
+   ("gnd", or "0") has none. *)
+let node_unknown p n =
+  match Hashtbl.find_opt p.node_index n with
+  | Some i -> Some i
+  | None when String.equal n Netlist.ground || String.equal n "0" -> None
+  | None -> raise Not_found
+
+let branch_unknown p id =
+  match Hashtbl.find_opt p.el_index id with
+  | Some idx when p.el_branch.(idx) >= 0 -> p.el_branch.(idx)
+  | Some _ | None -> raise Not_found
 
 (* ---------- assembly and raw solves ---------- *)
 
@@ -252,14 +318,9 @@ let assemble p v_guess =
     (a, b)
   end
 
-(* [Lu.Singular] carries the original column, i.e. the unknown. *)
-let singular_error k =
-  Singular_system (Printf.sprintf "pivot failure at unknown %d" k)
-
+(* A circuit without diodes has one matrix, factorised when prepared. *)
 let factor p a =
-  match Numeric.Sparse.decompose ~order:p.order a with
-  | f -> Ok f
-  | exception Numeric.Lu.Singular k -> Error (singular_error k)
+  match p.linear_factors with Some fact -> fact | None -> factor_with p.order a
 
 (* ---------- Newton iteration ---------- *)
 
@@ -271,9 +332,9 @@ let vntol = 1e-6
 let max_iterations = 200
 let max_step = 0.5
 
-(* Generic damped Newton driver shared by the prepared solve and the
-   golden-factor injection re-solve.  [solve_once]
-   produces the next iterate from the current guess. *)
+(* The one damped Newton driver: the prepared solve (and so every
+   transient step) and the golden-factor injection re-solve.
+   [solve_once] produces the next iterate from the current guess. *)
 let newton_loop ~n_nodes solve_once guess0 =
   let rec go v_guess iter =
     if iter > max_iterations then Error (No_convergence max_iterations)
@@ -303,15 +364,16 @@ let newton_loop ~n_nodes solve_once guess0 =
   in
   go guess0 0
 
-(* Raw solve: the unknown vector. *)
-let solve_raw p =
+(* Raw solve: the unknown vector, Newton starting from [guess]. *)
+let solve_raw_from p guess =
   let solve_once v_guess =
     let a, b = assemble p v_guess in
     Result.map (fun f -> Numeric.Sparse.solve_factored f b) (factor p a)
   in
-  if Array.length p.diodes = 0 then solve_once [||]
-  else
-    newton_loop ~n_nodes:p.n_nodes solve_once (Array.make p.size 0.0)
+  if Array.length p.diodes = 0 then solve_once guess
+  else newton_loop ~n_nodes:p.n_nodes solve_once guess
+
+let solve_raw p = solve_raw_from p (Array.make p.size 0.0)
 
 (* ---------- solutions ----------
 
@@ -362,8 +424,13 @@ let element_index s id =
   | Some i -> i
   | None -> raise Not_found
 
-let solve p =
-  Result.map (fun x -> { s_p = p; s_x = x; s_fault = None }) (solve_raw p)
+let solve_from p guess =
+  if Array.length guess <> p.size then invalid_arg "Dc.solve_from: guess size";
+  Result.map (fun x -> { s_p = p; s_x = x; s_fault = None }) (solve_raw_from p guess)
+
+let solve p = solve_from p (Array.make p.size 0.0)
+
+let unknowns s = Array.copy s.s_x
 
 let analyse ?gmin netlist = solve (prepare ?gmin netlist)
 
@@ -424,6 +491,8 @@ let factorise p =
 
 let golden_solution g = { s_p = g.g_p; s_x = g.g_x; s_fault = None }
 
+let iter_operating_matrix g f = Numeric.Sparse.iter f g.g_a
+
 (* A singular low-rank update is reported the way a full re-analysis of
    the faulted netlist reports it — naming the unknown that lost its
    pivot — whenever that re-analysis finds the system singular too. *)
@@ -431,7 +500,7 @@ let smw_singular_error p idx new_kind element_id fault =
   let faulted = Array.copy p.elements in
   faulted.(idx) <- { faulted.(idx) with Element.kind = new_kind };
   match
-    solve_raw (prepare_elements ~gmin:p.gmin ~node_names:p.node_names faulted)
+    solve_raw (prepare_with ~gmin:p.gmin ~node_names:p.node_names faulted)
   with
   | Error (Singular_system _ as e) -> e
   | Ok _ | Error (No_convergence _) ->
@@ -661,13 +730,7 @@ let inject ?(on_path = fun _ -> ()) g ~element_id fault =
 
 (* ---------- observables ---------- *)
 
-let node_voltage s n =
-  if String.equal n Netlist.ground then 0.0
-  else
-    match Hashtbl.find_opt s.s_p.node_index n with
-    | Some i -> s.s_x.(i)
-    | None ->
-        if String.equal (String.lowercase_ascii n) "0" then 0.0 else raise Not_found
+let node_voltage s n = node_v s.s_x (node_unknown s.s_p n)
 
 let element_current s id = element_current_at s (element_index s id)
 

@@ -8,7 +8,13 @@
     the Shockley equation.  A small [gmin] conductance from every node to
     ground keeps fault-injected circuits (floating nodes after an "open")
     solvable; the affected readings then collapse towards zero, which is
-    exactly the observable the failure-injection FMEA compares. *)
+    exactly the observable the failure-injection FMEA compares.
+
+    This is the one place that knows MNA stamps, the unknown numbering,
+    [gmin] and the Newton loop: {!module:Transient} solves its
+    backward-Euler companion circuit through {!prepare_elements} and
+    {!solve_from}, and {!module:Ac} builds its complex system on
+    {!factorise}'s operating-point matrix. *)
 
 type solution
 
@@ -36,16 +42,30 @@ val analyse : ?gmin:float -> Netlist.t -> (solution, error) result
     — into a reusable base system.  {!solve} then runs Newton on top:
     each iteration copies the base matrix/RHS and restamps only the diode
     companion entries, instead of rebuilding the full MNA system from the
-    element list.  Linear circuits skip the copy entirely and factor the
-    base system directly.  The fill-reducing ordering and the diode stamp
-    positions are computed once here and reused by every subsequent
-    factorisation. *)
+    element list.  A circuit without diodes has a single matrix: it is
+    factorised once, here, and every solve on it is a substitution.  The
+    fill-reducing ordering and the diode stamp positions are computed
+    once here and reused by every subsequent factorisation. *)
 
 type prepared
 
 val prepare : ?gmin:float -> Netlist.t -> prepared
 (** One element walk, one base-system assembly and the fill-reducing
-    ordering of its pattern. *)
+    ordering of its pattern (and, without diodes, its factors). *)
+
+val prepare_elements : node_names:string list -> Element.t array -> prepared
+(** {!prepare} on an element array, with the default [gmin]:
+    [node_names] (ground excluded) are the node unknowns, in that order.
+    For callers that build their own circuit, such as the transient
+    engine's companion circuit. *)
+
+val with_sources : prepared -> Element.t array -> prepared
+(** [with_sources p elements] is [p] under the source values of
+    [elements], which must match [p]'s elements one for one except in
+    the values of [Vsource] and [Isource] elements.  Only the right-hand
+    side is rebuilt; the matrix, its ordering and — without diodes — its
+    factors are shared with [p].  Raises [Invalid_argument] when an
+    element differs in anything else. *)
 
 val size : prepared -> int
 (** Number of MNA unknowns (node voltages + branch currents). *)
@@ -57,7 +77,31 @@ val backend_used : prepared -> [ `Dense | `Sparse ]
 
 val solve : prepared -> (solution, error) result
 (** A prepared netlist may be solved any number of times; [prepared] is
-    immutable after construction and safe to share across domains. *)
+    immutable after construction and safe to share across domains.
+    Newton starts from zero. *)
+
+val solve_from : prepared -> float array -> (solution, error) result
+(** {!solve} with Newton started from the given unknown vector (see
+    {!unknowns}) — e.g. the previous time step's solution.  A circuit
+    without diodes needs no start and ignores it.  Raises
+    [Invalid_argument] when its length is not {!size}. *)
+
+val unknowns : solution -> float array
+(** A copy of the unknown vector: node voltages in the prepared node
+    order ({!Netlist.nodes} for {!prepare}), then one branch current per
+    voltage source, inductor and current sensor, in element order. *)
+
+val node_unknown : prepared -> string -> int option
+(** The unknown of a node voltage; [None] for ground.  Raises
+    [Not_found] for an unknown node. *)
+
+val branch_unknown : prepared -> string -> int
+(** The branch-current unknown of a voltage source, inductor or current
+    sensor.  Raises [Not_found] for other elements and unknown ids. *)
+
+val pivot_failure : int -> error
+(** [Singular_system "pivot failure at unknown k"]: how a system that
+    loses its pivot at unknown [k] is reported. *)
 
 (** {1 Golden factors and low-rank fault re-solve}
 
@@ -89,6 +133,11 @@ val factorise : prepared -> (golden, error) result
     [golden] is immutable and safe to share across domains. *)
 
 val golden_solution : golden -> solution
+
+val iter_operating_matrix : golden -> (int -> int -> float -> unit) -> unit
+(** [f i j v] on every entry of the MNA matrix at the operating point —
+    the linear stamps, [gmin] and each diode's small-signal conductance —
+    numbered as {!unknowns}. *)
 
 val inject :
   ?on_path:([ `Reused | `Rank_update of int ] -> unit) ->
@@ -157,8 +206,9 @@ val sensor_reading_at : solution -> int -> float option
 
 (** {1 Device equations}
 
-    Exposed for the transient engine ({!module:Transient}), which shares
-    the Newton companion model. *)
+    The junction model the Newton companion stamps are built from,
+    exposed so that a reference solver outside this module (the test
+    suite's dense oracle) uses the same device equations. *)
 
 val diode_current : Element.diode_params -> float -> float
 (** Shockley current at a junction voltage, with overflow limiting. *)

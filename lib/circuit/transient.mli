@@ -5,9 +5,11 @@
     failure-injection FMEA compares.  This module provides the full
     time-domain capability: reactive elements get their backward-Euler
     companion models (capacitor: [C/h] conductance with a history current
-    source; inductor: [h/L] conductance with its previous current), diodes
-    are solved by per-step Newton iteration, and sources may be driven by
-    waveforms.
+    source; inductor: [h/L] conductance with its previous current), and
+    sources may be driven by waveforms.  The companion circuit is solved
+    by {!Dc}: prepared once per run (a circuit without diodes is
+    factorised once), re-solved per step under new source values with
+    {!Dc}'s Newton loop starting from the previous step's solution.
 
     Initial conditions default to the DC operating point, so an unforced
     simulation stays at steady state (tested); interesting runs override
@@ -30,10 +32,12 @@ val simulate :
   duration:float ->
   (result, Dc.error) Stdlib.result
 (** [waveforms] overrides the value of named [Vsource]/[Isource] elements
-    per time step; other elements ignore their entry.  Every node has a
-    1e-9 S conductance to ground, as under {!Dc.analyse}, and each step's
-    Newton iteration runs at most 200 times.  Raises
-    [Invalid_argument] on non-positive [dt] or [duration]. *)
+    per time step; other elements ignore their entry.  [gmin], the
+    Newton budget and its damping are {!Dc.analyse}'s.  Sample 0 is the
+    initial state: with [From_dc], {!Dc.analyse}'s node voltages and
+    element currents.  Raises [Invalid_argument] when [dt] or [duration]
+    is not positive and finite, or [duration /. dt] is beyond an array's
+    length. *)
 
 val times : result -> float array
 (** Sample instants, [0; dt; ...; duration]. *)

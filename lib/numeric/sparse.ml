@@ -136,6 +136,13 @@ let set_value a p v = a.vals.(p) <- v
 let add_to_value a p v = a.vals.(p) <- a.vals.(p) +. v
 let copy a = { a with vals = Array.copy a.vals }
 
+let iter f a =
+  for i = 0 to a.sn - 1 do
+    for p = a.row_ptr.(i) to a.row_ptr.(i + 1) - 1 do
+      f i a.cols.(p) a.vals.(p)
+    done
+  done
+
 let mul_vec a x =
   if Array.length x <> a.sn then invalid_arg "Sparse.mul_vec: dimension";
   Array.init a.sn (fun i ->

@@ -50,6 +50,9 @@ val copy : t -> t
 (** Shares the (immutable) pattern, copies the values — the cheap way to
     restamp a few entries per Newton iteration. *)
 
+val iter : (int -> int -> float -> unit) -> t -> unit
+(** [iter f a] calls [f i j v] on every stored entry, row by row. *)
+
 val mul_vec : t -> float array -> float array
 
 val min_degree_order : t -> int array

@@ -221,9 +221,9 @@ let to_spreadsheet t =
           (fun i fm ->
             [
               (if i = 0 then e.component_type else "");
-              (if i = 0 then Printf.sprintf "%g" e.fit else "");
+              (if i = 0 then Modelio.Float_text.to_string e.fit else "");
               fm.fm_name;
-              Printf.sprintf "%g%%" fm.distribution_pct;
+              Modelio.Float_text.to_string fm.distribution_pct ^ "%";
             ])
           e.failure_modes)
       (entries t)

@@ -61,6 +61,10 @@ val of_json : Modelio.Json.t -> t
     Raises {!Format_error}. *)
 
 val to_spreadsheet : t -> Modelio.Spreadsheet.t
+(** Numbers are written with {!Modelio.Float_text.to_string}, so
+    {!of_spreadsheet} reads every FIT and distribution back bit for bit
+    (failure modes whose fault and loss of function follow from their
+    names, as {!of_spreadsheet} derives them). *)
 
 val validate : t -> string list
 (** Distribution sums that deviate from 100 % by more than 0.5, duplicate

@@ -216,8 +216,8 @@ let to_spreadsheet t =
           m.component_type;
           m.failure_mode;
           m.sm_name;
-          Printf.sprintf "%g%%" m.coverage_pct;
-          Printf.sprintf "%g" m.cost;
+          Modelio.Float_text.to_string m.coverage_pct ^ "%";
+          Modelio.Float_text.to_string m.cost;
         ])
       t
   in

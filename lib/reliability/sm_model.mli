@@ -45,5 +45,7 @@ val of_spreadsheet : Modelio.Spreadsheet.t -> t
     "Cost" accepted).  Raises {!Format_error}. *)
 
 val to_spreadsheet : t -> Modelio.Spreadsheet.t
+(** Numbers are written with {!Modelio.Float_text.to_string}, so
+    {!of_spreadsheet} reads every coverage and cost back bit for bit. *)
 
 val validate : t -> string list

@@ -750,12 +750,19 @@ let test_transient_voltage_sensor_trace () =
 
 let test_transient_validation () =
   let nl = psu_netlist () in
-  (match Transient.simulate nl ~dt:0.0 ~duration:1.0 with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "expected Invalid_argument on dt");
-  match Transient.simulate nl ~dt:1e-3 ~duration:(-1.0) with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "expected Invalid_argument on duration"
+  (* Rejected before any trace is allocated: 1e300 steps included. *)
+  List.iter
+    (fun (dt, duration) ->
+      match Transient.simulate nl ~dt ~duration with
+      | exception Invalid_argument _ -> ()
+      | _ -> Alcotest.failf "dt %g, duration %g accepted" dt duration)
+    [
+      (0.0, 1.0);
+      (1e-3, -1.0);
+      (Float.nan, 1.0);
+      (1e-3, Float.infinity);
+      (1e-300, 1.0);
+    ]
 
 let transient_suite =
   [
@@ -934,8 +941,145 @@ let test_transient_ac_agree () =
        transient_ripple predicted (100.0 *. error))
     true (error < 0.1)
 
+(* Without capacitors and inductors, time and frequency drop out: every
+   transient step is a DC solve at that step's source values, and the AC
+   response is flat over frequency and equals the DC response of the
+   circuit linearised at its operating point (diodes as their
+   small-signal conductances) to a unit change of the stimulus, the
+   other sources set to zero.  Checked on generated ladders and grids of
+   3 to ~300 unknowns and on the mixed diode netlist, to 1e-9 relative. *)
+let reactive_free_subject =
+  let reactive_free nl =
+    Netlist.of_elements (Netlist.name nl)
+      (List.filter
+         (fun (e : Element.t) ->
+           match e.Element.kind with
+           | Element.Capacitor _ | Element.Inductor _ -> false
+           | _ -> true)
+         (Netlist.elements nl))
+  in
+  QCheck.make
+    ~print:(fun nl ->
+      Printf.sprintf "%s (%d unknowns)" (Netlist.name nl)
+        (Dc.size (Dc.prepare nl)))
+    QCheck.Gen.(
+      frequency
+        [
+          (4, map (fun n -> Generator.ladder ~sections:n) (int_range 1 280));
+          ( 4,
+            map2
+              (fun rows cols -> Generator.grid ~rows ~cols)
+              (int_range 1 17) (int_range 1 17) );
+          (2, return (reactive_free (mixed_netlist ())));
+        ])
+
+(* The first voltage source and its nominal value. *)
+let stimulus nl =
+  List.find_map
+    (fun (e : Element.t) ->
+      match e.Element.kind with
+      | Element.Vsource v -> Some (e.Element.id, v)
+      | _ -> None)
+    (Netlist.elements nl)
+  |> Option.get
+
+let close ~what expected actual =
+  if
+    Float.abs (expected -. actual)
+    > 1e-9 *. Float.max (Float.abs expected) (Float.abs actual)
+  then
+    QCheck.Test.fail_reportf "%s: expected %.17g, got %.17g" what expected
+      actual
+
+let prop_transient_steps_are_dc_solves =
+  QCheck.Test.make ~name:"reactive-free transient steps equal DC solves"
+    ~count:30 reactive_free_subject (fun nl ->
+      let id, nominal = stimulus nl in
+      let wave t = nominal *. (1.0 +. (0.25 *. sin (2.0 *. Float.pi *. 1e3 *. t))) in
+      let r =
+        match
+          Transient.simulate ~waveforms:[ (id, wave) ] nl ~dt:1e-4 ~duration:5e-4
+        with
+        | Ok r -> r
+        | Error e -> QCheck.Test.fail_reportf "transient: %a" Dc.pp_error e
+      in
+      Array.iteri
+        (fun k t ->
+          let dc = solve_exn (Netlist.replace nl id (Element.Vsource (wave t))) in
+          List.iter
+            (fun n ->
+              close
+                ~what:(Printf.sprintf "v(%s) at step %d" n k)
+                (Dc.node_voltage dc n)
+                (Transient.node_voltage r n).(k))
+            (Netlist.nodes nl);
+          List.iter
+            (fun (e : Element.t) ->
+              let id = e.Element.id in
+              close
+                ~what:(Printf.sprintf "i(%s) at step %d" id k)
+                (Dc.element_current dc id)
+                (Transient.element_current r id).(k))
+            (Netlist.elements nl))
+        (Transient.times r);
+      true)
+
+let prop_ac_flat_unit_response =
+  QCheck.Test.make ~name:"reactive-free AC sweep is flat and equals the DC unit response"
+    ~count:30 reactive_free_subject (fun nl ->
+      let source, _ = stimulus nl in
+      let op = solve_exn nl in
+      let linearised =
+        Netlist.of_elements "linearised"
+          (List.map
+             (fun (e : Element.t) ->
+               let kind =
+                 match e.Element.kind with
+                 | Element.Vsource _ when String.equal e.Element.id source ->
+                     Element.Vsource 1.0
+                 | Element.Vsource _ -> Element.Vsource 0.0
+                 | Element.Isource _ -> Element.Isource 0.0
+                 | Element.Diode p ->
+                     let v =
+                       Dc.node_voltage op e.Element.node_a
+                       -. Dc.node_voltage op e.Element.node_b
+                     in
+                     Element.Resistor
+                       (1.0 /. Float.max (Dc.diode_conductance p v) 1e-12)
+                 | kind -> kind
+               in
+               { e with Element.kind })
+             (Netlist.elements nl))
+      in
+      let unit = solve_exn linearised in
+      let sweep =
+        match Ac.analyse ~source nl ~frequencies_hz:[ 1.0; 1e3; 1e6 ] with
+        | Ok s -> s
+        | Error e -> QCheck.Test.fail_reportf "AC: %a" Dc.pp_error e
+      in
+      let check what expected points =
+        List.iter
+          (fun (p : Ac.point) ->
+            close
+              ~what:(Printf.sprintf "%s at %g Hz" what p.Ac.frequency_hz)
+              expected
+              (p.Ac.magnitude *. cos (p.Ac.phase_deg *. Float.pi /. 180.0)))
+          points
+      in
+      List.iter
+        (fun n -> check ("v(" ^ n ^ ")") (Dc.node_voltage unit n) (Ac.node_response sweep n))
+        (Netlist.nodes nl);
+      List.iter
+        (fun (id, reading) -> check id reading (Ac.sensor_response sweep id))
+        (Dc.all_sensor_readings unit);
+      true)
+
 let cross_validation_suite =
-  [ Alcotest.test_case "transient vs AC" `Quick test_transient_ac_agree ]
+  [
+    Alcotest.test_case "transient vs AC" `Quick test_transient_ac_agree;
+    QCheck_alcotest.to_alcotest prop_transient_steps_are_dc_solves;
+    QCheck_alcotest.to_alcotest prop_ac_flat_unit_response;
+  ]
 
 (* ---------- synthetic generator netlists ---------- *)
 

@@ -208,6 +208,85 @@ let test_sm_spreadsheet_roundtrip () =
     (List.length (Sm_model.mechanisms m))
     (List.length (Sm_model.mechanisms m2))
 
+(* Both spreadsheet writers are lossless: any finite FIT, distribution,
+   coverage and cost (subnormals, 1e300, a 13th-digit edit, -0.) reads
+   back bit for bit — compared on marshalled bytes, which tell -0. from
+   0. where the derived equality does not. *)
+let lossless_models_gen =
+  let open QCheck.Gen in
+  let finite =
+    oneof
+      [
+        float_bound_inclusive 1e6;
+        map (fun f -> if Float.is_finite f then f else 0.5) float;
+        oneofl
+          [ 48.00000000001; 48.0000000000001; 1e300; -1e300; 5e-324;
+            2.2250738585072009e-308; Float.max_float; -0.0; 0.1; 1e-5; 99.9 ];
+      ]
+  in
+  let name = string_size ~gen:(char_range 'a' 'z') (int_range 1 8) in
+  (* A failure mode as [of_spreadsheet] reads one: the fault from its
+     name, loss of function for an open. *)
+  let mode =
+    map2
+      (fun fm_name distribution_pct ->
+        let fault = Circuit.Fault.of_failure_mode_name fm_name in
+        {
+          Reliability_model.fm_name;
+          distribution_pct;
+          fault;
+          loss_of_function = fault = Some Circuit.Fault.Open_circuit;
+        })
+      (oneof [ name; oneofl [ "Open"; "Short"; "Drift"; "RAM Failure" ] ])
+      finite
+  in
+  let entry i =
+    map3
+      (fun suffix fit failure_modes ->
+        {
+          Reliability_model.component_type = Printf.sprintf "type%d_%s" i suffix;
+          fit = Fit.of_float (Float.abs fit);
+          failure_modes;
+        })
+      name finite
+      (list_size (int_range 1 3) mode)
+  in
+  let mechanism =
+    map3
+      (fun (sm_name, component_type) (failure_mode, coverage_pct) cost ->
+        { Sm_model.sm_name; component_type; failure_mode; coverage_pct; cost })
+      (pair name name) (pair name finite) finite
+  in
+  let* n = int_range 0 5 in
+  let* entries = flatten_l (List.init n entry) in
+  let* mechanisms = list_size (int_range 0 5) mechanism in
+  return (Reliability_model.of_entries entries, Sm_model.of_mechanisms mechanisms)
+
+let prop_spreadsheets_lossless =
+  QCheck.Test.make ~name:"spreadsheet writers lossless (arbitrary finite numbers)"
+    ~count:300
+    (QCheck.make
+       ~print:(fun (rel, sm) ->
+         String.concat "\n"
+           (List.map Reliability_model.show_entry (Reliability_model.entries rel)
+           @ List.map Sm_model.show_mechanism (Sm_model.mechanisms sm)))
+       lossless_models_gen)
+    (fun (rel, sm) ->
+      let bytes x = Marshal.to_string x [ Marshal.No_sharing ] in
+      let entries = Reliability_model.entries rel
+      and entries' =
+        Reliability_model.entries
+          (Reliability_model.of_spreadsheet (Reliability_model.to_spreadsheet rel))
+      in
+      let mechanisms = Sm_model.mechanisms sm
+      and mechanisms' =
+        Sm_model.mechanisms (Sm_model.of_spreadsheet (Sm_model.to_spreadsheet sm))
+      in
+      List.equal Reliability_model.equal_entry entries entries'
+      && bytes entries = bytes entries'
+      && List.equal Sm_model.equal_mechanism mechanisms mechanisms'
+      && bytes mechanisms = bytes mechanisms')
+
 let test_sm_validate () =
   let bad =
     Sm_model.of_mechanisms
@@ -241,4 +320,5 @@ let suite =
     Alcotest.test_case "applicable sorting" `Quick test_applicable_sorting;
     Alcotest.test_case "sm spreadsheet roundtrip" `Quick test_sm_spreadsheet_roundtrip;
     Alcotest.test_case "sm validate" `Quick test_sm_validate;
+    QCheck_alcotest.to_alcotest prop_spreadsheets_lossless;
   ]
