@@ -127,30 +127,23 @@ let explain_arg =
     & info [ "explain" ]
         ~doc:
           "Print the incremental-engine statistics — cache hits and misses, \
-           solves performed, rows reused — after the analysis.")
+           solves performed, rows reused — and the scheduler's verdicts \
+           after the analysis.")
 
-(* [--cache] and/or [--explain] opt the run into the incremental engine;
-   without either flag the historical direct computation runs. *)
-let make_engine cache explain =
-  match (cache, explain) with
-  | None, false -> None
-  | _ ->
-      Some
-        (Engine.Pipeline.create ~cache:(Engine.Cache.create ?dir:cache ()) ())
+(* Every analysis runs on the incremental engine; [--cache DIR] only
+   adds its disk tier. *)
+let make_engine cache =
+  Engine.Pipeline.create ~cache:(Engine.Cache.create ?dir:cache ()) ()
 
 (* Under --explain the scheduler verdict is always printed — including
    when every batch ran sequentially, which on a small model is itself
    the interesting fact ("auto chose sequential: est 1.2us/task below
    the 48us dispatch overhead"). *)
 let report_stats explain engine =
-  (match engine with
-  | Some e when explain ->
-      Format.printf "%a@." Engine.Stats.pp (Engine.Pipeline.snapshot e)
-  | _ -> ());
-  if explain then Format.printf "%a@." Exec.Cost.pp_decisions ();
-  match engine with
-  | Some e -> Engine.Pipeline.save_cost_state e
-  | None -> ()
+  if explain then
+    Format.printf "%a@.%a@." Engine.Stats.pp (Engine.Pipeline.snapshot engine)
+      Exec.Cost.pp_decisions ();
+  Engine.Pipeline.save_cost_state engine
 
 (* The `--strict` gate of `--batch` and optimize. *)
 let strict_ok ~strict ?diagram ?reliability ?sm ?(exclude = [])
@@ -416,12 +409,13 @@ let load_diagrams paths =
     (Ok []) paths
   |> Result.map List.rev
 
-(* The shared front half of `same fmea --batch` / `same fmeda --batch`:
-   load the fleet, gate it on --strict, run it through one warm engine.
-   [k] receives the engine, the loaded variants (label = file path, in
-   input order) and the fleet summary. *)
-let with_fleet paths reliability_path exclude monitored strict cache explain k
-    =
+(* `same fmea --batch` / `same fmeda --batch`: load the fleet, gate it
+   on --strict, run it through one warm engine and print its summary.
+   [k] then receives the engine, the loaded variants (label = file path,
+   in input order) and the summary, and returns the exit code; the CSV
+   (-o) and the --explain statistics come last. *)
+let with_fleet ~output ~explain paths reliability_path exclude monitored
+    strict cache k =
   let* variants = load_diagrams paths in
   let* reliability = load_reliability reliability_path in
   if
@@ -441,19 +435,24 @@ let with_fleet paths reliability_path exclude monitored strict cache explain k
         monitored_sensors = (match monitored with [] -> None | ids -> Some ids);
       }
     in
-    let engine =
-      match make_engine cache explain with
-      | Some e -> e
-      | None -> Engine.Pipeline.create ()
-    in
+    let engine = make_engine cache in
     match Engine.Batch.run_fmea engine ~options variants reliability with
     | exception Fmea.Injection_fmea.Golden_run_failed m ->
         Printf.eprintf "error: golden simulation failed: %s\n" m;
         1
-    | summary -> k engine variants reliability summary
+    | summary ->
+        Format.printf "%a@." Engine.Batch.pp_summary summary;
+        let code = k engine variants summary in
+        Option.iter
+          (fun path ->
+            Modelio.Csv.write_file path (Engine.Batch.to_csv summary);
+            Format.printf "fleet summary written to %s@." path)
+          output;
+        report_stats explain engine;
+        code
 
-(* fmea and fmeda: [fleet ()] under --batch, else one diagram, here (on
-   the incremental engine under --cache or --explain) or in the daemon. *)
+(* fmea and fmeda: [fleet ()] under --batch, else one diagram, here or in
+   the daemon. *)
 let fmea_or_fmeda ~connect ~batch ~reliability_path ?sm_path ~output ~strict
     ~cache ~explain ~fleet paths request =
   match (connect, batch, paths) with
@@ -474,9 +473,9 @@ let fmea_or_fmeda ~connect ~batch ~reliability_path ?sm_path ~output ~strict
         (files ?reliability:reliability_path ?sm:sm_path (Some path))
         request
   | None, false, [ path ] ->
-      let engine = make_engine cache explain in
+      let engine = make_engine cache in
       let code =
-        local ?engine
+        local ~engine
           (files ?reliability:reliability_path ?sm:sm_path (Some path))
           request
       in
@@ -499,16 +498,8 @@ let fmea_cmd =
           2
         end
         else
-          with_fleet diagram_paths reliability_path exclude monitored strict
-            cache explain (fun engine _variants _reliability summary ->
-              Format.printf "%a@." Engine.Batch.pp_summary summary;
-              (match output with
-              | Some path ->
-                  Modelio.Csv.write_file path (Engine.Batch.to_csv summary);
-                  Format.printf "fleet summary written to %s@." path
-              | None -> ());
-              report_stats explain (Some engine);
-              0))
+          with_fleet ~output ~explain diagram_paths reliability_path exclude
+            monitored strict cache (fun _ _ _ -> 0))
   in
   let doc = "Automated FMEA (DECISIVE Step 4a)." in
   Cmd.v
@@ -536,39 +527,26 @@ let fmeda_cmd =
       (Serve.Command.Fmeda { target; exclude; monitored; csv = output; strict })
       ~fleet:(fun () ->
         let* sm_model = load_sm_model sm_path in
-        with_fleet diagram_paths reliability_path exclude monitored strict
-          cache explain (fun engine variants _reliability summary ->
-            Format.printf "%a@." Engine.Batch.pp_summary summary;
+        with_fleet ~output ~explain diagram_paths reliability_path exclude
+          monitored strict cache (fun engine variants summary ->
             (* Step 4b per variant, still against the shared warm
                engine: search results cache by table fingerprint, so
                variants sharing a design also share the search. *)
-            let code =
-              List.fold_left2
-                (fun worst (_, diagram) (e : Engine.Batch.fmea_entry) ->
-                  let conversion = Blockdiag.To_netlist.convert diagram in
-                  let refinement =
-                    Decisive.Api.refine ~engine ~target
-                      ~component_types:
-                        conversion.Blockdiag.To_netlist.block_types
-                      e.Engine.Batch.b_table sm_model
-                  in
-                  Format.printf "%-24s %a@." e.Engine.Batch.b_label
-                    (fun ppf () ->
-                      Fmea.Asil.pp_verdict ppf ~target
-                        ~spfm:refinement.Decisive.Api.achieved_spfm)
-                    ();
-                  match refinement.Decisive.Api.chosen with
-                  | Some _ -> worst
-                  | None -> 1)
-                0 variants summary.Engine.Batch.f_entries
-            in
-            (match output with
-            | Some path ->
-                Modelio.Csv.write_file path (Engine.Batch.to_csv summary);
-                Format.printf "fleet summary written to %s@." path
-            | None -> ());
-            report_stats explain (Some engine);
-            code))
+            List.fold_left2
+              (fun worst (_, diagram) (e : Engine.Batch.fmea_entry) ->
+                let refinement =
+                  Decisive.Api.refine_design ~engine ~target diagram
+                    e.Engine.Batch.b_table sm_model
+                in
+                Format.printf "%-24s %a@." e.Engine.Batch.b_label
+                  (fun ppf () ->
+                    Fmea.Asil.pp_verdict ppf ~target
+                      ~spfm:refinement.Decisive.Api.achieved_spfm)
+                  ();
+                match refinement.Decisive.Api.chosen with
+                | Some _ -> worst
+                | None -> 1)
+              0 variants summary.Engine.Batch.f_entries))
   in
   let doc = "Automated FMEDA with safety-mechanism search (Steps 4a + 4b)." in
   Cmd.v
@@ -594,15 +572,10 @@ let optimize_cmd =
                ~sm:(sm_path, sm_model) ~exclude ())
         then 1
       else
-          let engine = make_engine cache explain in
-          let table =
-            Decisive.Api.analyse ?engine ~exclude diagram reliability
-          in
-          let conversion = Blockdiag.To_netlist.convert diagram in
+          let engine = make_engine cache in
           let refinement =
-            Decisive.Api.refine ?engine ~target
-              ~component_types:conversion.Blockdiag.To_netlist.block_types
-              table sm_model
+            Decisive.Api.fmeda ~engine ~target ~exclude diagram reliability
+              sm_model
           in
           Format.printf "Pareto front (cost vs SPFM):@.";
           List.iter
@@ -954,7 +927,7 @@ let run_cmd =
         let monitored_sensors =
           match monitored with [] -> None | ids -> Some ids
         in
-        let process, table =
+        let process, table, _ =
           Decisive.Api.run_decisive ~name ~target ~exclude
             ?monitored_sensors diagram reliability sm_model
         in
@@ -1236,27 +1209,9 @@ let report_cmd =
         let monitored_sensors =
           match monitored with [] -> None | ids -> Some ids
         in
-        let process, fmeda =
+        let process, fmeda, deployments =
           Decisive.Api.run_decisive ~name ~target ~exclude
             ?monitored_sensors diagram reliability sm_model
-        in
-        let deployments =
-          List.filter_map
-            (fun (r : Fmea.Table.row) ->
-              match (r.Fmea.Table.safety_mechanism, r.Fmea.Table.sm_coverage_pct) with
-              | Some sm, Some cov ->
-                  Some
-                    (Fmea.Fmeda.deploy ~component:r.Fmea.Table.component
-                       ~failure_mode:r.Fmea.Table.failure_mode
-                       {
-                         Reliability.Sm_model.sm_name = sm;
-                         component_type = r.Fmea.Table.component;
-                         failure_mode = r.Fmea.Table.failure_mode;
-                         coverage_pct = cov;
-                         cost = 0.0;
-                       })
-              | _ -> None)
-            fmeda.Fmea.Table.rows
         in
         let input =
           Decisive.Report.make_input ~deployments ~process

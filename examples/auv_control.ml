@@ -15,7 +15,7 @@ let () =
 
   (* The full loop: plan → design → reliability → evaluate → refine →
      safety concept. *)
-  let process, table =
+  let process, table, _deployments =
     Decisive.Api.run_decisive ~name:"AUV control unit"
       ~target:subject.Decisive.Systems.target ~exclude:[ "BAT1" ]
       ~monitored_sensors:[ "CS1"; "CS2"; "VS1" ]

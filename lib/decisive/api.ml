@@ -16,10 +16,15 @@ type analysis_route = Via_injection | Via_ssam_paths | Via_fta
 let functional_root ~reliability diagram =
   Blockdiag.Transform.functional_root ~reliability diagram
 
+(* Every analysis runs on an incremental pipeline; a call without one
+   gets a fresh pipeline of its own. *)
+let pipeline = function Some e -> e | None -> Engine.Pipeline.create ()
+
 let analyse ?engine ?previous ?(route = Via_injection) ?(exclude = [])
     ?monitored_sensors diagram reliability =
+  let engine = pipeline engine in
   match route with
-  | Via_injection -> (
+  | Via_injection ->
       let options =
         {
           Fmea.Injection_fmea.default_options with
@@ -27,47 +32,34 @@ let analyse ?engine ?previous ?(route = Via_injection) ?(exclude = [])
           monitored_sensors;
         }
       in
-      match engine with
-      | Some e ->
-          Engine.Pipeline.injection_fmea e ?previous ~options diagram
-            reliability
-      | None ->
-          let conversion = Blockdiag.To_netlist.convert diagram in
-          Fmea.Injection_fmea.analyse ~options
-            ~element_types:conversion.Blockdiag.To_netlist.block_types
-            conversion.Blockdiag.To_netlist.netlist reliability)
-  | Via_ssam_paths -> (
+      Engine.Pipeline.injection_fmea engine ?previous ~options diagram
+        reliability
+  | Via_ssam_paths ->
       let options = { Fmea.Path_fmea.default_options with exclude } in
+      Engine.Pipeline.path_fmea engine ~options
+        (functional_root ~reliability diagram)
+  | Via_fta ->
       let root = functional_root ~reliability diagram in
-      match engine with
-      | Some e -> Engine.Pipeline.path_fmea e ~options root
-      | None -> Fmea.Path_fmea.analyse ~options root)
-  | Via_fta -> (
-      let root = functional_root ~reliability diagram in
-      let compute () =
-        let table = Fta.Fmea_from_fta.analyse root in
-        (* The FTA route has no exclusion machinery; filter rows here. *)
-        {
-          table with
-          Fmea.Table.rows =
-            List.filter
-              (fun (r : Fmea.Table.row) ->
-                not (List.exists (String.equal r.Fmea.Table.component) exclude))
-              table.Fmea.Table.rows;
-        }
-      in
-      match engine with
-      | Some e ->
-          Engine.Pipeline.memo e ~stage:"fmea.fta"
-            ~key:
-              (Engine.Fingerprint.node
-                 [
-                   Engine.Fingerprint.ssam_component root;
-                   Engine.Fingerprint.leaf
-                     ("exclude:[" ^ String.concat ";" exclude ^ "]");
-                 ])
-            compute
-      | None -> compute ())
+      Engine.Pipeline.memo engine ~stage:"fmea.fta"
+        ~key:
+          (Engine.Fingerprint.node
+             [
+               Engine.Fingerprint.ssam_component root;
+               Engine.Fingerprint.leaf
+                 ("exclude:[" ^ String.concat ";" exclude ^ "]");
+             ])
+        (fun () ->
+          let table = Fta.Fmea_from_fta.analyse root in
+          (* The FTA route has no exclusion machinery; filter rows here. *)
+          {
+            table with
+            Fmea.Table.rows =
+              List.filter
+                (fun (r : Fmea.Table.row) ->
+                  not
+                    (List.exists (String.equal r.Fmea.Table.component) exclude))
+                table.Fmea.Table.rows;
+          })
 
 type refinement = {
   refined_table : Fmea.Table.t;
@@ -79,10 +71,8 @@ type refinement = {
 
 let refine ?engine ~target ?(component_types = []) table sm_model =
   let chosen, pareto_front =
-    match engine with
-    | Some e ->
-        Engine.Pipeline.optimise e ~component_types ~target table sm_model
-    | None -> Optimize.Search.optimise ~component_types ~target table sm_model
+    Engine.Pipeline.optimise (pipeline engine) ~component_types ~target table
+      sm_model
   in
   let refined_table =
     match chosen with
@@ -97,6 +87,18 @@ let refine ?engine ~target ?(component_types = []) table sm_model =
     achieved_spfm;
     meets_target = Fmea.Asil.meets ~target ~spfm:achieved_spfm;
   }
+
+let refine_design ?engine ~target diagram table sm_model =
+  let engine = pipeline engine in
+  let conversion = Engine.Pipeline.convert engine diagram in
+  refine ~engine ~target
+    ~component_types:conversion.Blockdiag.To_netlist.block_types table sm_model
+
+let fmeda ?engine ~target ?exclude ?monitored_sensors diagram reliability
+    sm_model =
+  let engine = pipeline engine in
+  let table = analyse ~engine ?exclude ?monitored_sensors diagram reliability in
+  refine_design ~engine ~target diagram table sm_model
 
 let refinement_text ~target r =
   let buf = Buffer.create 256 in
@@ -115,77 +117,74 @@ let refinement_text ~target r =
   | None -> Buffer.add_string buf "no deployment meets the target\n");
   Buffer.contents buf
 
-let run_decisive ?engine ~name ~target ?(exclude = []) ?monitored_sensors
-    ?(max_iterations = 5) diagram reliability sm_model =
-  let conversion = Blockdiag.To_netlist.convert diagram in
-  let component_types = conversion.Blockdiag.To_netlist.block_types in
-  let perform_exn process step produces =
+(* One pass of Fig. 1.  Iterating means a changed design (Step 2), which
+   only the caller can supply; an unmet target leaves the process short
+   of Step 5. *)
+let run_decisive ?engine ~name ~target ?exclude ?monitored_sensors diagram
+    reliability sm_model =
+  let engine = pipeline engine in
+  let perform process step produces =
     match Process.perform process step ~produces with
     | Ok p -> p
     | Error e ->
-        invalid_arg
-          (Format.asprintf "run_decisive: %a" Process.pp_error e)
+        invalid_arg (Format.asprintf "run_decisive: %a" Process.pp_error e)
   in
-  let rec loop process iteration =
+  let evaluate process table ~model ~metrics =
     let process =
-      perform_exn process Process.Step1_plan
+      perform process Process.Step4a_evaluate
         [
-          (Process.System_definition, name ^ " definition");
-          (Process.Function_requirements, name ^ " function requirements");
-          (Process.Hazard_log, name ^ " hazard log");
+          (Process.Component_safety_analysis_model, model);
+          (Process.Architecture_metrics, metrics);
         ]
     in
-    let process =
-      perform_exn process Process.Step2_design
-        [
-          (Process.Safety_requirements, name ^ " safety requirements");
-          (Process.Architectural_design, diagram.Blockdiag.Diagram.diagram_name);
-        ]
-    in
-    let process =
-      perform_exn process Process.Step3_reliability
-        [ (Process.Component_reliability_model, "reliability model") ]
-    in
-    let table = analyse ?engine ~exclude ?monitored_sensors diagram reliability in
-    let process =
-      perform_exn process Process.Step4a_evaluate
-        [
-          (Process.Component_safety_analysis_model, "FMEA table");
-          (Process.Architecture_metrics, "SPFM");
-        ]
-    in
-    let process = Process.record_spfm process (Fmea.Metrics.spfm table) in
-    if Fmea.Asil.meets ~target ~spfm:(Fmea.Metrics.spfm table) then
+    Process.record_spfm process (Fmea.Metrics.spfm table)
+  in
+  let process =
+    List.fold_left
+      (fun process (step, produces) -> perform process step produces)
+      (Process.start ~name ~target)
+      [
+        ( Process.Step1_plan,
+          [
+            (Process.System_definition, name ^ " definition");
+            (Process.Function_requirements, name ^ " function requirements");
+            (Process.Hazard_log, name ^ " hazard log");
+          ] );
+        ( Process.Step2_design,
+          [
+            (Process.Safety_requirements, name ^ " safety requirements");
+            ( Process.Architectural_design,
+              diagram.Blockdiag.Diagram.diagram_name );
+          ] );
+        ( Process.Step3_reliability,
+          [ (Process.Component_reliability_model, "reliability model") ] );
+      ]
+  in
+  let meets table = Fmea.Asil.meets ~target ~spfm:(Fmea.Metrics.spfm table) in
+  let table = analyse ~engine ?exclude ?monitored_sensors diagram reliability in
+  let process = evaluate process table ~model:"FMEA table" ~metrics:"SPFM" in
+  let process, table, deployments =
+    if meets table then (process, table, [])
+    else
+      let r = refine_design ~engine ~target diagram table sm_model in
       let process =
-        perform_exn process Process.Step5_safety_concept
-          [ (Process.Safety_concept, name ^ " safety concept") ]
-      in
-      (process, table)
-    else begin
-      let refinement = refine ?engine ~target ~component_types table sm_model in
-      let process =
-        perform_exn process Process.Step4b_refine
+        perform process Process.Step4b_refine
           [ (Process.Safety_mechanism_model, "SM deployment proposal") ]
       in
-      let process =
-        perform_exn process Process.Step4a_evaluate
-          [
-            (Process.Component_safety_analysis_model, "FMEDA table");
-            (Process.Architecture_metrics, "SPFM (refined)");
-          ]
-      in
-      let process = Process.record_spfm process refinement.achieved_spfm in
-      if refinement.meets_target then
-        let process =
-          perform_exn process Process.Step5_safety_concept
-            [ (Process.Safety_concept, name ^ " safety concept") ]
-        in
-        (process, refinement.refined_table)
-      else if iteration >= max_iterations then (process, refinement.refined_table)
-      else loop (Process.iterate process) (iteration + 1)
-    end
+      ( evaluate process r.refined_table ~model:"FMEDA table"
+          ~metrics:"SPFM (refined)",
+        r.refined_table,
+        match r.chosen with
+        | Some c -> c.Optimize.Search.deployments
+        | None -> [] )
   in
-  loop (Process.start ~name ~target) 1
+  let process =
+    if meets table then
+      perform process Process.Step5_safety_concept
+        [ (Process.Safety_concept, name ^ " safety concept") ]
+    else process
+  in
+  (process, table, deployments)
 
 let spfm_query ~target =
   let threshold =

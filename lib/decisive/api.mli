@@ -35,11 +35,10 @@ val analyse :
     not simulate, {!Fta.From_ssam.No_paths} on the FTA route for designs
     without input→output paths.
 
-    [engine] routes the analysis through the incremental engine: results
-    are memoised by input fingerprint (and, on the injection route,
-    [previous] enables row-level reuse after a component-local edit — see
-    {!Engine.Pipeline.injection_fmea}).  Without it the behaviour — and
-    every value of every row — is the historical direct computation. *)
+    Every route runs on the incremental engine: [engine] (default: a
+    fresh {!Engine.Pipeline.t}) memoises results by input fingerprint,
+    and on the injection route [previous] enables row-level reuse after a
+    component-local edit (see {!Engine.Pipeline.injection_fmea}). *)
 
 type refinement = {
   refined_table : Fmea.Table.t;
@@ -56,10 +55,34 @@ val refine :
   Fmea.Table.t ->
   Reliability.Sm_model.t ->
   refinement
-(** DECISIVE Step 4b: search SM deployments for the target.  With
-    [engine] the search result is memoised by (table, SM-model, target)
-    fingerprint and the per-row λ-share evaluator is reused across
-    searches over the same table. *)
+(** DECISIVE Step 4b: search SM deployments for the target.  [engine]
+    (default: a fresh one) memoises the search result by (table,
+    SM-model, target) fingerprint and reuses the per-row λ-share
+    evaluator across searches over the same table.  [component_types]
+    maps component ids to catalogue types (default: the ids
+    themselves). *)
+
+val refine_design :
+  ?engine:Engine.Pipeline.t ->
+  target:Ssam.Requirement.integrity_level ->
+  Blockdiag.Diagram.t ->
+  Fmea.Table.t ->
+  Reliability.Sm_model.t ->
+  refinement
+(** {!refine} of a table analysed from the diagram, with the component
+    types of the engine's memoised {!Engine.Pipeline.convert}. *)
+
+val fmeda :
+  ?engine:Engine.Pipeline.t ->
+  target:Ssam.Requirement.integrity_level ->
+  ?exclude:string list ->
+  ?monitored_sensors:string list ->
+  Blockdiag.Diagram.t ->
+  Reliability.Reliability_model.t ->
+  Reliability.Sm_model.t ->
+  refinement
+(** Steps 4a and 4b on one engine: {!refine_design} of the injection
+    FMEA table. *)
 
 val refinement_text :
   target:Ssam.Requirement.integrity_level -> refinement -> string
@@ -74,15 +97,18 @@ val run_decisive :
   target:Ssam.Requirement.integrity_level ->
   ?exclude:string list ->
   ?monitored_sensors:string list ->
-  ?max_iterations:int ->
   Blockdiag.Diagram.t ->
   Reliability.Reliability_model.t ->
   Reliability.Sm_model.t ->
-  Process.t * Fmea.Table.t
-(** The full loop of Fig. 1: plan → design → reliability → evaluate →
-    refine → (iterate) → safety concept, recording every artefact in the
-    returned {!Process.t}.  Stops when the target is met or
-    [max_iterations] (default 5) DECISIVE iterations have run. *)
+  Process.t * Fmea.Table.t * Fmea.Fmeda.deployment list
+(** One pass of the loop of Fig. 1 on one engine: plan → design →
+    reliability → evaluate → refine (when the FMEA misses the target) →
+    safety concept, recording every artefact in the returned
+    {!Process.t}.  Also returns the final table and the deployments the
+    refinement chose ([[]] when none ran or none meets the target).  An
+    unmet target leaves the process without Step 5
+    ({!Process.is_complete} is false): iterating needs a changed design,
+    which only the caller can supply. *)
 
 val assurance_case_for :
   system:string ->

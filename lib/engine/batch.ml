@@ -18,16 +18,15 @@ type fleet_summary = {
   f_distinct_designs : int;
 }
 
-let distinct_designs variants =
+(* The fleet run has already converted and fingerprinted every variant
+   through [pipeline]'s memos. *)
+let distinct_designs pipeline variants =
   let seen = Hashtbl.create 8 in
   List.iter
     (fun (_, diagram) ->
-      let conversion = Blockdiag.To_netlist.convert diagram in
-      let fp =
-        Fingerprint.to_hex
-          (Fingerprint.netlist_structure conversion.Blockdiag.To_netlist.netlist)
-      in
-      Hashtbl.replace seen fp ())
+      Hashtbl.replace seen
+        (Fingerprint.to_hex (Pipeline.structure_fingerprint pipeline diagram))
+        ())
     variants;
   Hashtbl.length seen
 
@@ -48,19 +47,18 @@ let entry_of (label, (table : Fmea.Table.t)) =
     b_table = table;
   }
 
-let summarise variants results =
-  let entries = List.map entry_of results in
+let run_fmea pipeline ~options variants reliability =
+  let entries =
+    List.map entry_of
+      (Pipeline.injection_fmea_fleet pipeline ~options variants reliability)
+  in
   {
     f_entries = entries;
     f_rows = List.fold_left (fun acc e -> acc + e.b_rows) 0 entries;
     f_safety_related =
       List.fold_left (fun acc e -> acc + e.b_safety_related) 0 entries;
-    f_distinct_designs = distinct_designs variants;
+    f_distinct_designs = distinct_designs pipeline variants;
   }
-
-let run_fmea pipeline ~options variants reliability =
-  summarise variants
-    (Pipeline.injection_fmea_fleet pipeline ~options variants reliability)
 
 let pp_summary ppf s =
   Format.fprintf ppf

@@ -37,13 +37,6 @@ val run_fmea :
     is bit-identical to a standalone {!Pipeline.injection_fmea} of that
     variant. *)
 
-val summarise :
-  (string * Blockdiag.Diagram.t) list ->
-  (string * Fmea.Table.t) list ->
-  fleet_summary
-(** Summarise already-computed fleet results (the variants are only used
-    to count distinct designs). *)
-
 val pp_summary : Format.formatter -> fleet_summary -> unit
 (** Per-variant rows plus a fleet-total line. *)
 

@@ -202,6 +202,9 @@ let fp_netlist_of t netlist =
   Fingerprint.netlist_with_structure netlist
     ~structure:(fp_structure_of t netlist)
 
+let structure_fingerprint t d =
+  fp_structure_of t (convert t d).Blockdiag.To_netlist.netlist
+
 let ssam_view t d rm =
   Memo.find_or
     ~eq:(fun (d1, r1) (d2, r2) -> d1 == d2 && r1 == r2)
@@ -486,15 +489,12 @@ let path_fmea_package t ~options pkg =
 
 (* ---------- Step 4b search ---------- *)
 
-let evaluator_for t table =
-  let key = Fingerprint.to_hex (Fingerprint.fmea_table table) in
-  live_memo t t.evaluators key (fun () -> Optimize.Search.make_evaluator table)
-
 let optimise t ?(component_types = []) ~target table sm_model =
+  let fp_table = Fingerprint.fmea_table table in
   let key =
     Fingerprint.node
       [
-        Fingerprint.fmea_table table;
+        fp_table;
         Fingerprint.sm_model sm_model;
         Fingerprint.leaf (Ssam.Requirement.integrity_level_to_string target);
         Fingerprint.leaf
@@ -503,7 +503,10 @@ let optimise t ?(component_types = []) ~target table sm_model =
       ]
   in
   memo t ~stage:"optimize.search" ~key (fun () ->
-      let evaluator = evaluator_for t table in
+      let evaluator =
+        live_memo t t.evaluators (Fingerprint.to_hex fp_table) (fun () ->
+            Optimize.Search.make_evaluator table)
+      in
       Optimize.Search.optimise ~evaluator ~component_types ~target table
         sm_model)
 

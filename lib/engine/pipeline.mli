@@ -62,6 +62,18 @@ val memo :
     type or to [f]'s semantics.  Corrupt or unreadable entries fall back
     to recomputation. *)
 
+(** {1 Memoised conversions} *)
+
+val convert : t -> Blockdiag.Diagram.t -> Blockdiag.To_netlist.result
+(** {!Blockdiag.To_netlist.convert}, memoised by the diagram's identity:
+    every analysis of one diagram value through this pipeline shares one
+    conversion. *)
+
+val structure_fingerprint : t -> Blockdiag.Diagram.t -> Fingerprint.t
+(** {!Fingerprint.netlist_structure} of the diagram's {!convert}ed
+    netlist (element list only, name ignored), memoised likewise: equal
+    values mean one golden factorisation serves both designs. *)
+
 (** {1 Incremental FMEA} *)
 
 type previous = {

@@ -384,11 +384,9 @@ let execute ?engine ~wall_clock ~out ~err models request =
       | Some findings -> raise (Fail (1, findings))
       | None -> ()
   in
-  let fmea ?route ~exclude ~monitored d r =
-    let monitored_sensors = match monitored with [] -> None | l -> Some l in
-    try
-      Decisive.Api.analyse ?engine ?route ~exclude ?monitored_sensors d r
-    with
+  let sensors = function [] -> None | l -> Some l in
+  let analysed f =
+    try f () with
     | Fmea.Injection_fmea.Golden_run_failed m ->
         fail "golden simulation failed: %s" m
     | Fta.From_ssam.No_paths c -> fail "no input-output paths through %s" c
@@ -404,7 +402,11 @@ let execute ?engine ~wall_clock ~out ~err models request =
   | Fmea { route; exclude; monitored; csv; strict } ->
       let d, r = loaded () in
       strict_gate strict d r ~exclude ~monitored;
-      let table = fmea ~route ~exclude ~monitored d r in
+      let table =
+        analysed (fun () ->
+            Decisive.Api.analyse ?engine ~route ~exclude
+              ?monitored_sensors:(sensors monitored) d r)
+      in
       print (table_report table);
       export_csv csv table;
       0
@@ -412,12 +414,10 @@ let execute ?engine ~wall_clock ~out ~err models request =
       let d, r = loaded () in
       let sm = get (parse_sm models.sm) in
       strict_gate strict ~sm d r ~exclude ~monitored;
-      let table = fmea ~exclude ~monitored d r in
-      let conversion = Blockdiag.To_netlist.convert d in
       let refinement =
-        Decisive.Api.refine ?engine ~target
-          ~component_types:conversion.Blockdiag.To_netlist.block_types table
-          sm
+        analysed (fun () ->
+            Decisive.Api.fmeda ?engine ~target ~exclude
+              ?monitored_sensors:(sensors monitored) d r sm)
       in
       print (table_report refinement.Decisive.Api.refined_table);
       export_csv csv refinement.Decisive.Api.refined_table;

@@ -113,8 +113,9 @@ type reply = {
 
 val run :
   ?engine:Engine.Pipeline.t -> ?wall_clock:bool -> models -> request -> reply
-(** Parse, analyse, render.  [engine] serves fmea and fmeda from an
-    incremental pipeline (the result is the same).  [wall_clock] (default
+(** Parse, analyse, render.  fmea and fmeda run on [engine] (default: a
+    fresh {!Engine.Pipeline.t} per call); a warm one serves repeated
+    inputs from its memos with the same result.  [wall_clock] (default
     [false]) adds assess's elapsed time and Mtrials/s to the text report
     and the [elapsed_s] and [trials_per_sec] keys to the JSON one; only
     the CLI sets it, so daemon replies are a function of the request and

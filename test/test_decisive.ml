@@ -252,16 +252,38 @@ let test_api_refine () =
   Alcotest.(check bool) "front nonempty" true (r.Api.pareto_front <> [])
 
 let test_api_run_decisive_completes () =
-  let process, table =
+  let process, table, deployments =
     Api.run_decisive ~name:"psu" ~target:Ssam.Requirement.ASIL_B
       ~exclude:[ "DC1" ] Case_study.power_supply_diagram
       Case_study.reliability_model Case_study.sm_model
   in
   Alcotest.(check bool) "complete" true (Process.is_complete process);
+  Alcotest.(check (list (pair string string))) "deployed ECC on MC1"
+    [ ("ECC", "MC1") ]
+    (List.map
+       (fun (d : Fmea.Fmeda.deployment) ->
+         ( d.Fmea.Fmeda.mechanism.Reliability.Sm_model.sm_name,
+           d.Fmea.Fmeda.target_component ))
+       deployments);
   Alcotest.(check (float 0.005)) "final spfm" 96.77 (Fmea.Metrics.spfm table);
   (* SPFM history shows the improvement across the loop. *)
   Alcotest.(check (option (float 0.005))) "recorded" (Some 96.77)
     (Process.latest_spfm process)
+
+(* An unmet target ends the one pass short of Step 5 instead of
+   re-running Step 1 on the same inputs. *)
+let test_api_run_decisive_unmet () =
+  let process, table, deployments =
+    Api.run_decisive ~name:"psu" ~target:Ssam.Requirement.ASIL_D
+      ~exclude:[ "DC1" ] Case_study.power_supply_diagram
+      Case_study.reliability_model Case_study.sm_model
+  in
+  Alcotest.(check bool) "not complete" false (Process.is_complete process);
+  Alcotest.(check int) "one iteration" 1 (Process.iteration process);
+  Alcotest.(check bool) "misses ASIL-D" false
+    (Fmea.Asil.meets ~target:Ssam.Requirement.ASIL_D
+       ~spfm:(Fmea.Metrics.spfm table));
+  Alcotest.(check int) "no deployment" 0 (List.length deployments)
 
 let test_api_export_and_assure () =
   let table = Case_study.fmeda (Case_study.fmea_via_injection ()) in
@@ -303,6 +325,8 @@ let suite =
     Alcotest.test_case "api routes agree" `Quick test_api_routes_agree_on_quickstart;
     Alcotest.test_case "api refine" `Quick test_api_refine;
     Alcotest.test_case "api run_decisive" `Quick test_api_run_decisive_completes;
+    Alcotest.test_case "api run_decisive unmet target" `Quick
+      test_api_run_decisive_unmet;
     Alcotest.test_case "api export + assure" `Quick test_api_export_and_assure;
     Alcotest.test_case "api fta route" `Quick test_api_fta_route;
   ]

@@ -546,25 +546,56 @@ let test_optimise_warm_equals_cold () =
   Alcotest.(check bool) "re-search hits the cache" true
     (Engine.Stats.hits s >= 1)
 
+(* The references below call the kernels directly: every [Decisive.Api]
+   entry point runs on a pipeline, so an engine-free value comes only from
+   the libraries underneath it. *)
 let test_api_refine_warm_equals_cold () =
   let fmea = Decisive.Case_study.fmea_via_injection () in
   let sm = Decisive.Case_study.sm_model in
   let target = Ssam.Requirement.ASIL_B in
-  let cold = Decisive.Api.refine ~target fmea sm in
+  let cold_chosen, _ = Optimize.Search.optimise ~target fmea sm in
+  let cold =
+    match cold_chosen with
+    | Some c -> Fmea.Fmeda.apply fmea c.Optimize.Search.deployments
+    | None -> fmea
+  in
   let e = Engine.Pipeline.create () in
   let warm = Decisive.Api.refine ~engine:e ~target fmea sm in
-  Alcotest.check table "refined tables agree" cold.Decisive.Api.refined_table
+  Alcotest.check table "refined tables agree" cold
     warm.Decisive.Api.refined_table;
-  Alcotest.(check (float 0.0)) "achieved SPFM agrees"
-    cold.Decisive.Api.achieved_spfm warm.Decisive.Api.achieved_spfm
+  Alcotest.(check (float 0.0)) "achieved SPFM agrees" (Fmea.Metrics.spfm cold)
+    warm.Decisive.Api.achieved_spfm;
+  let _ = Decisive.Api.refine ~engine:e ~target fmea sm in
+  Alcotest.(check bool) "second run hit" true
+    (Engine.Stats.hits (Engine.Pipeline.snapshot e) >= 1)
 
 let test_api_routes_warm_equals_cold () =
   let diagram = Decisive.Case_study.power_supply_diagram in
   let reliability = Decisive.Case_study.reliability_model in
+  let exclude = [ "DC1" ] in
+  let root = Decisive.Api.functional_root ~reliability diagram in
   List.iter
     (fun route ->
       let cold =
-        Decisive.Api.analyse ~route ~exclude:[ "DC1" ] diagram reliability
+        match route with
+        | Decisive.Api.Via_injection ->
+            analyse_cold
+              ~options:{ Fmea.Injection_fmea.default_options with exclude }
+              diagram reliability
+        | Decisive.Api.Via_ssam_paths ->
+            Fmea.Path_fmea.analyse
+              ~options:{ Fmea.Path_fmea.default_options with exclude }
+              root
+        | Decisive.Api.Via_fta ->
+            let t = Fta.Fmea_from_fta.analyse root in
+            {
+              t with
+              Fmea.Table.rows =
+                List.filter
+                  (fun (r : Fmea.Table.row) ->
+                    not (List.mem r.Fmea.Table.component exclude))
+                  t.Fmea.Table.rows;
+            }
       in
       let e = Engine.Pipeline.create () in
       let warm =
