@@ -127,8 +127,8 @@ let explain_arg =
     & info [ "explain" ]
         ~doc:
           "Print the incremental-engine statistics — cache hits and misses, \
-           solves performed, rows reused — and the scheduler's verdicts \
-           after the analysis.")
+           solves performed, Newton iterations, rows reused — and the \
+           scheduler's verdicts after the analysis.")
 
 (* Every analysis runs on the incremental engine; [--cache DIR] only
    adds its disk tier. *)
@@ -409,6 +409,16 @@ let load_diagrams paths =
     (Ok []) paths
   |> Result.map List.rev
 
+(* A design whose golden (fault-free) run does not solve is an input
+   error: [k ()]'s exit code, or 1 after the message fmea and fmeda
+   print. *)
+let or_golden_failure k =
+  match k () with
+  | code -> code
+  | exception Fmea.Injection_fmea.Golden_run_failed m ->
+      Printf.eprintf "error: golden simulation failed: %s\n" m;
+      1
+
 (* `same fmea --batch` / `same fmeda --batch`: load the fleet, gate it
    on --strict, run it through one warm engine and print its summary.
    [k] then receives the engine, the loaded variants (label = file path,
@@ -436,11 +446,10 @@ let with_fleet ~output ~explain paths reliability_path exclude monitored
       }
     in
     let engine = make_engine cache in
-    match Engine.Batch.run_fmea engine ~options variants reliability with
-    | exception Fmea.Injection_fmea.Golden_run_failed m ->
-        Printf.eprintf "error: golden simulation failed: %s\n" m;
-        1
-    | summary ->
+    or_golden_failure (fun () ->
+        let summary =
+          Engine.Batch.run_fmea engine ~options variants reliability
+        in
         Format.printf "%a@." Engine.Batch.pp_summary summary;
         let code = k engine variants summary in
         Option.iter
@@ -449,7 +458,7 @@ let with_fleet ~output ~explain paths reliability_path exclude monitored
             Format.printf "fleet summary written to %s@." path)
           output;
         report_stats explain engine;
-        code
+        code)
 
 (* fmea and fmeda: [fleet ()] under --batch, else one diagram, here or in
    the daemon. *)
@@ -573,24 +582,25 @@ let optimize_cmd =
         then 1
       else
           let engine = make_engine cache in
-          let refinement =
-            Decisive.Api.fmeda ~engine ~target ~exclude diagram reliability
-              sm_model
-          in
-          Format.printf "Pareto front (cost vs SPFM):@.";
-          List.iter
-            (fun (c : Optimize.Search.candidate) ->
-              Format.printf "  cost %6.1f h   SPFM %6.2f%%   (%d mechanisms)@."
-                c.Optimize.Search.cost c.Optimize.Search.spfm_pct
-                (List.length c.Optimize.Search.deployments))
-            refinement.Decisive.Api.pareto_front;
-          (match refinement.Decisive.Api.chosen with
-          | Some c ->
-              Format.printf "chosen: cost %.1f h, SPFM %.2f%%@."
-                c.Optimize.Search.cost c.Optimize.Search.spfm_pct
-          | None -> Format.printf "no candidate meets the target@.");
-          report_stats explain engine;
-          0)
+          or_golden_failure (fun () ->
+            let refinement =
+              Decisive.Api.fmeda ~engine ~target ~exclude diagram reliability
+                sm_model
+            in
+            Format.printf "Pareto front (cost vs SPFM):@.";
+            List.iter
+              (fun (c : Optimize.Search.candidate) ->
+                Format.printf "  cost %6.1f h   SPFM %6.2f%%   (%d mechanisms)@."
+                  c.Optimize.Search.cost c.Optimize.Search.spfm_pct
+                  (List.length c.Optimize.Search.deployments))
+              refinement.Decisive.Api.pareto_front;
+            (match refinement.Decisive.Api.chosen with
+            | Some c ->
+                Format.printf "chosen: cost %.1f h, SPFM %.2f%%@."
+                  c.Optimize.Search.cost c.Optimize.Search.spfm_pct
+            | None -> Format.printf "no candidate meets the target@.");
+            report_stats explain engine;
+            0))
   in
   let doc = "Search the cost/SPFM Pareto front of SM deployments." in
   Cmd.v
@@ -927,13 +937,14 @@ let run_cmd =
         let monitored_sensors =
           match monitored with [] -> None | ids -> Some ids
         in
-        let process, table, _ =
-          Decisive.Api.run_decisive ~name ~target ~exclude
-            ?monitored_sensors diagram reliability sm_model
-        in
-        Format.printf "%a@." Decisive.Process.pp_history process;
-        Format.printf "%a@." Fmea.Table.pp table;
-        if Decisive.Process.is_complete process then 0 else 1)
+        or_golden_failure (fun () ->
+          let process, table, _ =
+            Decisive.Api.run_decisive ~name ~target ~exclude
+              ?monitored_sensors diagram reliability sm_model
+          in
+          Format.printf "%a@." Decisive.Process.pp_history process;
+          Format.printf "%a@." Fmea.Table.pp table;
+          if Decisive.Process.is_complete process then 0 else 1))
   in
   let doc = "Run the full DECISIVE loop (Fig. 1) to a safety concept." in
   Cmd.v
@@ -1209,20 +1220,21 @@ let report_cmd =
         let monitored_sensors =
           match monitored with [] -> None | ids -> Some ids
         in
-        let process, fmeda, deployments =
-          Decisive.Api.run_decisive ~name ~target ~exclude
-            ?monitored_sensors diagram reliability sm_model
-        in
-        let input =
-          Decisive.Report.make_input ~deployments ~process
-            ~system_name:name ~target fmeda
-        in
-        (match out with
-        | Some path ->
-            Decisive.Report.save ~path input;
-            Format.printf "report written to %s@." path
-        | None -> print_string (Decisive.Report.to_markdown input));
-        if Decisive.Report.verdict input then 0 else 1)
+        or_golden_failure (fun () ->
+          let process, fmeda, deployments =
+            Decisive.Api.run_decisive ~name ~target ~exclude
+              ?monitored_sensors diagram reliability sm_model
+          in
+          let input =
+            Decisive.Report.make_input ~deployments ~process
+              ~system_name:name ~target fmeda
+          in
+          (match out with
+          | Some path ->
+              Decisive.Report.save ~path input;
+              Format.printf "report written to %s@." path
+          | None -> print_string (Decisive.Report.to_markdown input));
+          if Decisive.Report.verdict input then 0 else 1))
   in
   let doc = "Generate the Markdown safety-concept report (Step 5)." in
   Cmd.v

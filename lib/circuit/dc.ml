@@ -327,14 +327,23 @@ let factor p a =
 let reltol = 1e-6
 let vntol = 1e-6
 
-(* Newton iteration budget, and the largest node-voltage step one
-   iteration may take. *)
+(* Newton iteration budget, and the smallest step bound of a node (see
+   [newton_loop]). *)
 let max_iterations = 200
-let max_step = 0.5
+let min_step = 1.0
 
 (* The one damped Newton driver: the prepared solve (and so every
    transient step) and the golden-factor injection re-solve.
-   [solve_once] produces the next iterate from the current guess. *)
+   [solve_once] produces the next iterate from the current guess.  The
+   result carries the number of iterates computed.
+
+   Each node voltage may move by at most max(min_step, |v|) per
+   iteration, |v| its value at the current guess.  A node near ground (a
+   junction turning on or off) steps by at most [min_step], which with
+   the junction limiter above keeps the diode exponential from
+   overshooting; a node already at several volts may double or halve per
+   iteration, so a fault that moves a rail by volts settles in a few
+   steps rather than one per fixed clamp. *)
 let newton_loop ~n_nodes solve_once guess0 =
   let rec go v_guess iter =
     if iter > max_iterations then Error (No_convergence max_iterations)
@@ -342,13 +351,12 @@ let newton_loop ~n_nodes solve_once guess0 =
       match solve_once v_guess with
       | Error _ as e -> e
       | Ok x ->
-          (* Damp the node-voltage update to keep the diode exponential
-             stable. *)
           let damped = Array.copy x in
           for i = 0 to n_nodes - 1 do
             let dv = x.(i) -. v_guess.(i) in
-            if Float.abs dv > max_step then
-              damped.(i) <- v_guess.(i) +. (if dv > 0.0 then max_step else -.max_step)
+            let bound = Float.max min_step (Float.abs v_guess.(i)) in
+            if Float.abs dv > bound then
+              damped.(i) <- v_guess.(i) +. Float.copy_sign bound dv
           done;
           (* SPICE-style per-variable tolerance: |Δv| ≤ reltol·|v| + vntol.
              An absolute-only criterion is unreachable when the system is
@@ -360,17 +368,18 @@ let newton_loop ~n_nodes solve_once guess0 =
             if dv > (reltol *. Float.abs damped.(i)) +. vntol then
               converged := false
           done;
-          if !converged then Ok damped else go damped (iter + 1)
+          if !converged then Ok (damped, iter + 1) else go damped (iter + 1)
   in
   go guess0 0
 
-(* Raw solve: the unknown vector, Newton starting from [guess]. *)
+(* Raw solve: the unknown vector and the Newton iterations it took (0
+   for a circuit without diodes), Newton starting from [guess]. *)
 let solve_raw_from p guess =
   let solve_once v_guess =
     let a, b = assemble p v_guess in
     Result.map (fun f -> Numeric.Sparse.solve_factored f b) (factor p a)
   in
-  if Array.length p.diodes = 0 then solve_once guess
+  if Array.length p.diodes = 0 then Result.map (fun x -> (x, 0)) (solve_once guess)
   else newton_loop ~n_nodes:p.n_nodes solve_once guess
 
 let solve_raw p = solve_raw_from p (Array.make p.size 0.0)
@@ -388,7 +397,10 @@ type solution = {
   s_p : prepared;
   s_x : float array;
   s_fault : (int * Element.kind) option; (* element index, faulted kind *)
+  s_newton : int; (* Newton iterations the solve took *)
 }
+
+let newton_iterations s = s.s_newton
 
 let kind_at s idx =
   match s.s_fault with
@@ -426,7 +438,9 @@ let element_index s id =
 
 let solve_from p guess =
   if Array.length guess <> p.size then invalid_arg "Dc.solve_from: guess size";
-  Result.map (fun x -> { s_p = p; s_x = x; s_fault = None }) (solve_raw_from p guess)
+  Result.map
+    (fun (x, n) -> { s_p = p; s_x = x; s_fault = None; s_newton = n })
+    (solve_raw_from p guess)
 
 let solve p = solve_from p (Array.make p.size 0.0)
 
@@ -458,12 +472,13 @@ type golden = {
   (* Per p.diodes entry: its port response A⁻¹(e_a − e_b).  Read only,
      shared by every injection. *)
   g_diode_z : float array array;
+  g_newton : int; (* Newton iterations of the golden solve *)
 }
 
 let factorise p =
   match solve_raw p with
   | Error err -> Error err
-  | Ok x_star -> (
+  | Ok (x_star, iterations) -> (
       (* Rebuild the system at the converged operating point: the golden
          factors must correspond exactly to the stamps recorded in
          [g_diode_op], since injection deltas are computed against them. *)
@@ -487,9 +502,11 @@ let factorise p =
                     Numeric.Smw.response ~n:p.size ~solve
                       (port_vec p.el_a.(idx) p.el_b.(idx) 1.0))
                   p.diodes;
+              g_newton = iterations;
             })
 
-let golden_solution g = { s_p = g.g_p; s_x = g.g_x; s_fault = None }
+let golden_solution g =
+  { s_p = g.g_p; s_x = g.g_x; s_fault = None; s_newton = g.g_newton }
 
 let iter_operating_matrix g f = Numeric.Sparse.iter f g.g_a
 
@@ -527,7 +544,9 @@ let inject ?(on_path = fun _ -> ()) g ~element_id fault =
   in
   let old_kind = p.elements.(idx).Element.kind in
   let new_kind = Fault.faulted_kind old_kind fault ~element:element_id in
-  let solution x = { s_p = p; s_x = x; s_fault = Some (idx, new_kind) } in
+  let solution ?(iterations = 0) x =
+    { s_p = p; s_x = x; s_fault = Some (idx, new_kind); s_newton = iterations }
+  in
   let ia = p.el_a.(idx) and ib = p.el_b.(idx) in
   let pair_vec = port_vec ia ib in
   (* Conductance stamped for a (non-branch, non-diode) kind. *)
@@ -718,13 +737,17 @@ let inject ?(on_path = fun _ -> ()) g ~element_id fault =
       in
       match
         match newton false with
-        | Error (No_convergence _) -> newton true
+        | Error (No_convergence _) ->
+            (* The abandoned run's iterations count too. *)
+            Result.map
+              (fun (x, n) -> (x, n + max_iterations + 1))
+              (newton true)
         | result -> result
       with
       | Error _ as err -> err
-      | Ok x ->
+      | Ok (x, iterations) ->
           on_path (`Rank_update !rank_seen);
-          Ok (solution x)
+          Ok (solution ~iterations x)
     end
   end
 

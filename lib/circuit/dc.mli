@@ -25,9 +25,12 @@ type error =
 val pp_error : Format.formatter -> error -> unit
 
 val analyse : ?gmin:float -> Netlist.t -> (solution, error) result
-(** Default [gmin] 1e-9 S.  Newton runs at most 200 iterations, each
-    node-voltage step clamped to 0.5 V; a circuit that has not settled by
-    then is [No_convergence 200].  Equivalent to
+(** Default [gmin] 1e-9 S.  Newton runs at most 200 iterations.  Each
+    iteration may move a node voltage [v] by at most max(1 V, |v|): a
+    node near ground (a diode junction turning on or off) by 1 V, a node
+    at several volts by up to its own value, so a rail that a fault
+    moves by volts settles in a few iterations.  A circuit that has not
+    settled by then is [No_convergence 200].  Equivalent to
     {!prepare} followed by {!solve}.  A singular system is reported as
     [Singular_system "pivot failure at unknown k"], [k] indexing the
     unknowns as node voltages (in {!Netlist.nodes} order) then branch
@@ -85,6 +88,13 @@ val solve_from : prepared -> float array -> (solution, error) result
     {!unknowns}) — e.g. the previous time step's solution.  A circuit
     without diodes needs no start and ignores it.  Raises
     [Invalid_argument] when its length is not {!size}. *)
+
+val newton_iterations : solution -> int
+(** The Newton iterations (linear solves) the solution took: 0 for a
+    circuit without diodes and for a fault served without Newton (see
+    {!inject}).  For an injected fault whose loop was run again with
+    refinement, the abandoned run's iterations are included.  A
+    {!golden_solution} reports the golden solve's. *)
 
 val unknowns : solution -> float array
 (** A copy of the unknown vector: node voltages in the prepared node

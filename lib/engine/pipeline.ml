@@ -221,6 +221,8 @@ let golden_run t ~options ~fp_structure ~fp_options netlist =
   live_memo t t.golden_runs key (fun () ->
       let p = Fmea.Injection_fmea.prepare ~options netlist in
       Stats.incr_golden_solve t.p_stats;
+      Stats.add_golden_newton t.p_stats
+        (Fmea.Injection_fmea.golden_newton_iterations p);
       p)
 
 (* Row-reuse hook: reuse a previous row verbatim only when the reuse is
@@ -277,19 +279,11 @@ let reuse_hook t ~previous:prev ~diagram ~reliability ~element_types
           Hashtbl.mem impacted
             (String.sub id (i + 1) (String.length id - i - 1))
     in
-    (* Resolved component type per element id — the same fallback rule as
-       [Injection_fmea.analyse]. *)
-    let types = Hashtbl.create 64 in
-    List.iter
-      (fun (e : Circuit.Element.t) ->
-        let id = e.Circuit.Element.id in
-        let ty =
-          match List.assoc_opt id element_types with
-          | Some ty -> ty
-          | None -> Circuit.Element.kind_name e.Circuit.Element.kind
-        in
-        Hashtbl.replace types id ty)
-      (Circuit.Netlist.elements prev_netlist);
+    (* Resolved component type per element id, as [Injection_fmea.analyse]
+       resolves it. *)
+    let types =
+      Fmea.Injection_fmea.component_types ~element_types prev_netlist
+    in
     (* Component types repeat across rows; compare each type once per
        hook instead of twice per row.  Structural entry equality is
        strictly stronger than fingerprint equality, so it can only ever
@@ -362,7 +356,8 @@ let injection_fmea t ?previous ~options diagram reliability =
         | `Rank_update _ -> Stats.incr_rank_update t.p_stats
       in
       Fmea.Injection_fmea.analyse ~options ~element_types ~prepared ?reuse
-        ~on_classified ~on_solved netlist reliability)
+        ~on_classified ~on_solved ~on_newton:(Stats.add_fault_newton t.p_stats)
+        netlist reliability)
 
 (* ---------- batch-fleet injection FMEA ---------- *)
 
@@ -443,8 +438,8 @@ let injection_fmea_fleet t ~options variants reliability =
   let rows =
     Exec.scheduled_map ~key:Fmea.Injection_fmea.cost_key
       (fun (prepared, inj) ->
-        Fmea.Injection_fmea.injection_row ~on_classified ~on_solved prepared
-          inj)
+        Fmea.Injection_fmea.injection_row ~on_classified ~on_solved
+          ~on_newton:(Stats.add_fault_newton t.p_stats) prepared inj)
       flat
   in
   (* Reassemble the flat rows into per-variant tables (flattening

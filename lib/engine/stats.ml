@@ -8,6 +8,9 @@ type t = {
   rows_reused : int Atomic.t;
   rank_updates : int Atomic.t;
   reused : int Atomic.t;
+  golden_newton : int Atomic.t;
+  fault_newton : int Atomic.t;
+  newton_faults : int Atomic.t;
 }
 
 let create () =
@@ -21,6 +24,9 @@ let create () =
     rows_reused = Atomic.make 0;
     rank_updates = Atomic.make 0;
     reused = Atomic.make 0;
+    golden_newton = Atomic.make 0;
+    fault_newton = Atomic.make 0;
+    newton_faults = Atomic.make 0;
   }
 
 let reset t =
@@ -32,7 +38,10 @@ let reset t =
   Atomic.set t.rows_classified 0;
   Atomic.set t.rows_reused 0;
   Atomic.set t.rank_updates 0;
-  Atomic.set t.reused 0
+  Atomic.set t.reused 0;
+  Atomic.set t.golden_newton 0;
+  Atomic.set t.fault_newton 0;
+  Atomic.set t.newton_faults 0
 
 let incr_mem_hit t = Atomic.incr t.mem_hits
 let incr_disk_hit t = Atomic.incr t.disk_hits
@@ -44,6 +53,14 @@ let incr_row_reused t = Atomic.incr t.rows_reused
 let incr_rank_update t = Atomic.incr t.rank_updates
 let incr_reused t = Atomic.incr t.reused
 
+let add_golden_newton t n = ignore (Atomic.fetch_and_add t.golden_newton n)
+
+let add_fault_newton t n =
+  if n > 0 then begin
+    ignore (Atomic.fetch_and_add t.fault_newton n);
+    Atomic.incr t.newton_faults
+  end
+
 type snapshot = {
   mem_hits : int;
   disk_hits : int;
@@ -54,6 +71,9 @@ type snapshot = {
   rows_reused : int;
   rank_updates : int;
   reused : int;
+  golden_newton : int;
+  fault_newton : int;
+  newton_faults : int;
   sched_sequential : int;
   sched_parallel : int;
 }
@@ -73,6 +93,9 @@ let snapshot (t : t) =
     rows_reused = Atomic.get t.rows_reused;
     rank_updates = Atomic.get t.rank_updates;
     reused = Atomic.get t.reused;
+    golden_newton = Atomic.get t.golden_newton;
+    fault_newton = Atomic.get t.fault_newton;
+    newton_faults = Atomic.get t.newton_faults;
     sched_sequential;
     sched_parallel;
   }
@@ -81,11 +104,16 @@ let hits s = s.mem_hits + s.disk_hits
 
 let solves_performed s = s.golden_solves + s.rank_updates
 
+let newton_per_fault s =
+  if s.newton_faults = 0 then 0.0
+  else float_of_int s.fault_newton /. float_of_int s.newton_faults
+
 let pp ppf s =
   Format.fprintf ppf
     "engine: %d cache hit%s (%d memory, %d disk), %d miss%s; %d solve%s \
      performed (%d golden, %d by rank update; %d of %d injections reused \
-     the golden solution); %d row%s reused"
+     the golden solution); Newton iterations: %d golden, %d over %d \
+     injected fault%s (%.1f per fault); %d row%s reused"
     (hits s)
     (if hits s = 1 then "" else "s")
     s.mem_hits s.disk_hits s.misses
@@ -93,8 +121,9 @@ let pp ppf s =
     (solves_performed s)
     (if solves_performed s = 1 then "" else "s")
     s.golden_solves s.rank_updates s.reused
-    s.rows_classified
-    s.rows_reused
+    s.rows_classified s.golden_newton s.fault_newton s.newton_faults
+    (if s.newton_faults = 1 then "" else "s")
+    (newton_per_fault s) s.rows_reused
     (if s.rows_reused = 1 then "" else "s");
   Format.fprintf ppf "; scheduler: %d parallel / %d sequential batch%s"
     s.sched_parallel s.sched_sequential

@@ -25,6 +25,13 @@ val incr_row_reused : t -> unit
 val incr_rank_update : t -> unit
 val incr_reused : t -> unit
 
+val add_golden_newton : t -> int -> unit
+(** Adds the Newton iterations of one golden solve. *)
+
+val add_fault_newton : t -> int -> unit
+(** Adds the Newton iterations of one injected fault's solve; a fault
+    that ran no Newton loop (0) is not counted. *)
+
 type snapshot = {
   mem_hits : int;  (** artefacts served from the memory tier *)
   disk_hits : int;  (** artefacts served from the disk tier *)
@@ -40,6 +47,13 @@ type snapshot = {
       (** faulted solves that needed no solve at all: the fault left
           every MNA stamp as it was (e.g. an open capacitor), so the
           golden solution was read again *)
+  golden_newton : int;
+      (** Newton iterations of the golden solves
+          ({!Circuit.Dc.newton_iterations}) *)
+  fault_newton : int;  (** Newton iterations summed over injected faults *)
+  newton_faults : int;
+      (** injected faults whose solve ran a Newton loop (circuits with
+          diodes other than the faulted element) *)
   sched_sequential : int;
       (** pool batches the adaptive scheduler ran sequentially
           (process-wide, from {!Exec.Cost.counters}) *)

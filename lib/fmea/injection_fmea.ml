@@ -95,14 +95,18 @@ let compare_readings options golden_readings faulty =
           else acc)
     None golden_readings
 
-let classify_prepared ?(on_solved = fun (_ : solve_path) -> ()) p ~element_id
-    fault =
+let golden_newton_iterations p =
+  Circuit.Dc.newton_iterations (Circuit.Dc.golden_solution p.p_factors)
+
+let classify_prepared ?(on_solved = fun (_ : solve_path) -> ())
+    ?(on_newton = ignore) p ~element_id fault =
   let options = p.p_options in
   match Circuit.Dc.inject ~on_path:on_solved p.p_factors ~element_id fault with
   | exception Circuit.Fault.Not_applicable { reason; _ } ->
       `Simulation_failed (Printf.sprintf "fault not applicable: %s" reason)
   | Error e -> `Simulation_failed (Format.asprintf "%a" Circuit.Dc.pp_error e)
   | Ok solution -> (
+      on_newton (Circuit.Dc.newton_iterations solution);
       let plausible =
         match options.overcurrent_factor with
         | None -> true
@@ -126,23 +130,43 @@ let classify_single ?(options = default_options) netlist ~element_id fault =
 
 type injection = string * float * Reliability.Reliability_model.failure_mode
 
+let component_types ?(element_types = []) netlist =
+  let types = Hashtbl.create 64 in
+  (* The first binding of an id wins, as with [List.assoc]. *)
+  List.iter
+    (fun (id, ty) -> if not (Hashtbl.mem types id) then Hashtbl.add types id ty)
+    element_types;
+  List.iter
+    (fun (e : Circuit.Element.t) ->
+      let id = e.Circuit.Element.id in
+      if not (Hashtbl.mem types id) then
+        Hashtbl.add types id (Circuit.Element.kind_name e.Circuit.Element.kind))
+    (Circuit.Netlist.elements netlist);
+  types
+
 (* Enumerate the (element, failure-mode) injections — cheap, and it fixes
    the row order before anything runs on the pool.  Exposed so the
    batch-fleet driver can flatten several variants' injections into one
-   task list. *)
-let enumerate ?(options = default_options) ?(element_types = []) netlist
-    reliability =
-  let type_of (e : Circuit.Element.t) =
-    match List.assoc_opt e.Circuit.Element.id element_types with
-    | Some t -> t
-    | None -> Circuit.Element.kind_name e.Circuit.Element.kind
+   task list.  Component types repeat across elements: each is looked up
+   in the reliability model once. *)
+let enumerate ?(options = default_options) ?element_types netlist reliability
+    =
+  let types = component_types ?element_types netlist in
+  let entries = Hashtbl.create 16 in
+  let entry_of ty =
+    match Hashtbl.find_opt entries ty with
+    | Some entry -> entry
+    | None ->
+        let entry = Reliability.Reliability_model.find reliability ty in
+        Hashtbl.add entries ty entry;
+        entry
   in
   List.concat_map
     (fun (e : Circuit.Element.t) ->
       let id = e.Circuit.Element.id in
       if List.exists (String.equal id) options.exclude then []
       else
-        match Reliability.Reliability_model.find reliability (type_of e) with
+        match entry_of (Hashtbl.find types id) with
         | None -> []
         | Some entry ->
             let fit = entry.Reliability.Reliability_model.fit in
@@ -152,7 +176,7 @@ let enumerate ?(options = default_options) ?(element_types = []) netlist
               entry.Reliability.Reliability_model.failure_modes)
     (Circuit.Netlist.elements netlist)
 
-let compute_row ?on_classified ?on_solved p
+let compute_row ?on_classified ?on_solved ?on_newton p
     ((id, fit, (fm : Reliability.Reliability_model.failure_mode)) : injection)
     =
   let name = fm.Reliability.Reliability_model.fm_name in
@@ -170,7 +194,7 @@ let compute_row ?on_classified ?on_solved p
         ~safety_related:false ()
   | Some fault -> (
       (match on_classified with Some hook -> hook () | None -> ());
-      match classify_prepared ?on_solved p ~element_id:id fault with
+      match classify_prepared ?on_solved ?on_newton p ~element_id:id fault with
       | `Safety_related impact -> mk ~impact ~safety_related:true ()
       | `No_effect ->
           mk ~impact:"sensor readings within threshold" ~safety_related:false
@@ -184,21 +208,21 @@ let compute_row ?on_classified ?on_solved p
 (* The reuse hook (when provided by the incremental engine) is asked
    first; a reused row skips its faulted solve entirely.  The hook is
    consulted from pool domains, so it must be thread-safe. *)
-let injection_row ?reuse ?on_classified ?on_solved p
+let injection_row ?reuse ?on_classified ?on_solved ?on_newton p
     (((id, _, fm) : injection) as inj) =
   match reuse with
-  | None -> compute_row ?on_classified ?on_solved p inj
+  | None -> compute_row ?on_classified ?on_solved ?on_newton p inj
   | Some f -> (
       match
         f ~component:id ~failure_mode:fm.Reliability.Reliability_model.fm_name
       with
       | Some row -> row
-      | None -> compute_row ?on_classified ?on_solved p inj)
+      | None -> compute_row ?on_classified ?on_solved ?on_newton p inj)
 
 let cost_key = "fmea.injection"
 
 let analyse ?(options = default_options) ?(element_types = []) ?prepared
-    ?reuse ?on_classified ?on_solved netlist reliability =
+    ?reuse ?on_classified ?on_solved ?on_newton netlist reliability =
   let p = match prepared with Some p -> p | None -> prepare ~options netlist in
   let injections = enumerate ~options ~element_types netlist reliability in
   (* One DC solve per injection, the golden solution shared read-only;
@@ -206,7 +230,7 @@ let analyse ?(options = default_options) ?(element_types = []) ?prepared
      (a handful of rank-1 re-solves is not). *)
   let rows =
     Exec.scheduled_map ~key:cost_key
-      (injection_row ?reuse ?on_classified ?on_solved p)
+      (injection_row ?reuse ?on_classified ?on_solved ?on_newton p)
       injections
   in
   { Table.system_name = Circuit.Netlist.name netlist; rows }

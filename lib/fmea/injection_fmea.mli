@@ -66,8 +66,13 @@ val prepare : ?options:options -> Circuit.Netlist.t -> prepared
     converge.  The result is immutable and safe to share across
     domains. *)
 
+val golden_newton_iterations : prepared -> int
+(** The Newton iterations the golden solve took
+    ({!Circuit.Dc.newton_iterations}). *)
+
 val classify_prepared :
   ?on_solved:(solve_path -> unit) ->
+  ?on_newton:(int -> unit) ->
   prepared ->
   element_id:string ->
   Circuit.Fault.t ->
@@ -77,7 +82,7 @@ val classify_prepared :
   | `Simulation_failed of string ]
 (** One injection against a shared golden run — the paper's "delve into a
     component" workflow without re-solving the golden netlist each
-    time. *)
+    time.  [on_solved] and [on_newton] are {!analyse}'s hooks. *)
 
 val classify_single :
   ?options:options ->
@@ -90,6 +95,13 @@ val classify_single :
   | `Simulation_failed of string ]
 (** [classify_prepared (prepare netlist)] — convenience for one-off
     classifications; repeated calls should {!prepare} once instead. *)
+
+val component_types :
+  ?element_types:element_types -> Circuit.Netlist.t -> (string, string) Hashtbl.t
+(** Element id → the component type its reliability entry is looked up
+    under: its [element_types] binding (the first, for a repeated id),
+    else its {!Circuit.Element.kind_name}.  Covers every element of the
+    netlist. *)
 
 type injection = string * float * Reliability.Reliability_model.failure_mode
 (** One planned fault injection: element id, component FIT and the
@@ -111,6 +123,7 @@ val injection_row :
   ?reuse:(component:string -> failure_mode:string -> Table.row option) ->
   ?on_classified:(unit -> unit) ->
   ?on_solved:(solve_path -> unit) ->
+  ?on_newton:(int -> unit) ->
   prepared ->
   injection ->
   Table.row
@@ -130,6 +143,7 @@ val analyse :
   ?reuse:(component:string -> failure_mode:string -> Table.row option) ->
   ?on_classified:(unit -> unit) ->
   ?on_solved:(solve_path -> unit) ->
+  ?on_newton:(int -> unit) ->
   Circuit.Netlist.t ->
   Reliability.Reliability_model.t ->
   Table.t
@@ -155,4 +169,8 @@ val analyse :
     - [on_solved] fires once per faulted solve with the path that served
       it (reused / rank-k update), for the engine's
       solver statistics.  Called from pool domains — must be
+      thread-safe.
+    - [on_newton] fires once per faulted solve that succeeded, with the
+      Newton iterations it took ({!Circuit.Dc.newton_iterations}; 0 when
+      it ran no Newton loop).  Called from pool domains — must be
       thread-safe. *)

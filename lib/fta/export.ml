@@ -99,6 +99,23 @@ and define_gate id connective children definitions =
     :: !definitions;
   el "gate" [ ("name", gname) ] []
 
+(* ---------- rates: FIT <-> per hour ----------
+
+   The MEF writes exponential rates per hour, and a FIT is 1e-9 per
+   hour.  That conversion is the one place where a float would round:
+   no rate r gives back every FIT as r /. 1e-9.  So each basic event
+   carries its FIT too, as an MEF attribute printed with
+   {!Modelio.Float_text}, and the reader takes it whenever the rate next
+   to it is fit *. 1e-9.  A file whose rate was edited elsewhere, or
+   that has no such attribute, converts the rate. *)
+
+let fit_attribute = "fit"
+
+let fit_of_rate ~fit rate =
+  match Option.bind fit float_of_string_opt with
+  | Some fit when Float.equal (fit *. 1e-9) rate -> fit
+  | Some _ | None -> rate /. 1e-9
+
 let to_open_psa ?(model_name = "decisive-fta") tree =
   gate_counter := 0;
   let definitions = ref [] in
@@ -111,9 +128,20 @@ let to_open_psa ?(model_name = "decisive-fta") tree =
           (match e.Fault_tree.rate_fit with
           | Some fit ->
               [
+                el "attributes" []
+                  [
+                    el "attribute"
+                      [
+                        ("name", fit_attribute);
+                        ("value", Modelio.Float_text.to_string fit);
+                      ]
+                      [];
+                  ];
                 el "exponential" []
                   [
-                    el "float" [ ("value", Printf.sprintf "%.6e" (fit *. 1e-9)) ] [];
+                    el "float"
+                      [ ("value", Modelio.Float_text.to_string (fit *. 1e-9)) ]
+                      [];
                   ];
               ]
           | None -> []))
@@ -171,7 +199,17 @@ let of_open_psa (root : Modelio.Xml.element) =
           if !first_gate = None then first_gate := Some name;
           Hashtbl.replace gates name el
       | "define-basic-event" ->
-          (* The MEF writes exponential rates in per-hour; FIT is 1e-9/h. *)
+          (* The FIT attribute the writer adds, if any. *)
+          let fit =
+            Option.bind (Modelio.Xml.find_first el "attributes") (fun a ->
+                List.find_map
+                  (fun (at : Modelio.Xml.element) ->
+                    if
+                      Modelio.Xml.attribute at "name" = Some fit_attribute
+                    then Modelio.Xml.attribute at "value"
+                    else None)
+                  (Modelio.Xml.find_children a "attribute"))
+          in
           let rate =
             match Modelio.Xml.find_first el "exponential" with
             | None -> None
@@ -180,7 +218,7 @@ let of_open_psa (root : Modelio.Xml.element) =
                   (fun f ->
                     let v = attr f "value" in
                     match float_of_string_opt v with
-                    | Some r -> r /. 1e-9
+                    | Some r -> fit_of_rate ~fit r
                     | None ->
                         format_error
                           "Open-PSA import: non-numeric rate '%s'" v)

@@ -11,7 +11,11 @@ val to_open_psa : ?model_name:string -> Fault_tree.t -> Modelio.Xml.element
 (** An Open-PSA Model Exchange Format document: one fault tree whose top
     gate is ["top"], gate definitions for every internal node, and
     [define-basic-event] entries with exponential rates (in per-hour)
-    when FIT data is present. *)
+    when FIT data is present.  A FIT of 1e-9 per hour cannot be converted
+    both ways by float arithmetic without rounding, so each such event
+    also carries its FIT as an MEF attribute ([<attribute name="fit">]),
+    printed with {!Modelio.Float_text}: {!of_open_psa} reads every FIT
+    back bit for bit. *)
 
 val to_open_psa_string : ?model_name:string -> Fault_tree.t -> string
 
@@ -32,7 +36,10 @@ val of_open_psa : Modelio.Xml.element -> Fault_tree.t
     (falling back to the first defined gate when there is no ["top"]).
     Supports [and]/[or]/[atleast] connectives, [gate] references and
     [basic-event] leaves; [exponential] rates in per-hour convert back
-    to FIT.  Inverse of {!to_open_psa} up to gate naming — the writer
+    to FIT.  An event's ["fit"] attribute (as {!to_open_psa} writes it)
+    is taken as its FIT when the rate beside it is [fit *. 1e-9], as
+    the writer derives it; a rate edited since, or one without the
+    attribute, is divided by 1e-9.  Inverse of {!to_open_psa} up to gate naming — the writer
     suffixes a counter, so boolean structure, event ids and rates
     round-trip but gate ids do not.
     @raise Format_error on malformed or unsupported input. *)

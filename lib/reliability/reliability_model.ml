@@ -13,7 +13,9 @@ type entry = {
 }
 [@@deriving eq, show]
 
-type t = entry list (* newest first; find takes the newest *)
+(* Each entry under its canonical component type ([canon]), computed once
+   when it is added; newest first, so [find] takes the newest. *)
+type t = (string * entry) list
 
 exception Format_error of string
 
@@ -27,15 +29,15 @@ let canon name =
 
 let add t entry =
   let key = canon entry.component_type in
-  entry :: List.filter (fun e -> not (String.equal (canon e.component_type) key)) t
+  (key, entry) :: List.filter (fun (k, _) -> not (String.equal k key)) t
 
 let of_entries entries = List.fold_left add empty entries
 
 let find t name =
   let key = canon name in
-  List.find_opt (fun e -> String.equal (canon e.component_type) key) t
+  List.find_map (fun (k, e) -> if String.equal k key then Some e else None) t
 
-let entries t = List.rev t
+let entries t = List.rev_map snd t
 
 let loss_like name fault =
   match fault with

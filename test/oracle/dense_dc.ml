@@ -10,7 +10,11 @@ type solution = {
 let closed_switch_resistance = 1e-3
 
 let max_iterations = 200
-let max_step = 0.5
+
+(* Circuit.Dc's Newton step rule: a node moves by at most
+   max(min_step, |v|) per iteration, v its value at the current guess. *)
+let min_step = 1.0
+
 let reltol = 1e-6
 let vntol = 1e-6
 
@@ -113,8 +117,9 @@ let analyse ?(gmin = 1e-9) netlist =
             Array.mapi
               (fun i xi ->
                 let dv = xi -. x.(i) in
-                if i < n_nodes && Float.abs dv > max_step then
-                  x.(i) +. Float.copy_sign max_step dv
+                let bound = Float.max min_step (Float.abs x.(i)) in
+                if i < n_nodes && Float.abs dv > bound then
+                  x.(i) +. Float.copy_sign bound dv
                 else xi)
               next
           in

@@ -441,6 +441,21 @@ let test_inject_matches_dense_oracle () =
   check_inject_matches_reanalysis ~eps:1e-4 ~reanalyse:dense_reanalysis
     (mixed_netlist ())
 
+(* An open R2 leaves [out] held only by gmin and the reverse-biased D1
+   while I1 drives 10 mA into it, so the node settles near
+   10 mA / 1 nS = 1e7 V.  With a step bound that scales with the node
+   voltage, Newton gets there in a few dozen iterations, in inject and in
+   the re-analysis alike; a fixed 0.5 V clamp runs out of iterations on
+   both sides. *)
+let test_inject_r2_open_converges () =
+  let nl = mixed_netlist () in
+  check_inject_matches_reanalysis ~allow_failure:false ~eps:1e-4
+    ~cases:[ ("R2", Fault.Open_circuit) ]
+    nl;
+  match Dc.analyse (Fault.inject nl ~element_id:"R2" Fault.Open_circuit) with
+  | Ok s -> check_float ~eps:1e3 "out near 1e7 V" 1e7 (Dc.node_voltage s "out")
+  | Error e -> Alcotest.fail (Format.asprintf "%a" Dc.pp_error e)
+
 (* The sparse solver against the dense reference, golden and faulted, on
    generated ladders and grids of 3 to ~300 unknowns, diode rails
    coupled by a 1 Ω source resistance (2 to 40 diodes), the mixed diode
@@ -638,6 +653,8 @@ let suite =
       test_inject_matches_reanalysis;
     Alcotest.test_case "inject matches re-analysis (linear)" `Quick
       test_inject_matches_linear;
+    Alcotest.test_case "inject: R2 open converges" `Quick
+      test_inject_r2_open_converges;
     Alcotest.test_case "inject matches re-analysis (sparse vs dense)" `Quick
       test_inject_matches_dense_oracle;
     QCheck_alcotest.to_alcotest prop_sparse_matches_dense;

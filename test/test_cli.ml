@@ -298,6 +298,34 @@ let test_error_handling () =
           Alcotest.(check string) (command ^ " -t ASIL-D: stderr") ""
             (read_file err))
         [ "run"; "report" ];
+      (* A design whose golden run is singular (two parallel sources of
+         5 V and 3 V across one load) is an input error for every
+         command that analyses it, not an uncaught exception. *)
+      let singular = Filename.concat dir "singular.bd" in
+      Out_channel.with_open_bin singular (fun oc ->
+          output_string oc
+            "diagram par {\n\
+            \  block DC1 : vsource { volts = 5; }\n\
+            \  block DC2 : vsource { volts = 3; }\n\
+            \  block MC1 : microcontroller { ohms = 100; }\n\
+            \  block GND1 : ground ports (conserving a);\n\
+            \  connect DC1.a -> MC1.a;\n\
+            \  connect DC2.a -> MC1.a;\n\
+            \  connect MC1.b -> GND1.a;\n\
+            \  connect DC1.b -> GND1.a;\n\
+            \  connect DC2.b -> GND1.a;\n\
+             }\n");
+      List.iter
+        (fun command ->
+          Alcotest.(check int) (command ^ " singular golden: exit 1") 1
+            (Sys.command
+               (Printf.sprintf "%s %s %s >/dev/null 2>%s" bin command
+                  (Filename.quote singular) (Filename.quote err)));
+          Alcotest.(check string) (command ^ " singular golden: stderr")
+            "error: golden simulation failed: singular MNA system (pivot \
+             failure at unknown 2)\n"
+            (read_file err))
+        [ "fmea"; "fmeda"; "optimize"; "run"; "report" ];
       (* Assessment budgets that would silently run something else (a
          default 8,064 trials, the 200M cap, one budget ignored) are
          errors. *)

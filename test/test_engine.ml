@@ -477,6 +477,45 @@ let test_solve_paths_add_up () =
     (Engine.Stats.solves_performed s
     < s.Engine.Stats.golden_solves + s.Engine.Stats.rows_classified)
 
+(* Newton iterations are counted, golden and per injected fault, the same
+   at any job count.  Each iteration may move a node by max(1 V, |v|): on
+   System B a fault that moves a rail settles in ~4 iterations, and the
+   golden solve in 8.  A fixed 0.5 V clamp took ~27 per fault and 49 for
+   the golden solve, so these bounds fail if it comes back. *)
+let test_system_b_newton_iterations () =
+  let subject = Decisive.Systems.system_b in
+  let options =
+    {
+      Fmea.Injection_fmea.default_options with
+      exclude = [ "DC1"; "BAT1" ];
+      monitored_sensors = Some [ "CS1"; "CS2"; "VS1" ];
+    }
+  in
+  let counts jobs =
+    Exec.with_jobs jobs (fun () ->
+        let e = Engine.Pipeline.create () in
+        ignore
+          (Engine.Pipeline.injection_fmea e ~options
+             subject.Decisive.Systems.diagram
+             subject.Decisive.Systems.reliability);
+        let s = Engine.Pipeline.snapshot e in
+        ( s.Engine.Stats.golden_newton,
+          s.Engine.Stats.fault_newton,
+          s.Engine.Stats.newton_faults ))
+  in
+  let ((golden, iterations, faults) as one) = counts 1 in
+  Alcotest.(check (triple int int int)) "same counts at 1 and 2 jobs" one
+    (counts 2);
+  Alcotest.(check bool) "some faults run Newton" true (faults > 0);
+  Alcotest.(check bool)
+    (Printf.sprintf "golden solve: %d <= 12 iterations" golden)
+    true (golden <= 12);
+  Alcotest.(check bool)
+    (Printf.sprintf "%d iterations over %d faults: <= 8 per fault" iterations
+       faults)
+    true
+    (iterations <= 8 * faults)
+
 (* The live golden-run memo is bounded: a long run of distinct diagram
    edits keeps at most [live_cap] golden runs, and the most recent one
    is still there for the next reliability edit. *)
@@ -768,6 +807,8 @@ let suite =
       test_system_b_fewer_solves;
     Alcotest.test_case "pipeline: solve paths add up" `Quick
       test_solve_paths_add_up;
+    Alcotest.test_case "pipeline: System B Newton iterations" `Quick
+      test_system_b_newton_iterations;
     Alcotest.test_case "pipeline: golden runs bounded" `Quick
       test_golden_runs_bounded;
     Alcotest.test_case "pipeline: optimise warm equals cold" `Quick

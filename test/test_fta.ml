@@ -788,6 +788,67 @@ let contains haystack needle =
 let defined_gate_count (root : Modelio.Xml.element) =
   List.length (Modelio.Xml.descendants root "define-gate")
 
+(* The writer is lossless: any finite FIT (subnormals, 1e300, a
+   13th-digit edit, -0.) reads back bit for bit through the FIT
+   attribute each basic event carries.  A rate edited by another tool no
+   longer matches that attribute, and is read as a rate. *)
+let prop_open_psa_lossless =
+  let finite =
+    QCheck.Gen.(
+      oneof
+        [
+          float_bound_inclusive 1e6;
+          map (fun f -> if Float.is_finite f then f else 0.5) float;
+          oneofl
+            [ 48.00000000001; 48.0000000000001; 1e300; -1e300; 5e-324;
+              2.2250738585072009e-308; Float.max_float; -0.0; 0.1; 1e-5;
+              99.9; 300.0 ];
+        ])
+  in
+  QCheck.Test.make ~name:"Open-PSA writer lossless (arbitrary finite FITs)"
+    ~count:300
+    (QCheck.make
+       ~print:QCheck.Print.(list (Printf.sprintf "%h"))
+       QCheck.Gen.(list_size (int_range 1 6) finite))
+    (fun fits ->
+      let tree =
+        Fault_tree.or_ "top"
+          (List.mapi
+             (fun i fit ->
+               Fault_tree.basic ~rate_fit:fit (Printf.sprintf "e%d" i))
+             fits)
+      in
+      let fits' =
+        List.map
+          (fun (e : Fault_tree.event) -> e.Fault_tree.rate_fit)
+          (Fault_tree.basic_events
+             (Export.parse_open_psa (Export.to_open_psa_string tree)))
+      in
+      List.equal
+        (Option.equal (fun a b ->
+             Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)))
+        (List.map Option.some fits) fits')
+
+let test_open_psa_edited_rate () =
+  let doc rate =
+    Printf.sprintf
+      "<opsa-mef><define-fault-tree name=\"t\"><define-gate \
+       name=\"top\"><or><basic-event name=\"a\"/><basic-event \
+       name=\"b\"/></or></define-gate><define-basic-event \
+       name=\"a\"><attributes><attribute name=\"fit\" \
+       value=\"300\"/></attributes><exponential><float \
+       value=\"%s\"/></exponential></define-basic-event></define-fault-tree></opsa-mef>"
+      rate
+  in
+  let fit_of rate =
+    match Fault_tree.basic_events (Export.parse_open_psa (doc rate)) with
+    | { Fault_tree.event_id = "a"; rate_fit = Some fit; _ } :: _ -> fit
+    | _ -> Alcotest.fail "event a with a rate"
+  in
+  Alcotest.(check (float 0.0)) "rate as written: the FIT attribute" 300.0
+    (fit_of (Modelio.Float_text.to_string (300.0 *. 1e-9)));
+  Alcotest.(check (float 1e-9)) "rate edited: the rate" 400.0 (fit_of "4e-07")
+
 let prop_open_psa_round_trip =
   QCheck.Test.make ~name:"Open-PSA round-trip preserves the tree" ~count:80
     (QCheck.make (rich_tree_gen 3 6))
@@ -847,8 +908,12 @@ let export_suite =
       (Modelio.Xml.descendants reparsed "define-fault-tree" <> []);
     Alcotest.(check bool) "basic events defined" true
       (List.length (Modelio.Xml.descendants reparsed "define-basic-event") >= 5);
-    (* MC1's 300 FIT becomes 3e-7 per hour. *)
-    Alcotest.(check bool) "rates converted" true (contains s "3.000000e-07")
+    (* MC1's 300 FIT becomes 3e-7 per hour, the float 300 *. 1e-9
+       printed exactly. *)
+    Alcotest.(check bool) "rates converted" true
+      (contains s
+         (Printf.sprintf "<float value=\"%s\"/>"
+            (Modelio.Float_text.to_string (300.0 *. 1e-9))))
   in
   let test_save_files () =
     let dot_path = Filename.temp_file "ft" ".dot" in
@@ -905,4 +970,6 @@ let export_suite =
       test_round_trip_case_study;
     Alcotest.test_case "open-psa import errors" `Quick test_import_errors;
     QCheck_alcotest.to_alcotest prop_open_psa_round_trip;
+    QCheck_alcotest.to_alcotest prop_open_psa_lossless;
+    Alcotest.test_case "open-psa edited rate" `Quick test_open_psa_edited_rate;
   ]
