@@ -409,15 +409,23 @@ let load_diagrams paths =
     (Ok []) paths
   |> Result.map List.rev
 
-(* A design whose golden (fault-free) run does not solve is an input
-   error: [k ()]'s exit code, or 1 after the message fmea and fmeda
-   print. *)
-let or_golden_failure k =
-  match k () with
-  | code -> code
+(* A design whose golden (fault-free) run does not solve, or that the
+   netlist conversion rejects, is an input error: [k ()]'s exit code, or
+   1 after the message fmea and fmeda print. *)
+let or_input_error ~model k =
+  match Serve.Command.converting ~model k with
+  | Ok code -> code
+  | Error m ->
+      Printf.eprintf "error: %s\n" m;
+      1
   | exception Fmea.Injection_fmea.Golden_run_failed m ->
       Printf.eprintf "error: golden simulation failed: %s\n" m;
       1
+
+(* [Blockdiag.To_netlist.convert], its rejections as a failed step. *)
+let convert diagram_path diagram =
+  Serve.Command.converting ~model:diagram_path (fun () ->
+      Blockdiag.To_netlist.convert diagram)
 
 (* `same fmea --batch` / `same fmeda --batch`: load the fleet, gate it
    on --strict, run it through one warm engine and print its summary.
@@ -446,7 +454,7 @@ let with_fleet ~output ~explain paths reliability_path exclude monitored
       }
     in
     let engine = make_engine cache in
-    or_golden_failure (fun () ->
+    or_input_error ~model:(String.concat ", " paths) (fun () ->
         let summary =
           Engine.Batch.run_fmea engine ~options variants reliability
         in
@@ -582,7 +590,7 @@ let optimize_cmd =
         then 1
       else
           let engine = make_engine cache in
-          or_golden_failure (fun () ->
+          or_input_error ~model:diagram_path (fun () ->
             let refinement =
               Decisive.Api.fmeda ~engine ~target ~exclude diagram reliability
                 sm_model
@@ -937,7 +945,7 @@ let run_cmd =
         let monitored_sensors =
           match monitored with [] -> None | ids -> Some ids
         in
-        or_golden_failure (fun () ->
+        or_input_error ~model:diagram_path (fun () ->
           let process, table, _ =
             Decisive.Api.run_decisive ~name ~target ~exclude
               ?monitored_sensors diagram reliability sm_model
@@ -1009,7 +1017,7 @@ let simulate_cmd =
   in
   let run diagram_path source amplitude hz dt duration out =
     let* diagram = load_diagram diagram_path in
-    let conversion = Blockdiag.To_netlist.convert diagram in
+    let* conversion = convert diagram_path diagram in
     let nl = conversion.Blockdiag.To_netlist.netlist in
     let* waveforms =
       match source with
@@ -1097,7 +1105,7 @@ let bode_cmd =
   in
   let run diagram_path source sensor from_hz to_hz points =
     let* diagram = load_diagram diagram_path in
-    let conversion = Blockdiag.To_netlist.convert diagram in
+    let* conversion = convert diagram_path diagram in
     let nl = conversion.Blockdiag.To_netlist.netlist in
     let* _ = source_value nl source in
     let* freqs =
@@ -1166,7 +1174,7 @@ let degrade_cmd =
   let run diagram_path reliability_path source factor exclude =
     with_diagram_and_models diagram_path reliability_path
       (fun diagram reliability ->
-        let conversion = Blockdiag.To_netlist.convert diagram in
+        let* conversion = convert diagram_path diagram in
         let* _ = source_value conversion.Blockdiag.To_netlist.netlist source in
         let options =
           {
@@ -1220,7 +1228,7 @@ let report_cmd =
         let monitored_sensors =
           match monitored with [] -> None | ids -> Some ids
         in
-        or_golden_failure (fun () ->
+        or_input_error ~model:diagram_path (fun () ->
           let process, fmeda, deployments =
             Decisive.Api.run_decisive ~name ~target ~exclude
               ?monitored_sensors diagram reliability sm_model

@@ -186,12 +186,29 @@ let aliases =
     ("gnd", "ground");
   ]
 
+(* Catalogue names and aliases, all lowercase and trimmed, to their entry:
+   a name spelt as the catalogue spells it costs one probe. *)
+let by_name =
+  let table = Hashtbl.create 64 in
+  List.iter (fun b -> Hashtbl.replace table b.block_type b) catalogue;
+  List.iter
+    (fun (alias, canonical) ->
+      match List.find_opt (fun b -> b.block_type = canonical) catalogue with
+      | Some b -> Hashtbl.replace table alias b
+      | None -> ())
+    aliases;
+  table
+
 let find name =
-  let canon = String.lowercase_ascii (String.trim name) in
-  let canon =
-    match List.assoc_opt canon aliases with Some c -> c | None -> canon
-  in
-  List.find_opt (fun b -> String.equal b.block_type canon) catalogue
+  match Hashtbl.find_opt by_name name with
+  | Some _ as hit -> hit
+  | None ->
+      Hashtbl.find_opt by_name (String.lowercase_ascii (String.trim name))
+
+let canonical name =
+  match find name with
+  | Some b -> b.block_type
+  | None -> String.lowercase_ascii (String.trim name)
 
 type coverage_report = {
   native : string list;

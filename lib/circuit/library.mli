@@ -25,9 +25,20 @@ val catalogue : block_info list
 (** The Simscape-Foundation-style electrical catalogue plus the annotated
     subsystems used in the paper's case studies (MCU, sensors). *)
 
+val aliases : (string * string) list
+(** Other names of catalogue types, lowercase: (["mcu"],
+    ["microcontroller"]), (["battery"], ["vsource"])... *)
+
 val find : string -> block_info option
 (** Case-insensitive by [block_type]; also accepts common aliases
-    (["mcu"], ["mc"] → microcontroller; ["dc source"] → vsource...). *)
+    (["mcu"], ["mc"] → microcontroller; ["dc source"] → vsource...) and
+    ignores surrounding spaces.  One hashtable probe over the catalogue
+    names and aliases; a second, on the trimmed lowercase name, when the
+    name is not spelt as the catalogue spells it. *)
+
+val canonical : string -> string
+(** The catalogue [block_type] {!find} resolves a name to; a name it does
+    not know, trimmed and lowercased. *)
 
 type coverage_report = {
   native : string list;

@@ -12,20 +12,31 @@ let name t = t.netlist_name
 let find t id =
   List.find_opt (fun (e : Element.t) -> String.equal e.Element.id id) t.rev_elements
 
+let normalise (e : Element.t) =
+  {
+    e with
+    Element.node_a = normalise_node e.Element.node_a;
+    node_b = normalise_node e.Element.node_b;
+  }
+
+let duplicate id =
+  invalid_arg (Printf.sprintf "Netlist.add: duplicate element id %s" id)
+
 let add t (e : Element.t) =
-  if Option.is_some (find t e.Element.id) then
-    invalid_arg (Printf.sprintf "Netlist.add: duplicate element id %s" e.Element.id);
-  let e =
-    {
-      e with
-      Element.node_a = normalise_node e.Element.node_a;
-      node_b = normalise_node e.Element.node_b;
-    }
-  in
-  { t with rev_elements = e :: t.rev_elements }
+  if Option.is_some (find t e.Element.id) then duplicate e.Element.id;
+  { t with rev_elements = normalise e :: t.rev_elements }
 
 let of_elements netlist_name elements =
-  List.fold_left add (empty netlist_name) elements
+  let ids = Hashtbl.create 64 in
+  let rev_elements =
+    List.fold_left
+      (fun acc (e : Element.t) ->
+        if Hashtbl.mem ids e.Element.id then duplicate e.Element.id;
+        Hashtbl.add ids e.Element.id ();
+        normalise e :: acc)
+      [] elements
+  in
+  { netlist_name; rev_elements }
 
 let elements t = List.rev t.rev_elements
 

@@ -17,6 +17,9 @@ val add : t -> Element.t -> t
 (** Raises [Invalid_argument] on a duplicate element id. *)
 
 val of_elements : string -> Element.t list -> t
+(** [List.fold_left add (empty name)], with one hashtable probe per
+    element for the duplicate check instead of a scan.  Raises
+    [Invalid_argument] on a duplicate element id, as {!add}. *)
 
 val elements : t -> Element.t list
 (** In insertion order. *)

@@ -225,20 +225,48 @@ let golden_run t ~options ~fp_structure ~fp_options netlist =
         (Fmea.Injection_fmea.golden_newton_iterations p);
       p)
 
-(* Row-reuse hook: reuse a previous row verbatim only when the reuse is
+(* Row-reuse hook: serve a row from the previous table only when that is
    provably bit-identical to recomputation —
 
    1. the netlist fingerprint is unchanged (so the golden run and every
       faulted solve are unchanged),
-   2. the reliability entry for the row's component type is unchanged
-      (so FIT, distribution and fault models are unchanged),
-   3. the component is NOT in the [Ssam.Diff.impacted_components]
+   2. the component is NOT in the [Ssam.Diff.impacted_components]
       closure (the changed components and everything downstream are
-      re-classified, per the methodology's change-impact contract).
+      re-classified, per the methodology's change-impact contract),
+   3. the reliability entry for the row's component type gives one of
+      three verdicts:
+      - unchanged: the previous row is reused verbatim;
+      - only its FIT differs: the previous row is re-priced at the new
+        FIT with [Fmea.Table.make_row], keeping its classification.  The
+        failure modes, their distributions and fault models are the
+        same, and classification ([classify_prepared]) never reads the
+        FIT, so the row is the one recomputation would build;
+      - anything else changed: the row is recomputed.
 
    Returns None (no reuse at all) when the netlist moved: an electrical
    edit shifts the golden operating point, which can change any row's
    deviation text. *)
+type entry_verdict = Same_entry | Fit_only of Reliability.Fit.t | Changed_entry
+
+let entry_verdict prev_reliability reliability ty =
+  let module R = Reliability.Reliability_model in
+  match (R.find prev_reliability ty, R.find reliability ty) with
+  | None, None -> Same_entry
+  | Some a, Some b ->
+      if R.equal_entry a b then Same_entry
+      else if R.equal_entry { a with R.fit = b.R.fit } b then Fit_only b.R.fit
+      else Changed_entry
+  | _ -> Changed_entry
+
+let refit fit (r : Fmea.Table.row) =
+  Fmea.Table.make_row ~impact:r.Fmea.Table.impact
+    ?safety_mechanism:r.Fmea.Table.safety_mechanism
+    ?sm_coverage_pct:r.Fmea.Table.sm_coverage_pct ?warning:r.Fmea.Table.warning
+    ~component:r.Fmea.Table.component ~component_fit:fit
+    ~failure_mode:r.Fmea.Table.failure_mode
+    ~distribution_pct:r.Fmea.Table.distribution_pct
+    ~safety_related:r.Fmea.Table.safety_related ()
+
 let reuse_hook t ~previous:prev ~diagram ~reliability ~element_types
     ~fp_netlist =
   let prev_conversion = convert t prev.prev_diagram in
@@ -284,27 +312,17 @@ let reuse_hook t ~previous:prev ~diagram ~reliability ~element_types
     let types =
       Fmea.Injection_fmea.component_types ~element_types prev_netlist
     in
-    (* Component types repeat across rows; compare each type once per
-       hook instead of twice per row.  Structural entry equality is
-       strictly stronger than fingerprint equality, so it can only ever
-       reuse less, never wrongly more. *)
-    let entry_verdicts = Hashtbl.create 16 in
-    let entry_unchanged ty =
-      match Hashtbl.find_opt entry_verdicts ty with
-      | Some v -> v
-      | None ->
-          let v =
-            match
-              ( Reliability.Reliability_model.find prev.prev_reliability ty,
-                Reliability.Reliability_model.find reliability ty )
-            with
-            | None, None -> true
-            | Some a, Some b -> Reliability.Reliability_model.equal_entry a b
-            | _ -> false
-          in
-          Hashtbl.add entry_verdicts ty v;
-          v
-    in
+    (* Component types repeat across rows: judge each type once, before
+       the hook runs on pool domains, which then only read the table.
+       Structural entry equality is strictly stronger than fingerprint
+       equality, so it can only ever reuse less, never wrongly more. *)
+    let verdicts = Hashtbl.create 16 in
+    Hashtbl.iter
+      (fun _ ty ->
+        if not (Hashtbl.mem verdicts ty) then
+          Hashtbl.add verdicts ty
+            (entry_verdict prev.prev_reliability reliability ty))
+      types;
     let prev_rows = Hashtbl.create 64 in
     List.iter
       (fun (r : Fmea.Table.row) ->
@@ -315,16 +333,20 @@ let reuse_hook t ~previous:prev ~diagram ~reliability ~element_types
       (fun ~component ~failure_mode ->
         match Hashtbl.find_opt types component with
         | None -> None
-        | Some ty ->
-            if is_impacted component || not (entry_unchanged ty) then None
-            else
-              match
-                Hashtbl.find_opt prev_rows (component ^ "\x00" ^ failure_mode)
-              with
-              | None -> None
-              | Some row ->
-                  Stats.incr_row_reused t.p_stats;
-                  Some row)
+        | Some ty -> (
+            match
+              if is_impacted component then Changed_entry
+              else Hashtbl.find verdicts ty
+            with
+            | Changed_entry -> None
+            | (Same_entry | Fit_only _) as v -> (
+                match
+                  Hashtbl.find_opt prev_rows (component ^ "\x00" ^ failure_mode)
+                with
+                | None -> None
+                | Some row ->
+                    Stats.incr_row_reused t.p_stats;
+                    Some (match v with Fit_only fit -> refit fit row | _ -> row))))
   end
 
 let injection_fmea t ?previous ~options diagram reliability =

@@ -78,48 +78,70 @@ let hex4 st =
   done;
   !h
 
+(* Plain bytes run up to the next quote or backslash: each run is copied
+   with one [String.sub] (a string without escapes) or one
+   [Buffer.add_substring], not byte by byte. *)
+let rec plain_run src pos =
+  if pos < String.length src then
+    match String.unsafe_get src pos with
+    | '"' | '\\' -> pos
+    | _ -> plain_run src (pos + 1)
+  else pos
+
+let parse_escape st buf =
+  advance st;
+  match peek st with
+  | Some '"' -> Buffer.add_char buf '"'; advance st
+  | Some '\\' -> Buffer.add_char buf '\\'; advance st
+  | Some '/' -> Buffer.add_char buf '/'; advance st
+  | Some 'b' -> Buffer.add_char buf '\b'; advance st
+  | Some 'f' -> Buffer.add_char buf '\012'; advance st
+  | Some 'n' -> Buffer.add_char buf '\n'; advance st
+  | Some 'r' -> Buffer.add_char buf '\r'; advance st
+  | Some 't' -> Buffer.add_char buf '\t'; advance st
+  | Some 'u' ->
+      advance st;
+      let cp = hex4 st in
+      (* Surrogate pair handling. *)
+      if cp >= 0xD800 && cp <= 0xDBFF then begin
+        expect st '\\';
+        expect st 'u';
+        let lo = hex4 st in
+        if lo < 0xDC00 || lo > 0xDFFF then fail st.pos "invalid low surrogate";
+        add_utf8 buf (0x10000 + ((cp - 0xD800) lsl 10) + (lo - 0xDC00))
+      end
+      else add_utf8 buf cp
+  | Some c -> fail st.pos (Printf.sprintf "invalid escape '\\%c'" c)
+  | None -> fail st.pos "truncated escape"
+
 let parse_string_body st =
-  let buf = Buffer.create 16 in
-  let rec go () =
-    match peek st with
-    | None -> fail st.pos "unterminated string"
-    | Some '"' ->
-        advance st;
-        Buffer.contents buf
-    | Some '\\' ->
-        advance st;
-        (match peek st with
-        | Some '"' -> Buffer.add_char buf '"'; advance st
-        | Some '\\' -> Buffer.add_char buf '\\'; advance st
-        | Some '/' -> Buffer.add_char buf '/'; advance st
-        | Some 'b' -> Buffer.add_char buf '\b'; advance st
-        | Some 'f' -> Buffer.add_char buf '\012'; advance st
-        | Some 'n' -> Buffer.add_char buf '\n'; advance st
-        | Some 'r' -> Buffer.add_char buf '\r'; advance st
-        | Some 't' -> Buffer.add_char buf '\t'; advance st
-        | Some 'u' ->
-            advance st;
-            let cp = hex4 st in
-            (* Surrogate pair handling. *)
-            if cp >= 0xD800 && cp <= 0xDBFF then begin
-              expect st '\\';
-              expect st 'u';
-              let lo = hex4 st in
-              if lo < 0xDC00 || lo > 0xDFFF then
-                fail st.pos "invalid low surrogate";
-              add_utf8 buf
-                (0x10000 + ((cp - 0xD800) lsl 10) + (lo - 0xDC00))
-            end
-            else add_utf8 buf cp
-        | Some c -> fail st.pos (Printf.sprintf "invalid escape '\\%c'" c)
-        | None -> fail st.pos "truncated escape");
-        go ()
-    | Some c ->
-        advance st;
-        Buffer.add_char buf c;
-        go ()
-  in
-  go ()
+  let src = st.src in
+  let start = st.pos in
+  let stop = plain_run src start in
+  if stop < String.length src && src.[stop] = '"' then begin
+    st.pos <- stop + 1;
+    String.sub src start (stop - start)
+  end
+  else begin
+    let buf = Buffer.create (stop - start + 16) in
+    Buffer.add_substring buf src start (stop - start);
+    st.pos <- stop;
+    let rec go () =
+      match peek st with
+      | None -> fail st.pos "unterminated string"
+      | Some '"' ->
+          advance st;
+          Buffer.contents buf
+      | Some _ ->
+          parse_escape st buf;
+          let from = st.pos in
+          let stop = plain_run src from in
+          Buffer.add_substring buf src from (stop - from);
+          st.pos <- stop;
+          go ()
+    in
+    go ()
+  end
 
 let parse_number st =
   let start = st.pos in
@@ -218,28 +240,42 @@ let parse_file path =
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> parse (really_input_string ic (in_channel_length ic)))
 
-let escape_string s =
-  let buf = Buffer.create (String.length s + 2) in
-  Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.add_char buf '"';
-  Buffer.contents buf
+(* Bytes written as they are: everything but the quote, the backslash
+   and the control bytes. *)
+let plain_byte c = c <> '"' && c <> '\\' && Char.code c >= 0x20
 
-let number_to_string f =
+(* Writes [s] quoted, one [Buffer.add_substring] per run of plain bytes. *)
+let add_escaped buf s =
+  Buffer.add_char buf '"';
+  let n = String.length s in
+  let rec go run i =
+    if i = n then Buffer.add_substring buf s run (i - run)
+    else
+      let c = String.unsafe_get s i in
+      if plain_byte c then go run (i + 1)
+      else begin
+        Buffer.add_substring buf s run (i - run);
+        (match c with
+        | '"' -> Buffer.add_string buf "\\\""
+        | '\\' -> Buffer.add_string buf "\\\\"
+        | '\n' -> Buffer.add_string buf "\\n"
+        | '\r' -> Buffer.add_string buf "\\r"
+        | '\t' -> Buffer.add_string buf "\\t"
+        | c -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c)));
+        go (i + 1) (i + 1)
+      end
+  in
+  go 0 0;
+  Buffer.add_char buf '"'
+
+(* Whole numbers below 1e15 in magnitude print as integers ("%.0f"
+   would print the same digits, and "-0" for -0.0); the rest with 17
+   significant digits. *)
+let add_number buf f =
   if Float.is_integer f && Float.abs f < 1e15 then
-    Printf.sprintf "%.0f" f
-  else Printf.sprintf "%.17g" f
+    if f = 0.0 && Float.sign_bit f then Buffer.add_string buf "-0"
+    else Buffer.add_string buf (string_of_int (int_of_float f))
+  else Buffer.add_string buf (Printf.sprintf "%.17g" f)
 
 let to_string ?(indent = 0) t =
   let buf = Buffer.create 256 in
@@ -252,8 +288,8 @@ let to_string ?(indent = 0) t =
   let rec emit depth = function
     | Null -> Buffer.add_string buf "null"
     | Bool b -> Buffer.add_string buf (string_of_bool b)
-    | Number f -> Buffer.add_string buf (number_to_string f)
-    | String s -> Buffer.add_string buf (escape_string s)
+    | Number f -> add_number buf f
+    | String s -> add_escaped buf s
     | List [] -> Buffer.add_string buf "[]"
     | List items ->
         Buffer.add_char buf '[';
@@ -272,7 +308,7 @@ let to_string ?(indent = 0) t =
           (fun i (k, v) ->
             if i > 0 then Buffer.add_char buf ',';
             pad (depth + 1);
-            Buffer.add_string buf (escape_string k);
+            add_escaped buf k;
             Buffer.add_char buf ':';
             if indent > 0 then Buffer.add_char buf ' ';
             emit (depth + 1) v)

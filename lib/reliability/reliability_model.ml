@@ -21,11 +21,7 @@ exception Format_error of string
 
 let empty = []
 
-let canon name =
-  let low = String.lowercase_ascii (String.trim name) in
-  match Circuit.Library.find low with
-  | Some info -> info.Circuit.Library.block_type
-  | None -> low
+let canon = Circuit.Library.canonical
 
 let add t entry =
   let key = canon entry.component_type in

@@ -19,11 +19,7 @@ let of_mechanisms ms = ms
 
 let mechanisms t = t
 
-let canon_type name =
-  let low = String.lowercase_ascii (String.trim name) in
-  match Circuit.Library.find low with
-  | Some info -> info.Circuit.Library.block_type
-  | None -> low
+let canon_type = Circuit.Library.canonical
 
 let canon_fm name = String.lowercase_ascii (String.trim name)
 

@@ -25,6 +25,20 @@ let parse_diagram src =
           Error (Printf.sprintf "%s:%d: %s" (name_of src) line message)
       | Invalid_argument m -> Error m)
 
+(* What the netlist conversion rejects in a diagram that parsed: a
+   two-terminal block of an unknown type, a value [Circuit.Element.make]
+   refuses, two elements with one id. *)
+let converting ~model f =
+  let error m = Error (Printf.sprintf "%s: %s" model m) in
+  match f () with
+  | v -> Ok v
+  | exception Blockdiag.To_netlist.Unsupported_block { block_id; block_type }
+    ->
+      error
+        (Printf.sprintf "block %s: unsupported electrical block type '%s'"
+           block_id block_type)
+  | exception Invalid_argument m -> error m
+
 (* A reliability or safety-mechanism model: one CSV text, one CSV file or
    a directory of CSV sheets. *)
 let parse_sheets of_spreadsheet ~default = function
@@ -386,7 +400,7 @@ let execute ?engine ~wall_clock ~out ~err models request =
   in
   let sensors = function [] -> None | l -> Some l in
   let analysed f =
-    try f () with
+    try get (converting ~model:(name_of (source ())) f) with
     | Fmea.Injection_fmea.Golden_run_failed m ->
         fail "golden simulation failed: %s" m
     | Fta.From_ssam.No_paths c -> fail "no input-output paths through %s" c
@@ -481,7 +495,9 @@ let execute ?engine ~wall_clock ~out ~err models request =
         else
           let options = { Fmea.Injection_fmea.default_options with exclude } in
           match
-            Dataflow.Diagnose.circuit_verifier ~options ~reliability ~output d
+            analysed (fun () ->
+                Dataflow.Diagnose.circuit_verifier ~options ~reliability
+                  ~output d)
           with
           | Ok v -> Some v
           | Error why ->

@@ -35,6 +35,16 @@ val parse_reliability :
 
 val parse_sm : source option -> (Reliability.Sm_model.t, string) result
 
+val converting : model:string -> (unit -> 'a) -> ('a, string) result
+(** [f ()], with what netlist conversion ({!Blockdiag.To_netlist.convert})
+    raises on a diagram that parsed as [Error "<model>: ..."]: a
+    two-terminal block of an unknown type
+    ({!Blockdiag.To_netlist.Unsupported_block}) and a value or id the
+    circuit rejects ([Invalid_argument], such as a non-positive
+    resistance).  Every analysis that converts a diagram runs under it,
+    so the CLI prints ["error: <model>: ..."] and exits 1, and the daemon
+    answers an error. *)
+
 (** {1 Requests} *)
 
 type request =

@@ -109,12 +109,14 @@ let handle_open t ~o_diagram ~o_reliability ~o_params =
   | Ok diagram, Ok reliability, Ok options -> (
       match
         with_request_slot t (fun () ->
-            Engine.Pipeline.injection_fmea t.engine ~options diagram
-              reliability)
+            Command.converting ~model:"diagram" (fun () ->
+                Engine.Pipeline.injection_fmea t.engine ~options diagram
+                  reliability))
       with
       | exception Fmea.Injection_fmea.Golden_run_failed m ->
           Protocol.error (Printf.sprintf "golden simulation failed: %s" m)
-      | table ->
+      | Error m -> Protocol.error m
+      | Ok table ->
           let s =
             Session.open_session t.sessions ~options ~diagram ~reliability
               ~table
@@ -193,12 +195,14 @@ let handle_edit t ~e_session ~e_diagram ~e_reliability =
           let before = Engine.Pipeline.snapshot t.engine in
           match
             with_request_slot t (fun () ->
-                Engine.Pipeline.injection_fmea t.engine ~previous
-                  ~options:s.Session.s_options diagram reliability)
+                Command.converting ~model:"diagram" (fun () ->
+                    Engine.Pipeline.injection_fmea t.engine ~previous
+                      ~options:s.Session.s_options diagram reliability))
           with
           | exception Fmea.Injection_fmea.Golden_run_failed m ->
               Protocol.error (Printf.sprintf "golden simulation failed: %s" m)
-          | table ->
+          | Error m -> Protocol.error m
+          | Ok table ->
               let after = Engine.Pipeline.snapshot t.engine in
               let changed =
                 changed_rows ~previous:s.Session.s_table table

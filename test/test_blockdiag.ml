@@ -119,6 +119,280 @@ let diagram_gen =
   in
   return (Diagram.diagram ~name:"gen" ~connections (List.rev blocks))
 
+(* ---------- netlist conversion against the reference converter ---------- *)
+
+let conversion convert d = match convert d with r -> Ok r | exception e -> Error e
+
+let same_conversion a b =
+  match (a, b) with
+  | Ok (a : To_netlist.result), Ok (b : To_netlist.result) ->
+      String.equal
+        (Circuit.Netlist.name a.To_netlist.netlist)
+        (Circuit.Netlist.name b.To_netlist.netlist)
+      && List.equal Circuit.Element.equal
+           (Circuit.Netlist.elements a.To_netlist.netlist)
+           (Circuit.Netlist.elements b.To_netlist.netlist)
+      && a.To_netlist.skipped = b.To_netlist.skipped
+      && a.To_netlist.block_types = b.To_netlist.block_types
+  | Error x, Error y -> x = y
+  | Ok _, Error _ | Error _, Ok _ -> false
+
+let describe = function
+  | Ok (r : To_netlist.result) ->
+      Format.asprintf "%d elements, %d skipped: %a"
+        (Circuit.Netlist.element_count r.To_netlist.netlist)
+        (List.length r.To_netlist.skipped)
+        Fmt.(list ~sep:sp Circuit.Element.pp)
+        (Circuit.Netlist.elements r.To_netlist.netlist)
+  | Error e -> Printexc.to_string e
+
+let matches_reference d =
+  let got = conversion To_netlist.convert d in
+  let want = conversion Oracle.Digraph_to_netlist.convert d in
+  if same_conversion got want then true
+  else
+    QCheck.Test.fail_reportf "convert: %s@.reference: %s" (describe got)
+      (describe want)
+
+(* A generator netlist as a diagram: one block per element, each node's
+   later terminals wired to the first one met, ground to a ground
+   block. *)
+let diagram_of_netlist nl =
+  let num k v = [ (k, Diagram.P_num v) ] in
+  let block (e : Circuit.Element.t) =
+    let block_type, parameters =
+      match e.Circuit.Element.kind with
+      | Circuit.Element.Resistor r -> ("resistor", num "ohms" r)
+      | Circuit.Element.Vsource v -> ("vsource", num "volts" v)
+      | Circuit.Element.Isource i -> ("isource", num "amps" i)
+      | Circuit.Element.Diode _ -> ("diode", [])
+      | Circuit.Element.Inductor l -> ("inductor", num "henries" l)
+      | Circuit.Element.Capacitor c -> ("capacitor", num "farads" c)
+      | Circuit.Element.Current_sensor -> ("current_sensor", [])
+      | Circuit.Element.Voltage_sensor -> ("voltage_sensor", [])
+      | Circuit.Element.Switch c -> ("switch", [ ("closed", Diagram.P_bool c) ])
+      | Circuit.Element.Load r -> ("load", num "ohms" r)
+    in
+    Diagram.block ~id:e.Circuit.Element.id ~block_type ~parameters ()
+  in
+  let first = Hashtbl.create 16 in
+  Hashtbl.add first Circuit.Netlist.ground ("GND", "a");
+  let elements = Circuit.Netlist.elements nl in
+  let connections =
+    List.concat_map
+      (fun (e : Circuit.Element.t) ->
+        List.filter_map
+          (fun (node, port) ->
+            match Hashtbl.find_opt first node with
+            | Some ep -> Some (Diagram.connect ep (e.Circuit.Element.id, port))
+            | None ->
+                Hashtbl.add first node (e.Circuit.Element.id, port);
+                None)
+          [ (e.Circuit.Element.node_a, "a"); (e.Circuit.Element.node_b, "b") ])
+      elements
+  in
+  Diagram.diagram ~name:(Circuit.Netlist.name nl) ~connections
+    (List.map block elements
+    @ [
+        Diagram.block ~id:"GND" ~block_type:"ground"
+          ~ports:[ { Diagram.port_name = "a"; port_kind = Diagram.Conserving } ]
+          ();
+      ])
+
+(* Every diagram the repository ships. *)
+let shipped_diagrams =
+  lazy
+    (let models = "../examples/models" in
+     let files =
+       Sys.readdir models |> Array.to_list
+       |> List.filter (fun f -> Filename.check_suffix f ".bd")
+       |> List.sort compare
+       |> List.filter_map (fun f ->
+              match Text_format.parse_file (Filename.concat models f) with
+              | d -> Some (f, d)
+              | exception Text_format.Parse_error _ -> None)
+     in
+     files
+     @ [
+         ("case study", psu);
+         ("system A", Decisive.Systems.system_a.Decisive.Systems.diagram);
+         ("system B", Decisive.Systems.system_b.Decisive.Systems.diagram);
+         ("ladder", diagram_of_netlist (Circuit.Generator.ladder ~sections:4));
+         ("grid", diagram_of_netlist (Circuit.Generator.grid ~rows:2 ~cols:3));
+       ]
+     @ Decisive.Case_study.design_variants ~count:3 ())
+
+let test_convert_shipped () =
+  let diagrams = Lazy.force shipped_diagrams in
+  Alcotest.(check bool) "examples/models parsed" true
+    (List.mem_assoc "psu.bd" diagrams);
+  List.iter
+    (fun (name, d) ->
+      Alcotest.(check bool) (name ^ " converts") true
+        (Result.is_ok (conversion To_netlist.convert d));
+      Alcotest.(check bool) (name ^ " matches the reference") true
+        (matches_reference d))
+    diagrams
+
+(* One random edit of the top level: drop a block, rewire an endpoint,
+   connect to a block or port that does not exist, add a scope, nest
+   blocks into a subsystem, give a block an unknown type or a negative
+   value. *)
+let mutate (d : Diagram.t) =
+  let open QCheck.Gen in
+  let blocks = d.Diagram.blocks and connections = d.Diagram.connections in
+  let endpoints =
+    List.concat_map
+      (fun (b : Diagram.block) ->
+        List.map
+          (fun (p : Diagram.port) -> (b.Diagram.block_id, p.Diagram.port_name))
+          b.Diagram.ports)
+      blocks
+  in
+  let with_blocks f =
+    if blocks = [] then return d
+    else
+      map
+        (fun i ->
+          {
+            d with
+            Diagram.blocks = List.concat (List.mapi (fun j b -> if i = j then f b else [ b ]) blocks);
+          })
+        (int_bound (List.length blocks - 1))
+  in
+  let endpoint = if endpoints = [] then return ("NOPE", "a") else oneofl endpoints in
+  frequency
+    [
+      (2, with_blocks (fun _ -> []));
+      ( 2,
+        if connections = [] then return d
+        else
+          let* i = int_bound (List.length connections - 1) in
+          let* ep_block, ep_port = endpoint in
+          let* from_side = bool in
+          let ep = { Diagram.ep_block; ep_port } in
+          return
+            {
+              d with
+              Diagram.connections =
+                List.mapi
+                  (fun j (c : Diagram.connection) ->
+                    if i <> j then c
+                    else if from_side then { c with Diagram.from_ep = ep }
+                    else { c with Diagram.to_ep = ep })
+                  connections;
+            } );
+      ( 1,
+        let* from = endpoint in
+        let* missing =
+          oneofl
+            [ ("NOPE", "a"); ("NOPE", "b"); (fst from, "zz") ]
+        in
+        return
+          { d with Diagram.connections = Diagram.connect from missing :: connections } );
+      ( 1,
+        let* to_ = endpoint in
+        let id = Printf.sprintf "SCOPE%d" (List.length blocks) in
+        let scope =
+          Diagram.block ~id ~block_type:"scope"
+            ~ports:[ { Diagram.port_name = "a"; port_kind = Diagram.Conserving } ]
+            ()
+        in
+        return
+          {
+            d with
+            Diagram.blocks = blocks @ [ scope ];
+            connections = connections @ [ Diagram.connect (id, "a") to_ ];
+          } );
+      ( 1,
+        let* inside = flatten_l (List.map (fun _ -> bool) blocks) in
+        let moved =
+          List.filteri (fun i _ -> List.nth inside i) blocks
+          |> List.map (fun (b : Diagram.block) -> b.Diagram.block_id)
+        in
+        let nested id = List.mem id moved in
+        let inner, outer =
+          List.partition
+            (fun (c : Diagram.connection) ->
+              nested c.Diagram.from_ep.Diagram.ep_block
+              && nested c.Diagram.to_ep.Diagram.ep_block)
+            connections
+        in
+        return
+          {
+            d with
+            Diagram.blocks =
+              List.filter
+                (fun (b : Diagram.block) -> not (nested b.Diagram.block_id))
+                blocks;
+            connections = outer;
+            subsystems =
+              Diagram.diagram ~name:"sub" ~connections:inner
+                (List.filter
+                   (fun (b : Diagram.block) -> nested b.Diagram.block_id)
+                   blocks)
+              :: d.Diagram.subsystems;
+          } );
+      (1, with_blocks (fun b -> [ { b with Diagram.block_type = "widget" } ]));
+      ( 1,
+        with_blocks (fun b ->
+            [
+              {
+                b with
+                Diagram.parameters =
+                  [ ("ohms", Diagram.P_num (-3.0)); ("farads", Diagram.P_num 0.0) ];
+              };
+            ]) );
+    ]
+
+let mutated_gen =
+  let open QCheck.Gen in
+  let* _, base = oneofl (Lazy.force shipped_diagrams) in
+  let* n = int_range 1 4 in
+  let rec go n d = if n = 0 then return d else mutate d >>= go (n - 1) in
+  go n base
+
+let prop_convert_mutations =
+  QCheck.Test.make ~name:"convert = reference on mutated diagrams" ~count:300
+    (QCheck.make ~print:Diagram.show mutated_gen)
+    matches_reference
+
+(* A block id that repeats after flattening (two subsystems named S)
+   names one set of ports.  Two such elements are the duplicate-id
+   error; a scope and a resistor of one id share their nets. *)
+let test_convert_repeated_id () =
+  let sub blocks = Diagram.diagram ~name:"S" blocks in
+  let resistor = Diagram.block ~id:"R1" ~block_type:"resistor" () in
+  let twice = Diagram.diagram ~name:"dup" ~subsystems:[ sub [ resistor ]; sub [ resistor ] ] [] in
+  Alcotest.check_raises "two elements S/R1"
+    (Invalid_argument "Netlist.add: duplicate element id S/R1") (fun () ->
+      ignore (To_netlist.convert twice));
+  Alcotest.(check bool) "as the reference" true (matches_reference twice);
+  let scope =
+    Diagram.block ~id:"R1" ~block_type:"scope" ~ports:Diagram.two_terminal_ports ()
+  in
+  let shared =
+    Diagram.diagram ~name:"shared"
+      ~connections:[ Diagram.connect ("S/R1", "b") ("GND", "a") ]
+      ~subsystems:[ sub [ scope ]; sub [ resistor ] ]
+      [
+        Diagram.block ~id:"GND" ~block_type:"ground"
+          ~ports:[ { Diagram.port_name = "a"; port_kind = Diagram.Conserving } ]
+          ();
+      ]
+  in
+  let r = To_netlist.convert shared in
+  Alcotest.(check (list (pair string string))) "one element"
+    [ ("S/R1", "resistor") ] r.To_netlist.block_types;
+  Alcotest.(check (list string)) "the scope is skipped" [ "S/R1" ]
+    (List.map (fun (s : To_netlist.skipped) -> s.To_netlist.block_id) r.To_netlist.skipped);
+  Alcotest.(check (list (pair string string))) "on the nets both blocks wire"
+    [ ("n1", "gnd") ]
+    (List.map
+       (fun (e : Circuit.Element.t) -> (e.Circuit.Element.node_a, e.Circuit.Element.node_b))
+       (Circuit.Netlist.elements r.To_netlist.netlist));
+  Alcotest.(check bool) "as the reference" true (matches_reference shared)
+
 let prop_text_roundtrip =
   QCheck.Test.make ~name:"text format roundtrip" ~count:100
     (QCheck.make diagram_gen)
@@ -331,4 +605,9 @@ let suite =
     Alcotest.test_case "transform type markers" `Quick test_transform_types_marked;
     Alcotest.test_case "aggregate reliability" `Quick test_aggregate_reliability;
     Alcotest.test_case "driver installed" `Quick test_driver_installed;
+    Alcotest.test_case "convert = reference, shipped diagrams" `Quick
+      test_convert_shipped;
+    QCheck_alcotest.to_alcotest prop_convert_mutations;
+    Alcotest.test_case "convert: repeated block id" `Quick
+      test_convert_repeated_id;
   ]

@@ -599,7 +599,42 @@ let test_library_lookup () =
     (match Library.find "MC" with
     | Some { Library.block_type = "microcontroller"; _ } -> true
     | _ -> false);
-  Alcotest.(check bool) "unknown" true (Library.find "warp-drive" = None)
+  Alcotest.(check bool) "unknown" true (Library.find "warp-drive" = None);
+  (* Every catalogue type and alias, in mixed case and padded, resolves
+     as a scan of the catalogue and the alias list does. *)
+  let scan name =
+    let canon = String.lowercase_ascii (String.trim name) in
+    let canon = Option.value ~default:canon (List.assoc_opt canon Library.aliases) in
+    List.find_opt (fun b -> String.equal b.Library.block_type canon) Library.catalogue
+  in
+  let mixed name =
+    String.mapi
+      (fun i c -> if i mod 2 = 0 then Char.uppercase_ascii c else c)
+      name
+  in
+  let names =
+    List.map (fun b -> b.Library.block_type) Library.catalogue
+    @ List.map fst Library.aliases
+  in
+  List.iter
+    (fun name ->
+      List.iter
+        (fun spelling ->
+          Alcotest.(check (option string)) (Printf.sprintf "%S" spelling)
+            (Option.map (fun b -> b.Library.block_type) (scan spelling))
+            (Option.map (fun b -> b.Library.block_type) (Library.find spelling));
+          Alcotest.(check bool) (Printf.sprintf "%S found" spelling) true
+            (Option.is_some (Library.find spelling)))
+        [
+          name; String.uppercase_ascii name; mixed name; "  " ^ name ^ " ";
+          "\t" ^ mixed name ^ "\n";
+        ])
+    names;
+  List.iter
+    (fun spelling ->
+      Alcotest.(check bool) (Printf.sprintf "%S unknown" spelling) true
+        (Library.find spelling = None && scan spelling = None))
+    [ ""; "  "; "res istor"; "resistors"; "dc  source"; "microcontroller_" ]
 
 let test_library_coverage () =
   let r = Library.coverage [ "resistor"; "diode"; "mcu"; "opamp"; "resistor" ] in

@@ -395,7 +395,55 @@ let test_error_handling () =
           ( "bode",
             "--source DC1 --from 100 --to 10",
             "Ac.log_space: need 0 < from < to, finite (got 100 to 10)" );
-        ])
+        ];
+      (* A diagram that parses but that the netlist conversion rejects —
+         a two-terminal block of an unknown type, a non-positive value —
+         is an input error naming the model for every command that
+         converts it, not an uncaught exception. *)
+      let rejected =
+        [
+          ( "widget.bd",
+            "block MC1 : microcontroller { ohms = 100; }",
+            "block MC1 : widget;",
+            "block MC1: unsupported electrical block type 'widget'" );
+          ( "negative.bd",
+            "block MC1 : microcontroller { ohms = 100; }",
+            "block MC1 : load { ohms = -3; }",
+            "Element.make MC1: non-positive resistance" );
+        ]
+      in
+      List.iter
+        (fun (file, old_block, new_block, message) ->
+          let path = Filename.concat dir file in
+          let i =
+            let n = String.length old_block in
+            let rec find i =
+              if String.sub psu_bd i n = old_block then i else find (i + 1)
+            in
+            find 0
+          in
+          Out_channel.with_open_bin path (fun oc ->
+              output_string oc
+                (String.sub psu_bd 0 i ^ new_block
+                ^ String.sub psu_bd
+                    (i + String.length old_block)
+                    (String.length psu_bd - i - String.length old_block)));
+          List.iter
+            (fun command ->
+              let label = file ^ ": " ^ command in
+              Alcotest.(check int) (label ^ ": exit 1") 1
+                (Sys.command
+                   (Printf.sprintf "%s %s %s >/dev/null 2>%s" bin command
+                      (Filename.quote path) (Filename.quote err)));
+              Alcotest.(check string) (label ^ ": message")
+                (Printf.sprintf "error: %s: %s\n" path message)
+                (read_file err))
+            [
+              "fmea"; "fmeda"; "optimize"; "run"; "report";
+              "simulate"; "bode --source DC1"; "degrade --source DC1";
+              "diagnose --output CS1";
+            ])
+        rejected)
 
 (* A daemon cannot write the CLI's files, lint first or keep its cache:
    under --connect those flags are usage errors, checked before any

@@ -450,6 +450,98 @@ let test_system_b_fewer_solves () =
   Alcotest.(check bool) "rows were reused" true
     (warm.Engine.Stats.rows_reused > 0)
 
+(* Work budgets of the warm edit path on System B.  A FIT-only edit
+   re-prices the edited type's rows from the previous table: no faulted
+   solve, every row reused.  The minor-heap words of one FIT edit and of
+   one load-ohms edit (a new golden factorisation and a re-solve of every
+   row) stay under bounds measured on this code with headroom, so a
+   change that adds per-edit garbage shows here. *)
+let test_edit_work_budgets () =
+  let subject = Decisive.Systems.system_b in
+  let diagram = subject.Decisive.Systems.diagram in
+  let reliability = subject.Decisive.Systems.reliability in
+  let options =
+    {
+      Fmea.Injection_fmea.default_options with
+      exclude = [ "DC1"; "BAT1" ];
+      monitored_sensors = Some [ "CS1"; "CS2"; "VS1" ];
+    }
+  in
+  let with_fit r ty delta =
+    match Reliability.Reliability_model.find r ty with
+    | Some e ->
+        Reliability.Reliability_model.add r
+          {
+            e with
+            Reliability.Reliability_model.fit =
+              e.Reliability.Reliability_model.fit +. delta;
+          }
+    | None -> Alcotest.fail ("System B has a " ^ ty ^ " entry")
+  in
+  let with_ohms (d : Blockdiag.Diagram.t) ohms =
+    {
+      d with
+      Blockdiag.Diagram.blocks =
+        List.map
+          (fun (b : Blockdiag.Diagram.block) ->
+            if b.Blockdiag.Diagram.block_id = "THR1" then
+              {
+                b with
+                Blockdiag.Diagram.parameters =
+                  [ ("ohms", Blockdiag.Diagram.P_num ohms) ];
+              }
+            else b)
+          d.Blockdiag.Diagram.blocks;
+    }
+  in
+  Exec.with_jobs 1 @@ fun () ->
+  let engine = Engine.Pipeline.create () in
+  let stats = Engine.Pipeline.stats engine in
+  (* Each edit takes the previous one's inputs and table as its
+     baseline, as a daemon session does. *)
+  let state =
+    ref
+      ( diagram,
+        reliability,
+        Engine.Pipeline.injection_fmea engine ~options diagram reliability )
+  in
+  let edit d r =
+    let prev_diagram, prev_reliability, prev_table = !state in
+    Engine.Stats.reset stats;
+    let before = Gc.minor_words () in
+    let table =
+      Engine.Pipeline.injection_fmea engine
+        ~previous:{ Engine.Pipeline.prev_diagram; prev_reliability; prev_table }
+        ~options d r
+    in
+    let words = Gc.minor_words () -. before in
+    state := (d, r, table);
+    (table, Engine.Pipeline.snapshot engine, words)
+  in
+  (* One round of both edits first, so nothing the first edit of a
+     process initialises counts. *)
+  let r1 = with_fit reliability "microcontroller" 25.0 in
+  ignore (edit diagram r1);
+  let d1 = with_ohms diagram 50.0 in
+  ignore (edit d1 r1);
+  let r2 = with_fit r1 "load" 5.0 in
+  let t, s, fit_words = edit d1 r2 in
+  Alcotest.check table "FIT edit equals cold" (analyse_cold ~options d1 r2) t;
+  Alcotest.(check int) "FIT edit: no rank updates" 0 s.Engine.Stats.rank_updates;
+  Alcotest.(check int) "FIT edit: no golden-reused solves" 0 s.Engine.Stats.reused;
+  Alcotest.(check int) "FIT edit: every row reused" 139 s.Engine.Stats.rows_reused;
+  Alcotest.(check int) "System B has 139 rows" 139 (List.length t.Fmea.Table.rows);
+  let d2 = with_ohms d1 52.0 in
+  let t, s, ohms_words = edit d2 r2 in
+  Alcotest.check table "ohms edit equals cold" (analyse_cold ~options d2 r2) t;
+  Alcotest.(check int) "ohms edit: one golden solve" 1 s.Engine.Stats.golden_solves;
+  Alcotest.(check bool)
+    (Printf.sprintf "FIT edit: %.0f minor words <= 12,000" fit_words)
+    true (fit_words <= 12_000.);
+  Alcotest.(check bool)
+    (Printf.sprintf "load-ohms edit: %.0f minor words <= 120,000" ohms_words)
+    true (ohms_words <= 120_000.)
+
 (* Every injection the engine classifies is served one way: a low-rank
    update against the golden factors, or the golden solution as is (the
    fault changed no stamp) — and [--explain] counts each apart. *)
@@ -805,6 +897,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_warm_equals_cold;
     Alcotest.test_case "pipeline: System B fewer solves" `Quick
       test_system_b_fewer_solves;
+    Alcotest.test_case "pipeline: edit work budgets" `Quick test_edit_work_budgets;
     Alcotest.test_case "pipeline: solve paths add up" `Quick
       test_solve_paths_add_up;
     Alcotest.test_case "pipeline: System B Newton iterations" `Quick

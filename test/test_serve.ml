@@ -788,6 +788,75 @@ let test_server_fit_edit_rows () =
       Alcotest.(check (list (pair string string)))
         "changed rows are the load rows" expected (changed_keys response)
 
+(* A diagram the netlist conversion rejects is an error reply naming the
+   model on open, edit and analyse, and the session survives a rejected
+   edit. *)
+let test_server_conversion_errors () =
+  let diagram, reliability_csv, _, _ = system_b_texts () in
+  let widget =
+    replace_after diagram ~from:"block THR1" ~old:": load" ~by:": widget"
+  in
+  let negative =
+    replace_after diagram ~from:"block THR1 : load" ~old:"ohms = 48;"
+      ~by:"ohms = -3;"
+  in
+  let unsupported =
+    "diagram: block THR1: unsupported electrical block type 'widget'"
+  in
+  let non_positive = "diagram: Element.make THR1: non-positive resistance" in
+  let expect_error label message = function
+    | Error m -> Alcotest.(check string) label message m
+    | Ok _ -> Alcotest.fail (label ^ ": succeeded")
+  in
+  with_server @@ fun _server socket ->
+  match Serve.Client.connect socket with
+  | Error m -> Alcotest.fail m
+  | Ok client ->
+      Fun.protect ~finally:(fun () -> Serve.Client.close client) @@ fun () ->
+      List.iter
+        (fun (label, o_diagram, message) ->
+          expect_error ("open " ^ label) message
+            (Serve.Client.rpc client
+               (Serve.Protocol.Open_session
+                  {
+                    o_diagram;
+                    o_reliability = Some reliability_csv;
+                    o_params = session_params;
+                  })))
+        [ ("widget", widget, unsupported); ("negative", negative, non_positive) ];
+      let session = open_session client ~diagram ~reliability:reliability_csv in
+      List.iter
+        (fun (label, e_diagram, message) ->
+          expect_error ("edit " ^ label) message
+            (Serve.Client.rpc client
+               (Serve.Protocol.Edit
+                  {
+                    e_session = session;
+                    e_diagram = Some e_diagram;
+                    e_reliability = None;
+                  })))
+        [ ("widget", widget, unsupported); ("negative", negative, non_positive) ];
+      Alcotest.(check int) "the session still edits" 1
+        (member_num "revision"
+           (edit_session client session ~reliability:reliability_csv ()));
+      List.iter
+        (fun (label, a_diagram, message) ->
+          let reply =
+            rpc client
+              (Serve.Protocol.Analyse
+                 {
+                   a_analysis = Serve.Protocol.Fmea;
+                   a_diagram;
+                   a_reliability = Some reliability_csv;
+                   a_sm = None;
+                   a_params = session_params;
+                 })
+          in
+          Alcotest.(check (pair int string)) ("analyse " ^ label)
+            (1, "error: " ^ message ^ "\n")
+            (member_num "exit" reply, member_str "output" reply))
+        [ ("widget", widget, unsupported); ("negative", negative, non_positive) ]
+
 (* `same assess` pinned byte for byte without its wall-clock figures:
    direct sampling on the PSU as text and JSON, the k-of-n carry-save
    tape on a 2-of-24 vote, and importance sampling on the PSU. *)
@@ -861,6 +930,8 @@ let suite =
       test_server_exact_diagram_edit;
     Alcotest.test_case "server: FIT edit reports that type's rows" `Quick
       test_server_fit_edit_rows;
+    Alcotest.test_case "server: conversion errors are error replies" `Quick
+      test_server_conversion_errors;
     Alcotest.test_case "server: fta engine parameter" `Quick
       test_server_fta_engine_param;
     Alcotest.test_case "server: assess budgets validated" `Quick
