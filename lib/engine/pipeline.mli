@@ -14,8 +14,9 @@
       the golden run by (netlist, options) fingerprint, and — given the
       {!previous} iteration's artefacts — re-classifies only rows whose
       component falls in the [Ssam.Diff.impacted_components] closure
-      (or whose reliability entry moved); every other row is taken
-      verbatim from the previous table.
+      (or whose reliability entry moved beyond its FIT); every other row
+      is taken from the previous table, verbatim or re-priced at a new
+      FIT.
     - {!path_fmea} / {!path_fmea_package} reuse the path sets of
       untouched components/packages via their subtree fingerprints.
     - {!optimise} reuses the per-row λ-share evaluator
@@ -94,12 +95,21 @@ val injection_fmea :
   Reliability.Reliability_model.t ->
   Fmea.Table.t
 (** Step 4a by fault injection, incrementally.  Row reuse from
-    [previous] requires all of: the extracted netlist fingerprint is
+    [previous] requires both of: the extracted netlist fingerprint is
     unchanged (any electrical edit invalidates every classification —
-    the golden run itself moved), the row's component is {e not} in the
-    [Ssam.Diff.impacted_components] closure of the model diff, and the
-    reliability entry for its component type is unchanged.  Raises
-    {!Fmea.Injection_fmea.Golden_run_failed} like the cold path. *)
+    the golden run itself moved), and the row's component is {e not} in
+    the [Ssam.Diff.impacted_components] closure of the model diff.  The
+    reliability entry for the component's type then decides, once per
+    type:
+    - unchanged: the previous row is reused verbatim;
+    - only [fit] differs: the previous row is rebuilt with
+      {!Fmea.Table.make_row} at the new FIT, its classification kept.
+      It is bit-identical to a recomputed row, since classification
+      never reads the FIT; no faulted solve runs;
+    - anything else differs: the row is re-solved.
+    Rows served either way count in {!Stats.snapshot}'s [rows_reused].
+    Raises {!Fmea.Injection_fmea.Golden_run_failed} like the cold path,
+    and what {!Blockdiag.To_netlist.convert} raises on the diagram. *)
 
 val injection_fmea_fleet :
   t ->

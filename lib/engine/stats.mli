@@ -39,7 +39,9 @@ type snapshot = {
   stores : int;  (** artefacts written to the cache *)
   golden_solves : int;  (** golden (un-faulted) circuit solves *)
   rows_classified : int;  (** FMEA rows classified by fault injection *)
-  rows_reused : int;  (** FMEA rows taken verbatim from a previous table *)
+  rows_reused : int;
+      (** FMEA rows taken from a previous table, verbatim or re-priced
+          at a new FIT *)
   rank_updates : int;
       (** faulted solves served by a low-rank (SMW) re-solve against the
           golden factors *)

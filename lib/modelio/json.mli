@@ -16,12 +16,22 @@ type t =
 exception Parse_error of { pos : int; message : string }
 
 val parse : string -> t
-(** Raises {!Parse_error} on malformed input or trailing garbage. *)
+(** Raises {!Parse_error} on malformed input or trailing garbage; [pos]
+    is the byte offset where parsing stopped (the end of the input for
+    an unterminated string or a truncated escape).  A string's bytes are
+    copied a run at a time: one [String.sub] for a string without
+    escapes, one [Buffer.add_substring] per run between escapes. *)
 
 val parse_file : string -> t
 
 val to_string : ?indent:int -> t -> string
-(** [indent] > 0 pretty-prints; default 0 is compact. *)
+(** [indent] > 0 pretty-prints; default 0 is compact.  Strings escape the
+    quote, the backslash and the bytes below 0x20 ([\n], [\r], [\t],
+    else [\u00XX]); every other byte, invalid UTF-8 included, is written
+    as is, a run at a time.  A whole number below 1e15 in magnitude is
+    written as an integer ([-0] for -0.0), any other number with 17
+    significant digits, so {!parse} reads every finite number back bit
+    for bit. *)
 
 val write_file : ?indent:int -> string -> t -> unit
 
