@@ -454,6 +454,16 @@ let with_fleet ~output ~explain paths reliability_path exclude monitored
       }
     in
     let engine = make_engine cache in
+    (* Convert each variant first, so a rejected diagram is named; the
+       fleet then reuses the engine's conversions. *)
+    let* () =
+      List.fold_left
+        (fun acc (path, diagram) ->
+          Result.bind acc (fun () ->
+              Serve.Command.converting ~model:path (fun () ->
+                  ignore (Engine.Pipeline.convert engine diagram))))
+        (Ok ()) variants
+    in
     or_input_error ~model:(String.concat ", " paths) (fun () ->
         let summary =
           Engine.Batch.run_fmea engine ~options variants reliability

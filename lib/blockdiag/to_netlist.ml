@@ -8,6 +8,14 @@ type result = {
 
 exception Unsupported_block of { block_id : string; block_type : string }
 
+let rejection = function
+  | Unsupported_block { block_id; block_type } ->
+      Some
+        (Printf.sprintf "block %s: unsupported electrical block type '%s'"
+           block_id block_type)
+  | Invalid_argument m -> Some m
+  | _ -> None
+
 let simulation_only = [ "scope"; "solver_config"; "out"; "display"; "workspace" ]
 
 (* The element a block of catalogue type [canonical] maps to. *)

@@ -24,6 +24,12 @@ type result = {
 
 exception Unsupported_block of { block_id : string; block_type : string }
 
+val rejection : exn -> string option
+(** The message for what {!convert} raises on a diagram it rejects:
+    ["block W1: unsupported electrical block type 'widget'"] for
+    {!Unsupported_block}, the message of an [Invalid_argument]; [None]
+    for any other exception. *)
+
 val convert : Diagram.t -> result
 (** Elements are in block order (a subsystem's blocks after its parent
     level's); nets are named ["n1"], ["n2"]... in the order the elements

@@ -524,8 +524,8 @@ let optimise t ?(component_types = []) ~target table sm_model =
         live_memo t t.evaluators (Fingerprint.to_hex fp_table) (fun () ->
             Optimize.Search.make_evaluator table)
       in
-      Optimize.Search.optimise ~evaluator ~component_types ~target table
-        sm_model)
+      Optimize.Search.optimise ~evaluator ~component_types
+        ~on_scored:(Stats.add_search t.p_stats) ~target table sm_model)
 
 (* ---------- assurance ---------- *)
 

@@ -161,7 +161,9 @@ val optimise :
   Reliability.Sm_model.t ->
   Optimize.Search.candidate option * Optimize.Search.candidate list
 (** Step 4b search, cached; the λ-share evaluator is built once per
-    table fingerprint and shared across searches. *)
+    table fingerprint and shared across searches.  A search that runs
+    adds the combinations it scored and the subtrees it skipped to the
+    stats ({!Stats.add_search}). *)
 
 val evaluate_case : t -> Assurance.Sacm.case -> Assurance.Eval.report
 (** Assurance-case evaluation with per-claim memoisation: a solution's

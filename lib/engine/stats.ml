@@ -11,6 +11,8 @@ type t = {
   golden_newton : int Atomic.t;
   fault_newton : int Atomic.t;
   newton_faults : int Atomic.t;
+  search_scored : int Atomic.t;
+  search_pruned : int Atomic.t;
 }
 
 let create () =
@@ -27,6 +29,8 @@ let create () =
     golden_newton = Atomic.make 0;
     fault_newton = Atomic.make 0;
     newton_faults = Atomic.make 0;
+    search_scored = Atomic.make 0;
+    search_pruned = Atomic.make 0;
   }
 
 let reset t =
@@ -41,7 +45,9 @@ let reset t =
   Atomic.set t.reused 0;
   Atomic.set t.golden_newton 0;
   Atomic.set t.fault_newton 0;
-  Atomic.set t.newton_faults 0
+  Atomic.set t.newton_faults 0;
+  Atomic.set t.search_scored 0;
+  Atomic.set t.search_pruned 0
 
 let incr_mem_hit t = Atomic.incr t.mem_hits
 let incr_disk_hit t = Atomic.incr t.disk_hits
@@ -61,6 +67,10 @@ let add_fault_newton t n =
     Atomic.incr t.newton_faults
   end
 
+let add_search t ~scored ~pruned =
+  ignore (Atomic.fetch_and_add t.search_scored scored);
+  ignore (Atomic.fetch_and_add t.search_pruned pruned)
+
 type snapshot = {
   mem_hits : int;
   disk_hits : int;
@@ -74,6 +84,8 @@ type snapshot = {
   golden_newton : int;
   fault_newton : int;
   newton_faults : int;
+  search_scored : int;
+  search_pruned : int;
   sched_sequential : int;
   sched_parallel : int;
 }
@@ -96,6 +108,8 @@ let snapshot (t : t) =
     golden_newton = Atomic.get t.golden_newton;
     fault_newton = Atomic.get t.fault_newton;
     newton_faults = Atomic.get t.newton_faults;
+    search_scored = Atomic.get t.search_scored;
+    search_pruned = Atomic.get t.search_pruned;
     sched_sequential;
     sched_parallel;
   }
@@ -127,4 +141,10 @@ let pp ppf s =
     (if s.rows_reused = 1 then "" else "s");
   Format.fprintf ppf "; scheduler: %d parallel / %d sequential batch%s"
     s.sched_parallel s.sched_sequential
-    (if s.sched_parallel + s.sched_sequential = 1 then "" else "es")
+    (if s.sched_parallel + s.sched_sequential = 1 then "" else "es");
+  Format.fprintf ppf
+    "; search: %d combination%s scored, %d subtree%s skipped"
+    s.search_scored
+    (if s.search_scored = 1 then "" else "s")
+    s.search_pruned
+    (if s.search_pruned = 1 then "" else "s")

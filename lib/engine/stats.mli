@@ -32,6 +32,10 @@ val add_fault_newton : t -> int -> unit
 (** Adds the Newton iterations of one injected fault's solve; a fault
     that ran no Newton loop (0) is not counted. *)
 
+val add_search : t -> scored:int -> pruned:int -> unit
+(** Adds one exhaustive Step 4b search's work
+    ({!Optimize.Search.optimise}'s [on_scored]). *)
+
 type snapshot = {
   mem_hits : int;  (** artefacts served from the memory tier *)
   disk_hits : int;  (** artefacts served from the disk tier *)
@@ -56,6 +60,11 @@ type snapshot = {
   newton_faults : int;
       (** injected faults whose solve ran a Newton loop (circuits with
           diodes other than the faulted element) *)
+  search_scored : int;
+      (** deployment combinations the Step 4b searches scored *)
+  search_pruned : int;
+      (** subtrees of combinations the Step 4b searches skipped unscored,
+          their bounds showing no candidate in them could win *)
   sched_sequential : int;
       (** pool batches the adaptive scheduler ran sequentially
           (process-wide, from {!Exec.Cost.counters}) *)

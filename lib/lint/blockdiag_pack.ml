@@ -16,9 +16,13 @@ let blk007 = rule "BLK007" Rule.Error "--monitor names a missing or non-sensor b
 let blk008 = rule "BLK008" Rule.Warning "no sensor observes the design"
 let blk009 = rule "BLK009" Rule.Error "--exclude names a block not in the diagram"
 let blk010 = rule "BLK010" Rule.Warning "excluded block still covered by SM catalogue rows"
+let blk011 = rule "BLK011" Rule.Error "netlist conversion rejects the diagram"
 
 let rules =
-  [ blk001; blk002; blk003; blk004; blk005; blk006; blk007; blk008; blk009; blk010 ]
+  [
+    blk001; blk002; blk003; blk004; blk005; blk006; blk007; blk008; blk009;
+    blk010; blk011;
+  ]
 
 let is_sensor_type ty =
   match Circuit.Library.find ty with
@@ -138,6 +142,24 @@ let run (input : Input.t) =
       let diag ?element ?hint rule msg =
         acc := Rule.diagnostic ?element ~file ?hint ~rule msg :: !acc
       in
+      (* Every analysis converts the diagram to a netlist first: what the
+         conversion rejects (an unknown two-terminal type, a value the
+         circuit refuses) fails them all.  Only asked of a diagram whose
+         wiring passed, whose errors are already reported. *)
+      if
+        not
+          (List.exists
+             (fun (d : Rule.diagnostic) -> d.Rule.d_severity = Rule.Error)
+             !acc)
+      then (
+        match Blockdiag.To_netlist.convert diagram with
+        | _ -> ()
+        | exception e -> (
+            match Blockdiag.To_netlist.rejection e with
+            | Some m ->
+                diag ~hint:"fix the block's type or value" blk011
+                  (Printf.sprintf "%s: %s" diagram.diagram_name m)
+            | None -> raise e));
       let blocks = all_blocks diagram in
       let sensors =
         List.filter (fun b -> is_sensor_type b.block_type) blocks

@@ -126,17 +126,49 @@ val cheapest_meeting :
 val optimise :
   ?component_types:(string * string) list ->
   ?evaluator:evaluator ->
+  ?on_scored:(scored:int -> pruned:int -> unit) ->
   target:Ssam.Requirement.integrity_level ->
   Fmea.Table.t ->
   Reliability.Sm_model.t ->
   candidate option * candidate list
 (** SAME's end-to-end Step 4b: exhaustive search when feasible (falling
-    back to greedy), returning the chosen solution and the Pareto front.
-    Runs on {!exhaustive_fold} with an online cheapest/Pareto
-    accumulator, so design spaces up to ~2 million combinations are
-    searched exactly at flat memory; the result equals
-    [cheapest_meeting ~target (exhaustive ...), pareto_front
-    (exhaustive ...)] wherever the list-based search could run at all.
+    back to {!greedy} beyond 2 million combinations), returning the
+    chosen solution and the Pareto front.  The result equals
+    [cheapest_meeting ~target l, pareto_front l] for [l] the list
+    {!exhaustive_fold} yields, bit for bit and at every job count,
+    wherever that list could be built at all; memory stays flat.
+
+    It scores first and builds a candidate only when it can win.  Each
+    window of the counter starts from the cheapest meeting candidate and
+    the front as they stood when its round began, updates its own copy
+    of both with each candidate it keeps, and keeps a candidate only
+    when it beats that best or that front does not dominate it.  The
+    kept ones, in counter order, are then decoded into deployment lists
+    and folded into the result by the same rules as
+    {!cheapest_meeting} and {!pareto_front}.
+
+    Before scoring the counter value where a subtree starts (digits
+    [f..] free, all 0 there), a window bounds the subtree: its least
+    cost is the prefix cost plus each free slot's cheapest option when
+    negative; its greatest SPFM folds, in {!Fmea.Metrics.compute}'s
+    order, each row's single-point FIT at the fixed digits or the least
+    any free matching option leaves, whichever is lower.  Round-to-nearest
+    addition, multiplication and division are monotone, so the two bound
+    every candidate of the subtree as its floats come out.  The subtree
+    is skipped when a front entry costs at most the least cost and
+    reaches the greatest SPFM, and the greatest SPFM misses the target or
+    the best costs less than the least cost (or as much, with at least
+    the greatest SPFM).  Every candidate skipped or dropped is then
+    dominated by an earlier candidate and cannot beat an earlier meeting
+    one, so it would not have changed the result; survivors keep their
+    counter order, so every tie-break is the same.  When some FIT or
+    cost is not finite nothing is skipped or dropped.
+
+    [on_scored] receives, once the exhaustive search is done, the
+    candidates scored and the subtrees skipped.  The counts depend on
+    the job count (windows of one round do not see each other's
+    survivors), the result does not.  Not called on the greedy
+    fallback.
 
     [evaluator] (here and in {!exhaustive}/{!greedy}) supplies a
     prebuilt scorer for [table] — the incremental engine memoises it by

@@ -29,15 +29,12 @@ let parse_diagram src =
    two-terminal block of an unknown type, a value [Circuit.Element.make]
    refuses, two elements with one id. *)
 let converting ~model f =
-  let error m = Error (Printf.sprintf "%s: %s" model m) in
   match f () with
   | v -> Ok v
-  | exception Blockdiag.To_netlist.Unsupported_block { block_id; block_type }
-    ->
-      error
-        (Printf.sprintf "block %s: unsupported electrical block type '%s'"
-           block_id block_type)
-  | exception Invalid_argument m -> error m
+  | exception e -> (
+      match Blockdiag.To_netlist.rejection e with
+      | Some m -> Error (Printf.sprintf "%s: %s" model m)
+      | None -> raise e)
 
 (* A reliability or safety-mechanism model: one CSV text, one CSV file or
    a directory of CSV sheets. *)

@@ -542,6 +542,39 @@ let test_edit_work_budgets () =
     (Printf.sprintf "load-ohms edit: %.0f minor words <= 120,000" ohms_words)
     true (ohms_words <= 120_000.)
 
+(* Work budget of the Step 4b search on System B under the benchmark's
+   options (supplies excluded, the three safety sensors monitored, the
+   extended catalogue; the reliability model as its spreadsheet reads
+   back), at one job.  The search scores 1,056 of the 62,208
+   combinations and skips the others in subtrees whose bounds cannot
+   win; a change that loosens a bound or the skip rule scores more. *)
+let test_search_work_budget () =
+  let subject = Decisive.Systems.system_b in
+  let reliability =
+    Reliability.Reliability_model.of_spreadsheet
+      (Reliability.Reliability_model.to_spreadsheet
+         subject.Decisive.Systems.reliability)
+  in
+  Exec.with_jobs 1 @@ fun () ->
+  let engine = Engine.Pipeline.create () in
+  let r =
+    Decisive.Api.fmeda ~engine ~target:Ssam.Requirement.ASIL_B
+      ~exclude:[ "DC1"; "BAT1" ] ~monitored_sensors:[ "CS1"; "CS2"; "VS1" ]
+      subject.Decisive.Systems.diagram reliability
+      Reliability.Sm_model.extended_catalogue
+  in
+  Alcotest.(check bool) "meets ASIL-B" true r.Decisive.Api.meets_target;
+  let s = Engine.Pipeline.snapshot engine in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d of 62,208 combinations scored: <= 1,200"
+       s.Engine.Stats.search_scored)
+    true
+    (s.Engine.Stats.search_scored > 0 && s.Engine.Stats.search_scored <= 1_200);
+  Alcotest.(check bool)
+    (Printf.sprintf "%d subtrees skipped" s.Engine.Stats.search_pruned)
+    true
+    (s.Engine.Stats.search_pruned > 0)
+
 (* Every injection the engine classifies is served one way: a low-rank
    update against the golden factors, or the golden solution as is (the
    fault changed no stamp) — and [--explain] counts each apart. *)
@@ -898,6 +931,8 @@ let suite =
     Alcotest.test_case "pipeline: System B fewer solves" `Quick
       test_system_b_fewer_solves;
     Alcotest.test_case "pipeline: edit work budgets" `Quick test_edit_work_budgets;
+    Alcotest.test_case "pipeline: search work budget" `Quick
+      test_search_work_budget;
     Alcotest.test_case "pipeline: solve paths add up" `Quick
       test_solve_paths_add_up;
     Alcotest.test_case "pipeline: System B Newton iterations" `Quick

@@ -234,6 +234,45 @@ let test_blk_monitor_exclude () =
   Alcotest.(check bool) "BLK010 excluded but SM-referenced" true
     (has_rule "BLK010" ds)
 
+(* What the netlist conversion rejects fails every analysis, so it is an
+   error (BLK011) quoting the conversion's message: a non-positive value,
+   and a two-terminal block of a type the converter does not know. *)
+let test_blk_conversion_rejected () =
+  let loop blocks =
+    bd
+      ~connections:
+        [
+          Blockdiag.Diagram.connect ("v1", "a") ("w1", "a");
+          Blockdiag.Diagram.connect ("w1", "b") ("v1", "b");
+        ]
+      (eblock "v1" "vsource" :: blocks)
+  in
+  let blk011 d =
+    List.filter_map
+      (fun (x : Rule.diagnostic) ->
+        if x.Rule.rule_id = "BLK011" then Some (x.Rule.d_severity, x.Rule.message)
+        else None)
+      (run1 (input_of_diagram d))
+  in
+  let negative =
+    Blockdiag.Diagram.block ~ports:Blockdiag.Diagram.two_terminal_ports
+      ~id:"w1" ~block_type:"resistor"
+      ~parameters:[ ("ohms", Blockdiag.Diagram.P_num (-3.0)) ]
+      ()
+  in
+  Alcotest.(check (list (pair bool string)))
+    "non-positive resistance"
+    [ (true, "d: Element.make w1: non-positive resistance") ]
+    (List.map (fun (sev, m) -> (sev = Rule.Error, m)) (blk011 (loop [ negative ])));
+  Alcotest.(check (list (pair bool string)))
+    "unknown two-terminal type"
+    [ (true, "d: block w1: unsupported electrical block type 'widget'") ]
+    (List.map
+       (fun (sev, m) -> (sev = Rule.Error, m))
+       (blk011 (loop [ eblock "w1" "widget" ])));
+  Alcotest.(check int) "a convertible loop" 0
+    (List.length (blk011 (loop [ eblock "w1" "resistor" ])))
+
 let test_blk_no_sensor () =
   let d =
     bd
@@ -622,6 +661,8 @@ let suite =
     Alcotest.test_case "blk unknown type/port" `Quick test_blk_unknown_type_and_port;
     Alcotest.test_case "blk monitor/exclude" `Quick test_blk_monitor_exclude;
     Alcotest.test_case "blk no sensor" `Quick test_blk_no_sensor;
+    Alcotest.test_case "blk conversion rejected" `Quick
+      test_blk_conversion_rejected;
     Alcotest.test_case "rel tables" `Quick test_rel_tables;
     Alcotest.test_case "rel/sm cross-checks" `Quick test_rel_sm_cross;
     Alcotest.test_case "query rules" `Quick test_query_rules;
