@@ -586,8 +586,8 @@ let fmeda_cmd =
 (* same optimize *)
 
 let optimize_cmd =
-  let run diagram_path reliability_path sm_path exclude target strict jobs
-      cache explain =
+  let run diagram_path reliability_path sm_path exclude monitored target strict
+      jobs cache explain =
     set_jobs jobs;
     with_diagram_and_models diagram_path reliability_path
       (fun diagram reliability ->
@@ -596,14 +596,17 @@ let optimize_cmd =
           not
             (strict_ok ~strict ~diagram:(diagram_path, diagram)
                ~reliability:(reliability_path, reliability)
-               ~sm:(sm_path, sm_model) ~exclude ())
+               ~sm:(sm_path, sm_model) ~exclude ~monitored ())
         then 1
       else
           let engine = make_engine cache in
+          let monitored_sensors =
+            match monitored with [] -> None | ids -> Some ids
+          in
           or_input_error ~model:diagram_path (fun () ->
             let refinement =
-              Decisive.Api.fmeda ~engine ~target ~exclude diagram reliability
-                sm_model
+              Decisive.Api.fmeda ~engine ~target ~exclude ?monitored_sensors
+                diagram reliability sm_model
             in
             Format.printf "Pareto front (cost vs SPFM):@.";
             List.iter
@@ -625,7 +628,8 @@ let optimize_cmd =
     (Cmd.info "optimize" ~doc)
     Term.(
       const run $ diagram_arg $ reliability_arg $ sm_arg $ exclude_arg
-      $ target_arg $ strict_arg $ jobs_arg $ cache_arg $ explain_arg)
+      $ monitored_arg $ target_arg $ strict_arg $ jobs_arg $ cache_arg
+      $ explain_arg)
 
 (* same transform *)
 

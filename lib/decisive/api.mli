@@ -57,10 +57,8 @@ val refine :
   refinement
 (** DECISIVE Step 4b: search SM deployments for the target.  [engine]
     (default: a fresh one) memoises the search result by (table,
-    SM-model, target) fingerprint and reuses the per-row λ-share
-    evaluator across searches over the same table.  [component_types]
-    maps component ids to catalogue types (default: the ids
-    themselves). *)
+    SM-model, target) fingerprint.  [component_types] maps component
+    ids to catalogue types (default: the ids themselves). *)
 
 val refine_design :
   ?engine:Engine.Pipeline.t ->

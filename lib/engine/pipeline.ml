@@ -38,17 +38,16 @@ module Memo = struct
         v
 end
 
-(* The most golden runs, and evaluators, a pipeline holds at once. *)
+(* The most golden runs a pipeline holds at once. *)
 let live_cap = 32
 
 type t = {
   p_cache : Cache.t;
   p_stats : Stats.t;
-  (* Live memos for values Marshal cannot carry (solutions hold solver
-     state; evaluators are documented-immutable but stage-local).  Keyed
-     by fingerprint hex, [live_cap] entries each; guarded by [lock]. *)
+  (* Live memo for values Marshal cannot carry (solutions hold solver
+     state).  Keyed by fingerprint hex, [live_cap] entries; guarded by
+     [lock]. *)
   golden_runs : (string, Fmea.Injection_fmea.prepared) Memo.t;
-  evaluators : (string, Optimize.Search.evaluator) Memo.t;
   (* Identity memos for the per-call fixed costs of the FMEA entry
      points; these dominate a warm one-edit run at small system sizes. *)
   fp_diagrams : (Blockdiag.Diagram.t, Fingerprint.t) Memo.t;
@@ -84,7 +83,6 @@ let create ?cache () =
       p_cache = (match cache with Some c -> c | None -> Cache.create ());
       p_stats = Stats.create ();
       golden_runs = Memo.create live_cap;
-      evaluators = Memo.create live_cap;
       fp_diagrams = Memo.create 8;
       fp_models = Memo.create 8;
       conversions = Memo.create 8;
@@ -507,11 +505,10 @@ let path_fmea_package t ~options pkg =
 (* ---------- Step 4b search ---------- *)
 
 let optimise t ?(component_types = []) ~target table sm_model =
-  let fp_table = Fingerprint.fmea_table table in
   let key =
     Fingerprint.node
       [
-        fp_table;
+        Fingerprint.fmea_table table;
         Fingerprint.sm_model sm_model;
         Fingerprint.leaf (Ssam.Requirement.integrity_level_to_string target);
         Fingerprint.leaf
@@ -520,11 +517,7 @@ let optimise t ?(component_types = []) ~target table sm_model =
       ]
   in
   memo t ~stage:"optimize.search" ~key (fun () ->
-      let evaluator =
-        live_memo t t.evaluators (Fingerprint.to_hex fp_table) (fun () ->
-            Optimize.Search.make_evaluator table)
-      in
-      Optimize.Search.optimise ~evaluator ~component_types
+      Optimize.Search.optimise ~component_types
         ~on_scored:(Stats.add_search t.p_stats) ~target table sm_model)
 
 (* ---------- assurance ---------- *)

@@ -1,8 +1,8 @@
 (** The staged incremental analysis pipeline.
 
     One pipeline value owns a {!Cache}, a {!Stats} block and the live
-    (in-memory-only, {!live_cap}-bounded) memos the marshalled cache
-    cannot hold (golden circuit runs, SPFM evaluators).  Every analysis
+    (in-memory-only, {!live_cap}-bounded) memo of what the marshalled
+    cache cannot hold (golden circuit runs).  Every analysis
     entry point routed through it behaves exactly like its cold
     counterpart — cached results are bit-identical, a property the test
     suite checks with the same discipline as the [SAME_JOBS] determinism
@@ -19,9 +19,7 @@
       FIT.
     - {!path_fmea} / {!path_fmea_package} reuse the path sets of
       untouched components/packages via their subtree fingerprints.
-    - {!optimise} reuses the per-row λ-share evaluator
-      ({!Optimize.Search.evaluate_with}) across searches over the same
-      table, and caches search results by (table, catalogue, target).
+    - {!optimise} caches search results by (table, catalogue, target).
     - {!evaluate_case} re-evaluates only claims whose cited artefact
       fingerprints moved ({!Fingerprint.artifact} covers the evidence
       file's content).
@@ -41,10 +39,9 @@ val stats : t -> Stats.t
 val snapshot : t -> Stats.snapshot
 
 val live_cap : int
-(** The most golden runs, and the most SPFM evaluators, a pipeline holds
-    in memory at once; the least recently used is evicted first.  An
-    evicted golden run is recomputed (one more golden solve) when its
-    circuit comes back. *)
+(** The most golden runs a pipeline holds in memory at once; the least
+    recently used is evicted first.  An evicted golden run is recomputed
+    (one more golden solve) when its circuit comes back. *)
 
 val golden_runs_held : t -> int
 (** Golden runs currently held, at most {!live_cap}. *)
@@ -160,10 +157,9 @@ val optimise :
   Fmea.Table.t ->
   Reliability.Sm_model.t ->
   Optimize.Search.candidate option * Optimize.Search.candidate list
-(** Step 4b search, cached; the λ-share evaluator is built once per
-    table fingerprint and shared across searches.  A search that runs
-    adds the combinations it scored and the subtrees it skipped to the
-    stats ({!Stats.add_search}). *)
+(** Step 4b search, cached.  A search that runs adds the combinations
+    (or greedy moves) it scored and the subtrees it skipped to the stats
+    ({!Stats.add_search}). *)
 
 val evaluate_case : t -> Assurance.Sacm.case -> Assurance.Eval.report
 (** Assurance-case evaluation with per-claim memoisation: a solution's

@@ -33,8 +33,8 @@ val add_fault_newton : t -> int -> unit
     that ran no Newton loop (0) is not counted. *)
 
 val add_search : t -> scored:int -> pruned:int -> unit
-(** Adds one exhaustive Step 4b search's work
-    ({!Optimize.Search.optimise}'s [on_scored]). *)
+(** Adds one Step 4b search's work ({!Optimize.Search.optimise}'s
+    [on_scored]). *)
 
 type snapshot = {
   mem_hits : int;  (** artefacts served from the memory tier *)
@@ -61,7 +61,8 @@ type snapshot = {
       (** injected faults whose solve ran a Newton loop (circuits with
           diodes other than the faulted element) *)
   search_scored : int;
-      (** deployment combinations the Step 4b searches scored *)
+      (** deployment combinations the Step 4b searches scored (the
+          moves, for the greedy fallback) *)
   search_pruned : int;
       (** subtrees of combinations the Step 4b searches skipped unscored,
           their bounds showing no candidate in them could win *)

@@ -43,125 +43,6 @@ let evaluate table deployments =
     cost = Fmea.Fmeda.total_cost deployments;
   }
 
-(* ---------- incremental SPFM evaluation ----------
-
-   [evaluate] re-runs [Fmeda.apply] over the whole table and re-derives
-   the metric component by component — O(rows × deployments + rows ×
-   components) per candidate, which dominates the search loops.  The
-   evaluator below precomputes the per-row failure-rate shares and the
-   per-component single-point sums once, then rescores only the
-   components a deployment set actually touches.  Floating-point folds
-   are replayed in exactly [Metrics.compute]'s order (row order within a
-   component, first-SR-appearance order across components), so the result
-   is bit-identical to [evaluate]. *)
-
-type eval_row = {
-  er_component : string;  (* lowercased, for deployment matching *)
-  er_failure_mode : string;  (* lowercased *)
-  er_safety_related : bool;
-  er_base_spf : float;  (* the row's single_point_fit in the input table *)
-  er_share : float;  (* λ share of this failure mode (SR rows only) *)
-}
-
-type eval_component = {
-  ec_fit : float;  (* component FIT (first row, as in Metrics.compute) *)
-  ec_rows : eval_row array;  (* every row of the component, in table order *)
-  ec_base_spf : float;  (* fold of er_base_spf, row order *)
-}
-
-type evaluator = {
-  ev_components : eval_component array;  (* SR components, first-appearance order *)
-}
-
-let make_evaluator (table : Fmea.Table.t) =
-  let eval_row (r : Fmea.Table.row) =
-    {
-      er_component = String.lowercase_ascii r.Fmea.Table.component;
-      er_failure_mode = String.lowercase_ascii r.Fmea.Table.failure_mode;
-      er_safety_related = r.Fmea.Table.safety_related;
-      er_base_spf = r.Fmea.Table.single_point_fit;
-      er_share =
-        (if r.Fmea.Table.safety_related then
-           Reliability.Fit.share r.Fmea.Table.component_fit
-             ~distribution_pct:r.Fmea.Table.distribution_pct
-         else 0.0);
-    }
-  in
-  let components =
-    List.map
-      (fun c ->
-        let rows = Fmea.Table.rows_for table c in
-        let fit =
-          match rows with
-          | (r : Fmea.Table.row) :: _ -> r.Fmea.Table.component_fit
-          | [] -> 0.0
-        in
-        let ec_rows = Array.of_list (List.map eval_row rows) in
-        let ec_base_spf =
-          Array.fold_left (fun acc er -> acc +. er.er_base_spf) 0.0 ec_rows
-        in
-        { ec_fit = fit; ec_rows; ec_base_spf })
-      (Fmea.Table.safety_related_components table)
-  in
-  { ev_components = Array.of_list components }
-
-let evaluate_with ev deployments =
-  (* Best matching deployment per row — [Fmeda.apply]'s fold verbatim
-     (highest coverage wins, first deployment wins coverage ties). *)
-  let best_for er =
-    List.fold_left
-      (fun acc (d : Fmea.Fmeda.deployment) ->
-        if
-          String.equal
-            (String.lowercase_ascii d.Fmea.Fmeda.target_component)
-            er.er_component
-          && String.equal
-               (String.lowercase_ascii d.Fmea.Fmeda.target_failure_mode)
-               er.er_failure_mode
-        then
-          match acc with
-          | Some (b : Fmea.Fmeda.deployment)
-            when b.Fmea.Fmeda.mechanism.Reliability.Sm_model.coverage_pct
-                 >= d.Fmea.Fmeda.mechanism.Reliability.Sm_model.coverage_pct ->
-              acc
-          | Some _ | None -> Some d
-        else acc)
-      None deployments
-  in
-  let component_spf ec =
-    let touched =
-      deployments <> []
-      && Array.exists (fun er -> best_for er <> None) ec.ec_rows
-    in
-    if not touched then ec.ec_base_spf
-    else
-      Array.fold_left
-        (fun acc er ->
-          let spf =
-            match best_for er with
-            | None -> er.er_base_spf
-            | Some d ->
-                if er.er_safety_related then
-                  Reliability.Fit.residual er.er_share
-                    ~coverage_pct:
-                      d.Fmea.Fmeda.mechanism.Reliability.Sm_model.coverage_pct
-                else 0.0
-          in
-          acc +. spf)
-        0.0 ec.ec_rows
-  in
-  let safety_related_fit =
-    Array.fold_left (fun acc ec -> acc +. ec.ec_fit) 0.0 ev.ev_components
-  in
-  let single_point_fit =
-    Array.fold_left (fun acc ec -> acc +. component_spf ec) 0.0 ev.ev_components
-  in
-  let spfm_pct =
-    if safety_related_fit <= 0.0 then 100.0
-    else 100.0 *. (1.0 -. (single_point_fit /. safety_related_fit))
-  in
-  { deployments; spfm_pct; cost = Fmea.Fmeda.total_cost deployments }
-
 (* ---------- streaming exhaustive enumeration ----------
 
    The combination space is a mixed-radix counter: slot [i] contributes
@@ -246,7 +127,7 @@ type scan = {
    digits or the least a free option leaves, whichever is lower. *)
 let lower v w = if w < v then w else v
 
-let make_scan ev slots =
+let make_scan table slots =
   let slots = Array.of_list slots in
   let n = Array.length slots in
   let per_option g =
@@ -266,34 +147,34 @@ let make_scan ev slots =
   for f = n - 1 downto 0 do
     sc_span.(f) <- sc_radix.(f) * sc_span.(f + 1)
   done;
-  (* [Fmeda.matches] compares lowercased names: lowercase each slot once
-     (the evaluator's rows already are). *)
-  let slot_keys =
-    Array.map
-      (fun s ->
-        ( String.lowercase_ascii s.slot_component,
-          String.lowercase_ascii s.slot_failure_mode ))
-      slots
+  (* [Fmeda.matches] compares lowercased names: lowercase each slot and
+     each row once. *)
+  let key component failure_mode =
+    (String.lowercase_ascii component, String.lowercase_ascii failure_mode)
   in
-  let scan_row er =
+  let slot_keys =
+    Array.map (fun s -> key s.slot_component s.slot_failure_mode) slots
+  in
+  let scan_row (r : Fmea.Table.row) =
+    let row_key = key r.Fmea.Table.component r.Fmea.Table.failure_mode in
     let sr_slots =
       List.init n Fun.id
-      |> List.filter (fun i ->
-             let c, fm = slot_keys.(i) in
-             String.equal c er.er_component && String.equal fm er.er_failure_mode)
+      |> List.filter (fun i -> slot_keys.(i) = row_key)
       |> Array.of_list
     in
-    let sr_spf =
-      Array.map
-        (fun i ->
-          Array.map
-            (fun coverage_pct ->
-              if er.er_safety_related then
-                Reliability.Fit.residual er.er_share ~coverage_pct
-              else 0.0)
-            sc_coverage.(i))
-        sr_slots
+    (* The failure mode's λ share, which a deployment leaves uncovered in
+       proportion; a deployment leaves no single-point FIT on a row that
+       is not safety-related. *)
+    let residual =
+      if r.Fmea.Table.safety_related then
+        let share =
+          Reliability.Fit.share r.Fmea.Table.component_fit
+            ~distribution_pct:r.Fmea.Table.distribution_pct
+        in
+        fun coverage_pct -> Reliability.Fit.residual share ~coverage_pct
+      else fun _ -> 0.0
     in
+    let sr_spf = Array.map (fun i -> Array.map residual sc_coverage.(i)) sr_slots in
     let sr_free_min = Array.make (n + 1) Float.infinity in
     Array.iteri
       (fun k i ->
@@ -302,10 +183,26 @@ let make_scan ev slots =
           sr_free_min.(f) <- Float.min sr_free_min.(f) least
         done)
       sr_slots;
-    { sr_base = er.er_base_spf; sr_slots; sr_spf; sr_free_min }
+    { sr_base = r.Fmea.Table.single_point_fit; sr_slots; sr_spf; sr_free_min }
+  in
+  (* The safety-related components in first-appearance order, each with
+     every row it has, in table order; and the FIT of each, read from its
+     first row, folded in that order ([Metrics.compute]'s). *)
+  let components =
+    List.map (Fmea.Table.rows_for table)
+      (Fmea.Table.safety_related_components table)
+  in
+  let sc_sr_fit =
+    List.fold_left
+      (fun acc rows ->
+        match rows with
+        | (r : Fmea.Table.row) :: _ -> acc +. r.Fmea.Table.component_fit
+        | [] -> acc)
+      0.0 components
   in
   let sc_rows =
-    Array.map (fun ec -> Array.map scan_row ec.ec_rows) ev.ev_components
+    Array.of_list
+      (List.map (fun rows -> Array.of_list (List.map scan_row rows)) components)
   in
   let m = Array.length sc_rows in
   let components = List.init m Fun.id in
@@ -325,9 +222,6 @@ let make_scan ev slots =
   done;
   let sc_cheapest =
     Array.map (Array.fold_left Float.min Float.infinity) sc_cost
-  in
-  let sc_sr_fit =
-    Array.fold_left (fun acc ec -> acc +. ec.ec_fit) 0.0 ev.ev_components
   in
   let all_finite a = Array.for_all Float.is_finite a in
   {
@@ -378,6 +272,100 @@ let increment_at sc digit pos =
   done;
   digit.(!p) <- digit.(!p) + 1;
   !p
+
+(* The scores of one digit vector and the folds they come from: per
+   slot the cost folded over slots [0..i]; per component its rows'
+   single-point FITs and their fold; per component the fold over
+   components [0..j].  Both the exhaustive windows and {!greedy} score
+   by changing digits and calling {!refresh}. *)
+type state = {
+  digit : int array;
+  cost_prefix : float array;
+  row_spf : float array array;
+  component_spf : float array;
+  spf_prefix : float array;
+}
+
+(* Per row, the deploying matching slot is [Fmeda.apply]'s: highest
+   coverage wins, the earlier slot wins a coverage tie. *)
+let refold_component sc st c =
+  let digit = st.digit in
+  let rows = sc.sc_rows.(c) and values = st.row_spf.(c) in
+  let acc = ref 0.0 in
+  for r = 0 to Array.length rows - 1 do
+    let row = rows.(r) in
+    let spf = ref row.sr_base and best_cov = ref Float.nan in
+    for k = 0 to Array.length row.sr_slots - 1 do
+      let s = row.sr_slots.(k) in
+      let d = digit.(s) in
+      if d > 0 then begin
+        let cov = sc.sc_coverage.(s).(d - 1) in
+        if Float.is_nan !best_cov || not (!best_cov >= cov) then begin
+          best_cov := cov;
+          spf := row.sr_spf.(k).(d - 1)
+        end
+      end
+    done;
+    values.(r) <- !spf;
+    acc := !acc +. !spf
+  done;
+  st.component_spf.(c) <- !acc
+
+let refold_costs sc st ~from =
+  let digit = st.digit and cost_prefix = st.cost_prefix in
+  for i = from to Array.length digit - 1 do
+    let prev = if i = 0 then 0.0 else cost_prefix.(i - 1) in
+    let d = digit.(i) in
+    cost_prefix.(i) <- (if d = 0 then prev else prev +. sc.sc_cost.(i).(d - 1))
+  done
+
+let refold_spf st ~from =
+  let component_spf = st.component_spf and spf_prefix = st.spf_prefix in
+  for j = from to Array.length spf_prefix - 1 do
+    let prev = if j = 0 then 0.0 else spf_prefix.(j - 1) in
+    spf_prefix.(j) <- prev +. component_spf.(j)
+  done
+
+(* After a change of digits [p..q]. *)
+let refresh sc st p q =
+  refold_costs sc st ~from:p;
+  let first = ref (Array.length sc.sc_rows) in
+  for i = p to q do
+    let matched = sc.sc_matched.(i) in
+    for j = 0 to Array.length matched - 1 do
+      let c = matched.(j) in
+      refold_component sc st c;
+      if c < !first then first := c
+    done
+  done;
+  refold_spf st ~from:!first
+
+(* The state at [digit], which it takes over, by a full fold. *)
+let state_at sc digit =
+  let st =
+    {
+      digit;
+      cost_prefix = Array.make (Array.length digit) 0.0;
+      row_spf =
+        Array.map (fun rows -> Array.make (Array.length rows) 0.0) sc.sc_rows;
+      component_spf = Array.make (Array.length sc.sc_rows) 0.0;
+      spf_prefix = Array.make (Array.length sc.sc_rows) 0.0;
+    }
+  in
+  refold_costs sc st ~from:0;
+  for c = 0 to Array.length sc.sc_rows - 1 do
+    refold_component sc st c
+  done;
+  refold_spf st ~from:0;
+  st
+
+let spfm_of sc single_point_fit =
+  if sc.sc_sr_fit <= 0.0 then 100.0
+  else 100.0 *. (1.0 -. (single_point_fit /. sc.sc_sr_fit))
+
+let state_spfm sc st =
+  let m = Array.length st.spf_prefix in
+  spfm_of sc (if m = 0 then 0.0 else st.spf_prefix.(m - 1))
 
 (* What a window of {!optimise} can skip against: the SPFM target, and
    the cheapest meeting candidate and the Pareto front as they stood
@@ -455,68 +443,8 @@ let front_add fr ~cost ~spfm =
 let scan_window sc goal (base, len) =
   let n = Array.length sc.sc_radix in
   let m = Array.length sc.sc_rows in
-  let digit = decode sc base in
-  let cost_prefix = Array.make n 0.0 in
-  let row_spf =
-    Array.map (fun rows -> Array.make (Array.length rows) 0.0) sc.sc_rows
-  in
-  let component_spf = Array.make m 0.0 in
-  let spf_prefix = Array.make m 0.0 in
-  (* Per row, the deploying matching slot is [Fmeda.apply]'s: highest
-     coverage wins, the earlier slot wins a coverage tie. *)
-  let refold_component c =
-    let rows = sc.sc_rows.(c) and values = row_spf.(c) in
-    let acc = ref 0.0 in
-    for r = 0 to Array.length rows - 1 do
-      let row = rows.(r) in
-      let spf = ref row.sr_base and best_cov = ref Float.nan in
-      for k = 0 to Array.length row.sr_slots - 1 do
-        let s = row.sr_slots.(k) in
-        let d = digit.(s) in
-        if d > 0 then begin
-          let cov = sc.sc_coverage.(s).(d - 1) in
-          if Float.is_nan !best_cov || not (!best_cov >= cov) then begin
-            best_cov := cov;
-            spf := row.sr_spf.(k).(d - 1)
-          end
-        end
-      done;
-      values.(r) <- !spf;
-      acc := !acc +. !spf
-    done;
-    component_spf.(c) <- !acc
-  in
-  let refold_costs ~from =
-    for i = from to n - 1 do
-      let prev = if i = 0 then 0.0 else cost_prefix.(i - 1) in
-      let d = digit.(i) in
-      cost_prefix.(i) <- (if d = 0 then prev else prev +. sc.sc_cost.(i).(d - 1))
-    done
-  in
-  let refold_spf ~from =
-    for j = from to m - 1 do
-      let prev = if j = 0 then 0.0 else spf_prefix.(j - 1) in
-      spf_prefix.(j) <- prev +. component_spf.(j)
-    done
-  in
-  (* After a change of digits [p..q]. *)
-  let refresh p q =
-    refold_costs ~from:p;
-    let first = ref m in
-    for i = p to q do
-      let matched = sc.sc_matched.(i) in
-      for j = 0 to Array.length matched - 1 do
-        let c = matched.(j) in
-        refold_component c;
-        if c < !first then first := c
-      done
-    done;
-    refold_spf ~from:!first
-  in
-  let spfm_of single_point_fit =
-    if sc.sc_sr_fit <= 0.0 then 100.0
-    else 100.0 *. (1.0 -. (single_point_fit /. sc.sc_sr_fit))
-  in
+  let st = state_at sc (decode sc base) in
+  let digit = st.digit in
   (* Bounds on the subtree whose first free slot is [f], its digits
      [f..] all 0 now.  Its least cost: the prefix cost plus each free
      slot's cheapest option when negative, folded in slot order.  Its
@@ -526,7 +454,7 @@ let scan_window sc goal (base, len) =
      [/] are monotone, so the folds bound every candidate in the subtree
      exactly as its floats come out. *)
   let least_cost f =
-    let c = ref (if f = 0 then 0.0 else cost_prefix.(f - 1)) in
+    let c = ref (if f = 0 then 0.0 else st.cost_prefix.(f - 1)) in
     Array.iter
       (fun i -> if i >= f then c := !c +. sc.sc_cheapest.(i))
       sc.sc_negative;
@@ -536,7 +464,7 @@ let scan_window sc goal (base, len) =
     (* Never empty: a slot matches the row it was made for. *)
     let affected = sc.sc_affected.(f) in
     let a0 = affected.(0) in
-    let acc = ref (if a0 = 0 then 0.0 else spf_prefix.(a0 - 1)) in
+    let acc = ref (if a0 = 0 then 0.0 else st.spf_prefix.(a0 - 1)) in
     let next = ref 0 in
     for j = a0 to m - 1 do
       if !next < Array.length affected && affected.(!next) = j then begin
@@ -546,7 +474,7 @@ let scan_window sc goal (base, len) =
              base values, so its bound is precomputed. *)
           acc := !acc +. sc.sc_free_fold.(j).(f)
         else begin
-          let rows = sc.sc_rows.(j) and values = row_spf.(j) in
+          let rows = sc.sc_rows.(j) and values = st.row_spf.(j) in
           let lb = ref 0.0 in
           for r = 0 to Array.length rows - 1 do
             lb := !lb +. lower values.(r) rows.(r).sr_free_min.(f)
@@ -554,9 +482,9 @@ let scan_window sc goal (base, len) =
           acc := !acc +. !lb
         end
       end
-      else acc := !acc +. component_spf.(j)
+      else acc := !acc +. st.component_spf.(j)
     done;
-    spfm_of !acc
+    spfm_of sc !acc
   in
   let w =
     {
@@ -597,11 +525,6 @@ let scan_window sc goal (base, len) =
     || (cost = !best_cost && spfm <= !best_spfm)
   in
   let skip ~cost ~spfm = hopeless ~cost ~spfm && dominated fr ~cost ~spfm in
-  refold_costs ~from:0;
-  for c = 0 to m - 1 do
-    refold_component c
-  done;
-  refold_spf ~from:0;
   (* The first free slot of the largest subtree starting here. *)
   let lowest = ref n in
   while !lowest > 0 && digit.(!lowest - 1) = 0 do decr lowest done;
@@ -618,14 +541,14 @@ let scan_window sc goal (base, len) =
       k := !k + sc.sc_span.(!f);
       if !k < len then begin
         let p = increment_at sc digit (!f - 1) in
-        refresh p (!f - 1);
+        refresh sc st p (!f - 1);
         lowest := p + 1
       end
     end
     else begin
       w.k_scored <- w.k_scored + 1;
-      let spfm = spfm_of (if m = 0 then 0.0 else spf_prefix.(m - 1))
-      and cost = if n = 0 then 0.0 else cost_prefix.(n - 1) in
+      let spfm = state_spfm sc st
+      and cost = if n = 0 then 0.0 else st.cost_prefix.(n - 1) in
       if not (pruning && skip ~cost ~spfm) then begin
         keep w !k spfm cost;
         if pruning then begin
@@ -639,7 +562,7 @@ let scan_window sc goal (base, len) =
       incr k;
       if !k < len then begin
         let p = increment_at sc digit (n - 1) in
-        refresh p (n - 1);
+        refresh sc st p (n - 1);
         lowest := p + 1
       end
     end
@@ -671,21 +594,6 @@ let fold_window sc f acc ((base, _), w) =
         }
   done;
   !acc
-
-(* The slots and the scan of a search, or [Invalid_argument] when the
-   combination count exceeds [max_combinations]. *)
-let prepare ~component_types ~max_combinations ?evaluator table sm_model =
-  let slots = slots ~component_types table sm_model in
-  let combinations = combination_count slots in
-  if combinations > max_combinations then
-    invalid_arg
-      (Printf.sprintf
-         "Search.exhaustive: %d combinations exceed the limit of %d"
-         combinations max_combinations);
-  let ev =
-    match evaluator with Some ev -> ev | None -> make_evaluator table
-  in
-  (make_scan ev slots, combinations)
 
 (* Fold [f] over the kept candidates of every window, in counter order.
    One pool task per window.  A round holds one window per worker, so at
@@ -720,98 +628,122 @@ let scan_fold (sc, combinations) ~window ~goal ~init ~f =
   go (init, 0, 0) 0
 
 let exhaustive_fold ?(component_types = []) ?(max_combinations = 2_000_000)
-    ?(window = default_window) ?evaluator table sm_model ~init ~f =
+    ?(window = default_window) table sm_model ~init ~f =
+  let slots = slots ~component_types table sm_model in
+  let combinations = combination_count slots in
+  if combinations > max_combinations then
+    invalid_arg
+      (Printf.sprintf
+         "Search.exhaustive: %d combinations exceed the limit of %d"
+         combinations max_combinations);
   let acc, _, _ =
-    scan_fold
-      (prepare ~component_types ~max_combinations ?evaluator table sm_model)
-      ~window ~goal:(fun _ -> None) ~init ~f
+    scan_fold (make_scan table slots, combinations) ~window
+      ~goal:(fun _ -> None) ~init ~f
   in
   acc
 
-let exhaustive ?(component_types = []) ?(max_combinations = 200_000) ?evaluator
-    table sm_model =
+let exhaustive ?(component_types = []) ?(max_combinations = 200_000) table
+    sm_model =
   List.rev
-    (exhaustive_fold ~component_types ~max_combinations ?evaluator table
-       sm_model ~init:[] ~f:(fun acc c -> c :: acc))
+    (exhaustive_fold ~component_types ~max_combinations table sm_model
+       ~init:[] ~f:(fun acc c -> c :: acc))
 
-let greedy ?(component_types = []) ?evaluator ~target table sm_model =
-  let all_slots = slots ~component_types table sm_model in
-  let ev =
-    match evaluator with Some ev -> ev | None -> make_evaluator table
+(* Greedy over [slots] on the scan, and the moves it scored.  The list of
+   deployments is kept apart, newest first, as moves apply.  A
+   deployment is found by its exact names, so slots with equal names
+   share one: the digit of the first of them holds it. *)
+let greedy_scored ~target table slots =
+  let sc = make_scan table slots in
+  let slots = Array.of_list slots in
+  let n = Array.length slots in
+  let st = state_at sc (Array.make n 0) in
+  let same_names s (d : Fmea.Fmeda.deployment) =
+    String.equal d.Fmea.Fmeda.target_component s.slot_component
+    && String.equal d.Fmea.Fmeda.target_failure_mode s.slot_failure_mode
   in
-  let target_spfm = Fmea.Asil.spfm_target target in
-  let met spfm =
-    match target_spfm with None -> true | Some t -> spfm >= t
+  let holder =
+    Array.map
+      (fun s ->
+        let i = ref 0 in
+        while not (same_names s sc.sc_options.(!i).(0)) do incr i done;
+        !i)
+      slots
   in
-  let rec step current =
-    let current_candidate = evaluate_with ev current in
-    if met current_candidate.spfm_pct then current_candidate
+  let met =
+    match Fmea.Asil.spfm_target target with
+    | None -> fun _ -> true
+    | Some t -> fun spfm -> spfm >= t
+  in
+  let scored = ref 0 in
+  (* The SPFM with digit [i] set to [d]. *)
+  let spfm_with i d =
+    let held = st.digit.(i) in
+    st.digit.(i) <- d;
+    refresh sc st i i;
+    let spfm = state_spfm sc st in
+    st.digit.(i) <- held;
+    refresh sc st i i;
+    spfm
+  in
+  let rec step deployments =
+    let spfm = state_spfm sc st in
+    let current =
+      { deployments; spfm_pct = spfm; cost = Fmea.Fmeda.total_cost deployments }
+    in
+    if met spfm then current
     else begin
-      (* Candidate moves: deploy a mechanism on an empty slot, or upgrade
-         the mechanism on an occupied one.  Score is SPFM gain per added
-         cost (upgrades count only the cost delta, floored so free or
-         cheaper upgrades are strongly preferred).  Moves are enumerated
-         sequentially (fixing the tie-break order), scored on the domain
-         pool, then folded in enumeration order — the same move wins as
-         in a sequential run. *)
-      let slot_matches s (d : Fmea.Fmeda.deployment) =
-        String.equal d.Fmea.Fmeda.target_component s.slot_component
-        && String.equal d.Fmea.Fmeda.target_failure_mode s.slot_failure_mode
-      in
-      let moves =
-        List.concat_map
-          (fun s ->
-            let existing = List.find_opt (slot_matches s) current in
-            let others = List.filter (fun d -> not (slot_matches s d)) current in
-            List.filter_map
-              (fun (m : Reliability.Sm_model.mechanism) ->
-                let already =
-                  match existing with
-                  | Some d -> d.Fmea.Fmeda.mechanism = m
-                  | None -> false
-                in
-                if already then None
-                else
-                  let d =
-                    Fmea.Fmeda.deploy ~component:s.slot_component
-                      ~failure_mode:s.slot_failure_mode m
-                  in
-                  Some (d :: others, m, existing))
-              s.slot_options)
-          all_slots
-      in
-      let scored =
-        Exec.scheduled_map ~key:"optimize.greedy"
-          (fun (next, (m : Reliability.Sm_model.mechanism), existing) ->
-            let c = evaluate_with ev next in
-            let gain = c.spfm_pct -. current_candidate.spfm_pct in
-            let cost_delta =
-              m.Reliability.Sm_model.cost
-              -.
-              match existing with
-              | Some (e : Fmea.Fmeda.deployment) ->
-                  e.Fmea.Fmeda.mechanism.Reliability.Sm_model.cost
-              | None -> 0.0
+      (* Moves: deploy a mechanism on an empty slot, or replace the one
+         deployed there.  Score is SPFM gain per added cost (a
+         replacement counts only the cost delta, floored so free or
+         cheaper ones are strongly preferred); the first best move in
+         slot and option order wins. *)
+      let best = ref None in
+      for s = 0 to n - 1 do
+        let i = holder.(s) in
+        let existing =
+          if st.digit.(i) = 0 then None
+          else Some sc.sc_options.(i).(st.digit.(i) - 1).Fmea.Fmeda.mechanism
+        in
+        Array.iteri
+          (fun k (d : Fmea.Fmeda.deployment) ->
+            let m = d.Fmea.Fmeda.mechanism in
+            let already =
+              match existing with Some e -> e = m | None -> false
             in
-            (next, gain, gain /. Float.max cost_delta 0.01))
-          moves
-      in
-      let best =
-        List.fold_left
-          (fun acc (next, gain, score) ->
-            if gain <= 0.0 then acc
-            else
-              match acc with
-              | Some (_, best_score) when best_score >= score -> acc
-              | Some _ | None -> Some (next, score))
-          None scored
-      in
-      match best with
-      | None -> current_candidate (* no mechanism helps further *)
-      | Some (next, _) -> step next
+            if not already then begin
+              incr scored;
+              let gain = spfm_with i (k + 1) -. spfm in
+              let cost_delta =
+                m.Reliability.Sm_model.cost
+                -.
+                match existing with
+                | Some e -> e.Reliability.Sm_model.cost
+                | None -> 0.0
+              in
+              let score = gain /. Float.max cost_delta 0.01 in
+              if not (gain <= 0.0) then
+                match !best with
+                | Some (_, _, best_score) when best_score >= score -> ()
+                | Some _ | None -> best := Some (s, k, score)
+            end)
+          sc.sc_options.(s)
+      done;
+      match !best with
+      | None -> current (* no mechanism helps further *)
+      | Some (s, k, _) ->
+          let i = holder.(s) in
+          st.digit.(i) <- k + 1;
+          refresh sc st i i;
+          step
+            (sc.sc_options.(s).(k)
+            :: List.filter (fun d -> not (same_names slots.(s) d)) deployments)
     end
   in
-  step []
+  let result = step [] in
+  (result, !scored)
+
+let greedy ?(component_types = []) ~target table sm_model =
+  fst (greedy_scored ~target table (slots ~component_types table sm_model))
 
 (* Sort by ascending cost (descending SPFM within equal cost; stable, so
    the earliest candidate wins ties) and sweep: a candidate survives iff
@@ -882,27 +814,27 @@ let front_insert front c =
     in
     ins front
 
-let optimise ?(component_types = []) ?evaluator
+let optimise ?(component_types = [])
     ?(on_scored = fun ~scored:_ ~pruned:_ -> ()) ~target table sm_model =
   let target_spfm = Fmea.Asil.spfm_target target in
   let meets c =
     match target_spfm with None -> true | Some t -> c.spfm_pct >= t
   in
-  match
-    prepare ~component_types ~max_combinations:2_000_000 ?evaluator table
-      sm_model
-  with
-  | exception Invalid_argument _ ->
-      let g = greedy ~component_types ?evaluator ~target table sm_model in
-      (Some g, [ g ])
-  | prepared ->
-      let (best, front), scored, pruned =
-        scan_fold prepared ~window:default_window
-          ~goal:(fun (g_best, g_front) ->
-            Some { g_target = target_spfm; g_best; g_front })
-          ~init:(None, [])
-          ~f:(fun (best, front) c ->
-            (cheapest_step ~meets best c, front_insert front c))
-      in
-      on_scored ~scored ~pruned;
-      (best, front)
+  let slots = slots ~component_types table sm_model in
+  let combinations = combination_count slots in
+  if combinations > 2_000_000 then begin
+    let g, scored = greedy_scored ~target table slots in
+    on_scored ~scored ~pruned:0;
+    (Some g, [ g ])
+  end
+  else
+    let (best, front), scored, pruned =
+      scan_fold (make_scan table slots, combinations) ~window:default_window
+        ~goal:(fun (g_best, g_front) ->
+          Some { g_target = target_spfm; g_best; g_front })
+        ~init:(None, [])
+        ~f:(fun (best, front) c ->
+          (cheapest_step ~meets best c, front_insert front c))
+    in
+    on_scored ~scored ~pruned;
+    (best, front)

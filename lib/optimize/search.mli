@@ -36,28 +36,12 @@ val slots :
 val evaluate : Fmea.Table.t -> Fmea.Fmeda.deployment list -> candidate
 (** The reference scorer: [Fmeda.apply] over the full table, then
     {!Fmea.Metrics.spfm}.  O(rows x deployments) per call — the oracle
-    the faster scorers are tested against. *)
-
-type evaluator
-(** Precomputed scoring state for one FMEA table: per-row failure-rate
-    shares and per-component single-point sums.  Immutable — safe to
-    share across the pool's domains. *)
-
-val make_evaluator : Fmea.Table.t -> evaluator
-
-val evaluate_with : evaluator -> Fmea.Fmeda.deployment list -> candidate
-(** Scores one deployment set: only the components it touches are
-    re-summed; untouched components reuse their precomputed single-point
-    total.  Floating-point folds replay {!Fmea.Metrics.compute}'s exact
-    order, so the candidate is bit-identical to {!evaluate} on the same
-    table and deployments.  Serves {!greedy} and one-off scoring;
-    {!exhaustive_fold} scores along its counter instead. *)
+    the searches' incremental scoring is tested against. *)
 
 val exhaustive_fold :
   ?component_types:(string * string) list ->
   ?max_combinations:int ->
   ?window:int ->
-  ?evaluator:evaluator ->
   Fmea.Table.t ->
   Reliability.Sm_model.t ->
   init:'acc ->
@@ -90,7 +74,6 @@ val exhaustive_fold :
 val exhaustive :
   ?component_types:(string * string) list ->
   ?max_combinations:int ->
-  ?evaluator:evaluator ->
   Fmea.Table.t ->
   Reliability.Sm_model.t ->
   candidate list
@@ -103,7 +86,6 @@ val exhaustive :
 
 val greedy :
   ?component_types:(string * string) list ->
-  ?evaluator:evaluator ->
   target:Ssam.Requirement.integrity_level ->
   Fmea.Table.t ->
   Reliability.Sm_model.t ->
@@ -111,7 +93,23 @@ val greedy :
 (** Baseline strategy (what a manual engineer approximates, and the
     comparison point for the benches): repeatedly deploy the mechanism
     with the best residual-FIT-reduction per cost until the target SPFM is
-    met or no mechanism helps. *)
+    met or no mechanism helps.
+
+    A move deploys an option on an empty slot or replaces the one a
+    slot holds; slots whose names are equal hold one deployment, found
+    by exact name.  A move scores its SPFM gain per added cost (the cost
+    delta for a replacement, floored at 0.01); the first best move in
+    slot and option order applies, and the deployment list keeps the
+    newest move first.
+
+    Cost model.  The moves are scored in sequence on the counter scan of
+    {!exhaustive_fold}, built once per call: a move sets one digit,
+    re-folds the components whose rows that slot matches and the cost
+    and single-point prefixes after them (O(slots + components) plus
+    those rows), and sets the digit back.  A round scores every option
+    of every slot but one equal to the mechanism the slot holds.  The
+    result is bit for bit that of the list-based greedy that scores each
+    move with {!evaluate}, wherever no coverage is NaN. *)
 
 val pareto_front : candidate list -> candidate list
 (** Non-dominated candidates (maximise SPFM, minimise cost), sorted by
@@ -125,7 +123,6 @@ val cheapest_meeting :
 
 val optimise :
   ?component_types:(string * string) list ->
-  ?evaluator:evaluator ->
   ?on_scored:(scored:int -> pruned:int -> unit) ->
   target:Ssam.Requirement.integrity_level ->
   Fmea.Table.t ->
@@ -164,13 +161,8 @@ val optimise :
     counter order, so every tie-break is the same.  When some FIT or
     cost is not finite nothing is skipped or dropped.
 
-    [on_scored] receives, once the exhaustive search is done, the
-    candidates scored and the subtrees skipped.  The counts depend on
-    the job count (windows of one round do not see each other's
-    survivors), the result does not.  Not called on the greedy
-    fallback.
-
-    [evaluator] (here and in {!exhaustive}/{!greedy}) supplies a
-    prebuilt scorer for [table] — the incremental engine memoises it by
-    table fingerprint so warm re-runs skip {!make_evaluator}.  It {e
-    must} come from {!make_evaluator} on the same table. *)
+    [on_scored] receives, once the search is done, the candidates
+    scored and the subtrees skipped.  The counts depend on the job count
+    (windows of one round do not see each other's survivors), the result
+    does not.  On the greedy fallback they are the moves {!greedy}
+    scored and 0. *)

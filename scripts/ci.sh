@@ -11,6 +11,9 @@ dune build
 echo "== tests =="
 dune runtest
 
+echo "== report: library exports nothing else uses (never fails) =="
+python3 scripts/unused_exports.py || true
+
 echo "== lint: example models =="
 # The alias runs `same lint` over examples/models: clean models must
 # exit 0, seeded-bad ones must be caught (non-zero).

@@ -283,20 +283,24 @@ let test_search_golden () =
    (no sensor monitored there, so its search space exceeds the exhaustive
    cap and the greedy fallback answers).  The inputs are written from
    [Decisive.Systems.system_b]. *)
+let write_system_b dir =
+  let subject = Decisive.Systems.system_b in
+  let bd = Filename.concat dir "system_b.bd" in
+  let rel = Filename.concat dir "system_b_reliability.csv" in
+  Blockdiag.Text_format.write_file bd subject.Decisive.Systems.diagram;
+  let sheet =
+    Modelio.Spreadsheet.first_sheet
+      (Reliability.Reliability_model.to_spreadsheet
+         subject.Decisive.Systems.reliability)
+  in
+  Modelio.Csv.write_file rel
+    (sheet.Modelio.Spreadsheet.table.Modelio.Csv.header
+    :: sheet.Modelio.Spreadsheet.table.Modelio.Csv.rows);
+  (bd, rel)
+
 let test_system_b_golden () =
   with_fixture (fun ~bin ~dir ~bd:_ ->
-      let subject = Decisive.Systems.system_b in
-      let bd = Filename.concat dir "system_b.bd" in
-      let rel = Filename.concat dir "system_b_reliability.csv" in
-      Blockdiag.Text_format.write_file bd subject.Decisive.Systems.diagram;
-      let sheet =
-        Modelio.Spreadsheet.first_sheet
-          (Reliability.Reliability_model.to_spreadsheet
-             subject.Decisive.Systems.reliability)
-      in
-      Modelio.Csv.write_file rel
-        (sheet.Modelio.Spreadsheet.table.Modelio.Csv.header
-        :: sheet.Modelio.Spreadsheet.table.Modelio.Csv.rows);
+      let bd, rel = write_system_b dir in
       List.iter
         (fun (golden, args) ->
           let out = Filename.concat dir golden in
@@ -315,6 +319,25 @@ let test_system_b_golden () =
             [ "fmeda"; "-t ASIL-B -m CS1 -m CS2 -m VS1" ] );
           ("system_b_optimize.txt", [ "optimize"; "-t ASIL-B" ]);
         ])
+
+(* `same optimize -m` searches the table `same fmeda -m` searches: with
+   System B's three safety sensors monitored it chooses the deployment
+   whose SPFM golden/system_b_fmeda.txt pins. *)
+let test_optimize_monitored () =
+  with_fixture (fun ~bin ~dir ~bd:_ ->
+      let bd, rel = write_system_b dir in
+      let out = Filename.concat dir "optimize_monitored.txt" in
+      Alcotest.(check int) "exit 0" 0
+        (Sys.command
+           (Printf.sprintf
+              "%s optimize %s -r %s -e DC1 -e BAT1 -m CS1 -m CS2 -m VS1 -t \
+               ASIL-B > %s"
+              bin (Filename.quote bd) (Filename.quote rel) (Filename.quote out)));
+      Alcotest.(check (list string))
+        "chosen line" [ "chosen: cost 7.0 h, SPFM 90.64%" ]
+        (List.filter
+           (String.starts_with ~prefix:"chosen:")
+           (String.split_on_char '\n' (read_file out))))
 
 let test_error_handling () =
   with_fixture (fun ~bin ~dir ~bd ->
@@ -566,6 +589,7 @@ let suite =
     Alcotest.test_case "fta engines agree" `Slow test_fta_engines_agree;
     Alcotest.test_case "search output golden" `Slow test_search_golden;
     Alcotest.test_case "System B output golden" `Slow test_system_b_golden;
+    Alcotest.test_case "optimize -m on System B" `Slow test_optimize_monitored;
     Alcotest.test_case "--connect local-only flags" `Quick
       test_connect_local_only;
     Alcotest.test_case "start-up allocation" `Quick test_startup_allocation;

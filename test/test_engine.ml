@@ -547,7 +547,11 @@ let test_edit_work_budgets () =
    extended catalogue; the reliability model as its spreadsheet reads
    back), at one job.  The search scores 1,056 of the 62,208
    combinations and skips the others in subtrees whose bounds cannot
-   win; a change that loosens a bound or the skip rule scores more. *)
+   win; a change that loosens a bound or the skip rule scores more.
+   With no sensor monitored, the greedy fallback scores 2,579 moves in
+   ~259k minor words, the table's fingerprint and the scan's
+   construction included; a change that rebuilds a deployment list per
+   move allocates about a hundred times more. *)
 let test_search_work_budget () =
   let subject = Decisive.Systems.system_b in
   let reliability =
@@ -573,7 +577,37 @@ let test_search_work_budget () =
   Alcotest.(check bool)
     (Printf.sprintf "%d subtrees skipped" s.Engine.Stats.search_pruned)
     true
-    (s.Engine.Stats.search_pruned > 0)
+    (s.Engine.Stats.search_pruned > 0);
+  (* With no sensor monitored the space exceeds the exhaustive cap and
+     the greedy fallback answers, scoring each move on the scan. *)
+  let diagram = subject.Decisive.Systems.diagram in
+  let table =
+    Decisive.Api.analyse ~engine ~exclude:[ "DC1"; "BAT1" ] diagram reliability
+  in
+  let component_types =
+    (Engine.Pipeline.convert engine diagram).Blockdiag.To_netlist.block_types
+  in
+  Engine.Stats.reset (Engine.Pipeline.stats engine);
+  let before = Gc.minor_words () in
+  let chosen, _ =
+    Engine.Pipeline.optimise engine ~component_types
+      ~target:Ssam.Requirement.ASIL_B table
+      Reliability.Sm_model.extended_catalogue
+  in
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check (option (float 0.0)))
+    "greedy: the cost golden/system_b_optimize.txt pins" (Some 127.5)
+    (Option.map (fun c -> c.Optimize.Search.cost) chosen);
+  let s = Engine.Pipeline.snapshot engine in
+  Alcotest.(check bool)
+    (Printf.sprintf "greedy: %d moves scored <= 2,600"
+       s.Engine.Stats.search_scored)
+    true
+    (s.Engine.Stats.search_scored > 0 && s.Engine.Stats.search_scored <= 2_600);
+  Alcotest.(check int) "greedy: nothing skipped" 0 s.Engine.Stats.search_pruned;
+  Alcotest.(check bool)
+    (Printf.sprintf "greedy: %.0f minor words <= 300,000" words)
+    true (words <= 300_000.)
 
 (* Every injection the engine classifies is served one way: a low-rank
    update against the golden factors, or the golden solution as is (the

@@ -1,8 +1,7 @@
 (* The parallel execution substrate and its central promise: a parallel
    run is bit-identical to the sequential one.  Pool mechanics first,
    then end-to-end determinism of every parallelised kernel at
-   SAME_JOBS in {1, 2, 4}, then the incremental SPFM evaluator against
-   the reference scorer. *)
+   SAME_JOBS in {1, 2, 4}. *)
 
 let with_jobs n f =
   let saved = Exec.default_jobs () in
@@ -173,42 +172,6 @@ let test_prepared_classification () =
         true
         (via_prepared = via_single))
     [ ("D1", Circuit.Fault.Short_circuit); ("L1", Circuit.Fault.Open_circuit) ]
-
-(* ---------- incremental evaluator vs the reference scorer ---------- *)
-
-let prop_incremental_evaluator =
-  let table = Decisive.Case_study.fmea_via_injection () in
-  let slots =
-    Optimize.Search.slots ~component_types:case_study_types table
-      Decisive.Case_study.sm_model
-  in
-  let ev = Optimize.Search.make_evaluator table in
-  let n_slots = List.length slots in
-  QCheck.Test.make ~count:100
-    ~name:"incremental evaluator matches Fmeda.apply + Metrics.spfm"
-    QCheck.(list_of_size (QCheck.Gen.return n_slots) (int_range 0 1000))
-    (fun picks ->
-      (* One pick per slot: modulo chooses a mechanism or "deploy
-         nothing", like the exhaustive expansion does. *)
-      let deployments =
-        List.concat
-          (List.map2
-             (fun (s : Optimize.Search.slot) pick ->
-               let n = List.length s.Optimize.Search.slot_options in
-               match pick mod (n + 1) with
-               | 0 -> []
-               | k ->
-                   [
-                     Fmea.Fmeda.deploy
-                       ~component:s.Optimize.Search.slot_component
-                       ~failure_mode:s.Optimize.Search.slot_failure_mode
-                       (List.nth s.Optimize.Search.slot_options (k - 1));
-                   ])
-             slots picks)
-      in
-      Optimize.Search.equal_candidate
-        (Optimize.Search.evaluate table deployments)
-        (Optimize.Search.evaluate_with ev deployments))
 
 (* ---------- SAME_JOBS parsing ---------- *)
 
@@ -507,7 +470,6 @@ let suite =
     Alcotest.test_case "store determinism" `Quick test_store_determinism;
     Alcotest.test_case "prepared classification" `Quick
       test_prepared_classification;
-    QCheck_alcotest.to_alcotest prop_incremental_evaluator;
     Alcotest.test_case "parallel chunks edges" `Quick
       test_scheduled_chunks_edges;
     Alcotest.test_case "cost decide policy" `Quick test_cost_decide;

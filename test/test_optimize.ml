@@ -374,49 +374,81 @@ let test_scan_cases () =
            (Reliability.Sm_model.of_mechanisms mechanisms)))
     scan_cases
 
+(* [greedy] against the list-based reference on every scan case, and on
+   duplicate rows whose shared deployment is replaced: a move from
+   either row's slot replaces the one deployment, so its cost delta
+   subtracts the replaced mechanism's (here negative) cost, and Y's
+   mechanism goes before the upgrade. *)
+let greedy_cases =
+  scan_cases
+  @ [
+      ( "duplicate rows, one deployment replaced",
+        [ row ~dist:50.0 "X" "f"; row ~dist:50.0 "X" "f"; row "Y" "g" ],
+        [ mech ~cost:(-0.5) "a" "X" "f" 60.0; mech ~cost:4.0 "b" "X" "f" 90.0;
+          mech ~cost:12.5 "c" "Y" "g" 90.0 ] );
+    ]
+
+let greedy_matches_reference t cat =
+  List.for_all
+    (fun target ->
+      Optimize.Search.equal_candidate
+        (Oracle.Greedy_search.greedy ~target t cat)
+        (Optimize.Search.greedy ~target t cat))
+    all_targets
+
+let test_greedy_cases () =
+  List.iter
+    (fun (name, rows, mechanisms) ->
+      Alcotest.(check bool) name true
+        (greedy_matches_reference (table rows)
+           (Reliability.Sm_model.of_mechanisms mechanisms)))
+    greedy_cases
+
 (* Random small tables over a name pool with case variants, so slots,
    duplicate rows and non-safety-related matches collide freely.  Costs
    include non-dyadic, zero and negative values; coverages 0 and 100;
    rows may be covered already (a deployment can then raise their
    single-point FIT); the small pools make exact SPFM and cost ties
    common. *)
-let prop_scan_matches_reference =
+let gen_row =
   let open QCheck.Gen in
   let pick l = oneofl l in
-  let gen_row =
-    map
-      (fun ((c, f, sr, fit), (dist, cov, spf)) ->
-        row ~sr ?cov ?spf ~fit ~dist c f)
-      (pair
-         (quad
-            (pick [ "A"; "a"; "B"; "C"; "D" ])
-            (pick [ "f"; "F"; "g" ])
-            (frequency [ (4, return true); (1, return false) ])
-            (pick [ 0.0; 10.0; 25.5; 100.0 ]))
-         (triple (pick [ 0.0; 30.0; 70.0; 100.0 ])
-            (opt (pick [ 50.0; 90.0; 100.0 ]))
-            (opt (pick [ 2.0 ]))))
-  in
-  let gen_mech =
-    map
-      (fun ((i, c, f), (cov, cost)) ->
-        mech ~cost (Printf.sprintf "m%d" i) c f cov)
-      (pair
-         (triple (int_bound 3) (pick [ "A"; "b"; "C"; "d" ]) (pick [ "f"; "G" ]))
-         (pair
-            (pick [ 0.0; 60.0; 90.0; 100.0 ])
-            (pick [ 0.0; 0.1; 0.7; 1e-3; 1.0; 2.5; -0.5 ])))
-  in
-  let print (rows, mechanisms) =
-    Format.asprintf "%a@.%a"
-      (Format.pp_print_list Fmea.Table.pp_row)
-      rows
-      (Format.pp_print_list Reliability.Sm_model.pp_mechanism)
-      mechanisms
-  in
+  map
+    (fun ((c, f, sr, fit), (dist, cov, spf)) ->
+      row ~sr ?cov ?spf ~fit ~dist c f)
+    (pair
+       (quad
+          (pick [ "A"; "a"; "B"; "C"; "D" ])
+          (pick [ "f"; "F"; "g" ])
+          (frequency [ (4, return true); (1, return false) ])
+          (pick [ 0.0; 10.0; 25.5; 100.0 ]))
+       (triple (pick [ 0.0; 30.0; 70.0; 100.0 ])
+          (opt (pick [ 50.0; 90.0; 100.0 ]))
+          (opt (pick [ 2.0 ]))))
+
+let gen_mech =
+  let open QCheck.Gen in
+  let pick l = oneofl l in
+  map
+    (fun ((i, c, f), (cov, cost)) -> mech ~cost (Printf.sprintf "m%d" i) c f cov)
+    (pair
+       (triple (int_bound 3) (pick [ "A"; "b"; "C"; "d" ]) (pick [ "f"; "G" ]))
+       (pair
+          (pick [ 0.0; 60.0; 90.0; 100.0 ])
+          (pick [ 0.0; 0.1; 0.7; 1e-3; 1.0; 2.5; -0.5 ])))
+
+let print_case (rows, mechanisms) =
+  Format.asprintf "%a@.%a"
+    (Format.pp_print_list Fmea.Table.pp_row)
+    rows
+    (Format.pp_print_list Reliability.Sm_model.pp_mechanism)
+    mechanisms
+
+let prop_scan_matches_reference =
+  let open QCheck.Gen in
   QCheck.Test.make ~name:"incremental scan = evaluate per combination"
     ~count:150
-    (QCheck.make ~print
+    (QCheck.make ~print:print_case
        (pair (list_size (int_range 1 12) gen_row)
           (list_size (int_range 0 14) gen_mech)))
     (fun (rows, mechanisms) ->
@@ -430,6 +462,27 @@ let prop_scan_matches_reference =
              1 slots
            <= 3_000);
       scan_matches_reference t cat)
+
+(* [greedy] on the scan against the list-based greedy that scores each
+   move with [evaluate]: the same deployments in the same order, SPFM
+   and cost bit for bit, at every target and job count.  The catalogue
+   repeats some of its records, so a slot can offer equal mechanisms. *)
+let prop_greedy_matches_reference =
+  let open QCheck.Gen in
+  let gen_catalogue =
+    list_size (int_range 0 14) gen_mech >>= function
+    | [] -> return []
+    | ms -> map (fun copies -> ms @ copies) (list_size (int_bound 4) (oneofl ms))
+  in
+  QCheck.Test.make ~name:"greedy = list-based greedy reference" ~count:200
+    (QCheck.make ~print:print_case
+       (pair (list_size (int_range 1 12) gen_row) gen_catalogue))
+    (fun (rows, mechanisms) ->
+      let t = table rows in
+      let cat = Reliability.Sm_model.of_mechanisms mechanisms in
+      List.for_all
+        (fun jobs -> at_jobs jobs (fun () -> greedy_matches_reference t cat))
+        [ 1; 4 ])
 
 (* A space where no subtree can be skipped: 10 slots of 2 options, each
    costing in proportion to the FIT it covers, so every subtree holds a
@@ -554,6 +607,9 @@ let suite =
       test_streaming_beyond_list_cap;
     Alcotest.test_case "scan = evaluate on edge cases" `Quick test_scan_cases;
     QCheck_alcotest.to_alcotest prop_scan_matches_reference;
+    Alcotest.test_case "greedy = reference on edge cases" `Quick
+      test_greedy_cases;
+    QCheck_alcotest.to_alcotest prop_greedy_matches_reference;
     Alcotest.test_case "nothing to prune" `Quick test_nothing_to_prune;
     Alcotest.test_case "System B search golden" `Quick test_system_b_golden;
   ]
