@@ -15,9 +15,6 @@
     index, and accumulators merge in index order — so results are
     bit-identical for a fixed seed across every [SAME_JOBS] setting. *)
 
-val cost_key : string
-(** ["assess.replicate"] — the adaptive scheduler's workload key. *)
-
 val trials_per_replicate : int
 (** Trials per scheduling unit (128 blocks of {!Program.word_bits}).
     A fixed budget rounds up to whole replicates; an adaptive one stops

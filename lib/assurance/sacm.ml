@@ -43,10 +43,6 @@ let solution ?artifact ~id statement = node ?artifact ~id Solution statement
 
 let context ~id statement = node ~id Context statement
 
-let assumption ~id statement = node ~id Assumption statement
-
-let justification ~id statement = node ~id Justification statement
-
 let fold f init case =
   let rec go acc n =
     let acc = f acc n in

@@ -57,10 +57,6 @@ val solution : ?artifact:artifact -> id:string -> string -> node
 
 val context : id:string -> string -> node
 
-val assumption : id:string -> string -> node
-
-val justification : id:string -> string -> node
-
 val fold : ('a -> node -> 'a) -> 'a -> case -> 'a
 (** Pre-order over supported_by and in_context_of. *)
 

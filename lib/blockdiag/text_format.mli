@@ -28,9 +28,3 @@ val parse_file : string -> Diagram.t
 val print : Diagram.t -> string
 
 val write_file : string -> Diagram.t -> unit
-
-val install_driver : unit -> unit
-(** Registers the ["blockdiag"] driver with {!Modelio.Driver}: diagrams
-    load as records with ["name"], ["blocks"] (seq of records with id,
-    type, parameters...), ["connections"] and ["subsystems"], so queries
-    can federate design data.  Idempotent; called at library init. *)

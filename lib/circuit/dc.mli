@@ -78,11 +78,6 @@ val backend_used : prepared -> [ `Dense | `Sparse ]
     original type, because the benchmark driver in [perfbench/] still
     compiles against it. *)
 
-val solve : prepared -> (solution, error) result
-(** A prepared netlist may be solved any number of times; [prepared] is
-    immutable after construction and safe to share across domains.
-    Newton starts from zero. *)
-
 val solve_from : prepared -> float array -> (solution, error) result
 (** {!solve} with Newton started from the given unknown vector (see
     {!unknowns}) — e.g. the previous time step's solution.  A circuit

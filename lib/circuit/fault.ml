@@ -15,17 +15,6 @@ exception Not_applicable of { element : string; fault : t; reason : string }
 
 let short_resistance = 1e-3
 
-let applicable kind fault =
-  match (fault, kind) with
-  | (Open_circuit | Short_circuit), _ -> true
-  | Stuck_value _, (Element.Vsource _ | Element.Isource _) -> true
-  | Stuck_value _, _ -> false
-  | ( Parameter_shift _,
-      ( Element.Resistor _ | Element.Load _ | Element.Inductor _
-      | Element.Capacitor _ | Element.Vsource _ | Element.Isource _ ) ) ->
-      true
-  | Parameter_shift _, _ -> false
-
 let faulted_kind kind fault ~element =
   let not_applicable reason =
     raise (Not_applicable { element; fault; reason })

@@ -33,5 +33,3 @@ val of_failure_mode_name : string -> t option
     [Parameter_shift 2.0].  Case-insensitive; [None] when no rule
     matches — the caller should then warn, mirroring Algorithm 1's
     warning branch. *)
-
-val applicable : Element.kind -> t -> bool

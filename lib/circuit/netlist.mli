@@ -38,10 +38,6 @@ val nodes : t -> string list
 
 val element_count : t -> int
 
-val connected_to_ground : t -> string -> bool
-(** Whether a node has a conducting path (per {!Element.conducts}) to
-    ground — used to warn about floating subcircuits before analysis. *)
-
 val validate : t -> string list
 (** Human-readable problems: floating nodes, dangling sensor references —
     empty when the netlist is analysable. *)

@@ -56,9 +56,6 @@ type stats = {
   levels : int;  (** condensation levels (parallel dispatch waves) *)
 }
 
-val cost_key : string
-(** The {!Exec.Cost} workload key for SCC tasks ("dataflow.scc"). *)
-
 val solve :
   (module LATTICE with type t = 'a) ->
   ?jobs:int ->

@@ -41,14 +41,6 @@ let generate_component root =
     root;
   { monitor_checks = List.rev !acc }
 
-let generate (p : Architecture.package) =
-  let acc =
-    List.concat_map
-      (fun c -> (generate_component c).monitor_checks)
-      (Architecture.top_components p)
-  in
-  { monitor_checks = acc }
-
 let checks t = t.monitor_checks
 
 let observe t ~component ~node ~value ~at =

@@ -24,10 +24,6 @@ type violation = {
 
 type t
 
-val generate : Ssam.Architecture.package -> t
-(** Checks for every [dynamic] component's limited IO nodes (nested
-    components included). *)
-
 val generate_component : Ssam.Architecture.component -> t
 
 val checks : t -> check list

@@ -61,13 +61,7 @@ let start ~name ~target =
     spfm_history = [];
   }
 
-let name t = t.process_name
-
-let target t = t.target_level
-
 let iteration t = t.iteration
-
-let current_step t = t.current
 
 let artifacts t = List.rev t.produced
 

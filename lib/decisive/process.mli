@@ -14,8 +14,6 @@ type step =
   | Step5_safety_concept
 [@@deriving eq, show]
 
-val step_name : step -> string
-
 type artifact_kind =
   | System_definition
   | Function_requirements
@@ -49,17 +47,9 @@ type error =
 
 val start : name:string -> target:Ssam.Requirement.integrity_level -> t
 
-val name : t -> string
-
-val target : t -> Ssam.Requirement.integrity_level
-
 val iteration : t -> int
 
-val current_step : t -> step option
-
 val artifacts : t -> artifact list
-
-val latest : t -> artifact_kind -> artifact option
 
 val record_spfm : t -> float -> t
 (** Attach the SPFM of the latest Step 4a evaluation. *)

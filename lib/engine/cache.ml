@@ -26,8 +26,6 @@ let create ?(capacity = 512) ?dir () =
     cache_dir = dir;
   }
 
-let dir t = t.cache_dir
-
 let disk_file t k =
   Option.map (fun d -> Filename.concat d (k ^ ".bin")) t.cache_dir
 

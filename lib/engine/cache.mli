@@ -30,8 +30,6 @@ val create : ?capacity:int -> ?dir:string -> unit -> t
     eviction).  [dir] enables the on-disk store under that directory
     (created on first use); omit it for a memory-only cache. *)
 
-val dir : t -> string option
-
 val find : t -> key -> [ `Memory of string | `Disk of string ] option
 (** The stored payload and where it was found.  A disk hit is promoted
     into the memory tier.  Corrupt disk entries are removed and reported

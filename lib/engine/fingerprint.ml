@@ -1,9 +1,7 @@
 type t = string (* raw 16-byte MD5 digest *)
 
 let equal = String.equal
-let compare = String.compare
 let to_hex = Digest.to_hex
-let pp ppf t = Format.pp_print_string ppf (to_hex t)
 
 (* Leaves, nodes and encoded values are domain-separated by a one-byte
    tag so that [node [leaf s]], [leaf s] and [value tag v] can never

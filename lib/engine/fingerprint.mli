@@ -34,12 +34,8 @@ type t
 
 val equal : t -> t -> bool
 
-val compare : t -> t -> int
-
 val to_hex : t -> string
 (** 32 hex characters — filename- and log-safe. *)
-
-val pp : Format.formatter -> t -> unit
 
 (** {1 Merkle combinators} *)
 
@@ -50,10 +46,6 @@ val node : t list -> t
 (** Hash of an ordered sequence of subtree hashes.  [node], {!leaf} and
     the domain fingerprints below are domain-separated: [node [leaf s]]
     never collides with [leaf s], nor either with an encoded value. *)
-
-val file : string -> t
-(** Content digest of a file on disk; missing/unreadable files hash to a
-    distinguished "absent" leaf (stable until the file appears). *)
 
 (** {1 Domain fingerprints} *)
 

@@ -497,11 +497,6 @@ let path_fmea t ~options root =
   memo t ~stage:"fmea.path" ~key (fun () ->
       Fmea.Path_fmea.analyse ~options root)
 
-let path_fmea_package t ~options pkg =
-  Fmea.Path_fmea.analyse_package_with
-    ~analyse_component:(fun c -> path_fmea t ~options c)
-    pkg
-
 (* ---------- Step 4b search ---------- *)
 
 let optimise t ?(component_types = []) ~target table sm_model =

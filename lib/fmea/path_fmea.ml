@@ -202,16 +202,16 @@ let wrap_flat_package (p : Architecture.package) =
     ~meta:(Base.meta ~name ("synthetic-root:" ^ name))
     ()
 
-let analyse_package_with ~analyse_component (p : Architecture.package) =
+let analyse_package ?(options = default_options) (p : Architecture.package) =
   let tops = Architecture.top_components p in
   let composite, flat =
     List.partition (fun c -> c.Architecture.children <> []) tops
   in
   let tables =
-    List.map analyse_component composite
+    List.map (analyse ~options) composite
     @
     if flat <> [] || Architecture.relationships p <> [] then
-      [ analyse_component (wrap_flat_package p) ]
+      [ analyse ~options (wrap_flat_package p) ]
     else []
   in
   let rows = List.concat_map (fun t -> t.Table.rows) tables in
@@ -219,6 +219,3 @@ let analyse_package_with ~analyse_component (p : Architecture.package) =
     Table.system_name = Base.display_name p.Architecture.package_meta;
     rows;
   }
-
-let analyse_package ?(options = default_options) p =
-  analyse_package_with ~analyse_component:(fun c -> analyse ~options c) p

@@ -74,13 +74,3 @@ val analyse_package :
 (** Analyses every top-level composite; a package whose top level is a
     flat block list (with package-level relationships) is wrapped in a
     synthetic root first. *)
-
-val analyse_package_with :
-  analyse_component:(Ssam.Architecture.component -> Table.t) ->
-  Ssam.Architecture.package ->
-  Table.t
-(** {!analyse_package} with the per-composite analysis supplied by the
-    caller — the seam the incremental engine uses to memoise untouched
-    packages' path sets by subtree fingerprint.  [analyse_component]
-    receives each top-level composite (and the synthetic root wrapping
-    any flat remainder) and must behave like {!analyse}. *)

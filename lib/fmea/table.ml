@@ -97,8 +97,6 @@ let to_csv ?(repeat_component_cells = false) t =
   in
   header :: List.rev rows
 
-let to_spreadsheet t = Modelio.Spreadsheet.of_csv ~name:t.system_name (to_csv t)
-
 let pp ppf t =
   let csv = to_csv t in
   let widths =

@@ -58,9 +58,6 @@ val to_csv : ?repeat_component_cells:bool -> t -> Modelio.Csv.t
     [~repeat_component_cells:true] for machine-consumed exports so each
     row is self-contained (the assurance-case SPFM query relies on it). *)
 
-val to_spreadsheet : t -> Modelio.Spreadsheet.t
-(** The "Excel-based FMEA table is always produced" artefact. *)
-
 val pp : Format.formatter -> t -> unit
 (** Aligned text rendering in the paper's table style. *)
 

@@ -188,7 +188,6 @@ let build ?order tree =
   t.root <- compile tree;
   t
 
-let variables t = Array.copy t.names
 let var_count t = Array.length t.names
 let node_count t = t.next - 2
 

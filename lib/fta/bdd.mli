@@ -29,9 +29,6 @@ val build : ?order:string list -> Fault_tree.t -> t
     order instead.  Shared subtrees (physically equal nodes, as produced
     by {!From_ssam.of_structure}) are compiled once. *)
 
-val variables : t -> string array
-(** Basic-event ids in variable order, highest first. *)
-
 val var_count : t -> int
 
 val node_count : t -> int

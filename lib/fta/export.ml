@@ -270,8 +270,6 @@ let of_open_psa (root : Modelio.Xml.element) =
 
 let parse_open_psa s = of_open_psa (Modelio.Xml.parse s)
 
-let load_open_psa ~path = of_open_psa (Modelio.Xml.parse_file path)
-
 let save_open_psa ~path ?model_name tree =
   let oc = open_out_bin path in
   Fun.protect

@@ -47,5 +47,3 @@ val of_open_psa : Modelio.Xml.element -> Fault_tree.t
 val parse_open_psa : string -> Fault_tree.t
 (** [of_open_psa] composed with the XML parser.
     @raise Modelio.Xml.Parse_error on ill-formed XML. *)
-
-val load_open_psa : path:string -> Fault_tree.t

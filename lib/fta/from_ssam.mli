@@ -24,9 +24,6 @@ exception Cyclic of string list
     the cycle.  Fall back to the path-based {!generate}, which handles
     cyclic diagrams via simple-path enumeration. *)
 
-val loss_event_id : component_id:string -> string
-(** ["loss:<component>"] — basic-event naming convention. *)
-
 val generate : Ssam.Architecture.component -> Fault_tree.t
 (** The AND-over-paths construction by explicit path enumeration.
     Raises {!No_paths}; exponential on wide diagrams (it inherits the

@@ -20,10 +20,6 @@ let resolve ~model_type ~location ~metadata =
   | None -> raise (Unknown_driver model_type)
   | Some d -> d.load ~location ~metadata
 
-let registered_names () =
-  Hashtbl.fold (fun _ d acc -> d.driver_name :: acc) registry []
-  |> List.sort_uniq String.compare
-
 let wrap driver location f =
   try f () with
   | Load_error _ as e -> raise e

@@ -29,23 +29,3 @@ val resolve :
   metadata:(string * string) list ->
   Mvalue.t
 (** Raises {!Unknown_driver} or {!Load_error}. *)
-
-val registered_names : unit -> string list
-(** Sorted. *)
-
-val csv_driver : t
-(** ["csv"] — a file loads to {!Mvalue.of_csv_table}. *)
-
-val json_driver : t
-(** ["json"]. *)
-
-val xml_driver : t
-(** ["xml"]. *)
-
-val spreadsheet_driver : t
-(** ["spreadsheet"] (alias "excel") — a csv file or directory-of-csv
-    workbook; renders as a record of sheet-name → table. *)
-
-val install_builtin : unit -> unit
-(** Registers the four drivers above (idempotent).  Called automatically
-    at library initialisation. *)

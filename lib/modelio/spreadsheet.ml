@@ -62,9 +62,3 @@ let number raw =
       else (s, false)
     in
     float_of_string_opt s
-
-let percentage = number
-
-let rows s = s.table.Csv.rows
-
-let fold_rows s ~init ~f = List.fold_left f init s.table.Csv.rows

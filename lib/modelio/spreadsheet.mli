@@ -33,12 +33,3 @@ val cell : sheet -> row:int -> column:string -> string option
 val number : string -> float option
 (** Parses ["42"], ["4.2e1"], ["30%"] (→ 30.0), [" 10 "] and rejects
     everything else. *)
-
-val percentage : string -> float option
-(** Like {!number} but normalises to a [0,100] percentage: ["0.3"] with a
-    trailing ["%"] is 0.3; a bare ratio is NOT rescaled (the reliability
-    tables write percentages explicitly). *)
-
-val rows : sheet -> string list list
-
-val fold_rows : sheet -> init:'a -> f:('a -> string list -> 'a) -> 'a

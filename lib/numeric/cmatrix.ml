@@ -4,10 +4,6 @@ let create rows cols =
   if rows < 0 || cols < 0 then invalid_arg "Cmatrix.create: negative dimension";
   { rows; cols; data = Array.make (rows * cols) Complex.zero }
 
-let rows m = m.rows
-
-let cols m = m.cols
-
 let index m i j =
   if i < 0 || i >= m.rows || j < 0 || j >= m.cols then
     invalid_arg

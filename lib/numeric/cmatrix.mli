@@ -9,12 +9,6 @@ type t
 val create : int -> int -> t
 (** Zero matrix. *)
 
-val rows : t -> int
-
-val cols : t -> int
-
-val get : t -> int -> int -> Complex.t
-
 val set : t -> int -> int -> Complex.t -> unit
 
 val add_to : t -> int -> int -> Complex.t -> unit

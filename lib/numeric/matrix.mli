@@ -37,5 +37,3 @@ val mul_vec : t -> Vector.t -> Vector.t
 
 val equal : ?eps:float -> t -> t -> bool
 (** Entry-wise comparison with absolute tolerance [eps] (default 1e-12). *)
-
-val pp : Format.formatter -> t -> unit

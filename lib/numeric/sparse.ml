@@ -24,8 +24,6 @@ let create n =
     tlen = 0;
   }
 
-let dim t = t.tn
-
 let add_to t i j v =
   if i < 0 || i >= t.tn || j < 0 || j >= t.tn then
     invalid_arg
@@ -58,7 +56,6 @@ type t = {
   vals : float array;
 }
 
-let n a = a.sn
 let nnz a = a.row_ptr.(a.sn)
 
 let compress t =

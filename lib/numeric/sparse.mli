@@ -23,8 +23,6 @@ val add_to : triplets -> int -> int -> float -> unit
     caller reserve slots (e.g. diode companion stamps) whose values are
     filled in later via {!set_value}/{!add_to_value}. *)
 
-val dim : triplets -> int
-
 type t
 (** A compressed sparse row (CSR) matrix with sorted column indices per
     row.  The value array is mutable (see {!set_value}); the pattern is
@@ -33,7 +31,6 @@ type t
 val compress : triplets -> t
 (** Sum duplicates and build the CSR form.  O(nnz + n). *)
 
-val n : t -> int
 val nnz : t -> int
 
 val get : t -> int -> int -> float

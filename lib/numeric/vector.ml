@@ -6,8 +6,6 @@ let of_list = Array.of_list
 
 let dim = Array.length
 
-let copy = Array.copy
-
 let check_dims name x y =
   if Array.length x <> Array.length y then
     invalid_arg
@@ -17,10 +15,6 @@ let check_dims name x y =
 let add x y =
   check_dims "add" x y;
   Array.mapi (fun i xi -> xi +. y.(i)) x
-
-let sub x y =
-  check_dims "sub" x y;
-  Array.mapi (fun i xi -> xi -. y.(i)) x
 
 let scale k x = Array.map (fun xi -> k *. xi) x
 
@@ -43,10 +37,3 @@ let max_abs_diff x y =
     m := Float.max !m (Float.abs (x.(i) -. y.(i)))
   done;
   !m
-
-let pp ppf x =
-  Format.fprintf ppf "[@[%a@]]"
-    (Format.pp_print_array
-       ~pp_sep:(fun ppf () -> Format.fprintf ppf ";@ ")
-       (fun ppf v -> Format.fprintf ppf "%g" v))
-    x

@@ -13,13 +13,9 @@ val of_list : float list -> t
 
 val dim : t -> int
 
-val copy : t -> t
-
 val add : t -> t -> t
 (** [add x y] is the element-wise sum.  Raises [Invalid_argument] on
     dimension mismatch. *)
-
-val sub : t -> t -> t
 
 val scale : float -> t -> t
 
@@ -34,5 +30,3 @@ val norm2 : t -> float
 val max_abs_diff : t -> t -> float
 (** [max_abs_diff x y] is [norm_inf (sub x y)] without the intermediate
     allocation. *)
-
-val pp : Format.formatter -> t -> unit

@@ -10,8 +10,6 @@ type env = Mvalue.t Env.t
 
 let env_empty = Env.empty
 
-let env_bind env name v = Env.add name v env
-
 let env_of_models models =
   List.fold_left (fun env (name, v) -> Env.add name v env) Env.empty models
 

@@ -9,18 +9,7 @@ type env
 
 val env_empty : env
 
-val env_bind : env -> string -> Modelio.Mvalue.t -> env
-
 val env_of_models : (string * Modelio.Mvalue.t) list -> env
-
-val eval_expr : env -> Ast.expr -> Modelio.Mvalue.t
-(** Raises {!Runtime_error} on type errors, unknown identifiers or unknown
-    methods. *)
-
-val run : env -> Ast.program -> Modelio.Mvalue.t
-(** Executes statements in order; the result is the value of the first
-    [return], or of the last expression statement, or [Null] for an
-    empty/effect-free program. *)
 
 val run_string : env -> string -> Modelio.Mvalue.t
 (** Parse and {!run}.  Raises {!Runtime_error}, {!Parser.Parse_error} or

@@ -14,8 +14,6 @@ type analysis = Fmea | Fmeda | Fta | Assess | Diagnose | Lint
 
 val analysis_to_string : analysis -> string
 
-val analysis_of_string : string -> analysis option
-
 type analyse = {
   a_analysis : analysis;
   a_diagram : string;  (** block-diagram model, [.bd] text format *)

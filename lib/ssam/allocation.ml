@@ -15,25 +15,6 @@ type violation =
   | Not_a_requirement of { link : Base.id; id : Base.id }
   | Not_a_component of { link : Base.id; id : Base.id }
 
-let pp_violation ppf = function
-  | Unallocated id ->
-      Format.fprintf ppf "safety requirement '%s' is not allocated to any component" id
-  | Insufficient_integrity { requirement; required; component; actual } ->
-      Format.fprintf ppf
-        "requirement '%s' (%s) allocated to component '%s' with integrity %s"
-        requirement
-        (Requirement.integrity_level_to_string required)
-        component
-        (match actual with
-        | Some l -> Requirement.integrity_level_to_string l
-        | None -> "unset")
-  | Dangling { link; missing } ->
-      Format.fprintf ppf "allocation '%s' references missing element '%s'" link missing
-  | Not_a_requirement { link; id } ->
-      Format.fprintf ppf "allocation '%s' source '%s' is not a requirement" link id
-  | Not_a_component { link; id } ->
-      Format.fprintf ppf "allocation '%s' target '%s' is not a component" link id
-
 let allocation_links (mbsa : Mbsa.package) =
   List.filter
     (fun (t : Mbsa.trace_link) -> t.Mbsa.trace_kind = Mbsa.Allocates)
@@ -138,21 +119,6 @@ let matrix (model : Model.t) (mbsa : Mbsa.package) =
             links;
       })
     (safety_requirements model)
-
-let pp_matrix ppf rows =
-  Format.fprintf ppf "@[<v>Traceability matrix (safety requirements -> components)@,";
-  List.iter
-    (fun row ->
-      Format.fprintf ppf "  %-8s %-7s -> %-24s %s@," row.requirement_id
-        (match row.integrity with
-        | Some l -> Requirement.integrity_level_to_string l
-        | None -> "-")
-        (match row.allocated_to with
-        | [] -> "(UNALLOCATED)"
-        | cs -> String.concat ", " cs)
-        row.requirement_text)
-    rows;
-  Format.fprintf ppf "@]"
 
 let auto_allocate (model : Model.t) (mbsa : Mbsa.package) =
   let links = allocation_links mbsa in

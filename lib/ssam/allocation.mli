@@ -29,8 +29,6 @@ type violation =
   | Not_a_requirement of { link : Base.id; id : Base.id }
   | Not_a_component of { link : Base.id; id : Base.id }
 
-val pp_violation : Format.formatter -> violation -> unit
-
 val check : Model.t -> Mbsa.package -> violation list
 (** Checks every [Allocates] trace of the package against the model. *)
 
@@ -46,8 +44,6 @@ type matrix_row = {
 val matrix : Model.t -> Mbsa.package -> matrix_row list
 (** The traceability matrix: one row per safety requirement in the model,
     in declaration order. *)
-
-val pp_matrix : Format.formatter -> matrix_row list -> unit
 
 val auto_allocate :
   Model.t -> Mbsa.package -> Mbsa.package

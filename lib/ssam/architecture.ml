@@ -160,10 +160,6 @@ let component_id c = c.c_meta.Base.id
 
 let component_name c = Base.display_name c.c_meta
 
-let element_id = function
-  | Component c -> component_id c
-  | Relationship r -> r.rel_meta.Base.id
-
 let top_components p =
   List.filter_map
     (function Component c -> Some c | Relationship _ -> None)

@@ -189,8 +189,6 @@ val component_id : component -> Base.id
 
 val component_name : component -> string
 
-val element_id : element -> Base.id
-
 val top_components : package -> component list
 
 val relationships : package -> relationship list

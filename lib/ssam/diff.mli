@@ -14,19 +14,6 @@ type change =
   | Removed of Base.id
   | Modified of Base.id * string  (** id, what changed (human-readable) *)
 
-val pp_change : Format.formatter -> change -> unit
-
-val component_changes : old_model:Model.t -> new_model:Model.t -> change list
-(** Component-level diff (components of all architecture packages,
-    matched by id).  [Modified] covers FIT, type, integrity, flags,
-    failure modes, safety mechanisms, functions, IO nodes and the
-    component's own connection list; child additions/removals appear as
-    their own [Added]/[Removed] entries. *)
-
-val hazard_changes : old_model:Model.t -> new_model:Model.t -> change list
-
-val requirement_changes : old_model:Model.t -> new_model:Model.t -> change list
-
 type impact = {
   changes : change list;  (** all of the above, components first *)
   impacted_components : Base.id list;

@@ -71,9 +71,6 @@ let measures p =
     (function Measure m -> Some m | Situation _ -> None)
     p.elements
 
-let find p id =
-  List.find_opt (fun e -> String.equal (element_id e) id) p.elements
-
 let measures_for p situation_id =
   List.filter
     (fun m -> List.exists (String.equal situation_id) m.mitigates)

@@ -99,8 +99,6 @@ val situations : package -> hazardous_situation list
 
 val measures : package -> control_measure list
 
-val find : package -> Base.id -> element option
-
 val measures_for : package -> Base.id -> control_measure list
 (** Control measures whose [mitigates] list contains the given situation. *)
 

@@ -2,10 +2,6 @@ type t = { value : string; lang : string } [@@deriving eq, ord, show]
 
 let v ?(lang = "en") value = { value; lang }
 
-let value t = t.value
-
-let lang t = t.lang
-
 let pp ppf t = Format.fprintf ppf "%s" t.value
 
 type set = t list [@@deriving eq, ord, show]

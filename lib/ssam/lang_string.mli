@@ -9,17 +9,8 @@ type t = { value : string; lang : string } [@@deriving eq, ord, show]
 val v : ?lang:string -> string -> t
 (** [v s] is [s] tagged with the default language, ["en"]. *)
 
-val value : t -> string
-
-val lang : t -> string
-
-val pp : Format.formatter -> t -> unit
-
 type set = t list [@@deriving eq, ord, show]
 (** A set of translations of the same text. *)
-
-val find : lang:string -> set -> t option
-(** First entry with the given language tag. *)
 
 val preferred : ?lang:string -> set -> string
 (** [preferred set] is the value for [lang] (default ["en"]), falling back

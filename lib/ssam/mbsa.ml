@@ -47,8 +47,6 @@ let package ?(requirement_packages = []) ?(hazard_packages = [])
     traces;
   }
 
-let add_artifact p a = { p with artifacts = p.artifacts @ [ a ] }
-
 let add_trace p t = { p with traces = p.traces @ [ t ] }
 
 let latest_artifact p kind =
@@ -60,9 +58,3 @@ let latest_artifact p kind =
         | Some _ | None -> Some a
       else acc)
     None p.artifacts
-
-let traces_from p id =
-  List.filter (fun t -> String.equal t.trace_source id) p.traces
-
-let traces_to p id =
-  List.filter (fun t -> String.equal t.trace_target id) p.traces

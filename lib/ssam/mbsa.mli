@@ -67,13 +67,7 @@ val package :
   unit ->
   package
 
-val add_artifact : package -> artifact_reference -> package
-
 val add_trace : package -> trace_link -> package
 
 val latest_artifact : package -> analysis_kind -> artifact_reference option
 (** Artefact of the given kind with the highest iteration number. *)
-
-val traces_from : package -> Base.id -> trace_link list
-
-val traces_to : package -> Base.id -> trace_link list

@@ -114,8 +114,6 @@ let lookup tbl id = Hashtbl.find_opt tbl id
 
 let iter_entities f tbl = Hashtbl.iter (fun _ e -> f e) tbl
 
-let all_ids tbl = Hashtbl.fold (fun id _ acc -> id :: acc) tbl []
-
 let count_elements model =
   let requirement_count =
     List.fold_left
@@ -167,12 +165,3 @@ let find_component model id =
       | Some _ -> acc
       | None -> Architecture.find_in_package p id)
     None model.component_packages
-
-let add_component_package model p =
-  { model with component_packages = model.component_packages @ [ p ] }
-
-let add_mbsa_package model p =
-  { model with mbsa_packages = model.mbsa_packages @ [ p ] }
-
-let map_component_packages model f =
-  { model with component_packages = List.map f model.component_packages }

@@ -50,8 +50,6 @@ val lookup : index -> Base.id -> entity option
 
 val iter_entities : (entity -> unit) -> index -> unit
 
-val all_ids : index -> Base.id list
-
 val count_elements : t -> int
 (** Total model elements across all packages — the size notion used in the
     paper's scalability evaluation (Table VI). *)
@@ -60,10 +58,3 @@ val components : t -> Architecture.component list
 (** All components of all architecture packages, depth-first. *)
 
 val find_component : t -> Base.id -> Architecture.component option
-
-val add_component_package : t -> Architecture.package -> t
-
-val add_mbsa_package : t -> Mbsa.package -> t
-
-val map_component_packages :
-  t -> (Architecture.package -> Architecture.package) -> t

@@ -11,8 +11,6 @@ let create ~max_bytes =
   if max_bytes <= 0 then invalid_arg "Budget.create: non-positive budget";
   { max = max_bytes; used = Atomic.make 0 }
 
-let jvm_default () = create ~max_bytes:(4 * 1024 * 1024 * 1024)
-
 let bytes_per_element = 96
 
 let rec charge_elements t n =
@@ -31,5 +29,3 @@ let rec release_elements t n =
 let used_bytes t = Atomic.get t.used
 
 let max_bytes t = t.max
-
-let reset t = Atomic.set t.used 0

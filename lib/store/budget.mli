@@ -12,10 +12,6 @@ exception Overflow of { requested : int; available : int }
 
 val create : max_bytes:int -> t
 
-val jvm_default : unit -> t
-(** 4 GiB — a typical -Xmx for the paper's era of Eclipse tooling.  Set4
-    (≈5.7 M elements) fits; Set5 (≈569 M elements) overflows. *)
-
 val bytes_per_element : int
 (** The accounting constant (96 bytes — a conservative estimate of an EMF
     EObject's footprint). *)
@@ -30,5 +26,3 @@ val release_elements : t -> int -> unit
 val used_bytes : t -> int
 
 val max_bytes : t -> int
-
-val reset : t -> unit
