@@ -73,58 +73,3 @@ let param_str b name =
   | Some (P_num f) -> Some (Printf.sprintf "%g" f)
   | Some (P_bool b) -> Some (string_of_bool b)
   | None -> None
-
-let find_port b name =
-  List.find_opt (fun p -> String.equal p.port_name name) b.ports
-
-let validate t =
-  let problems = ref [] in
-  let note fmt = Printf.ksprintf (fun s -> problems := s :: !problems) fmt in
-  let rec go t =
-    let ids = List.map (fun b -> b.block_id) t.blocks in
-    let dup =
-      List.filter
-        (fun id -> List.length (List.filter (String.equal id) ids) > 1)
-        (List.sort_uniq String.compare ids)
-    in
-    List.iter (fun id -> note "%s: duplicate block id '%s'" t.diagram_name id) dup;
-    let endpoint_port ep =
-      match find_block t ep.ep_block with
-      | None ->
-          note "%s: connection references missing block '%s'" t.diagram_name
-            ep.ep_block;
-          None
-      | Some b -> (
-          match find_port b ep.ep_port with
-          | None ->
-              note "%s: block '%s' has no port '%s'" t.diagram_name ep.ep_block
-                ep.ep_port;
-              None
-          | Some p -> Some p)
-    in
-    List.iter
-      (fun c ->
-        match (endpoint_port c.from_ep, endpoint_port c.to_ep) with
-        | Some p1, Some p2 -> (
-            match (p1.port_kind, p2.port_kind) with
-            | Out_port, Out_port ->
-                note "%s: two outputs wired together (%s.%s -> %s.%s)"
-                  t.diagram_name c.from_ep.ep_block c.from_ep.ep_port
-                  c.to_ep.ep_block c.to_ep.ep_port
-            | In_port, In_port ->
-                note "%s: two inputs wired together (%s.%s -> %s.%s)"
-                  t.diagram_name c.from_ep.ep_block c.from_ep.ep_port
-                  c.to_ep.ep_block c.to_ep.ep_port
-            | Conserving, (In_port | Out_port) | (In_port | Out_port), Conserving
-              ->
-                note "%s: conserving port wired to a signal port (%s.%s -> %s.%s)"
-                  t.diagram_name c.from_ep.ep_block c.from_ep.ep_port
-                  c.to_ep.ep_block c.to_ep.ep_port
-            | Conserving, Conserving | Out_port, In_port | In_port, Out_port ->
-                ())
-        | _ -> ())
-      t.connections;
-    List.iter go t.subsystems
-  in
-  go t;
-  List.rev !problems

@@ -74,8 +74,3 @@ val block_count : t -> int
 val param_num : block -> string -> float option
 
 val param_str : block -> string -> string option
-
-val validate : t -> string list
-(** Dangling connection endpoints, duplicate block ids (per level),
-    connections into missing ports, direction violations (wiring two
-    outputs together). *)
