@@ -8,15 +8,6 @@
 type cut_set = string list
 (** Sorted, duplicate-free basic-event ids. *)
 
-val normalize : string list -> cut_set
-(** Sort and deduplicate. *)
-
-val minimize : cut_set list -> cut_set list
-(** Drop every set with a proper (or equal, earlier) subset present.
-    Inputs must be {!normalize}d.  Each pairwise check is a sorted-list
-    merge with an early length cutoff — O(shorter set) instead of
-    O(|a| * |b|) membership scans. *)
-
 type engine = [ `Auto | `Bdd ]
 (** Synonyms: both compile the tree to a {!Bdd.t} and read the cut sets
     off its ZBDD, with no cap on their number.  [`Auto] is the default

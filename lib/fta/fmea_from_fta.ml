@@ -64,9 +64,3 @@ let analyse (c : Architecture.component) =
     Fmea.Table.system_name = Architecture.component_name c ^ " (via FTA)";
     rows;
   }
-
-let agrees_with_path_fmea (c : Architecture.component) =
-  let fta_table = analyse c in
-  let path_table = Fmea.Path_fmea.analyse ~options:{ Fmea.Path_fmea.default_options with recurse = false } c in
-  let sr t = List.sort String.compare (Fmea.Table.safety_related_components t) in
-  sr fta_table = sr path_table

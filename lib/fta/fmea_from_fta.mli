@@ -22,8 +22,3 @@ val single_points_via_bdd : Ssam.Architecture.component -> string list
     The third route to the same answer as {!Fmea.Path_fmea.single_points}
     and {!single_point_components} — cross-checked in the tests.
     Raises {!From_ssam.Cyclic} on cyclic diagrams. *)
-
-val agrees_with_path_fmea : Ssam.Architecture.component -> bool
-(** The cross-check: both routes find the same set of safety-related
-    components.  Exposed so tests and benches can assert it on every
-    generated system. *)

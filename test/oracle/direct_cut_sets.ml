@@ -18,7 +18,7 @@ let of_explanations (m : Model.t) explanations =
   in
   let singles =
     List.map
-      (fun (md : Model.mode) -> Fta.Cut_sets.normalize [ md.Model.m_key ])
+      (fun (md : Model.mode) -> Cut_set_minimize.normalize [ md.Model.m_key ])
       (loss_like false)
   in
   let redundant_modes = loss_like true in
@@ -30,11 +30,11 @@ let of_explanations (m : Model.t) explanations =
             if
               a.Model.m_index < b.Model.m_index
               && not (String.equal a.Model.m_component b.Model.m_component)
-            then Some (Fta.Cut_sets.normalize [ a.Model.m_key; b.Model.m_key ])
+            then Some (Cut_set_minimize.normalize [ a.Model.m_key; b.Model.m_key ])
             else None)
           redundant_modes)
       redundant_modes
   in
   List.partition
     (fun cs -> List.length cs = 1)
-    (Fta.Cut_sets.minimize (singles @ doubles))
+    (Cut_set_minimize.minimize (singles @ doubles))

@@ -1,5 +1,5 @@
 (** Backward-diagnosis explanations combined directly — explicit pair
-    enumeration plus {!Fta.Cut_sets.minimize} — the reference for the
+    enumeration plus {!Cut_set_minimize.minimize} — the reference for the
     BDD route {!Dataflow.Diagnose.diagnose} reads [singles]/[doubles]
     off.
 

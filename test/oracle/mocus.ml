@@ -23,7 +23,7 @@ let minimal ?(max_sets = 100_000) tree =
     | Fault_tree.Or (_, cs) ->
         let union = List.concat_map go cs in
         check (List.length union);
-        Cut_sets.minimize (List.map Cut_sets.normalize union)
+        Cut_set_minimize.minimize (List.map Cut_set_minimize.normalize union)
     | Fault_tree.And (_, cs) ->
         let parts = List.map go cs in
         (* Minimise after every factor: repeated events across factors
@@ -35,14 +35,14 @@ let minimal ?(max_sets = 100_000) tree =
               let combined =
                 List.concat_map
                   (fun a ->
-                    List.map (fun b -> Cut_sets.normalize (a @ b)) part)
+                    List.map (fun b -> Cut_set_minimize.normalize (a @ b)) part)
                   acc
               in
               check (List.length combined);
-              Cut_sets.minimize combined)
+              Cut_set_minimize.minimize combined)
             [ [] ] parts
         in
-        Cut_sets.minimize product
+        Cut_set_minimize.minimize product
     | Fault_tree.Koon (id, k, cs) ->
         go
           (Fault_tree.Or

@@ -167,10 +167,10 @@ let prop_minimize_matches_reference =
     (fun raw ->
       let sets =
         List.map
-          (fun xs -> Cut_sets.normalize (List.map (Printf.sprintf "e%d") xs))
+          (fun xs -> Oracle.Cut_set_minimize.normalize (List.map (Printf.sprintf "e%d") xs))
           raw
       in
-      Cut_sets.minimize sets = reference_minimize sets)
+      Oracle.Cut_set_minimize.minimize sets = reference_minimize sets)
 
 (* ---------- quantification ---------- *)
 
@@ -279,7 +279,7 @@ let test_no_paths () =
 
 let test_cross_check_case_study () =
   Alcotest.(check bool) "FTA route agrees with Algorithm 1" true
-    (Fmea_from_fta.agrees_with_path_fmea Decisive.Case_study.power_supply_root)
+    (Oracle.Fta_route.agrees_with_path_fmea Decisive.Case_study.power_supply_root)
 
 (* Random layered series-parallel system: stage i's [widths_i] blocks
    each feed every block of stage i+1; the boundary wraps the first and
@@ -340,7 +340,7 @@ let layered_system widths =
 let prop_fta_path_agreement =
   QCheck.Test.make ~name:"FTA singletons = path-FMEA single points" ~count:60
     QCheck.(list_of_size (QCheck.Gen.int_range 1 5) (QCheck.int_range 1 3))
-    (fun widths -> Fmea_from_fta.agrees_with_path_fmea (layered_system widths))
+    (fun widths -> Oracle.Fta_route.agrees_with_path_fmea (layered_system widths))
 
 (* ---------- BDD kernel ---------- *)
 
@@ -455,9 +455,9 @@ let brute_minimal t =
         (fun i -> if mask land (1 lsl i) <> 0 then Some arr.(i) else None)
         (List.init n Fun.id)
     in
-    if holds set t then sets := Cut_sets.normalize set :: !sets
+    if holds set t then sets := Oracle.Cut_set_minimize.normalize set :: !sets
   done;
-  sort_sets (Cut_sets.minimize !sets)
+  sort_sets (Oracle.Cut_set_minimize.minimize !sets)
 
 let prop_critical_sets_brute_force =
   QCheck.Test.make
