@@ -35,7 +35,7 @@ let check_reliability ?file acc rel =
       List.iter
         (fun (fm : Reliability.Reliability_model.failure_mode) ->
           let d = fm.Reliability.Reliability_model.distribution_pct in
-          if d < 0.0 || d > 100.0 then
+          if not (0.0 <= d && d <= 100.0) then
             diag ~element:ty rel002
               (Printf.sprintf "%s/%s: distribution %g%% outside [0,100]" ty
                  fm.Reliability.Reliability_model.fm_name d))
@@ -79,10 +79,10 @@ let check_sm ?file acc rel_opt sm =
           m.Reliability.Sm_model.failure_mode m.Reliability.Sm_model.sm_name
       in
       let cov = m.Reliability.Sm_model.coverage_pct in
-      if cov < 0.0 || cov > 100.0 then
+      if not (0.0 <= cov && cov <= 100.0) then
         diag ~element:label rel006
           (Printf.sprintf "%s: coverage %g%% outside [0,100]" label cov);
-      if m.Reliability.Sm_model.cost < 0.0 then
+      if not (m.Reliability.Sm_model.cost >= 0.0) then
         diag ~element:label rel007 (Printf.sprintf "%s: negative cost" label);
       match rel_opt with
       | None -> ()

@@ -388,6 +388,53 @@ let test_error_handling () =
              failure at unknown 2)\n"
             (read_file err))
         [ "fmea"; "fmeda"; "optimize"; "run"; "report" ];
+      (* A catalogue number that parses but is not finite ("nan%"
+         coverage, "nan" cost or distribution, "inf" FIT) is an error
+         naming the file, not a NaN SPFM or cost. *)
+      let nan_sm = Filename.concat dir "nan_sm.csv"
+      and nan_cost = Filename.concat dir "nan_cost.csv"
+      and nan_rel = Filename.concat dir "nan_rel.csv"
+      and inf_rel = Filename.concat dir "inf_rel.csv" in
+      List.iter
+        (fun (file, text) ->
+          Out_channel.with_open_bin file (fun oc -> output_string oc text))
+        [
+          ( nan_sm,
+            "Component,Failure_Mode,Safety_Mechanism,Cov.,Cost(hrs)\n\
+             MC,RAM Failure,ECC,nan%,2\n" );
+          ( nan_cost,
+            "Component,Failure_Mode,Safety_Mechanism,Cov.,Cost(hrs)\n\
+             MC,RAM Failure,ECC,99%,nan\n" );
+          ( nan_rel,
+            "Component,FIT,Failure_Mode,Distribution\n\
+             Diode,10,Open,nan%\n\
+             ,,Short,70%\n" );
+          ( inf_rel,
+            "Component,FIT,Failure_Mode,Distribution\n\
+             MC,inf,RAM Failure,100%\n" );
+        ];
+      List.iter
+        (fun (args, message) ->
+          let code =
+            Sys.command
+              (Printf.sprintf "%s %s >/dev/null 2>%s" bin args
+                 (Filename.quote err))
+          in
+          Alcotest.(check int) (args ^ ": exit 1") 1 code;
+          Alcotest.(check string) (args ^ ": message") ("error: " ^ message ^ "\n")
+            (read_file err))
+        [
+          ( Printf.sprintf "optimize %s -e DC1 -t ASIL-B -s %s" bd nan_sm,
+            nan_sm ^ ": coverage: not a finite number: \"nan%\"" );
+          ( Printf.sprintf "optimize %s -e DC1 -t ASIL-B -s %s" bd nan_cost,
+            nan_cost ^ ": cost: not a finite number: \"nan\"" );
+          ( Printf.sprintf "fmeda %s -e DC1 -r %s" bd nan_rel,
+            nan_rel ^ ": Distribution: not a finite number: \"nan%\"" );
+          ( Printf.sprintf "fmeda %s -e DC1 -r %s" bd inf_rel,
+            inf_rel ^ ": FIT: not a finite number: \"inf\"" );
+          ( Printf.sprintf "lint %s -s %s" bd nan_sm,
+            nan_sm ^ ": coverage: not a finite number: \"nan%\"" );
+        ];
       (* Assessment budgets that would silently run something else (a
          default 8,064 trials, the 200M cap, one budget ignored) are
          errors. *)
