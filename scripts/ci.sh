@@ -11,8 +11,9 @@ dune build
 echo "== tests =="
 dune runtest
 
-echo "== report: library exports nothing else uses (never fails) =="
-python3 scripts/unused_exports.py || true
+echo "== gate: library exports nothing else uses =="
+python3 scripts/test_unused_exports.py
+python3 scripts/unused_exports.py
 
 echo "== lint: example models =="
 # The alias runs `same lint` over examples/models: clean models must
