@@ -137,13 +137,11 @@ let make_engine cache =
 
 (* Under --explain the scheduler verdict is always printed — including
    when every batch ran sequentially, which on a small model is itself
-   the interesting fact ("auto chose sequential: est 1.2us/task below
-   the 48us dispatch overhead"). *)
+   the interesting fact ("sequential, pilot 1.2us/task"). *)
 let report_stats explain engine =
   if explain then
     Format.printf "%a@.%a@." Engine.Stats.pp (Engine.Pipeline.snapshot engine)
-      Exec.Cost.pp_decisions ();
-  Engine.Pipeline.save_cost_state engine
+      Exec.Cost.pp_decisions ()
 
 (* The `--strict` gate of `--batch` and optimize. *)
 let strict_ok ~strict ?diagram ?reliability ?sm ?(exclude = [])

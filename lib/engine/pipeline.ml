@@ -58,44 +58,18 @@ type t = {
   lock : Mutex.t;
 }
 
-(* ---------- scheduler-calibration persistence ---------- *)
-
-(* The [Exec.Cost] state (measured dispatch overhead + per-kernel EWMA
-   estimates) is machine-specific, so it is keyed by the core count and
-   stored as plain text, not marshalled. *)
-let cost_state_key () =
-  Cache.key ~stage:"exec.cost" ~version:1
-    (Fingerprint.leaf
-       (Printf.sprintf "cost-state/cores=%d"
-          (Stdlib.max 1 (Domain.recommended_domain_count ()))))
-
-let load_cost_state t =
-  match Cache.find t.p_cache (cost_state_key ()) with
-  | Some (`Memory s) | Some (`Disk s) -> Exec.Cost.import s
-  | None -> false
-
-let save_cost_state t =
-  Cache.store t.p_cache (cost_state_key ()) (Exec.Cost.export ())
-
 let create ?cache () =
-  let t =
-    {
-      p_cache = (match cache with Some c -> c | None -> Cache.create ());
-      p_stats = Stats.create ();
-      golden_runs = Memo.create live_cap;
-      fp_diagrams = Memo.create 8;
-      fp_models = Memo.create 8;
-      conversions = Memo.create 8;
-      fp_structures = Memo.create 8;
-      ssam_views = Memo.create 8;
-      lock = Mutex.create ();
-    }
-  in
-  (* Seed the scheduler from a previous session's calibration when the
-     cache has one: a warm-started engine never re-measures dispatch
-     overhead and decides correctly from its first batch. *)
-  ignore (load_cost_state t);
-  t
+  {
+    p_cache = (match cache with Some c -> c | None -> Cache.create ());
+    p_stats = Stats.create ();
+    golden_runs = Memo.create live_cap;
+    fp_diagrams = Memo.create 8;
+    fp_models = Memo.create 8;
+    conversions = Memo.create 8;
+    fp_structures = Memo.create 8;
+    ssam_views = Memo.create 8;
+    lock = Mutex.create ();
+  }
 
 let cache t = t.p_cache
 let stats t = t.p_stats

@@ -126,13 +126,6 @@ val injection_fmea_fleet :
     {!injection_fmea} uses, so fleet and single-variant runs feed each
     other. *)
 
-(** {1 Scheduler-calibration persistence} *)
-
-val save_cost_state : t -> unit
-(** Persist the current {!Exec.Cost} state through the cache (keyed by
-    core count — calibration is machine-specific), so the next session
-    starts with a calibrated scheduler. *)
-
 val path_fmea :
   t -> options:Fmea.Path_fmea.options -> Ssam.Architecture.component ->
   Fmea.Table.t

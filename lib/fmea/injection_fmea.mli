@@ -133,8 +133,8 @@ val injection_row :
     {!analyse}). *)
 
 val cost_key : string
-(** The {!Exec.Cost} workload key under which injection classifications
-    are scheduled ("fmea.injection"). *)
+(** The label of injection-classification batches in the scheduler's
+    decision log ("fmea.injection"). *)
 
 val analyse :
   ?options:options ->

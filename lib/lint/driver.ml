@@ -8,10 +8,10 @@ let find_rule id =
     catalogue
 
 (* Derive the SSAM model the analysis commands would work on when the
-   caller gave a diagram but no model of its own. *)
+   caller gave a diagram but no model of its own; [true] when it did. *)
 let effective_model (input : Input.t) =
   match (input.Input.model, input.Input.diagram) with
-  | Some _, _ | None, None -> input
+  | Some _, _ | None, None -> (input, false)
   | None, Some (_, diagram) ->
       let model = Blockdiag.Transform.to_ssam_model diagram in
       let model =
@@ -26,10 +26,10 @@ let effective_model (input : Input.t) =
                   model.Ssam.Model.component_packages;
             }
       in
-      { input with Input.model = Some model }
+      ({ input with Input.model = Some model }, true)
 
 let run ?jobs ?(rules = []) ?(categories = []) ?min_severity input =
-  let input = effective_model input in
+  let input, derived = effective_model input in
   let packs =
     [
       Ssam_pack.run;
@@ -44,6 +44,13 @@ let run ?jobs ?(rules = []) ?(categories = []) ?min_severity input =
     List.concat
       (Exec.scheduled_map ?jobs ~key:"lint.pack" (fun pack -> pack input)
          packs)
+  in
+  (* A derived model repeats the diagram's ids, so its SSAM001 findings
+     (the block and each of its IO nodes) only echo BLK003. *)
+  let all =
+    if derived then
+      List.filter (fun (d : Rule.diagnostic) -> d.Rule.rule_id <> "SSAM001") all
+    else all
   in
   let wanted = List.map String.uppercase_ascii rules in
   let all =

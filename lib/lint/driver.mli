@@ -3,14 +3,15 @@
     diagnostics.
 
     Pack dispatch goes through {!Exec.scheduled_map} under the
-    ["lint.pack"] workload key, so the adaptive cost model decides
-    sequential vs parallel execution per run; determinism comes from
+    ["lint.pack"] label, so the adaptive scheduler decides sequential
+    vs parallel execution per run; determinism comes from
     its in-order collection — findings are bit-identical at every
     [SAME_JOBS] setting.  When the input has a diagram but no SSAM
     model, the diagram is transformed
     ({!Blockdiag.Transform.to_ssam_model}, with the reliability model
     aggregated on when present) so the SSAM pack always sees the design
-    the analysis commands would. *)
+    the analysis commands would.  A derived model reports no duplicate
+    ids (SSAM001): BLK003 already names each duplicate block. *)
 
 val catalogue : Rule.t list
 (** Every registered rule, grouped by pack (SSAM, BLK, REL, QRY, DFA

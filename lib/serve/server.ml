@@ -376,7 +376,6 @@ let accept_loop t =
   drain ();
   (try Unix.close t.listen_fd with Unix.Unix_error _ -> ());
   (try Unix.unlink t.config.socket_path with Unix.Unix_error _ -> ());
-  Engine.Pipeline.save_cost_state t.engine;
   Atomic.set t.stopped true
 
 let start config =

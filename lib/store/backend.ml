@@ -23,18 +23,10 @@ let choose ?budget spec =
   in
   if not fits_in_budget then `Lazy
   else
+    (* Stream only when there is enough work to plausibly amortise
+       window dispatch: at least a few windows' worth of units. *)
     let tasks = units_of spec in
-    let jobs = Exec.default_jobs () in
-    match Exec.Cost.estimate ~key:"store.evaluate" with
-    | Some cost -> (
-        match Exec.Cost.decide ~tasks ~cost ~jobs with
-        | Exec.Cost.Sequential -> `Full
-        | Exec.Cost.Parallel _ -> `Lazy)
-    | None ->
-        (* Cold cost model: stream only when there is enough work to
-           plausibly amortise window dispatch — at least a few windows'
-           worth of units. *)
-        if tasks >= 4 * jobs then `Lazy else `Full
+    if tasks >= 4 * Exec.default_jobs () then `Lazy else `Full
 
 let evaluate_full ~budget spec =
   match Full_store.load ~budget spec with

@@ -4,12 +4,10 @@
     parallelism) but loses on small ones: its windowed dispatch costs
     more than Set0–Set2's entire evaluation, so Table VI's small rows ran
     slower lazily than the {!Full_store}'s load-then-evaluate.  [`Auto]
-    picks per call: sets the memory budget cannot hold must stream; for
-    the rest, the {!Exec.Cost} estimate for the lazy store's
-    ["store.evaluate"] workload key decides whether parallel windows
-    would actually clear the dispatch overhead — if the scheduler would
-    run the windows sequentially anyway, the full store's direct
-    evaluation is strictly cheaper.
+    picks per call: sets the memory budget cannot hold must stream; the
+    rest stream only when they hold at least four units per job, enough
+    windows to amortise their dispatch — below that the full store's
+    direct evaluation is cheaper.
 
     Both backends count verdicts in generation order, so the result is
     identical whichever one runs. *)

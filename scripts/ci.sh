@@ -153,7 +153,8 @@ wait "$SERVE_PID" || {
 
 echo "== bench --smoke: every section's acceptance gates =="
 # bench exits non-zero itself when one of its gates fails; each failure
-# is a "gate failed:" line on stderr.
-SAME_JOBS=4 dune exec bench/main.exe -- --smoke > /dev/null
+# is a "gate failed:" line on stderr.  Its stdout (every section's
+# figures) is kept for the CI artifact.
+SAME_JOBS=4 dune exec bench/main.exe -- --smoke > _build/bench_smoke.txt
 
 echo "CI OK"

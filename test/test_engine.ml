@@ -908,38 +908,6 @@ let test_fleet_shares_golden () =
         (Fmea.Table.equal e1.Engine.Batch.b_table e2.Engine.Batch.b_table))
     summary.Engine.Batch.f_entries summary2.Engine.Batch.f_entries
 
-(* ---------- scheduler-calibration persistence ---------- *)
-
-let test_cost_state_persists () =
-  with_temp_dir (fun dir ->
-      let saved_overhead = Exec.Cost.dispatch_overhead_ns () in
-      Fun.protect
-        ~finally:(fun () ->
-          Exec.Cost.set_dispatch_overhead_ns saved_overhead;
-          Exec.Cost.reset ())
-        (fun () ->
-          let e1 =
-            Engine.Pipeline.create ~cache:(Engine.Cache.create ~dir ()) ()
-          in
-          Exec.Cost.set_dispatch_overhead_ns 7_777.0;
-          Exec.Cost.observe ~key:"persist.k" ~tasks:100 5_000_000.0;
-          Engine.Pipeline.save_cost_state e1;
-          Exec.Cost.reset ();
-          Alcotest.(check bool) "estimates cleared by reset" true
-            (Exec.Cost.estimate ~key:"persist.k" = None);
-          (* A fresh pipeline over the same directory restores the
-             calibration in [create]. *)
-          let _e2 =
-            Engine.Pipeline.create ~cache:(Engine.Cache.create ~dir ()) ()
-          in
-          Alcotest.(check (float 1e-9)) "overhead restored" 7_777.0
-            (Exec.Cost.dispatch_overhead_ns ());
-          match Exec.Cost.estimate ~key:"persist.k" with
-          | Some est ->
-              Alcotest.(check (float 1e-3)) "ns/task restored" 50_000.0
-                est.Exec.Cost.ns_per_task
-          | None -> Alcotest.fail "estimate not restored"))
-
 let suite =
   [
     Alcotest.test_case "fingerprint: diagram" `Quick test_fingerprint_diagram;
@@ -981,8 +949,6 @@ let suite =
       test_api_routes_warm_equals_cold;
     Alcotest.test_case "fleet: shared golden, identical tables" `Quick
       test_fleet_shares_golden;
-    Alcotest.test_case "fleet: cost state persists" `Quick
-      test_cost_state_persists;
     Alcotest.test_case "pipeline: assurance claim reuse" `Quick
       test_assurance_claim_reuse;
   ]

@@ -186,11 +186,27 @@ let test_blk_wiring () =
   Alcotest.(check bool) "BLK001 dangling endpoint" true (has_rule "BLK001" ds);
   Alcotest.(check bool) "BLK003 duplicate id" true (has_rule "BLK003" ds);
   Alcotest.(check bool) "BLK005 unconnected port" true (has_rule "BLK005" ds);
+  (* The model derived from the diagram repeats its ids: one duplicate
+     block is one finding, not also SSAM001 for the block and its two IO
+     nodes. *)
+  Alcotest.(check int) "one finding per duplicate block" 1
+    (List.length
+       (List.filter (fun id -> id = "BLK003" || id = "SSAM001") (ids ds)));
   Alcotest.(check bool) "errors precede warnings" true
     (let sevs =
        List.map (fun (d : Rule.diagnostic) -> Rule.severity_rank d.Rule.d_severity) ds
      in
-     List.sort (fun a b -> compare b a) sevs = sevs)
+     List.sort (fun a b -> compare b a) sevs = sevs);
+  (* A model the user gave is checked on its own: its duplicates are
+     SSAM001. *)
+  let ds =
+    run1
+      {
+        (input_of_diagram d) with
+        Input.model = Some (model_of [ component "c1"; component "c1" ]);
+      }
+  in
+  Alcotest.(check bool) "SSAM001 on a user model" true (has_rule "SSAM001" ds)
 
 let test_blk_unknown_type_and_port () =
   let d =
