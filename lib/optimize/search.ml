@@ -596,14 +596,20 @@ let fold_window sc f acc ((base, _), w) =
   !acc
 
 (* Fold [f] over the kept candidates of every window, in counter order.
-   One pool task per window.  A round holds one window per worker, so at
-   most [jobs * window] scores are alive at once; rounds, and the windows
+   One pool task per window.  A round covers [jobs * window] counter
+   values, so at most that many scores are alive at once: one window at
+   one job, and at more jobs four windows per job of a quarter of
+   [window] each, so that the scheduler's timed pilot, a share of the
+   round, still leaves work for every worker.  Rounds, and the windows
    within a round, are folded in counter order.  [goal acc] is what the
    windows of a round starting at [acc] may skip against.  Returns the
    result and the candidates scored and subtrees skipped. *)
 let scan_fold (sc, combinations) ~window ~goal ~init ~f =
   let window = max 1 window in
-  let per_round = Exec.default_jobs () in
+  let jobs = Exec.default_jobs () in
+  let per_round, window =
+    if jobs <= 1 then (1, window) else (4 * jobs, max 1 (window / 4))
+  in
   let rec round base k =
     if k = 0 || base >= combinations then []
     else

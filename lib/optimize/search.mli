@@ -64,7 +64,9 @@ val exhaustive_fold :
     than two digits on average, so the re-fold is amortised O(1) per
     candidate in the slot count; building the candidate's deployment
     list is O(slots).  Every [spfm_pct] and [cost] is bit-identical to
-    {!evaluate}.  A round holds one window per pool worker and rounds
+    {!evaluate}.  A round covers [jobs x window] counter values — at
+    more than one job as four pool tasks per job of [window / 4] each,
+    so the scheduler's pilot leaves work for every worker — and rounds
     are folded sequentially in counter order, so results are identical
     at every job count and peak memory is O(jobs x window + slots)
     whatever the combination count.  Raises [Invalid_argument] if the
