@@ -386,7 +386,7 @@ let batch_arg =
           "Batch-fleet mode: analyse every $(i,DIAGRAM) with one warm \
            engine.  Variants sharing a circuit design share golden \
            factorisations, and all remaining injections run as a single \
-           scheduled pool batch; prints a per-variant and fleet summary \
+           scheduled batch; prints a per-variant and fleet summary \
            instead of full tables.")
 
 let diagrams_arg =

@@ -15,7 +15,7 @@ let cost_key = "dataflow.scc"
 (* One SCC solved to local fixpoint.  Cross-SCC inflow only references
    strictly earlier condensation levels, whose values are already
    committed to the shared array before this level's batch is
-   dispatched, so pool tasks read [values] without synchronisation. *)
+   dispatched, so parallel tasks read [values] without synchronisation. *)
 let solve_scc (type a) (module L : LATTICE with type t = a) ~flow_in ~flow_out
     ~(component : int array) ~(values : a array) ~init ~transfer scc members =
   let local = Hashtbl.create (Array.length members) in

@@ -68,4 +68,4 @@ val solve :
     fixpoint described above, one value per node index.  [init] seeds
     each node (facts generated {e at} the node); [transfer] maps the
     join of the inflowing values to the node's contribution.  Both must
-    be pure and safe to call from pool domains. *)
+    be pure and safe to call from worker domains. *)

@@ -4,7 +4,7 @@
     analysed as a single campaign — is the shape the engine's sharing is
     built for: variants reuse golden factorisations by structural netlist
     fingerprint, memoised tables by content fingerprint, and all
-    remaining injections run as one large scheduled pool batch
+    remaining injections run as one large scheduled batch
     ({!Pipeline.injection_fmea_fleet}).  This module adds the per-variant
     and fleet summaries the CLI and bench report. *)
 

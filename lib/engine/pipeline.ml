@@ -285,7 +285,7 @@ let reuse_hook t ~previous:prev ~diagram ~reliability ~element_types
       Fmea.Injection_fmea.component_types ~element_types prev_netlist
     in
     (* Component types repeat across rows: judge each type once, before
-       the hook runs on pool domains, which then only read the table.
+       the hook runs on worker domains, which then only read the table.
        Structural entry equality is strictly stronger than fingerprint
        equality, so it can only ever reuse less, never wrongly more. *)
     let verdicts = Hashtbl.create 16 in
@@ -421,7 +421,7 @@ let injection_fmea_fleet t ~options variants reliability =
     | `Rank_update _ -> Stats.incr_rank_update t.p_stats
   in
   (* Flatten every pending variant's injections into ONE task list: the
-     pool sees a single large batch instead of N small barriers, and the
+     scheduler sees a single large batch instead of N small barriers, and the
      cost model decides once about a workload N times the size. *)
   let flat =
     List.concat_map

@@ -121,7 +121,7 @@ val injection_fmea_fleet :
     share golden factorisations by {e structural} netlist fingerprint —
     variants with element-for-element equal circuits cost one golden
     solve between them — and all of their injections are flattened into
-    a single scheduled pool batch instead of N small barriers.  Each
+    a single scheduled batch instead of N small barriers.  Each
     computed table is stored under the same cache key
     {!injection_fmea} uses, so fleet and single-variant runs feed each
     other. *)

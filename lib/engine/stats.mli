@@ -2,7 +2,7 @@
     reused.
 
     Counters are atomic because the injection kernel classifies rows on
-    the {!Exec} domain pool — hooks fire from worker domains.  The
+    {!Exec} worker domains — hooks fire from them.  The
     {e values} are nevertheless deterministic for a given input: what is
     reused is decided by fingerprints, not by scheduling. *)
 
@@ -67,11 +67,11 @@ type snapshot = {
       (** subtrees of combinations the Step 4b searches skipped unscored,
           their bounds showing no candidate in them could win *)
   sched_sequential : int;
-      (** pool batches the adaptive scheduler ran sequentially
+      (** batches the adaptive scheduler ran sequentially
           (process-wide, from {!Exec.Cost.counters}) *)
   sched_parallel : int;
-      (** pool batches the adaptive scheduler dispatched to the domain
-          pool (process-wide, from {!Exec.Cost.counters}) *)
+      (** batches the adaptive scheduler ran on worker domains
+          (process-wide, from {!Exec.Cost.counters}) *)
 }
 
 val snapshot : t -> snapshot

@@ -1,9 +1,5 @@
-(* Fixed-size domain pool with deterministic in-order collection.
-
-   One batch runs at a time; workers and the submitting domain race on an
-   atomic index cursor, so distribution is dynamic (good load balance for
-   uneven tasks like Newton solves) while the result slot of each task is
-   fixed by its index (determinism). *)
+(* Parallel batches on worker domains that live for one batch, with
+   deterministic in-order collection. *)
 
 (* ---------- job-count policy ---------- *)
 
@@ -31,9 +27,9 @@ let env_jobs () =
           end;
           None)
 
-(* Per-thread job budgets: the analysis daemon multiplexes many
-   concurrent requests onto the one shared pool, and caps each request's
-   batches so a heavy assessment cannot starve cheap incremental diffs.
+(* Per-thread job budgets: the analysis daemon runs many concurrent
+   requests on the host's cores, and caps each request's batches so a
+   heavy assessment cannot starve cheap incremental diffs.
    Keyed by the calling systhread (each domain's root is a distinct
    thread, so budgets never leak across domains), consulted by
    [default_jobs] under every batch submission. *)
@@ -82,180 +78,61 @@ let default_jobs () =
 
 let set_default_jobs n = jobs_override := Some (Stdlib.max 1 n)
 
-(* ---------- the pool ---------- *)
+(* ---------- per-batch workers ---------- *)
 
-module Pool = struct
-  type batch = {
-    total : int;
-    task : int -> unit;
-    next : int Atomic.t;
-    completed : int Atomic.t;
-  }
+(* Workers live for one batch: [run_batch] spawns them, they and the
+   submitting domain race on one atomic index cursor (dynamic load
+   balance for uneven tasks like Newton solves, while each task's result
+   slot is fixed by its index), and the submitter joins every worker
+   before it returns.  No worker domain stays parked between batches,
+   where it would slow the sequential code beside it.
 
-  type t = {
-    pool_jobs : int;
-    lock : Mutex.t;
-    work_available : Condition.t;
-    batch_finished : Condition.t;
-    mutable current : batch option;
-    mutable stop : bool;
-    mutable workers : unit Domain.t list;
-  }
+   [live] counts the worker domains alive in the process.  A batch
+   reserves up to [jobs - 1] of the [cores - 1] slots and runs inline if
+   it gets none, so nested and concurrent batches share the host's cores
+   and never oversubscribe them. *)
 
-  let jobs t = t.pool_jobs
+let live = Atomic.make 0
 
-  (* True while the calling domain is executing a pool task: nested
-     batches then run inline instead of waiting on themselves. *)
-  let in_task = Domain.DLS.new_key (fun () -> ref false)
+let live_workers () = Atomic.get live
 
-  let drain batch =
-    let flag = Domain.DLS.get in_task in
-    let rec loop () =
-      let i = Atomic.fetch_and_add batch.next 1 in
-      if i < batch.total then begin
-        flag := true;
-        (try batch.task i
-         with e ->
-           flag := false;
-           ignore (Atomic.fetch_and_add batch.completed 1);
-           raise e);
-        flag := false;
-        ignore (Atomic.fetch_and_add batch.completed 1);
-        loop ()
-      end
-    in
-    loop ()
-
-  let worker_loop t =
-    let rec loop () =
-      Mutex.lock t.lock;
-      let rec await () =
-        if t.stop then begin
-          Mutex.unlock t.lock;
-          `Stop
-        end
-        else
-          match t.current with
-          | Some b when Atomic.get b.next < b.total ->
-              Mutex.unlock t.lock;
-              `Work b
-          | Some _ | None ->
-              Condition.wait t.work_available t.lock;
-              await ()
-      in
-      match await () with
-      | `Stop -> ()
-      | `Work b ->
-          (* [task] is documented not to raise; a violation must not kill
-             the worker domain or wedge the submitter. *)
-          (try drain b with _ -> ());
-          (* The last finisher wakes the submitter. *)
-          Mutex.lock t.lock;
-          if Atomic.get b.completed >= b.total then
-            Condition.broadcast t.batch_finished;
-          Mutex.unlock t.lock;
-          loop ()
-    in
-    loop ()
-
-  let create ~jobs =
-    let jobs = Stdlib.max 1 jobs in
-    let t =
-      {
-        pool_jobs = jobs;
-        lock = Mutex.create ();
-        work_available = Condition.create ();
-        batch_finished = Condition.create ();
-        current = None;
-        stop = false;
-        workers = [];
-      }
-    in
-    t.workers <- List.init (jobs - 1) (fun _ -> Domain.spawn (fun () -> worker_loop t));
-    t
-
-  let run_inline n task =
-    for i = 0 to n - 1 do
-      task i
-    done
-
-  let run t n task =
-    if n <= 0 then ()
-    else if t.pool_jobs <= 1 || n = 1 || !(Domain.DLS.get in_task) then
-      run_inline n task
-    else begin
-      let batch =
-        { total = n; task; next = Atomic.make 0; completed = Atomic.make 0 }
-      in
-      Mutex.lock t.lock;
-      if t.current <> None || t.stop then begin
-        (* Another domain owns the pool right now; don't queue behind it. *)
-        Mutex.unlock t.lock;
-        run_inline n task
-      end
-      else begin
-        t.current <- Some batch;
-        Condition.broadcast t.work_available;
-        Mutex.unlock t.lock;
-        (* The submitter is a full member of the crew.  Always reclaim
-           the pool, even if a task breaks its no-raise contract. *)
-        Fun.protect
-          ~finally:(fun () ->
-            Mutex.lock t.lock;
-            while Atomic.get batch.completed < batch.total do
-              Condition.wait t.batch_finished t.lock
-            done;
-            t.current <- None;
-            Mutex.unlock t.lock)
-          (fun () -> drain batch)
-      end
-    end
-
-  let shutdown t =
-    Mutex.lock t.lock;
-    t.stop <- true;
-    Condition.broadcast t.work_available;
-    Mutex.unlock t.lock;
-    List.iter Domain.join t.workers;
-    t.workers <- []
-end
-
-(* ---------- the shared global pool ---------- *)
-
-(* Lazily created at the first parallel call; recreated when the job
-   count changes (set_default_jobs / SAME_JOBS differ from its size).
-   Guarded by a mutex: concurrent resize would leak domains. *)
-
-let global_pool : Pool.t option ref = ref None
-
-let global_lock = Mutex.create ()
-
-let obtain_pool jobs =
-  Mutex.lock global_lock;
-  let pool =
-    match !global_pool with
-    | Some p when Pool.jobs p = jobs -> p
-    | existing ->
-        (* Resize: detach the old pool first so a concurrent caller can't
-           also try to retire it, then shut it down unlocked. *)
-        global_pool := None;
-        Option.iter
-          (fun p ->
-            Mutex.unlock global_lock;
-            Pool.shutdown p;
-            Mutex.lock global_lock)
-          existing;
-        let p = Pool.create ~jobs in
-        global_pool := Some p;
-        p
-  in
-  Mutex.unlock global_lock;
-  pool
+let rec reserve want =
+  let bound = Domain.recommended_domain_count () - 1 in
+  let cur = Atomic.get live in
+  let k = Stdlib.min want (bound - cur) in
+  if k <= 0 then 0
+  else if Atomic.compare_and_set live cur (cur + k) then k
+  else reserve want
 
 let run_batch ?jobs n task =
   let jobs = match jobs with Some j -> Stdlib.max 1 j | None -> default_jobs () in
-  if jobs <= 1 || n <= 1 then Pool.run_inline n task
-  else Pool.run (obtain_pool jobs) n task
+  let k = if jobs <= 1 || n <= 1 then 0 else reserve (Stdlib.min (jobs - 1) (n - 1)) in
+  if k = 0 then
+    for i = 0 to n - 1 do
+      task i
+    done
+  else begin
+    let next = Atomic.make 0 in
+    let rec drain () =
+      let i = Atomic.fetch_and_add next 1 in
+      if i < n then begin
+        task i;
+        drain ()
+      end
+    in
+    let workers = ref [] in
+    (* Join and release also when a task breaks its no-raise contract;
+       a worker swallows the violation so that [join] cannot raise. *)
+    Fun.protect
+      ~finally:(fun () ->
+        List.iter Domain.join !workers;
+        ignore (Atomic.fetch_and_add live (-k)))
+      (fun () ->
+        for _ = 1 to k do
+          workers := Domain.spawn (fun () -> try drain () with _ -> ()) :: !workers
+        done;
+        drain ())
+  end
 
 (* ---------- wrappers ---------- *)
 
@@ -304,7 +181,7 @@ let pilot_tasks = 24
 module Cost = struct
   (* A pure decision from the batch in hand: [scheduled_map] times a
      sequential pilot and [decide] weighs the rest of the batch against
-     one constant charge for waking the pool.  Nothing is learned, so no
+     a constant charge per worker spawned.  Nothing is learned, so no
      batch and no process inherits an estimate measured elsewhere.  The
      only state is the bounded decision log and its counters, read by
      [--explain], [Engine.Stats] and the bench. *)
@@ -325,13 +202,15 @@ module Cost = struct
   let seq_batches = Atomic.make 0
   let par_batches = Atomic.make 0
 
-  let now_ns () = Unix.gettimeofday () *. 1e9
+  let now_ns () = Int64.to_float (Monotonic_clock.now ())
 
-  (* Waking the pool for one batch.  Above every empty-batch timing
-     measured on a shared two-vCPU host (4-39 us over 10 runs), that is
-     with at most two workers; that it bounds the wake-up of more
-     workers is unverified. *)
-  let wake_ns = 50_000.0
+  (* Spawning and joining one worker domain for one batch.  A fresh
+     domain first-touches its minor heap, ~500 page faults for the
+     default 2 MB: on a shared two-vCPU host a worker that allocates
+     that much took a median of 1.37-1.54 ms against 0.18-0.20 ms
+     inline (four passes of 200), and two such workers 1.9-2.5 ms, so
+     the charge is per worker.  An empty worker took 72-99 us. *)
+  let spawn_ns = 1_200_000.0
 
   let cores () = Stdlib.max 1 (Domain.recommended_domain_count ())
 
@@ -341,10 +220,10 @@ module Cost = struct
 
   (* ----- the policy ----- *)
 
-  (* Parallelise only when the saving beats waking the pool with margin
-     to spare:
+  (* Parallelise only when the saving beats spawning the workers with
+     margin to spare:
        saving = tasks * ns_per_task * (p - 1) / p   with p = min jobs cores
-       go parallel iff saving > 2 * wake_ns.  *)
+       go parallel iff saving > 2 * spawn_ns * (p - 1).  *)
   let margin = 2.0
 
   (* A chunk should hold ~200 us of work so per-chunk dispatch stays in
@@ -379,7 +258,7 @@ module Cost = struct
       let c = Float.max 1.0 ns_per_task in
       let total = c *. float_of_int tasks in
       let win = total *. (float_of_int (p - 1) /. float_of_int p) in
-      if win > margin *. wake_ns then
+      if win > margin *. spawn_ns *. float_of_int (p - 1) then
         Parallel { chunk_size = chunk_for ~tasks ~jobs:p c }
       else Sequential
     end
@@ -428,9 +307,9 @@ module Cost = struct
     | ds ->
         let seq, par = counters () in
         Format.fprintf ppf
-          "scheduler: %d batch(es) parallel, %d sequential (wake-up %a, %d \
-           core(s))"
-          par seq pp_ns wake_ns (cores ());
+          "scheduler: %d batch(es) parallel, %d sequential (spawn %a per \
+           worker, %d core(s))"
+          par seq pp_ns spawn_ns (cores ());
         List.iter
           (fun r ->
             let mode = Format.asprintf "%a" pp_mode r.d_decision in

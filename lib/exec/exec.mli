@@ -1,9 +1,10 @@
 (** Shared-memory parallel execution for the analysis kernels.
 
-    OCaml 5 gives the engine real parallelism: a fixed-size pool of
-    {!Stdlib.Domain}s executes batches of independent tasks (one DC solve
-    per injected fault, one window of deployment candidates, one verdict
-    per store unit).  The design constraints, in order:
+    OCaml 5 gives the engine real parallelism: a parallel batch of
+    independent tasks (one DC solve per injected fault, one window of
+    deployment candidates, one verdict per store unit) runs on worker
+    {!Stdlib.Domain}s that live for that batch.  The design constraints,
+    in order:
 
     + {b Determinism.}  Results are collected {e in input order} into a
       pre-sized array, so a parallel run is bit-identical to the
@@ -11,16 +12,20 @@
       {e when} a task runs, never what the caller observes.  With
       [jobs = 1] no domain is ever involved: the tasks run inline in the
       caller, which is exactly the pre-parallel code path.
-    + {b Reuse.}  Domains are expensive to spawn (~ms); the global pool is
-      created once and reused by every kernel.  Workers sleep on a
-      condition variable between batches ([Mutex]/[Condition], no busy
-      wait, no extra dependencies).
-    + {b Safety under nesting.}  A task that itself calls into the pool
-      (e.g. a parallel search evaluating a candidate whose scoring is
-      itself parallelisable) runs its sub-batch inline instead of
-      deadlocking on the shared queue.
+    + {b No idle workers.}  A parallel batch on [p] domains spawns its
+      [p - 1] workers, which drain one atomic index cursor with the
+      caller, and joins them before it returns, also when a task raised.  Nothing is left
+      parked between batches to slow the sequential code beside it.  The
+      price, per worker and batch, is a spawn, a join and the first
+      touch of the worker's fresh minor heap: ~1.2 ms on a shared
+      two-vCPU host, which {!Cost.decide} charges.
+    + {b Bounded sharing.}  One count of live workers spans the process:
+      a batch reserves up to [p - 1] of the [cores - 1] worker slots and
+      runs inline if it gets none, so batches nested in a task and
+      batches of concurrent daemon requests never oversubscribe the
+      host, and never deadlock.
 
-    Concurrency control: the pool size comes from the [SAME_JOBS]
+    Concurrency control: the job count comes from the [SAME_JOBS]
     environment variable, the [--jobs] CLI option ({!set_default_jobs})
     or, failing both, [Domain.recommended_domain_count ()]. *)
 
@@ -37,24 +42,28 @@ val env_jobs : unit -> int option
 
 val set_default_jobs : int -> unit
 (** Override the job count (clamped to >= 1).  Takes effect on the next
-    parallel call: the global pool is resized lazily. *)
+    parallel call. *)
 
 val with_jobs : int -> (unit -> 'a) -> 'a
 (** [with_jobs n f] runs [f ()] with the {e calling thread's} effective
     job count capped at [n] (clamped to >= 1): every {!default_jobs}
-    consultation made by [f] on this thread — and therefore every pool
-    batch it submits without an explicit [?jobs] — sees at most [n]
-    workers.  Nests (the innermost cap wins) and restores the previous
+    consultation made by [f] on this thread — and therefore every parallel
+    batch it submits without an explicit [?jobs] — runs on at most [n]
+    domains.  Nests (the innermost cap wins) and restores the previous
     budget on return or exception.  Other threads are unaffected: this is
     the fair-scheduling hook the analysis daemon uses to give each
-    concurrent request a budget slice of the shared pool. *)
+    concurrent request a slice of the job count.  A capped batch still
+    reserves its workers from the process-wide count ({!live_workers}),
+    so it may get fewer than its slice while other batches hold the
+    host's cores. *)
 
 val parallel_map : ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list
-(** [parallel_map f xs] is [List.map f xs] evaluated on the pool, results
-    in input order.  One pool task per element — right when each task is
-    substantial (a DC solve, a unit FMEA).  If any [f x] raises, the
-    batch still completes and the exception of the {e lowest-index}
-    failing element is re-raised (deterministic across schedules).
+(** [parallel_map f xs] is [List.map f xs] evaluated on up to [jobs - 1]
+    worker domains and the caller, results in input order.  One task per
+    element — right when each task is substantial (a DC solve, a unit
+    FMEA).  If any [f x] raises, the batch still completes and the
+    exception of the {e lowest-index} failing element is re-raised
+    (deterministic across schedules).
     [?jobs] overrides {!default_jobs} for this call only. *)
 
 (** Adaptive scheduling: measure the batch in hand, then decide.
@@ -64,9 +73,9 @@ val parallel_map : ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list
     core): dispatch overhead swamped sub-millisecond batches.
     {!scheduled_map} therefore runs the first few tasks of every batch
     in sequence and times them ({!Cost.pilot_size}), and the pure
-    {!Cost.decide} weighs the rest of the batch against one constant
-    charge for waking the pool ({!Cost.wake_ns}).  Nothing is kept between batches or
-    processes but the decision log.  The one way to force the
+    {!Cost.decide} weighs the rest of the batch against a constant
+    charge per worker spawned ({!Cost.spawn_ns}).  Nothing is kept
+    between batches or processes but the decision log.  The one way to force the
     sequential path is a job count of 1 ([--jobs 1], [SAME_JOBS=1],
     {!set_default_jobs} or {!with_jobs}): {!scheduled_map} then runs
     [List.map]. *)
@@ -83,9 +92,12 @@ module Cost : sig
             whole batch's when it was all pilot *)
   }
 
-  val wake_ns : float
-  (** The charge for waking the pool for one batch: 50 us, above every
-      wake-up measured with two workers; unverified for more. *)
+  val spawn_ns : float
+  (** The charge for one worker of one batch: 1.2 ms, the extra time a
+      spawned, joined worker that allocates a minor heap's worth took
+      over the same work inline on a shared two-vCPU host (most of it
+      first-touch page faults on its fresh minor heap).  Two workers
+      took about twice as long, so {!decide} charges it per worker. *)
 
   val pilot_size : tasks:int -> jobs:int -> cores:int -> int
   (** How many leading tasks of a batch run as the timed pilot: all of
@@ -97,7 +109,7 @@ module Cost : sig
   val decide :
     tasks:int -> ns_per_task:float -> jobs:int -> cores:int -> decision
   (** The policy: with [p = min jobs cores], go parallel iff
-      [tasks * ns_per_task * (p - 1) / p > 2 * wake_ns], with
+      [tasks * ns_per_task * (p - 1) / p > 2 * spawn_ns * (p - 1)], with
       [chunk_size] from {!chunk_for} over [p] workers.  Pure and
       monotone: more tasks or a higher per-task cost never flips a
       parallel verdict back to sequential. *)
@@ -126,33 +138,13 @@ val pilot_tasks : int
 val scheduled_map : ?jobs:int -> key:string -> ('a -> 'b) -> 'a list -> 'b list
 (** [scheduled_map ~key f xs] is [List.map f xs] with the execution
     strategy for the tasks after the pilot chosen by {!Cost.decide}:
-    sequential when they are too few or too cheap to pay for waking the
-    pool, chunked parallel on [min jobs cores] workers otherwise.  A
-    batch at one job is all pilot and never touches the pool.  Results (and the re-raised
-    lowest-index exception) are bit-identical to [List.map] whatever
+    sequential when they are too few or too cheap to pay for spawning
+    workers, chunked parallel on [min jobs cores] domains otherwise.  A
+    batch at one job is all pilot and spawns nothing.  Results (and the
+    re-raised lowest-index exception) are bit-identical to [List.map] whatever
     the decision.  [key] labels the batch in the decision log. *)
 
-(** The reusable fixed-size pool underneath {!parallel_map}.
-    Kernels normally use the wrappers (which share one global pool);
-    [Pool] is exposed for embedders that want an isolated pool with its
-    own lifecycle. *)
-module Pool : sig
-  type t
-
-  val create : jobs:int -> t
-  (** Spawns [jobs - 1] worker domains ([jobs] is clamped to >= 1: the
-      submitting domain always participates, so [jobs = 1] spawns
-      nothing). *)
-
-  val jobs : t -> int
-
-  val run : t -> int -> (int -> unit) -> unit
-  (** [run pool n task] executes [task 0 .. task (n-1)], each exactly
-      once, distributed over the pool's domains plus the caller; returns
-      when all have finished.  [task] must not raise ({!parallel_map}
-      captures exceptions per index).  Re-entrant calls (from
-      inside a task, or while another batch is active) run inline. *)
-
-  val shutdown : t -> unit
-  (** Joins the workers.  The pool must not be used afterwards. *)
-end
+val live_workers : unit -> int
+(** Worker domains alive right now, over all batches in the process:
+    never above [Domain.recommended_domain_count () - 1], and 0 whenever
+    no parallel batch is running. *)

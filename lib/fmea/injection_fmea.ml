@@ -145,7 +145,7 @@ let component_types ?(element_types = []) netlist =
   types
 
 (* Enumerate the (element, failure-mode) injections — cheap, and it fixes
-   the row order before anything runs on the pool.  Exposed so the
+   the row order before anything runs in parallel.  Exposed so the
    batch-fleet driver can flatten several variants' injections into one
    task list.  Component types repeat across elements: each is looked up
    in the reliability model once. *)
@@ -207,7 +207,7 @@ let compute_row ?on_classified ?on_solved ?on_newton p
 
 (* The reuse hook (when provided by the incremental engine) is asked
    first; a reused row skips its faulted solve entirely.  The hook is
-   consulted from pool domains, so it must be thread-safe. *)
+   consulted from worker domains, so it must be thread-safe. *)
 let injection_row ?reuse ?on_classified ?on_solved ?on_newton p
     (((id, _, fm) : injection) as inj) =
   match reuse with
@@ -226,7 +226,7 @@ let analyse ?(options = default_options) ?(element_types = []) ?prepared
   let p = match prepared with Some p -> p | None -> prepare ~options netlist in
   let injections = enumerate ~options ~element_types netlist reliability in
   (* One DC solve per injection, the golden solution shared read-only;
-     the cost model decides whether this batch is worth the pool at all
+     the cost model decides whether this batch is worth workers at all
      (a handful of rank-1 re-solves is not). *)
   let rows =
     Exec.scheduled_map ~key:cost_key

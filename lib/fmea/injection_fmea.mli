@@ -116,8 +116,7 @@ val enumerate :
 (** The (element, failure-mode) pairs {!analyse} would classify, in row
     order: every non-excluded element with a reliability entry crossed
     with its failure modes.  Pure and cheap — exposed so the batch-fleet
-    driver can flatten several variants' injections into one pool
-    batch. *)
+    driver can flatten several variants' injections into one batch. *)
 
 val injection_row :
   ?reuse:(component:string -> failure_mode:string -> Table.row option) ->
@@ -129,7 +128,7 @@ val injection_row :
   Table.row
 (** Classify one enumerated injection against a shared golden run and
     render its table row — exactly what {!analyse} does per task.  Safe
-    to call from pool domains (the hooks must be thread-safe, as under
+    to call from worker domains (the hooks must be thread-safe, as under
     {!analyse}). *)
 
 val cost_key : string
@@ -148,7 +147,7 @@ val analyse :
   Reliability.Reliability_model.t ->
   Table.t
 (** The injections are independent, so they are classified in parallel on
-    the {!Exec} domain pool ([SAME_JOBS] workers): the golden solution is
+    {!Exec} worker domains ([SAME_JOBS] jobs): the golden solution is
     computed once and shared read-only; each (element, failure-mode)
     injection is solved on its own task.  Row order — and every value in
     every row — is identical to the sequential ([SAME_JOBS=1]) run.
@@ -161,16 +160,16 @@ val analyse :
     - [reuse] is consulted before each injection; returning [Some row]
       emits that row verbatim and skips the faulted solve.  The caller
       is responsible for only reusing rows that are bit-identical to
-      what recomputation would produce.  Called from pool domains —
+      what recomputation would produce.  Called from worker domains —
       must be thread-safe.
     - [on_classified] fires once per row actually classified by fault
       injection (not for reused rows, nor for failure modes without a
-      fault model).  Called from pool domains — must be thread-safe.
+      fault model).  Called from worker domains — must be thread-safe.
     - [on_solved] fires once per faulted solve with the path that served
       it (reused / rank-k update), for the engine's
-      solver statistics.  Called from pool domains — must be
+      solver statistics.  Called from worker domains — must be
       thread-safe.
     - [on_newton] fires once per faulted solve that succeeded, with the
       Newton iterations it took ({!Circuit.Dc.newton_iterations}; 0 when
-      it ran no Newton loop).  Called from pool domains — must be
+      it ran no Newton loop).  Called from worker domains — must be
       thread-safe. *)

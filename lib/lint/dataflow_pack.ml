@@ -5,8 +5,8 @@
    component package.
 
    The fixpoints run sequentially (jobs = 1) inside this pack: the pack
-   itself is already a task on the shared analysis pool, and nesting
-   pool dispatch inside pool tasks would serialise anyway.  Findings
+   itself is already a task of a parallel batch, and batches nested in
+   its tasks would only compete for the same worker slots.  Findings
    are identical at every SAME_JOBS setting either way. *)
 
 let rule id severity title = { Rule.id; severity; category = Rule.Dataflow; title }

@@ -97,7 +97,7 @@ type scan_row = {
 }
 
 (* Everything a window scan reads, resolved once per fold.  Immutable
-   after construction, so the pool's domains share it. *)
+   after construction, so the worker domains share it. *)
 type scan = {
   sc_options : Fmea.Fmeda.deployment array array;  (* slot -> option *)
   sc_cost : float array array;
@@ -596,7 +596,7 @@ let fold_window sc f acc ((base, _), w) =
   !acc
 
 (* Fold [f] over the kept candidates of every window, in counter order.
-   One pool task per window.  A round covers [jobs * window] counter
+   One task per window.  A round covers [jobs * window] counter
    values, so at most that many scores are alive at once: one window at
    one job, and at more jobs four windows per job of a quarter of
    [window] each, so that the scheduler's timed pilot, a share of the

@@ -56,7 +56,7 @@ val exhaustive_fold :
 
     Cost model.  Row-to-slot matching is resolved once per fold.  Each
     window of [window] consecutive candidates (default 8_192; values
-    below 1 count as 1) is one pool task: it seeds its state with one
+    below 1 count as 1) is one task: it seeds its state with one
     full fold at its first counter value, then steps the counter.  A
     step whose lowest changed digit is slot [p] re-folds only the
     components whose rows slots [p..] match, then the cost and
@@ -65,7 +65,7 @@ val exhaustive_fold :
     candidate in the slot count; building the candidate's deployment
     list is O(slots).  Every [spfm_pct] and [cost] is bit-identical to
     {!evaluate}.  A round covers [jobs x window] counter values — at
-    more than one job as four pool tasks per job of [window / 4] each,
+    more than one job as four tasks per job of [window / 4] each,
     so the scheduler's pilot leaves work for every worker — and rounds
     are folded sequentially in counter order, so results are identical
     at every job count and peak memory is O(jobs x window + slots)

@@ -45,8 +45,8 @@ open Modelio.Json
 (* ---------- per-request dispatch ---------- *)
 
 (* Fair-share budget: with [a] requests in flight each gets an equal
-   slice of the pool, never less than one domain.  A lone request still
-   gets the whole pool. *)
+   slice of the job count, never less than one domain.  A lone request
+   still gets all of it. *)
 let budget t =
   let a = Stdlib.max 1 (Atomic.get t.active) in
   Stdlib.max 1 (t.config.jobs / a)

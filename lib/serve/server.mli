@@ -9,11 +9,14 @@
       completed responses live in the engine's shared cache, so repeated
       requests — from any session or tenant — are served without
       re-solving.
-    - {b Session multiplexing.}  Every connection is a thread on the
-      shared {!Exec} pool, but each request runs under an
-      {!Exec.with_jobs} budget of [max 1 (jobs / active_requests)], so a
-      heavy Monte-Carlo [assess] cannot starve a cheap incremental
-      [fmea] diff.
+    - {b Session multiplexing.}  Every connection is a thread, and each
+      request runs under an {!Exec.with_jobs} budget of
+      [max 1 (jobs / active_requests)], so a heavy Monte-Carlo [assess]
+      cannot starve a cheap incremental [fmea] diff.  A request's
+      parallel batch spawns up to [budget - 1] workers for that batch
+      alone, from the process-wide count of [cores - 1] worker slots
+      ({!Exec.live_workers}); it gets fewer, or runs inline, while other
+      requests' batches hold the slots.
     - {b Incremental sessions.}  A client posts its model once ([open]),
       then streams edits; the server diffs model fingerprints, reuses
       unimpacted FMEA rows from the previous iteration and returns only
@@ -25,7 +28,7 @@
 type config = {
   socket_path : string;
   cache_dir : string option;  (** engine disk cache; [None] memory-only *)
-  jobs : int;  (** pool width shared by all sessions *)
+  jobs : int;  (** job count shared out among concurrent requests *)
 }
 
 type stats = {

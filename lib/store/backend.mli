@@ -1,6 +1,6 @@
 (** Store backend selection.
 
-    The streaming {!Lazy_store} wins on big sets (bounded memory, pool
+    The streaming {!Lazy_store} wins on big sets (bounded memory,
     parallelism) but loses on small ones: its windowed dispatch costs
     more than Set0–Set2's entire evaluation, so Table VI's small rows ran
     slower lazily than the {!Full_store}'s load-then-evaluate.  [`Auto]

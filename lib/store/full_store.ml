@@ -27,7 +27,7 @@ let unit_verdicts unit =
 
 let evaluate l =
   (* Every unit is already resident, so the per-unit path FMEAs are
-     independent pure computations: schedule them across the domain pool
+     independent pure computations: schedule them across worker domains
      (the cost model keeps small sets sequential) and add the verdict
      counts in unit order (integer sums — identical to the sequential
      result for any schedule). *)

@@ -31,7 +31,7 @@ let evaluate ?budget spec =
     buffer := [];
     buffered := 0;
     (* Units were charged on entry (in generation order); analyse the
-       whole window across the domain pool, then release.  Integer
+       whole window across worker domains, then release.  Integer
        verdict counts summed in unit order: bit-identical to the
        sequential store for every window size. *)
     let verdicts =

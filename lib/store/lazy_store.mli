@@ -10,7 +10,7 @@
 val evaluate :
   ?budget:Budget.t -> Synthetic.spec -> (int * int, [ `Memory_overflow of int ]) result
 (** [(elements_processed, safety_related_rows)].  Units are analysed in
-    windows on the {!Exec} domain pool; the window is the pool's job
+    windows on {!Exec} worker domains; the window is the job
     count, capped so a full window always fits the [budget] (a tight
     budget degrades to the sequential one-unit window).  With a [budget],
     each unit is charged on entry and released after its window is
@@ -19,6 +19,6 @@ val evaluate :
     the result is identical for every window size. *)
 
 val peak_resident_elements : Synthetic.spec -> int
-(** The store's memory high-water mark in elements (one unit per pool
-    worker at the current {!Exec.default_jobs}), for the ablation
+(** The store's memory high-water mark in elements (one unit per
+    job at the current {!Exec.default_jobs}), for the ablation
     report. *)

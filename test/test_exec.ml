@@ -1,5 +1,5 @@
 (* The parallel execution substrate and its central promise: a parallel
-   run is bit-identical to the sequential one.  Pool mechanics first,
+   run is bit-identical to the sequential one.  Worker mechanics first,
    then end-to-end determinism of every parallelised kernel at
    SAME_JOBS in {1, 2, 4}. *)
 
@@ -11,7 +11,7 @@ let with_jobs n f =
       Exec.set_default_jobs n;
       f ())
 
-(* ---------- pool mechanics ---------- *)
+(* ---------- worker mechanics ---------- *)
 
 let test_parallel_map () =
   List.iter
@@ -27,8 +27,8 @@ let test_parallel_map () =
     [ 1; 2; 4 ]
 
 let test_nested () =
-  (* A task that itself fans out must run its sub-batch inline rather
-     than deadlock on the shared pool. *)
+  (* A task that itself fans out gets the worker slots its parent left,
+     or runs its sub-batch inline, and never deadlocks. *)
   let rows =
     Exec.parallel_map ~jobs:4
       (fun i -> Exec.parallel_map ~jobs:4 (fun j -> i * j) (List.init 10 Fun.id))
@@ -51,21 +51,91 @@ let test_exception_determinism () =
     | exception Failure m -> Alcotest.(check string) "lowest index wins" "5" m
   done
 
-let test_pool_reuse () =
-  (* Many batches through one pool: workers wake, drain and sleep again. *)
-  let pool = Exec.Pool.create ~jobs:4 in
-  Fun.protect
-    ~finally:(fun () -> Exec.Pool.shutdown pool)
-    (fun () ->
-      Alcotest.(check int) "jobs" 4 (Exec.Pool.jobs pool);
-      for round = 1 to 50 do
-        let out = Array.make 20 0 in
-        Exec.Pool.run pool 20 (fun i -> out.(i) <- i * round);
-        Alcotest.(check (array int))
-          (Printf.sprintf "round %d" round)
-          (Array.init 20 (fun i -> i * round))
-          out
-      done)
+let test_many_batches () =
+  (* Many batches through one process: each spawns its workers, drains
+     and joins them. *)
+  for round = 1 to 50 do
+    Alcotest.(check (list int))
+      (Printf.sprintf "round %d" round)
+      (List.init 20 (fun i -> i * round))
+      (Exec.parallel_map ~jobs:4 (fun i -> i * round) (List.init 20 Fun.id))
+  done
+
+(* The most worker domains alive at once: every core but the caller's. *)
+let worker_bound = Domain.recommended_domain_count () - 1
+
+let check_no_workers what =
+  Alcotest.(check int) (what ^ ": no worker alive") 0 (Exec.live_workers ())
+
+let test_live_workers () =
+  (* Workers live for one batch: none is left after a batch returns,
+     whether it returned normally, re-raised a task's exception or ran
+     nested batches. *)
+  check_no_workers "before any batch";
+  let peak = Atomic.make 0 in
+  let sample () =
+    let n = Exec.live_workers () in
+    let rec raise_to () =
+      let p = Atomic.get peak in
+      if n > p && not (Atomic.compare_and_set peak p n) then raise_to ()
+    in
+    raise_to ()
+  in
+  ignore
+    (Exec.parallel_map ~jobs:4
+       (fun x ->
+         sample ();
+         x)
+       (List.init 64 Fun.id));
+  check_no_workers "after a normal batch";
+  (match
+     Exec.parallel_map ~jobs:4
+       (fun i -> if i mod 7 = 3 then failwith (string_of_int i) else i)
+       (List.init 64 Fun.id)
+   with
+  | _ -> Alcotest.fail "expected an exception"
+  | exception Failure m -> Alcotest.(check string) "lowest index" "3" m);
+  check_no_workers "after a re-raised exception";
+  ignore
+    (Exec.parallel_map ~jobs:4
+       (fun i ->
+         Exec.parallel_map ~jobs:4
+           (fun j ->
+             sample ();
+             i * j)
+           (List.init 8 Fun.id))
+       (List.init 8 Fun.id));
+  check_no_workers "after a nested batch";
+  (* A batch counts its workers before it spawns them, so its own tasks
+     see them whenever the host has a core to spare. *)
+  Alcotest.(check bool)
+    (Printf.sprintf "peak %d in 1..%d" (Atomic.get peak) worker_bound)
+    true
+    (Atomic.get peak <= worker_bound
+    && (worker_bound < 1 || Atomic.get peak >= 1))
+
+let test_concurrent_submitters () =
+  (* Two domains submit parallel batches at once: each gets [List.map]'s
+     results, and no task sees more live workers than the bound. *)
+  let over = Atomic.make 0 in
+  let submit k () =
+    List.init 20 (fun round ->
+        let xs = List.init 32 (fun i -> (k * 1000) + i + round) in
+        let f x =
+          if Exec.live_workers () > worker_bound then Atomic.incr over;
+          (x * x) + 1
+        in
+        (List.map f xs, Exec.parallel_map ~jobs:4 f xs))
+  in
+  let other = Domain.spawn (submit 2) in
+  let mine = submit 1 () in
+  let theirs = Domain.join other in
+  List.iter
+    (fun (expected, got) ->
+      Alcotest.(check (list int)) "concurrent map" expected got)
+    (mine @ theirs);
+  Alcotest.(check int) "live count above its bound" 0 (Atomic.get over);
+  check_no_workers "after both submitters"
 
 let test_budget_concurrent () =
   (* Charges and releases from many domains never corrupt the counter
@@ -238,7 +308,7 @@ let test_cost_decide () =
     Exec.Cost.decide ~tasks ~ns_per_task:ns ~jobs ~cores
   in
   (* 10 tasks x 100 ns: the saving is under a microsecond against a
-     100 us wake-up budget. *)
+     2.4 ms budget per worker. *)
   Alcotest.(check bool)
     "tiny batch stays sequential" true
     (decide 10 100.0 = Exec.Cost.Sequential);
@@ -253,25 +323,29 @@ let test_cost_decide () =
   Alcotest.(check bool)
     "one core sequential" true
     (decide ~cores:1 1_000_000 1e9 = Exec.Cost.Sequential);
-  (* 15 x 10 us saves 131 us on 8 workers but only 75 us on 2: the
-     workers are [min jobs cores], whichever of the two is smaller. *)
+  (* 15 x 500 us saves 3.75 ms on 2 workers, over the 2.4 ms charge
+     for one spawned worker, but 6.6 ms on 8, under the 16.8 ms for
+     seven: the workers are [min jobs cores], whichever of the two is
+     smaller, and each is charged. *)
   Alcotest.(check bool)
-    "8 workers clear the charge" true
-    (decide 15 10_000.0 <> Exec.Cost.Sequential);
+    "8 workers do not clear the charge" true
+    (decide 15 500_000.0 = Exec.Cost.Sequential);
   Alcotest.(check bool)
-    "2 cores do not" true
-    (decide ~cores:2 15 10_000.0 = Exec.Cost.Sequential);
+    "2 cores do" true
+    (decide ~cores:2 15 500_000.0 <> Exec.Cost.Sequential);
   Alcotest.(check bool)
-    "2 jobs do not" true
-    (decide ~jobs:2 15 10_000.0 = Exec.Cost.Sequential);
-  (* 100 x 10 us: 20 tasks hold ~200 us; two chunks per worker cap it
-     at 100 / 4 = 25 on two workers and 100 / 16 = 6 on eight. *)
+    "2 jobs do" true
+    (decide ~jobs:2 15 500_000.0 <> Exec.Cost.Sequential);
+  (* 1,000 x 10 us on two workers and 2,500 on eight clear the charge;
+     20 tasks hold ~200 us, under the two-chunks-per-worker cap (250
+     and 156).  A batch that clears a charge of 200 us or more per
+     worker never reaches that cap: [chunk_for] alone shows it. *)
   Alcotest.(check bool)
-    "chunks sized for min jobs cores" true
-    (decide ~cores:2 100 10_000.0 = Exec.Cost.Parallel { chunk_size = 20 });
+    "chunks sized for two workers" true
+    (decide ~cores:2 1_000 10_000.0 = Exec.Cost.Parallel { chunk_size = 20 });
   Alcotest.(check bool)
     "chunks sized for eight workers" true
-    (decide 100 10_000.0 = Exec.Cost.Parallel { chunk_size = 6 });
+    (decide 2_500 10_000.0 = Exec.Cost.Parallel { chunk_size = 20 });
   (* ~200 us of work per chunk, at most 503 / (2 * 4) = 62. *)
   List.iter
     (fun (ns, chunk) ->
@@ -380,9 +454,9 @@ let test_pilot_size () =
 
 let test_small_batches () =
   (* Nine cheap tasks, like the PSU's injection batch: a two-task pilot
-     measures them and the seven left do not pay for the pool.  A host
+     measures them and the seven left do not pay for a worker.  A host
      stall inside the ~10 us pilot can inflate it past the break-even
-     (~29 us/task on two workers), so one of three tries must stay
+     (~690 us/task on two workers), so one of three tries must stay
      sequential. *)
   let xs = List.init 9 Fun.id in
   let try_once () =
@@ -402,37 +476,42 @@ let test_small_batches () =
   Alcotest.(check bool)
     "sequential" true
     (try_once () || try_once () || try_once ());
-  (* Four ~1 ms tasks, one per job, like a search round or a store
-     window: one is the pilot and the other three go to the pool. *)
-  scheduled_spin ~key:"test.heavy.4" ~jobs:4 ~ns:1_000_000 (List.init 4 Fun.id);
+  (* Four ~5 ms tasks, one per job, like a search round: one is the
+     pilot and the other three run in parallel. *)
+  scheduled_spin ~key:"test.heavy.4" ~jobs:4 ~ns:5_000_000 (List.init 4 Fun.id);
   let cores = Domain.recommended_domain_count () in
   if cores >= 2 then
     Alcotest.(check bool)
-      (Printf.sprintf "4 x 1 ms parallel on %d cores" cores)
+      (Printf.sprintf "4 x 5 ms parallel on %d cores" cores)
       true
       (is_parallel (last_decision ()).Exec.Cost.d_decision)
 
 let test_scheduled_chunks () =
+  (* 479 tasks after the pilot at 25 us save 9.0 ms on four workers,
+     over the 7.2 ms charge for three; 200 us tasks make chunks of one,
+     50 us chunks of four and 25 us chunks of eight. *)
   let xs = List.init 503 Fun.id in
   List.iter
     (fun ns ->
       scheduled_spin ~key:(Printf.sprintf "test.chunks.%d" ns) ~jobs:4 ~ns xs)
-    [ 200_000; 10_000; 2_000 ]
+    [ 200_000; 50_000; 25_000 ]
 
 let test_scheduled_chunks_edges () =
   (* Few tasks, or a remainder after a full pilot fewer than the jobs:
-     no empty chunks, no lost or reordered element. *)
+     no empty chunks, no lost or reordered element.  Two 10 ms tasks
+     left after the pilot save 17.5 ms on eight workers, over the
+     16.8 ms charge for seven. *)
   List.iter
     (fun n ->
       let xs = List.init n Fun.id in
       scheduled_spin
         ~key:(Printf.sprintf "test.chunks.edge.%d" n)
-        ~jobs:8 ~ns:300_000 xs)
+        ~jobs:8 ~ns:10_000_000 xs)
     [ 2; 3; 5; 7; 8; 9; 17; Exec.pilot_tasks + 2; Exec.pilot_tasks + 9 ]
 
 (* [f ()] and the decisions it logged under [key]: each must be
    [decide] of its own pilot, and on two or more cores one must be
-   parallel — the caller then compares a real pool run, not the
+   parallel — the caller then compares a real parallel run, not the
    sequential path with itself. *)
 let logged_parallel ~key f =
   let batches () =
@@ -461,9 +540,12 @@ let logged_parallel ~key f =
     && (cores < 2 || List.exists (fun r -> is_parallel r.Exec.Cost.d_decision) rs)
   )
 
-(* Twelve Fig. 11 power supplies in one netlist: 96 injections, so the
-   remainder after the pilot is worth the pool. *)
-let psu_array = Oracle.Scaled.netlist 12 Decisive.Case_study.power_supply_netlist
+(* 48 Fig. 11 power supplies in one netlist: 384 injections, so the
+   remainder after the pilot is worth a worker even on four cores. *)
+let psu_copies = 48
+
+let psu_array =
+  Oracle.Scaled.netlist psu_copies Decisive.Case_study.power_supply_netlist
 
 let prop_auto_equals_seq_fmea =
   QCheck.Test.make ~count:12
@@ -473,7 +555,7 @@ let prop_auto_equals_seq_fmea =
       let options =
         {
           Fmea.Injection_fmea.default_options with
-          exclude = List.init 12 (Printf.sprintf "DC1_%d");
+          exclude = List.init psu_copies (Printf.sprintf "DC1_%d");
           threshold_rel = float_of_int pct /. 100.0;
         }
       in
@@ -503,15 +585,16 @@ let test_auto_equals_seq_search () =
   in
   let seq_ex = with_jobs 1 exhaustive in
   let seq_gr = with_jobs 1 greedy in
-  (* 8,192 candidates, [~window:2_048]: at four jobs one round of
-     sixteen windows of 512, each some tens of microseconds. *)
-  let s_table, s_catalogue = Oracle.Scaled.catalogue 6 in
+  (* 131,072 candidates, [~window:32_768]: at four jobs one round of
+     sixteen windows of 8,192, each over a millisecond, so the twelve
+     after the pilot clear the spawn charge. *)
+  let s_table, s_catalogue = Oracle.Scaled.catalogue 8 in
   let streamed () =
-    Optimize.Search.exhaustive_fold ~window:2_048 s_table s_catalogue
+    Optimize.Search.exhaustive_fold ~window:32_768 s_table s_catalogue
       ~init:[] ~f:(fun acc c -> c :: acc)
   in
   let seq_streamed = with_jobs 1 streamed in
-  Alcotest.(check int) "streamed candidates" 8_192 (List.length seq_streamed);
+  Alcotest.(check int) "streamed candidates" 131_072 (List.length seq_streamed);
   List.iter
     (fun jobs ->
       Alcotest.(check bool)
@@ -532,9 +615,9 @@ let test_auto_equals_seq_search () =
         true
         (List.equal Optimize.Search.equal_candidate seq_streamed auto);
       (* At two jobs a round of eight such windows is close to the
-         wake-up charge; only four jobs' round is asserted. *)
+         spawn charge; only four jobs' round is asserted. *)
       if jobs = 4 then
-        Alcotest.(check bool) "search windows reach the pool" true parallel)
+        Alcotest.(check bool) "search windows run in parallel" true parallel)
     [ 2; 4 ]
 
 let suite =
@@ -546,7 +629,10 @@ let suite =
     Alcotest.test_case "nested parallelism" `Quick test_nested;
     Alcotest.test_case "exception determinism" `Quick
       test_exception_determinism;
-    Alcotest.test_case "pool reuse" `Quick test_pool_reuse;
+    Alcotest.test_case "many batches" `Quick test_many_batches;
+    Alcotest.test_case "live workers" `Quick test_live_workers;
+    Alcotest.test_case "concurrent submitters" `Quick
+      test_concurrent_submitters;
     Alcotest.test_case "budget under concurrency" `Quick
       test_budget_concurrent;
     Alcotest.test_case "injection FMEA determinism" `Quick
