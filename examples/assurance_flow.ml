@@ -23,14 +23,14 @@ let () =
   let csv = Filename.temp_file "fmeda" ".csv" in
 
   (* Iteration 1: the unrefined design (SPFM 5.38 % — far below ASIL-B). *)
-  let before = Decisive.Case_study.fmea_via_injection () in
+  let before = Fixtures.Case_study.fmea_via_injection () in
   Decisive.Api.export_fmeda ~path:csv before;
   let v1 = evaluate_against csv "iteration 1: unrefined design" in
   assert (v1 = Assurance.Eval.Fails);
 
   (* Iteration 2: Step 4b deploys ECC, the FMEDA artefact is regenerated,
      and re-running the *same* case now succeeds. *)
-  let after = Decisive.Case_study.fmeda before in
+  let after = Fixtures.Case_study.fmeda before in
   Decisive.Api.export_fmeda ~path:csv after;
   let v2 = evaluate_against csv "iteration 2: ECC deployed on MC1" in
   assert (v2 = Assurance.Eval.Holds);

@@ -8,19 +8,19 @@
    Run with: dune exec examples/auv_control.exe *)
 
 let () =
-  let subject = Decisive.Systems.system_b in
+  let subject = Fixtures.Systems.system_b in
   Format.printf "System B: %d design elements (%d blocks incl. software tasks)@."
-    (Decisive.Systems.element_count subject)
-    (List.length (Blockdiag.Diagram.all_blocks subject.Decisive.Systems.diagram));
+    (Fixtures.Systems.element_count subject)
+    (List.length (Blockdiag.Diagram.all_blocks subject.Fixtures.Systems.diagram));
 
   (* The full loop: plan → design → reliability → evaluate → refine →
      safety concept. *)
   let process, table, _deployments =
     Decisive.Api.run_decisive ~name:"AUV control unit"
-      ~target:subject.Decisive.Systems.target ~exclude:[ "BAT1" ]
+      ~target:subject.Fixtures.Systems.target ~exclude:[ "BAT1" ]
       ~monitored_sensors:[ "CS1"; "CS2"; "VS1" ]
-      subject.Decisive.Systems.diagram subject.Decisive.Systems.reliability
-      subject.Decisive.Systems.safety_mechanisms
+      subject.Fixtures.Systems.diagram subject.Fixtures.Systems.reliability
+      subject.Fixtures.Systems.safety_mechanisms
   in
   Format.printf "%a@." Decisive.Process.pp_history process;
   Format.printf "%a@." Fmea.Metrics.pp_breakdown (Fmea.Metrics.compute table);
@@ -30,14 +30,14 @@ let () =
   (* The software control function, analysed by Algorithm 1: tasks on
      every sensor→thruster path are single points; the redundant sensor
      drivers are not. *)
-  let sw = Decisive.Systems.software_fmea subject in
+  let sw = Fixtures.Systems.software_fmea subject in
   Format.printf "software single points: %s@."
     (String.concat ", " (Fmea.Table.safety_related_components sw));
   let refinement =
     Decisive.Api.refine ~target:Ssam.Requirement.ASIL_B
       ~component_types:
         (List.map (fun c -> (c, "task")) (Fmea.Table.components sw))
-      sw subject.Decisive.Systems.safety_mechanisms
+      sw subject.Fixtures.Systems.safety_mechanisms
   in
   Format.printf "software SPFM %.2f%% -> %.2f%% after %s@.@."
     (Fmea.Metrics.spfm sw) refinement.Decisive.Api.achieved_spfm
@@ -49,7 +49,7 @@ let () =
     | None -> "no viable deployment");
 
   (* Software blocks federate into SSAM as Software components. *)
-  let model = Decisive.Systems.ssam_model subject in
+  let model = Fixtures.Systems.ssam_model subject in
   let components = Ssam.Model.components model in
   let software =
     List.filter
@@ -76,19 +76,19 @@ let () =
       ~meta:(Ssam.Base.meta ~name:"MC1" "MC1:dyn")
       ()
   in
-  let monitor = Decisive.Monitor.generate_component mcu_dynamic in
+  let monitor = Fixtures.Monitor.generate_component mcu_dynamic in
   Format.printf "generated %d runtime checks from the SSAM model@."
-    (List.length (Decisive.Monitor.checks monitor));
+    (List.length (Fixtures.Monitor.checks monitor));
   let telemetry =
     [ (0.0, 24.1); (1.0, 23.8); (2.0, 20.4) (* brown-out *); (3.0, 24.0) ]
   in
   List.iter
     (fun (t, v) ->
       match
-        Decisive.Monitor.observe monitor ~component:"MC1:dyn" ~node:"MC1:io:vdd"
+        Fixtures.Monitor.observe monitor ~component:"MC1:dyn" ~node:"MC1:io:vdd"
           ~value:v ~at:t
       with
       | Some violation ->
-          Format.printf "VIOLATION %a@." Decisive.Monitor.pp_violation violation
+          Format.printf "VIOLATION %a@." Fixtures.Monitor.pp_violation violation
       | None -> Format.printf "t=%g vdd=%g ok@." t v)
     telemetry

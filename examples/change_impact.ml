@@ -20,22 +20,22 @@ let () =
   (* Iteration 1: the Section V design, analysed through the engine so
      iteration 2 can reuse its rows. *)
   let engine = Engine.Pipeline.create () in
-  let v1 = wrap Decisive.Case_study.power_supply_ssam [ Decisive.Case_study.hazard_h1 ] in
+  let v1 = wrap Fixtures.Case_study.power_supply_ssam [ Fixtures.Case_study.hazard_h1 ] in
   let fmea_v1 =
     Engine.Pipeline.injection_fmea engine
-      ~options:Decisive.Case_study.injection_options
-      Decisive.Case_study.power_supply_diagram
-      Decisive.Case_study.reliability_model
+      ~options:Fixtures.Case_study.injection_options
+      Fixtures.Case_study.power_supply_diagram
+      Fixtures.Case_study.reliability_model
   in
   Format.printf "iteration 1: SPFM %.2f%% (after ECC: %.2f%%)@.@."
     (Fmea.Metrics.spfm fmea_v1)
-    (Fmea.Metrics.spfm (Decisive.Case_study.fmeda fmea_v1));
+    (Fmea.Metrics.spfm (Fixtures.Case_study.fmeda fmea_v1));
 
   (* Iteration 2's inputs change in two ways. *)
   (* (a) The inductor supplier changes: L1 is now a 40 FIT part. *)
   let degraded_package =
     {
-      Decisive.Case_study.power_supply_ssam with
+      Fixtures.Case_study.power_supply_ssam with
       Architecture.elements =
         List.map
           (function
@@ -43,7 +43,7 @@ let () =
               when Architecture.component_id c = "L1" ->
                 Architecture.Component { c with Architecture.fit = 40.0 }
             | e -> e)
-          Decisive.Case_study.power_supply_ssam.Architecture.elements;
+          Fixtures.Case_study.power_supply_ssam.Architecture.elements;
     }
   in
   (* (b) A new hazard is identified: EMC-induced reset of the MCU. *)
@@ -54,7 +54,7 @@ let () =
   in
   let hazards_v2 =
     [
-      Decisive.Case_study.hazard_h1;
+      Fixtures.Case_study.hazard_h1;
       Hazard.package
         ~meta:(Base.meta ~name:"iteration-2 hazards" "pkg:hazards:psu2")
         [ Hazard.Situation h2 ];
@@ -77,14 +77,14 @@ let () =
   (* ...and re-run Step 4a.  The changed FIT moves the metric; the ECC
      deployment from iteration 1 still rescues the design. *)
   let reliability_v2 =
-    Reliability.Reliability_model.add Decisive.Case_study.reliability_model
+    Reliability.Reliability_model.add Fixtures.Case_study.reliability_model
       {
         Reliability.Reliability_model.component_type = "inductor";
         fit = Reliability.Fit.of_float 40.0;
         failure_modes =
           (Option.get
              (Reliability.Reliability_model.find
-                Decisive.Case_study.reliability_model "inductor"))
+                Fixtures.Case_study.reliability_model "inductor"))
             .Reliability.Reliability_model.failure_modes;
       }
   in
@@ -93,12 +93,12 @@ let () =
       ~previous:
         {
           Engine.Pipeline.prev_diagram =
-            Decisive.Case_study.power_supply_diagram;
-          prev_reliability = Decisive.Case_study.reliability_model;
+            Fixtures.Case_study.power_supply_diagram;
+          prev_reliability = Fixtures.Case_study.reliability_model;
           prev_table = fmea_v1;
         }
-      ~options:Decisive.Case_study.injection_options
-      Decisive.Case_study.power_supply_diagram reliability_v2
+      ~options:Fixtures.Case_study.injection_options
+      Fixtures.Case_study.power_supply_diagram reliability_v2
   in
   let stats = Engine.Pipeline.snapshot engine in
   Format.printf
@@ -106,7 +106,7 @@ let () =
      performed instead of a full re-run@.@."
     (Engine.Stats.hits stats) stats.Engine.Stats.rows_reused
     (Engine.Stats.solves_performed stats);
-  let fmeda_v2 = Decisive.Case_study.fmeda fmea_v2 in
+  let fmeda_v2 = Fixtures.Case_study.fmeda fmea_v2 in
   Format.printf
     "iteration 2: SPFM %.2f%% -> %.2f%% with the existing ECC deployment@."
     (Fmea.Metrics.spfm fmea_v2)

@@ -22,7 +22,7 @@ let write_fixtures dir =
     ];
   (* The design as a block-diagram file. *)
   Blockdiag.Text_format.write_file (Filename.concat dir "design.bd")
-    Decisive.Case_study.power_supply_diagram;
+    Fixtures.Case_study.power_supply_diagram;
   (* Hazard metadata as JSON. *)
   Modelio.Json.write_file (Filename.concat dir "hazards.json")
     (Modelio.Json.Object

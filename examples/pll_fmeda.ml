@@ -11,13 +11,13 @@
 
 let () =
   let fit = 50.0 in
-  let table = Decisive.Case_study.pll_fmeda ~fit in
+  let table = Fixtures.Case_study.pll_fmeda ~fit in
   Format.printf "%a@." Fmea.Table.pp table;
   Format.printf "%a@.@." Fmea.Metrics.pp_breakdown (Fmea.Metrics.compute table);
 
   (* The same PLL as an SSAM component, with its safety mechanisms
      attached to the failure modes they diagnose. *)
-  let pll = Decisive.Case_study.pll_component in
+  let pll = Fixtures.Case_study.pll_component in
   Format.printf "SSAM PLL component: %d elements, FIT %g@."
     (Ssam.Architecture.count_elements pll)
     pll.Ssam.Architecture.fit;

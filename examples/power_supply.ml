@@ -13,7 +13,7 @@ let hr title = Format.printf "@.=== %s ===@.@." title
 
 let () =
   hr "DECISIVE Step 1: hazard identification";
-  let log = Hara.assess ~name:"PSU hazards" Decisive.Case_study.hazard_h1 in
+  let log = Hara.assess ~name:"PSU hazards" Fixtures.Case_study.hazard_h1 in
   Format.printf "%a@." Hara.pp log;
   let requirements = Hara.derive_requirements log in
   List.iter
@@ -30,16 +30,16 @@ let () =
 
   hr "Step 2: the system design (Fig. 11)";
   Format.printf "%s@."
-    (Blockdiag.Text_format.print Decisive.Case_study.power_supply_diagram);
+    (Blockdiag.Text_format.print Fixtures.Case_study.power_supply_diagram);
 
   hr "Steps 3 + 4a via failure injection (the Simulink route, Sec. V-A)";
-  let injection_table = Decisive.Case_study.fmea_via_injection () in
+  let injection_table = Fixtures.Case_study.fmea_via_injection () in
   Format.printf "%a@." Fmea.Table.pp injection_table;
   Format.printf "SPFM = %.2f%% (paper: 5.38%%)@."
     (Fmea.Metrics.spfm injection_table);
 
   hr "Steps 3 + 4a via SSAM + Algorithm 1 (Sec. V-B)";
-  let ssam_table = Decisive.Case_study.fmea_via_ssam () in
+  let ssam_table = Fixtures.Case_study.fmea_via_ssam () in
   Format.printf "%a@." Fmea.Table.pp ssam_table;
   Format.printf "SPFM = %.2f%%  — both routes agree: %b@."
     (Fmea.Metrics.spfm ssam_table)
@@ -47,7 +47,7 @@ let () =
     = List.sort String.compare (Fmea.Table.safety_related_components ssam_table));
 
   hr "Step 4b: deploy ECC on MC1 (Table III) — Table IV";
-  let fmeda = Decisive.Case_study.fmeda injection_table in
+  let fmeda = Fixtures.Case_study.fmeda injection_table in
   Format.printf "%a@." Fmea.Table.pp fmeda;
   let spfm = Fmea.Metrics.spfm fmeda in
   Format.printf "SPFM = %.2f%% (paper: 96.77%%)@." spfm;
@@ -68,7 +68,7 @@ let () =
   Sys.remove csv;
 
   hr "Bonus: the generated fault tree (future work VIII.1)";
-  let tree = Fta.From_ssam.generate Decisive.Case_study.power_supply_root in
+  let tree = Fta.From_ssam.generate Fixtures.Case_study.power_supply_root in
   Format.printf "%a@." Fta.Fault_tree.pp_ascii tree;
   let cuts = Fta.Cut_sets.minimal tree in
   let probs = Fta.Quant.event_probabilities tree in

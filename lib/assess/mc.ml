@@ -57,7 +57,7 @@ let blocks_per_replicate = 128
 let trials_per_replicate = blocks_per_replicate * Program.word_bits
 
 (* In-kernel PRNG: a splitmix-style mixer on native 63-bit ints.  The
-   published SplitMix64 lives in [Analyst.Rng] and seeds the per-event
+   published SplitMix64 lives in [Rng] and seeds the per-event
    streams; the inner loop re-mixes native ints because Int64 values box
    on every operation without flambda — the difference between ~5 ns and
    ~80 ns per draw.  Constants: an odd gamma and two odd multipliers
@@ -176,11 +176,11 @@ let run_replicate kernel master r =
   (* Stream derivation fixes the replicate's randomness by its global
      index alone, so the merge below is bit-identical however the
      scheduler maps replicates to domains. *)
-  let rep_rng = Analyst.Rng.split master r in
+  let rep_rng = Rng.split master r in
   let n_events = kernel.n_events in
   let states =
     Array.init n_events (fun e ->
-        Int64.to_int (Analyst.Rng.next_int64 (Analyst.Rng.split rep_rng e))
+        Int64.to_int (Rng.next_int64 (Rng.split rep_rng e))
         land max_int)
   in
   let parity = r land (Array.length kernel.thresholds - 1) in
@@ -323,7 +323,7 @@ let halfwidth kernel stat =
   if kernel.weighted then Stat.clt_halfwidth stat else Stat.wilson_halfwidth stat
 
 let run_sampler ?jobs kernel (config : config) =
-  let master = Analyst.Rng.create config.seed in
+  let master = Rng.create config.seed in
   let total = Stat.create ~n_events:kernel.n_events in
   let next = ref 0 in
   let run_round count =

@@ -11,7 +11,7 @@
 
     Replication is embarrassingly parallel through [Exec.scheduled_map]
     under the {!cost_key} workload key: each replicate derives its
-    randomness from [Analyst.Rng.split master r] by global replicate
+    randomness from [Rng.split master r] by global replicate
     index, and accumulators merge in index order — so results are
     bit-identical for a fixed seed across every [SAME_JOBS] setting. *)
 

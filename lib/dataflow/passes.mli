@@ -50,12 +50,6 @@ val off_path_mechanisms :
 (** Placed mechanisms covering a mode that cannot reach their host:
     [(sm id, host component, mode)].  Architecture route only. *)
 
-val forward_fmea : ?jobs:int -> Model.t -> Fmea.Table.t
-(** The forward taint rendered as an FMEA table — one row per mode,
-    safety-related iff a loss-like mode of a non-redundant component
-    reaches an observation point.  The graph-level "forward injection
-    FMEA" the backward diagnosis is differentially tested against. *)
-
 type integrity_finding = {
   if_component : string;
   allocated : Ssam.Requirement.integrity_level option;

@@ -226,20 +226,15 @@ module Cost = struct
        go parallel iff saving > 2 * spawn_ns * (p - 1).  *)
   let margin = 2.0
 
-  (* A chunk should hold ~200 us of work so per-chunk dispatch stays in
-     the noise, but never so few chunks that workers idle: keep at least
-     two chunks per worker when the list allows it. *)
+  (* A chunk holds ~200 us of work so per-chunk dispatch stays in the
+     noise.  Workers cannot idle for want of chunks: a batch that clears
+     the charge holds over 2.4 ms of work per worker, twelve such
+     chunks, and a task over 200 us is a chunk of its own.  [decide]
+     passes [ns_per_task >= 1]. *)
   let chunk_target_ns = 200_000.0
 
-  let chunk_for ~tasks ~jobs ns_per_task =
-    let balance = Stdlib.max 1 (tasks / (2 * Stdlib.max 1 jobs)) in
-    let amortise =
-      if ns_per_task <= 0.0 then balance
-      else
-        let c = int_of_float (Float.ceil (chunk_target_ns /. ns_per_task)) in
-        Stdlib.max 1 c
-    in
-    Stdlib.max 1 (Stdlib.min balance amortise)
+  let chunk_for ns_per_task =
+    Stdlib.max 1 (int_of_float (Float.ceil (chunk_target_ns /. ns_per_task)))
 
   (* One job runs the whole batch as the pilot ([List.map]).  A batch
      longer than [pilot_tasks] pilots that many; a shorter one pilots a
@@ -259,7 +254,7 @@ module Cost = struct
       let total = c *. float_of_int tasks in
       let win = total *. (float_of_int (p - 1) /. float_of_int p) in
       if win > margin *. spawn_ns *. float_of_int (p - 1) then
-        Parallel { chunk_size = chunk_for ~tasks ~jobs:p c }
+        Parallel { chunk_size = chunk_for c }
       else Sequential
     end
 

@@ -110,14 +110,9 @@ module Cost : sig
     tasks:int -> ns_per_task:float -> jobs:int -> cores:int -> decision
   (** The policy: with [p = min jobs cores], go parallel iff
       [tasks * ns_per_task * (p - 1) / p > 2 * spawn_ns * (p - 1)], with
-      [chunk_size] from {!chunk_for} over [p] workers.  Pure and
-      monotone: more tasks or a higher per-task cost never flips a
-      parallel verdict back to sequential. *)
-
-  val chunk_for : tasks:int -> jobs:int -> float -> int
-  (** Chunk size from measured cost: big enough that each chunk holds
-      ~200 us of work, small enough to keep >= 2 chunks per worker when
-      the list allows it.  Always >= 1. *)
+      [chunk_size = max 1 (ceil (200 us / ns_per_task))], so each chunk
+      holds ~200 us of work.  Pure and monotone: more tasks or a higher
+      per-task cost never flips a parallel verdict back to sequential. *)
 
   val counters : unit -> int * int
   (** [(sequential, parallel)] batches scheduled so far. *)

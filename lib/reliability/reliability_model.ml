@@ -77,38 +77,6 @@ let table_ii =
       };
     ]
 
-let synthetic_catalogue =
-  of_entries
-    [
-      {
-        component_type = "resistor";
-        fit = Fit.of_float 5.0;
-        failure_modes =
-          [ mode "Open" 60.0; mode "Short" 30.0; mode "Drift" 10.0 ];
-      };
-      {
-        component_type = "load";
-        fit = Fit.of_float 20.0;
-        failure_modes = [ mode "Open" 50.0; mode "Short" 50.0 ];
-      };
-      {
-        component_type = "vsource";
-        fit = Fit.of_float 50.0;
-        failure_modes =
-          [
-            mode ~fault:(Circuit.Fault.Stuck_value 0.0) ~loss:true "Stuck Low"
-              70.0;
-            mode ~fault:(Circuit.Fault.Parameter_shift 1.25) ~loss:false
-              "Drift High" 30.0;
-          ];
-      };
-      {
-        component_type = "current_sensor";
-        fit = Fit.of_float 10.0;
-        failure_modes = [ mode "Open" 100.0 ];
-      };
-    ]
-
 let of_spreadsheet workbook =
   let sheet = Modelio.Spreadsheet.first_sheet workbook in
   let require_number what raw =

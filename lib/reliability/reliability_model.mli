@@ -42,11 +42,6 @@ val table_ii : t
 (** The paper's Table II: Diode 10 FIT (Open 30 / Short 70), Capacitor 2,
     Inductor 15, MC 300 (RAM Failure 100). *)
 
-val synthetic_catalogue : t
-(** Failure modes for the element kinds of {!Circuit.Generator} netlists
-    (resistor, load, vsource, current_sensor) — used by the scaling
-    benchmarks, where every injectable mode exercises a faulted solve. *)
-
 exception Format_error of string
 
 val of_spreadsheet : Modelio.Spreadsheet.t -> t

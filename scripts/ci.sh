@@ -12,6 +12,8 @@ echo "== tests =="
 dune runtest
 
 echo "== gate: library exports nothing else uses =="
+# The last line it prints counts the exports that only test/ and bench/
+# use: informational, it never fails the gate.
 python3 scripts/test_unused_exports.py
 python3 scripts/unused_exports.py
 

@@ -43,20 +43,25 @@ module Cost = struct let x = 6 end
 """
 
 
-def run(files):
+def script(files):
     """Write [files] (path -> text) under a fresh root, run the script
-    there and return (exit status, set of listed export paths)."""
+    there and return the finished process."""
     with tempfile.TemporaryDirectory() as root:
         for path, text in files.items():
             full = os.path.join(root, path)
             os.makedirs(os.path.dirname(full), exist_ok=True)
             with open(full, "w") as fh:
                 fh.write(text)
-        proc = subprocess.run(
+        return subprocess.run(
             [sys.executable, SCRIPT, "--root", root],
             capture_output=True,
             text=True,
         )
+
+
+def run(files):
+    """(exit status, set of listed export paths) of the script on [files]."""
+    proc = script(files)
     listed = set()
     for line in proc.stdout.splitlines():
         if line.startswith("lib/"):
@@ -130,6 +135,32 @@ class UnusedExports(unittest.TestCase):
         }
         code, listed = run(files)
         self.assertEqual((code, listed), (0, set()))
+
+    def test_char_literal_in_comment_opens_no_string(self):
+        # ('"') in a comment is a character literal, as OCaml lexes it:
+        # the use after the comment still counts.
+        code, listed = run(
+            widget_with("(* escape ('\"') first *)\nlet y = Alpha.Widget.qualified\n")
+        )
+        self.assertNotIn("Alpha.Widget.qualified", listed)
+
+    def test_test_only_exports_are_counted_not_listed(self):
+        files = {
+            "lib/alpha/one.mli": "val x : int\nval y : int\nval z : int\n",
+            "lib/alpha/one.ml": "let x = 1\nlet y = 2\nlet z = 3\n",
+            "bin/main.ml": "let a = Alpha.One.x + Alpha.One.z\n",
+            "test/test_one.ml": "let b = Alpha.One.y + Alpha.One.z\n",
+            "bench/main.ml": "let c = Alpha.One.y\n",
+        }
+        proc = script(files)
+        self.assertEqual(proc.returncode, 0)
+        self.assertEqual(
+            proc.stdout.splitlines(),
+            [
+                "0 unused exports",
+                "1 exports used only by test/ and bench/ (informational)",
+            ],
+        )
 
 
 if __name__ == "__main__":

@@ -27,7 +27,9 @@ is used: teach this script the pattern rather than keep the name.
 Usage: python3 scripts/unused_exports.py [--root DIR]
 Prints one `lib/<dir>/<file>.mli:<line>: <Path.to.value>` line per
 unused export, then the count.  Exits 1 when it lists any name, else 0,
-so CI fails on an export nothing uses.
+so CI fails on an export nothing uses.  A last line counts the exports
+that only test/ and bench/ use; it is informational and never changes
+the exit status.
 """
 
 import argparse
@@ -37,6 +39,8 @@ import re
 import sys
 
 SEARCH_DIRS = ["lib", "bin", "bench", "examples", "perfbench", "test"]
+# Users that do not make an export part of what the tool runs.
+TEST_DIRS = ("test" + os.sep, "bench" + os.sep)
 
 IDENT = r"[A-Za-z_][A-Za-z0-9_']*"
 MODULE = r"[A-Z][A-Za-z0-9_']*"
@@ -48,6 +52,9 @@ ALIAS_RE = re.compile(
     r"\bmodule\s+(%s)\s*=\s*(%s(?:\s*\.\s*%s)*)" % (MODULE, MODULE, MODULE)
 )
 OPERATOR_CHARS = "!$%&*+-./:<=>?@^|~#"
+CHAR_RE = re.compile(
+    r"'(?:\\(?:[\\'\"ntbr ]|[0-9]{3}|x[0-9a-fA-F]{2}|o[0-7]{3})|[^\\'\n])'"
+)
 DERIVING_RE = re.compile(r"\[@@deriving\s+([^\]]*)\]")
 TYPE_START_RE = re.compile(r"\b(?:type|and)\b")
 # The value a ppx_deriving plugin calls for a type named [t] or [u].
@@ -75,6 +82,9 @@ def strip_comments_and_strings(text):
                 out.append(re.sub(r"[^\n]", " ", text[i:j]))
                 i = j
                 continue
+            elif c == "'" and (m := CHAR_RE.match(text, i)):
+                # So is a character literal: ('"') opens no string.
+                i = m.end()
             else:
                 i += 1
             out.append("\n" if c == "\n" else " ")
@@ -99,10 +109,10 @@ def strip_comments_and_strings(text):
                 out.append(c)
                 i += 1
         elif c == "'":
-            m = re.match(r"'(?:\\(?:[\\'\"ntbr ]|[0-9]{3}|x[0-9a-fA-F]{2}|o[0-7]{3})|[^\\'\n])'", text[i:])
+            m = CHAR_RE.match(text, i)
             if m:
                 out.append(" " * len(m.group(0)))
-                i += len(m.group(0))
+                i = m.end()
             else:
                 out.append(c)
                 i += 1
@@ -296,6 +306,7 @@ def main():
         return False
 
     unused = []
+    test_only = 0
     for p in sources:
         if not (p.startswith("lib" + os.sep) and p.endswith(".mli")):
             continue
@@ -304,15 +315,18 @@ def main():
         for line, mods, name in exports(texts[p]):
             full_mods = prefix + mods
             if name and name[0] in OPERATOR_CHARS:
-                used = any(name in code[q] for q in sources if q not in own)
+                users = [q for q in sources if q not in own and name in code[q]]
             else:
-                used = any(used_by(q, full_mods, name) for q in sources if q not in own)
-            if not used:
+                users = [q for q in sources if q not in own and used_by(q, full_mods, name)]
+            if not users:
                 unused.append("%s:%d: %s" % (p, line, ".".join(full_mods + [name])))
+            elif all(q.startswith(TEST_DIRS) for q in users):
+                test_only += 1
 
     for u in unused:
         print(u)
     print("%d unused exports" % len(unused))
+    print("%d exports used only by test/ and bench/ (informational)" % test_only)
     return 1 if unused else 0
 
 

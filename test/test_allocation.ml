@@ -138,8 +138,8 @@ let contains haystack needle =
   m = 0 || go 0
 
 let test_report_content () =
-  let fmeda = Decisive.Case_study.fmeda (Decisive.Case_study.fmea_via_injection ()) in
-  let log = Hara.assess ~name:"psu" Decisive.Case_study.hazard_h1 in
+  let fmeda = Fixtures.Case_study.fmeda (Fixtures.Case_study.fmea_via_injection ()) in
+  let log = Hara.assess ~name:"psu" Fixtures.Case_study.hazard_h1 in
   let requirements = Hara.derive_requirements log in
   let input =
     Decisive.Report.make_input ~hazard_log:log ~requirements
@@ -162,7 +162,7 @@ let test_report_content () =
     ]
 
 let test_report_failing_design () =
-  let fmeda = Decisive.Case_study.fmea_via_injection () in
+  let fmeda = Fixtures.Case_study.fmea_via_injection () in
   let input =
     Decisive.Report.make_input ~system_name:"PSU" ~target:Ssam.Requirement.ASIL_B
       fmeda
@@ -172,7 +172,7 @@ let test_report_failing_design () =
     (contains (Decisive.Report.to_markdown input) "NOT acceptably safe")
 
 let test_report_save () =
-  let fmeda = Decisive.Case_study.fmeda (Decisive.Case_study.fmea_via_injection ()) in
+  let fmeda = Fixtures.Case_study.fmeda (Fixtures.Case_study.fmea_via_injection ()) in
   let input =
     Decisive.Report.make_input ~system_name:"PSU" ~target:Ssam.Requirement.ASIL_B
       fmeda

@@ -1,7 +1,8 @@
 (* Tests for the analyst process model: the deterministic RNG, the cost
    model calibration, and the RQ1/RQ3 experiments. *)
 
-open Analyst
+open Harness
+module Rng = Assess.Rng
 
 (* ---------- Rng ---------- *)
 
@@ -200,7 +201,7 @@ let test_efficiency_deterministic () =
 
 (* ---------- Correctness study (RQ1) ---------- *)
 
-let automated_table = Decisive.Systems.automated_fmea Decisive.Systems.system_a
+let automated_table = Fixtures.Systems.automated_fmea Fixtures.Systems.system_a
 
 let test_correctness_components_agree () =
   (* Across many seeds, the manual analyst never changes the set of

@@ -3,7 +3,7 @@
 
 open Blockdiag
 
-let psu = Decisive.Case_study.power_supply_diagram
+let psu = Fixtures.Case_study.power_supply_diagram
 
 (* ---------- Diagram ---------- *)
 
@@ -193,12 +193,12 @@ let shipped_diagrams =
      files
      @ [
          ("case study", psu);
-         ("system A", Decisive.Systems.system_a.Decisive.Systems.diagram);
-         ("system B", Decisive.Systems.system_b.Decisive.Systems.diagram);
-         ("ladder", diagram_of_netlist (Circuit.Generator.ladder ~sections:4));
-         ("grid", diagram_of_netlist (Circuit.Generator.grid ~rows:2 ~cols:3));
+         ("system A", Fixtures.Systems.system_a.Fixtures.Systems.diagram);
+         ("system B", Fixtures.Systems.system_b.Fixtures.Systems.diagram);
+         ("ladder", diagram_of_netlist (Fixtures.Generator.ladder ~sections:4));
+         ("grid", diagram_of_netlist (Fixtures.Generator.grid ~rows:2 ~cols:3));
        ]
-     @ Decisive.Case_study.design_variants ~count:3 ())
+     @ Fixtures.Case_study.design_variants ~count:3 ())
 
 let test_convert_shipped () =
   let diagrams = Lazy.force shipped_diagrams in

@@ -468,14 +468,14 @@ let prop_sparse_matches_dense =
     QCheck.Gen.(
       frequency
         [
-          (4, map (fun n -> Generator.ladder ~sections:n) (int_range 1 280));
+          (4, map (fun n -> Fixtures.Generator.ladder ~sections:n) (int_range 1 280));
           ( 4,
             map2
-              (fun rows cols -> Generator.grid ~rows ~cols)
+              (fun rows cols -> Fixtures.Generator.grid ~rows ~cols)
               (int_range 1 17) (int_range 1 17) );
           (3, map (Test_fmea.rails_netlist ~source_ohms:1.0) (int_range 2 40));
           (1, return (mixed_netlist ()));
-          (1, return Decisive.Case_study.power_supply_netlist);
+          (1, return Fixtures.Case_study.power_supply_netlist);
         ])
   in
   QCheck.Test.make ~name:"sparse backend matches dense" ~count:40
@@ -746,7 +746,7 @@ let test_transient_rl_rise () =
 let test_transient_steady_state_stays () =
   (* Starting from the DC operating point with constant sources, nothing
      moves. *)
-  let nl = Decisive.Case_study.power_supply_netlist in
+  let nl = Fixtures.Case_study.power_supply_netlist in
   match Transient.simulate nl ~dt:1e-5 ~duration:1e-3 with
   | Error e -> Alcotest.fail (Format.asprintf "%a" Dc.pp_error e)
   | Ok r ->
@@ -887,7 +887,7 @@ let ac_suite =
   in
   let test_psu_filter_cutoff () =
     let sweep =
-      sweep_exn ~source:"DC1" Decisive.Case_study.power_supply_netlist
+      sweep_exn ~source:"DC1" Fixtures.Case_study.power_supply_netlist
         (Ac.log_space ~from_hz:10.0 ~to_hz:100_000.0 ~points:61)
     in
     match Ac.cutoff_hz (Ac.sensor_response sweep "CS1") with
@@ -922,7 +922,7 @@ let ac_suite =
      frequency) must agree with analyse, and successive solves on the
      same prepared value must not contaminate each other. *)
   let test_prepared_matches_analyse () =
-    let nl = Decisive.Case_study.power_supply_netlist in
+    let nl = Fixtures.Case_study.power_supply_netlist in
     let freqs = Ac.log_space ~from_hz:10.0 ~to_hz:100_000.0 ~points:31 in
     let reference = sweep_exn ~source:"DC1" nl freqs in
     let p =
@@ -969,7 +969,7 @@ let ac_suite =
    driving a sine at frequency f, the steady-state output ripple equals
    (peak-to-peak input) x |H(f)|. *)
 let test_transient_ac_agree () =
-  let nl = Decisive.Case_study.power_supply_netlist in
+  let nl = Fixtures.Case_study.power_supply_netlist in
   let hz = 1000.0 in
   let amplitude = 0.25 in
   let ac =
@@ -1017,10 +1017,10 @@ let reactive_free_subject =
     QCheck.Gen.(
       frequency
         [
-          (4, map (fun n -> Generator.ladder ~sections:n) (int_range 1 280));
+          (4, map (fun n -> Fixtures.Generator.ladder ~sections:n) (int_range 1 280));
           ( 4,
             map2
-              (fun rows cols -> Generator.grid ~rows ~cols)
+              (fun rows cols -> Fixtures.Generator.grid ~rows ~cols)
               (int_range 1 17) (int_range 1 17) );
           (2, return (reactive_free (mixed_netlist ())));
         ])
@@ -1137,7 +1137,7 @@ let cross_validation_suite =
 
 let generator_suite =
   let test_ladder_shape () =
-    let nl = Generator.ladder ~sections:32 in
+    let nl = Fixtures.Generator.ladder ~sections:32 in
     Alcotest.(check (list string)) "validates" [] (Netlist.validate nl);
     (* 33 ladder nodes + 2 sensor mid-nodes + 3 branch unknowns. *)
     Alcotest.(check int) "unknowns" 38 (Dc.size (Dc.prepare nl));
@@ -1149,10 +1149,10 @@ let generator_suite =
     Alcotest.(check bool) "deterministic" true
       (List.equal Element.equal
          (Netlist.elements nl)
-         (Netlist.elements (Generator.ladder ~sections:32)))
+         (Netlist.elements (Fixtures.Generator.ladder ~sections:32)))
   in
   let test_grid_shape () =
-    let nl = Generator.grid ~rows:6 ~cols:6 in
+    let nl = Fixtures.Generator.grid ~rows:6 ~cols:6 in
     Alcotest.(check (list string)) "validates" [] (Netlist.validate nl);
     Alcotest.(check int) "unknowns" 39 (Dc.size (Dc.prepare nl));
     let s = solve_exn nl in
@@ -1176,7 +1176,7 @@ let generator_suite =
           ("VIN", Fault.Stuck_value 0.0);
           ("VIN", Fault.Parameter_shift 1.25);
         ]
-      (Generator.ladder ~sections:160)
+      (Fixtures.Generator.ladder ~sections:160)
   in
   [
     Alcotest.test_case "ladder shape" `Quick test_ladder_shape;

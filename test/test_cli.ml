@@ -282,16 +282,16 @@ let test_search_golden () =
    4b's verdict and deployment, and `same optimize` on the same design
    (no sensor monitored there, so its search space exceeds the exhaustive
    cap and the greedy fallback answers).  The inputs are written from
-   [Decisive.Systems.system_b]. *)
+   [Fixtures.Systems.system_b]. *)
 let write_system_b dir =
-  let subject = Decisive.Systems.system_b in
+  let subject = Fixtures.Systems.system_b in
   let bd = Filename.concat dir "system_b.bd" in
   let rel = Filename.concat dir "system_b_reliability.csv" in
-  Blockdiag.Text_format.write_file bd subject.Decisive.Systems.diagram;
+  Blockdiag.Text_format.write_file bd subject.Fixtures.Systems.diagram;
   let sheet =
     Modelio.Spreadsheet.first_sheet
       (Reliability.Reliability_model.to_spreadsheet
-         subject.Decisive.Systems.reliability)
+         subject.Fixtures.Systems.reliability)
   in
   Modelio.Csv.write_file rel
     (sheet.Modelio.Spreadsheet.table.Modelio.Csv.header

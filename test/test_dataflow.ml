@@ -121,7 +121,7 @@ let check_oracle ?(jobs = 1) (m : Model.t) =
   (* The forward FMEA's safety-related rows are exactly the backward
      explanations of some output (all generator modes are loss-like and
      no generator component is redundant). *)
-  let fmea = Passes.forward_fmea ~jobs m in
+  let fmea = Oracle.Forward_fmea.table ~jobs m in
   let safety_rows =
     List.filter_map
       (fun (r : Fmea.Table.row) ->
@@ -142,7 +142,7 @@ let check_oracle ?(jobs = 1) (m : Model.t) =
   pairs
 
 let test_diamond_oracle () =
-  let m = Model.of_architecture (Circuit.Generator.diamond_arch ~stages:4) in
+  let m = Model.of_architecture (Fixtures.Generator.diamond_arch ~stages:4) in
   let pairs = check_oracle m in
   Alcotest.(check bool) "pairs checked" true (pairs > 0);
   (* Every component reaches the final junction. *)
@@ -152,14 +152,14 @@ let test_diamond_oracle () =
     (List.length (Passes.backward_explains m backward ~output:"J4"))
 
 let test_grid_oracle () =
-  let m = Model.of_architecture (Circuit.Generator.grid_arch ~rows:3 ~cols:4) in
+  let m = Model.of_architecture (Fixtures.Generator.grid_arch ~rows:3 ~cols:4) in
   ignore (check_oracle m)
 
 let test_jobs_deterministic () =
   let archs =
     [
-      Circuit.Generator.diamond_arch ~stages:5;
-      Circuit.Generator.grid_arch ~rows:4 ~cols:4;
+      Fixtures.Generator.diamond_arch ~stages:5;
+      Fixtures.Generator.grid_arch ~rows:4 ~cols:4;
     ]
   in
   List.iter
@@ -190,15 +190,15 @@ let qcheck_oracle =
         agree
         && Array.for_all2 Graph.Bitset.equal f1.Passes.sets f4.Passes.sets
       in
-      check (Circuit.Generator.diamond_arch ~stages)
-      && check (Circuit.Generator.grid_arch ~rows ~cols))
+      check (Fixtures.Generator.diamond_arch ~stages)
+      && check (Fixtures.Generator.grid_arch ~rows ~cols))
 
 (* ---------- diagnosis on the paper's PSU circuit ---------- *)
 
 let psu_model () =
   Model.of_diagram
-    ~reliability:Decisive.Case_study.reliability_model
-    Decisive.Case_study.power_supply_diagram
+    ~reliability:Fixtures.Case_study.reliability_model
+    Fixtures.Case_study.power_supply_diagram
 
 let test_psu_structural_candidates () =
   let m = psu_model () in
@@ -217,11 +217,11 @@ let test_psu_structural_candidates () =
 (* The circuit-level differential oracle: confirmed backward explanations
    == safety-related forward injection-FMEA rows, both monitoring CS1. *)
 let test_psu_diagnosis_matches_injection () =
-  let diagram = Decisive.Case_study.power_supply_diagram in
-  let reliability = Decisive.Case_study.reliability_model in
+  let diagram = Fixtures.Case_study.power_supply_diagram in
+  let reliability = Fixtures.Case_study.reliability_model in
   let options =
     {
-      Decisive.Case_study.injection_options with
+      Fixtures.Case_study.injection_options with
       Fmea.Injection_fmea.monitored_sensors = Some [ "CS1" ];
     }
   in

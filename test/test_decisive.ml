@@ -2,6 +2,7 @@
    study, Systems A/B, runtime monitoring and the facade API. *)
 
 open Decisive
+open Fixtures
 
 (* ---------- Process (workflow engine) ---------- *)
 

@@ -145,7 +145,7 @@ let test_case_study_refinement_impact () =
   (* The DECISIVE iteration of Sec. V: deploying ECC on MC1 modifies MC1;
      nothing is downstream of the load, so the impact set is exactly
      {MC1}. *)
-  let old_package = Decisive.Case_study.power_supply_ssam in
+  let old_package = Fixtures.Case_study.power_supply_ssam in
   let new_package =
     {
       old_package with

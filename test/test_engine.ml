@@ -398,9 +398,9 @@ let prop_warm_equals_cold =
 (* After a one-component reliability edit to System B, the warm run must
    do strictly fewer solves than the cold run — and reuse rows. *)
 let test_system_b_fewer_solves () =
-  let subject = Decisive.Systems.system_b in
-  let diagram = subject.Decisive.Systems.diagram in
-  let reliability = subject.Decisive.Systems.reliability in
+  let subject = Fixtures.Systems.system_b in
+  let diagram = subject.Fixtures.Systems.diagram in
+  let reliability = subject.Fixtures.Systems.reliability in
   let options =
     {
       Fmea.Injection_fmea.default_options with
@@ -457,9 +457,9 @@ let test_system_b_fewer_solves () =
    row) stay under bounds measured on this code with headroom, so a
    change that adds per-edit garbage shows here. *)
 let test_edit_work_budgets () =
-  let subject = Decisive.Systems.system_b in
-  let diagram = subject.Decisive.Systems.diagram in
-  let reliability = subject.Decisive.Systems.reliability in
+  let subject = Fixtures.Systems.system_b in
+  let diagram = subject.Fixtures.Systems.diagram in
+  let reliability = subject.Fixtures.Systems.reliability in
   let options =
     {
       Fmea.Injection_fmea.default_options with
@@ -553,18 +553,18 @@ let test_edit_work_budgets () =
    construction included; a change that rebuilds a deployment list per
    move allocates about a hundred times more. *)
 let test_search_work_budget () =
-  let subject = Decisive.Systems.system_b in
+  let subject = Fixtures.Systems.system_b in
   let reliability =
     Reliability.Reliability_model.of_spreadsheet
       (Reliability.Reliability_model.to_spreadsheet
-         subject.Decisive.Systems.reliability)
+         subject.Fixtures.Systems.reliability)
   in
   Exec.with_jobs 1 @@ fun () ->
   let engine = Engine.Pipeline.create () in
   let r =
     Decisive.Api.fmeda ~engine ~target:Ssam.Requirement.ASIL_B
       ~exclude:[ "DC1"; "BAT1" ] ~monitored_sensors:[ "CS1"; "CS2"; "VS1" ]
-      subject.Decisive.Systems.diagram reliability
+      subject.Fixtures.Systems.diagram reliability
       Reliability.Sm_model.extended_catalogue
   in
   Alcotest.(check bool) "meets ASIL-B" true r.Decisive.Api.meets_target;
@@ -580,7 +580,7 @@ let test_search_work_budget () =
     (s.Engine.Stats.search_pruned > 0);
   (* With no sensor monitored the space exceeds the exhaustive cap and
      the greedy fallback answers, scoring each move on the scan. *)
-  let diagram = subject.Decisive.Systems.diagram in
+  let diagram = subject.Fixtures.Systems.diagram in
   let table =
     Decisive.Api.analyse ~engine ~exclude:[ "DC1"; "BAT1" ] diagram reliability
   in
@@ -616,9 +616,9 @@ let test_solve_paths_add_up () =
   let e = Engine.Pipeline.create () in
   ignore
     (Engine.Pipeline.injection_fmea e
-       ~options:Decisive.Case_study.injection_options
-       Decisive.Case_study.power_supply_diagram
-       Decisive.Case_study.reliability_model);
+       ~options:Fixtures.Case_study.injection_options
+       Fixtures.Case_study.power_supply_diagram
+       Fixtures.Case_study.reliability_model);
   let s = Engine.Pipeline.snapshot e in
   Alcotest.(check int) "rank updates + reused = injections"
     s.Engine.Stats.rows_classified
@@ -642,7 +642,7 @@ let test_solve_paths_add_up () =
    golden solve in 8.  A fixed 0.5 V clamp took ~27 per fault and 49 for
    the golden solve, so these bounds fail if it comes back. *)
 let test_system_b_newton_iterations () =
-  let subject = Decisive.Systems.system_b in
+  let subject = Fixtures.Systems.system_b in
   let options =
     {
       Fmea.Injection_fmea.default_options with
@@ -655,8 +655,8 @@ let test_system_b_newton_iterations () =
         let e = Engine.Pipeline.create () in
         ignore
           (Engine.Pipeline.injection_fmea e ~options
-             subject.Decisive.Systems.diagram
-             subject.Decisive.Systems.reliability);
+             subject.Fixtures.Systems.diagram
+             subject.Fixtures.Systems.reliability);
         let s = Engine.Pipeline.snapshot e in
         ( s.Engine.Stats.golden_newton,
           s.Engine.Stats.fault_newton,
@@ -729,8 +729,8 @@ let test_golden_runs_bounded () =
 (* ---------- pipeline: search and path stages ---------- *)
 
 let test_optimise_warm_equals_cold () =
-  let fmea = Decisive.Case_study.fmea_via_injection () in
-  let sm = Decisive.Case_study.sm_model in
+  let fmea = Fixtures.Case_study.fmea_via_injection () in
+  let sm = Fixtures.Case_study.sm_model in
   let target = Ssam.Requirement.ASIL_B in
   let cold_chosen, cold_front = Optimize.Search.optimise ~target fmea sm in
   let e = Engine.Pipeline.create () in
@@ -748,8 +748,8 @@ let test_optimise_warm_equals_cold () =
    entry point runs on a pipeline, so an engine-free value comes only from
    the libraries underneath it. *)
 let test_api_refine_warm_equals_cold () =
-  let fmea = Decisive.Case_study.fmea_via_injection () in
-  let sm = Decisive.Case_study.sm_model in
+  let fmea = Fixtures.Case_study.fmea_via_injection () in
+  let sm = Fixtures.Case_study.sm_model in
   let target = Ssam.Requirement.ASIL_B in
   let cold_chosen, _ = Optimize.Search.optimise ~target fmea sm in
   let cold =
@@ -768,8 +768,8 @@ let test_api_refine_warm_equals_cold () =
     (Engine.Stats.hits (Engine.Pipeline.snapshot e) >= 1)
 
 let test_api_routes_warm_equals_cold () =
-  let diagram = Decisive.Case_study.power_supply_diagram in
-  let reliability = Decisive.Case_study.reliability_model in
+  let diagram = Fixtures.Case_study.power_supply_diagram in
+  let reliability = Fixtures.Case_study.reliability_model in
   let exclude = [ "DC1" ] in
   let root = Decisive.Api.functional_root ~reliability diagram in
   List.iter
@@ -864,9 +864,9 @@ let test_assurance_claim_reuse () =
    fewer than the six a cold fleet pays — while every per-variant table
    stays bit-identical to its standalone analysis. *)
 let test_fleet_shares_golden () =
-  let variants = Decisive.Case_study.design_variants ~count:6 () in
-  let options = Decisive.Case_study.injection_options in
-  let reliability = Decisive.Case_study.reliability_model in
+  let variants = Fixtures.Case_study.design_variants ~count:6 () in
+  let options = Fixtures.Case_study.injection_options in
+  let reliability = Fixtures.Case_study.reliability_model in
   let engine = Engine.Pipeline.create () in
   let summary = Engine.Batch.run_fmea engine ~options variants reliability in
   let snap = Engine.Pipeline.snapshot engine in

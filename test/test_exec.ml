@@ -140,27 +140,27 @@ let test_concurrent_submitters () =
 let test_budget_concurrent () =
   (* Charges and releases from many domains never corrupt the counter
      and never over-commit. *)
-  let b = Store.Budget.create ~max_bytes:(50 * Store.Budget.bytes_per_element) in
+  let b = Harness.Budget.create ~max_bytes:(50 * Harness.Budget.bytes_per_element) in
   ignore
     (Exec.parallel_map ~jobs:4
        (fun _ ->
-         match Store.Budget.charge_elements b 5 with
-         | () -> Store.Budget.release_elements b 5
-         | exception Store.Budget.Overflow _ -> ())
+         match Harness.Budget.charge_elements b 5 with
+         | () -> Harness.Budget.release_elements b 5
+         | exception Harness.Budget.Overflow _ -> ())
        (List.init 400 Fun.id));
-  Alcotest.(check int) "balanced" 0 (Store.Budget.used_bytes b)
+  Alcotest.(check int) "balanced" 0 (Harness.Budget.used_bytes b)
 
 (* ---------- kernel determinism across SAME_JOBS ---------- *)
 
 let case_study_types =
-  (Blockdiag.To_netlist.convert Decisive.Case_study.power_supply_diagram)
+  (Blockdiag.To_netlist.convert Fixtures.Case_study.power_supply_diagram)
     .Blockdiag.To_netlist.block_types
 
 let test_injection_fmea_determinism () =
   let analyse () =
-    Fmea.Injection_fmea.analyse ~options:Decisive.Case_study.injection_options
-      ~element_types:case_study_types Decisive.Case_study.power_supply_netlist
-      Decisive.Case_study.reliability_model
+    Fmea.Injection_fmea.analyse ~options:Fixtures.Case_study.injection_options
+      ~element_types:case_study_types Fixtures.Case_study.power_supply_netlist
+      Fixtures.Case_study.reliability_model
   in
   let baseline = with_jobs 1 analyse in
   List.iter
@@ -172,8 +172,8 @@ let test_injection_fmea_determinism () =
     [ 2; 4 ]
 
 let test_search_determinism () =
-  let table = Decisive.Case_study.fmea_via_injection () in
-  let sms = Decisive.Case_study.sm_model in
+  let table = Fixtures.Case_study.fmea_via_injection () in
+  let sms = Fixtures.Case_study.sm_model in
   let exhaustive () =
     Optimize.Search.exhaustive ~component_types:case_study_types table sms
   in
@@ -198,14 +198,14 @@ let test_search_determinism () =
     [ 2; 4 ]
 
 let test_store_determinism () =
-  let spec = { Store.Synthetic.set_name = "det"; target_elements = 5689 } in
-  let lazy_eval () = Store.Lazy_store.evaluate spec in
+  let spec = { Fixtures.Synthetic.set_name = "det"; target_elements = 5689 } in
+  let lazy_eval () = Harness.Lazy_store.evaluate spec in
   let full_eval () =
-    let budget = Store.Budget.create ~max_bytes:(10 * 1024 * 1024) in
-    match Store.Full_store.load ~budget spec with
+    let budget = Harness.Budget.create ~max_bytes:(10 * 1024 * 1024) in
+    match Harness.Full_store.load ~budget spec with
     | Ok l ->
-        let v = Store.Full_store.evaluate l in
-        Store.Full_store.release ~budget l;
+        let v = Harness.Full_store.evaluate l in
+        Harness.Full_store.release ~budget l;
         v
     | Error _ -> Alcotest.fail "load failed"
   in
@@ -225,8 +225,8 @@ let test_store_determinism () =
 let test_prepared_classification () =
   (* classify_prepared over a shared golden run agrees with the one-off
      classify_single. *)
-  let netlist = Decisive.Case_study.power_supply_netlist in
-  let options = Decisive.Case_study.injection_options in
+  let netlist = Fixtures.Case_study.power_supply_netlist in
+  let options = Fixtures.Case_study.injection_options in
   let prepared = Fmea.Injection_fmea.prepare ~options netlist in
   List.iter
     (fun (id, fault) ->
@@ -337,23 +337,17 @@ let test_cost_decide () =
     "2 jobs do" true
     (decide ~jobs:2 15 500_000.0 <> Exec.Cost.Sequential);
   (* 1,000 x 10 us on two workers and 2,500 on eight clear the charge;
-     20 tasks hold ~200 us, under the two-chunks-per-worker cap (250
-     and 156).  A batch that clears a charge of 200 us or more per
-     worker never reaches that cap: [chunk_for] alone shows it. *)
+     20 tasks hold ~200 us. *)
   Alcotest.(check bool)
     "chunks sized for two workers" true
     (decide ~cores:2 1_000 10_000.0 = Exec.Cost.Parallel { chunk_size = 20 });
   Alcotest.(check bool)
     "chunks sized for eight workers" true
     (decide 2_500 10_000.0 = Exec.Cost.Parallel { chunk_size = 20 });
-  (* ~200 us of work per chunk, at most 503 / (2 * 4) = 62. *)
-  List.iter
-    (fun (ns, chunk) ->
-      Alcotest.(check int)
-        (Printf.sprintf "chunk_for 503 tasks, 4 jobs, %g ns" ns)
-        chunk
-        (Exec.Cost.chunk_for ~tasks:503 ~jobs:4 ns))
-    [ (1e6, 1); (1e4, 20); (2e3, 62) ]
+  (* A task over 200 us is a chunk of its own. *)
+  Alcotest.(check bool)
+    "1 ms tasks in chunks of one" true
+    (decide ~jobs:4 503 1e6 = Exec.Cost.Parallel { chunk_size = 1 })
 
 let test_cost_decide_monotonic () =
   let tasks = [ 2; 8; 32; 128; 512; 2048 ] in
@@ -362,7 +356,9 @@ let test_cost_decide_monotonic () =
     (fun cores ->
       let parallel tasks ns =
         match Exec.Cost.decide ~tasks ~ns_per_task:ns ~jobs:4 ~cores with
-        | Exec.Cost.Parallel _ -> true
+        | Exec.Cost.Parallel { chunk_size } ->
+            Alcotest.(check bool) "chunk >= 1" true (chunk_size >= 1);
+            true
         | Exec.Cost.Sequential -> false
       in
       (* More tasks or higher per-task cost never flips a parallel
@@ -382,10 +378,7 @@ let test_cost_decide_monotonic () =
                      t c cores)
                   true
                   (parallel t (2.0 *. c))
-              end;
-              Alcotest.(check bool)
-                "chunk >= 1" true
-                (Exec.Cost.chunk_for ~tasks:t ~jobs:4 c >= 1))
+              end)
             costs)
         tasks)
     [ 1; 2; 4; 8 ]
@@ -545,7 +538,7 @@ let logged_parallel ~key f =
 let psu_copies = 48
 
 let psu_array =
-  Oracle.Scaled.netlist psu_copies Decisive.Case_study.power_supply_netlist
+  Oracle.Scaled.netlist psu_copies Fixtures.Case_study.power_supply_netlist
 
 let prop_auto_equals_seq_fmea =
   QCheck.Test.make ~count:12
@@ -561,7 +554,7 @@ let prop_auto_equals_seq_fmea =
       in
       let analyse () =
         Fmea.Injection_fmea.analyse ~options psu_array
-          Decisive.Case_study.reliability_model
+          Fixtures.Case_study.reliability_model
       in
       let sequential = with_jobs 1 analyse in
       List.for_all
@@ -574,8 +567,8 @@ let prop_auto_equals_seq_fmea =
         [ 2; 4 ])
 
 let test_auto_equals_seq_search () =
-  let table = Decisive.Case_study.fmea_via_injection () in
-  let sms = Decisive.Case_study.sm_model in
+  let table = Fixtures.Case_study.fmea_via_injection () in
+  let sms = Fixtures.Case_study.sm_model in
   let exhaustive () =
     Optimize.Search.exhaustive ~component_types:case_study_types table sms
   in

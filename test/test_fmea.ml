@@ -286,7 +286,7 @@ let prop_algorithm1_consistency =
 (* ---------- Injection FMEA: the paper's exact case study ---------- *)
 
 let test_table_iv_exact () =
-  let t = Decisive.Case_study.fmea_via_injection () in
+  let t = Fixtures.Case_study.fmea_via_injection () in
   Alcotest.(check (list string)) "safety-related components (Table IV)"
     [ "D1"; "L1"; "MC1" ]
     (Fmea.Table.safety_related_components t);
@@ -311,7 +311,7 @@ let test_table_iv_exact () =
   Alcotest.(check (float 0.005)) "SPFM 5.38%" 5.38 (Fmea.Metrics.spfm t)
 
 let test_table_iv_after_ecc () =
-  let t = Decisive.Case_study.fmeda (Decisive.Case_study.fmea_via_injection ()) in
+  let t = Fixtures.Case_study.fmeda (Fixtures.Case_study.fmea_via_injection ()) in
   let mc1 =
     List.find
       (fun (r : Fmea.Table.row) ->
@@ -327,8 +327,8 @@ let test_table_iv_after_ecc () =
     (Fmea.Asil.meets ~target:Requirement.ASIL_B ~spfm:(Fmea.Metrics.spfm t))
 
 let test_routes_agree () =
-  let inj = Decisive.Case_study.fmea_via_injection () in
-  let path = Decisive.Case_study.fmea_via_ssam () in
+  let inj = Fixtures.Case_study.fmea_via_injection () in
+  let path = Fixtures.Case_study.fmea_via_ssam () in
   Alcotest.(check (list string)) "same safety-related set"
     (Fmea.Table.safety_related_components inj)
     (Fmea.Table.safety_related_components path);
@@ -338,13 +338,13 @@ let test_routes_agree () =
 let test_capacitor_exclusion_warning () =
   (* The stable-supply assumption: capacitor shorts are excluded with a
      warning, not classified (this is what keeps Table IV capacitor-free). *)
-  let t = Decisive.Case_study.fmea_via_injection () in
+  let t = Fixtures.Case_study.fmea_via_injection () in
   let warnings = Fmea.Table.warnings t in
   Alcotest.(check bool) "C1 excluded" true (List.mem_assoc "C1" warnings);
   Alcotest.(check bool) "C2 excluded" true (List.mem_assoc "C2" warnings)
 
 let test_classify_single () =
-  let nl = Decisive.Case_study.power_supply_netlist in
+  let nl = Fixtures.Case_study.power_supply_netlist in
   (match
      Fmea.Injection_fmea.classify_single nl ~element_id:"D1"
        Circuit.Fault.Open_circuit
@@ -361,7 +361,7 @@ let test_classify_single () =
 let test_injection_threshold_sensitivity () =
   (* D1 short moves CS1 by ~15%: below the default 20% threshold, above a
      10% threshold. *)
-  let nl = Decisive.Case_study.power_supply_netlist in
+  let nl = Fixtures.Case_study.power_supply_netlist in
   let tight =
     { Fmea.Injection_fmea.default_options with threshold_rel = 0.10 }
   in
@@ -426,8 +426,8 @@ let test_solver_sparse_backend_table () =
      impact string and warning — must be the one the former dense MNA
      backend produced by refactorising each faulted netlist, pinned in
      golden/psu_refactor_table.txt. *)
-  let nl = Decisive.Case_study.power_supply_netlist in
-  let options = Decisive.Case_study.injection_options in
+  let nl = Fixtures.Case_study.power_supply_netlist in
+  let options = Fixtures.Case_study.injection_options in
   let rm = Reliability.Reliability_model.table_ii in
   let paths = ref [] in
   let table =
@@ -456,17 +456,17 @@ let check_csv_golden file table =
 
 let test_system_b_golden () =
   check_csv_golden "system_b_fmea.csv"
-    (Decisive.Systems.automated_fmea Decisive.Systems.system_b)
+    (Fixtures.Systems.automated_fmea Fixtures.Systems.system_b)
 
 let test_ladder_golden () =
-  let nl = Circuit.Generator.ladder ~sections:80 in
+  let nl = Fixtures.Generator.ladder ~sections:80 in
   Alcotest.(check int) "unknowns" 92 (Circuit.Dc.size (Circuit.Dc.prepare nl));
   let options =
     { Fmea.Injection_fmea.default_options with exclude = [ "VIN" ] }
   in
   check_csv_golden "ladder80_fmea.csv"
     (Fmea.Injection_fmea.analyse ~options nl
-       Reliability.Reliability_model.synthetic_catalogue)
+       Fixtures.Generator.synthetic_catalogue)
 
 (* The multi-rail design, built from its closed form: a 5 V source DC1
    feeding [rails] parallel rails, each a series diode, inductor, current
@@ -587,14 +587,14 @@ let test_metrics_no_sr_hardware () =
   Alcotest.(check (float 1e-9)) "vacuous SPFM is 100" 100.0 (Fmea.Metrics.spfm t)
 
 let test_metrics_breakdown () =
-  let t = Decisive.Case_study.fmea_via_injection () in
+  let t = Fixtures.Case_study.fmea_via_injection () in
   let b = Fmea.Metrics.compute t in
   Alcotest.(check (float 1e-6)) "lambda total" 325.0 b.Fmea.Metrics.safety_related_fit;
   Alcotest.(check (float 1e-6)) "lambda spf" 307.5 b.Fmea.Metrics.single_point_fit;
   Alcotest.(check int) "three components" 3 (List.length b.Fmea.Metrics.per_component)
 
 let test_latent_and_pmhf () =
-  let fmeda = Decisive.Case_study.fmeda (Decisive.Case_study.fmea_via_injection ()) in
+  let fmeda = Fixtures.Case_study.fmeda (Fixtures.Case_study.fmea_via_injection ()) in
   let lb = Fmea.Metrics.latent fmeda in
   (* By hand: D1 short 7 FIT latent, L1 short 10.5 FIT latent, MC1's
      covered RAM share 297 FIT detected -> multipoint 314.5, latent 17.5. *)
@@ -700,7 +700,7 @@ let suite =
 (* ---------- Degradation (time-domain) analysis ---------- *)
 
 let degradation_suite =
-  let conv () = Blockdiag.To_netlist.convert Decisive.Case_study.power_supply_diagram in
+  let conv () = Blockdiag.To_netlist.convert Fixtures.Case_study.power_supply_diagram in
   let analyse ?(options_f = fun o -> o) () =
     let conversion = conv () in
     let options =
@@ -709,7 +709,7 @@ let degradation_suite =
     Fmea.Degradation.analyse
       ~element_types:conversion.Blockdiag.To_netlist.block_types ~options
       conversion.Blockdiag.To_netlist.netlist
-      Decisive.Case_study.reliability_model
+      Fixtures.Case_study.reliability_model
   in
   let test_finds_filter_degradations () =
     let findings = analyse () in

@@ -219,7 +219,7 @@ let test_importance () =
 (* ---------- from SSAM + cross-check ---------- *)
 
 let test_generate_from_case_study () =
-  let tree = From_ssam.generate Decisive.Case_study.power_supply_root in
+  let tree = From_ssam.generate Fixtures.Case_study.power_supply_root in
   let singles = Cut_sets.singletons (Cut_sets.minimal tree) in
   Alcotest.(check bool) "D1 single" true (List.mem "loss:D1" singles);
   Alcotest.(check bool) "MC1 single" true (List.mem "loss:MC1" singles);
@@ -228,7 +228,7 @@ let test_generate_from_case_study () =
 let test_loss_rate () =
   let d1 =
     Option.get
-      (Ssam.Architecture.find_in_package Decisive.Case_study.power_supply_ssam "D1")
+      (Ssam.Architecture.find_in_package Fixtures.Case_study.power_supply_ssam "D1")
   in
   (* 10 FIT * 30% open = 3 FIT of loss-like rate. *)
   Alcotest.(check (float 1e-9)) "D1 loss rate" 3.0 (From_ssam.loss_rate_fit d1)
@@ -279,7 +279,7 @@ let test_no_paths () =
 
 let test_cross_check_case_study () =
   Alcotest.(check bool) "FTA route agrees with Algorithm 1" true
-    (Oracle.Fta_route.agrees_with_path_fmea Decisive.Case_study.power_supply_root)
+    (Oracle.Fta_route.agrees_with_path_fmea Fixtures.Case_study.power_supply_root)
 
 (* Random layered series-parallel system: stage i's [widths_i] blocks
    each feed every block of stage i+1; the boundary wraps the first and
@@ -633,7 +633,7 @@ let prop_importances_match_conditioning =
 (* ---------- structural lowering (of_structure) ---------- *)
 
 let test_of_structure_case_study () =
-  let root = Decisive.Case_study.power_supply_root in
+  let root = Fixtures.Case_study.power_supply_root in
   Alcotest.(check (list (list string)))
     "of_structure = generate (minimal cut sets, PSU)"
     (Cut_sets.minimal (From_ssam.generate root))
@@ -685,7 +685,7 @@ let test_of_structure_no_paths () =
   | _ -> Alcotest.fail "expected No_paths"
 
 let test_event_order () =
-  let root = Decisive.Case_study.power_supply_root in
+  let root = Fixtures.Case_study.power_supply_root in
   let order = From_ssam.event_order root in
   Alcotest.(check bool) "no duplicate events" true
     (List.length order = List.length (List.sort_uniq String.compare order));
@@ -706,7 +706,7 @@ let test_event_order () =
 
 (* Acceptance: three routes, one answer, on the paper's PSU. *)
 let test_single_points_three_routes () =
-  let root = Decisive.Case_study.power_supply_root in
+  let root = Fixtures.Case_study.power_supply_root in
   let via_paths = Fmea.Path_fmea.single_points root in
   Alcotest.(check (list string))
     "BDD cardinality-1 = dominator single points"
@@ -875,7 +875,7 @@ let prop_open_psa_round_trip =
            (List.sort compare (Fault_tree.basic_events t')))
 
 let export_suite =
-  let tree = From_ssam.generate Decisive.Case_study.power_supply_root in
+  let tree = From_ssam.generate Fixtures.Case_study.power_supply_root in
   let test_dot () =
     let dot = Export.to_dot ~name:"psu" tree in
     Alcotest.(check bool) "digraph header" true (contains dot "digraph psu");

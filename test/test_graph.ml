@@ -217,16 +217,16 @@ let test_order_hint () =
 (* ---------- path FMEA on the generator architectures ---------- *)
 
 let test_single_points_diamond () =
-  let sys = Circuit.Generator.diamond_arch ~stages:3 in
+  let sys = Fixtures.Generator.diamond_arch ~stages:3 in
   Alcotest.(check int) "2^3 paths" 8
-    (Circuit.Generator.diamond_path_count ~stages:3);
+    (Fixtures.Generator.diamond_path_count ~stages:3);
   Alcotest.(check (list string)) "junctions only" [ "J0"; "J1"; "J2"; "J3" ]
     (Fmea.Path_fmea.single_points sys)
 
 let test_single_points_grid () =
-  let sys = Circuit.Generator.grid_arch ~rows:3 ~cols:3 in
+  let sys = Fixtures.Generator.grid_arch ~rows:3 ~cols:3 in
   Alcotest.(check int) "C(4,2) paths" 6
-    (Circuit.Generator.grid_path_count ~rows:3 ~cols:3);
+    (Fixtures.Generator.grid_path_count ~rows:3 ~cols:3);
   Alcotest.(check (list string)) "the two corners" [ "B0_0"; "B2_2" ]
     (Fmea.Path_fmea.single_points sys)
 
@@ -238,9 +238,9 @@ let test_single_points_grid () =
 
 let test_beyond_cap_exact () =
   let stages = 18 in
-  let sys = Circuit.Generator.diamond_arch ~stages in
+  let sys = Fixtures.Generator.diamond_arch ~stages in
   Alcotest.(check bool) "beyond the enumeration cap" true
-    (Circuit.Generator.diamond_path_count ~stages > Fmea.Path_fmea.max_paths);
+    (Fixtures.Generator.diamond_path_count ~stages > Fmea.Path_fmea.max_paths);
   (match Fmea.Path_fmea.paths sys with
   | exception Fmea.Path_fmea.Too_many_paths -> ()
   | _ -> Alcotest.fail "expected Too_many_paths");
@@ -253,7 +253,7 @@ let test_beyond_cap_exact () =
 let test_enumeration_overflow_warns () =
   (* The enumeration reference no longer fakes a verdict on overflow:
      every loss-like row gets an explicit warning instead. *)
-  let sys = Circuit.Generator.diamond_arch ~stages:18 in
+  let sys = Fixtures.Generator.diamond_arch ~stages:18 in
   let t = Oracle.Enumerated_path_fmea.analyse sys in
   Alcotest.(check (list string)) "no silent verdicts" []
     (Fmea.Table.safety_related_components t);

@@ -7,7 +7,6 @@ let () =
       ("exec", Test_exec.suite);
       ("modelio", Test_modelio.suite);
       ("ssam", Test_ssam.suite);
-      ("persist", Test_persist.suite);
       ("allocation", Test_allocation.suite);
       ("diff", Test_diff.suite);
       ("engine", Test_engine.suite);

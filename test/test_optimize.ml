@@ -528,10 +528,10 @@ let test_nothing_to_prune () =
 let system_b_reliability () =
   Reliability.Reliability_model.of_spreadsheet
     (Reliability.Reliability_model.to_spreadsheet
-       Decisive.Systems.system_b.Decisive.Systems.reliability)
+       Fixtures.Systems.system_b.Fixtures.Systems.reliability)
 
 let system_b_search () =
-  let subject = Decisive.Systems.system_b in
+  let subject = Fixtures.Systems.system_b in
   let reliability = system_b_reliability () in
   let first_front = ref None in
   let buf = Buffer.create 4096 in
@@ -551,7 +551,7 @@ let system_b_search () =
       let r =
         Decisive.Api.fmeda ~target ~exclude:[ "DC1"; "BAT1" ]
           ~monitored_sensors:[ "CS1"; "CS2"; "VS1" ]
-          subject.Decisive.Systems.diagram reliability
+          subject.Fixtures.Systems.diagram reliability
           Reliability.Sm_model.extended_catalogue
       in
       Printf.bprintf buf "target %s\nchosen:\n"

@@ -8,9 +8,9 @@ let tmp_socket () =
     (Printf.sprintf "same-test-%d-%d.sock" (Unix.getpid ()) (Random.int 100000))
 
 let system_b_texts () =
-  let subject = Decisive.Systems.system_b in
+  let subject = Fixtures.Systems.system_b in
   let path = Filename.temp_file "serve-test" ".bd" in
-  Blockdiag.Text_format.write_file path subject.Decisive.Systems.diagram;
+  Blockdiag.Text_format.write_file path subject.Fixtures.Systems.diagram;
   let diagram = In_channel.with_open_bin path In_channel.input_all in
   Sys.remove path;
   let reliability m =
@@ -21,8 +21,8 @@ let system_b_texts () =
         Modelio.Csv.to_string (table.Modelio.Csv.header :: table.Modelio.Csv.rows)
     | [] -> ""
   in
-  (diagram, reliability subject.Decisive.Systems.reliability,
-   subject.Decisive.Systems.reliability, reliability)
+  (diagram, reliability subject.Fixtures.Systems.reliability,
+   subject.Fixtures.Systems.reliability, reliability)
 
 (* ---------- protocol ---------- *)
 

@@ -1,7 +1,8 @@
 (* Tests for the scalability substrate: budgets, synthetic model sets and
    the full vs lazy stores (Table VI's memory-overflow behaviour). *)
 
-open Store
+open Fixtures
+open Harness
 
 let test_budget () =
   let b = Budget.create ~max_bytes:(Budget.bytes_per_element * 10) in
